@@ -1,9 +1,10 @@
 """Benchmark harness: dataset generation, solver modes, metrics, CSV reports.
 
-Modes: `qcbp` runs the full branch-and-price solver, `hcg_only` stops after
-root column generation plus the primal heuristic, and `exact` runs the
-reference backtracking oracle. Every record carries the exact chromatic
-number, so optimality rates and gaps come straight off the CSV.
+Modes: `qcbp` runs the full branch-and-price solver, `hcg_only` runs the same
+solver with a one-node budget (root column generation plus the primal
+heuristic), and `exact` runs the reference backtracking oracle. Every record
+carries the exact chromatic number, so optimality rates and gaps come straight
+off the CSV, whose columns are the fields of `BenchRecord`.
 """
 
 from __future__ import annotations
@@ -15,27 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnp import SolverConfig, node_lb, primal_heuristic, solve_qcbp
-from .bounds import spectral_lb
+from .bnp import Coloring, SearchStats, SolverConfig, solve_qcbp
 from .chromatic import exact_coloring
 from .embedding import EmbedParams
 from .emulator import DEFAULT_C6, EmulatorConfig
-from .graphs import Graph, flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
-from .hcg import HcgCaps, run_hcg
+from .graphs import Graph, flip_random_pairs, mask_of, parse_dimacs, positions_to_csv, random_ud_graph
+from .hcg import HcgCaps
 from .pricing import COMPACT_REGISTER_RADIUS_UM, PricingEngine, PricingStats, SamplerConfig
-from .rmp import ColumnPool
-
-exact_reference_chromatic = exact_coloring
 
 MODES = ("qcbp", "hcg_only", "exact")
-SAMPLERS = ("emulated_qaa", "classical_stochastic", "exact_pricer")
-
-BENCH_HEADER = (
-    "instance,n,is_ud,chi_exact,chi_hat,gap,proven,shots,"
-    "nodes_generated,nodes_explored,nodes_pruned,ilp_calls,wall_ms"
-)
-PRICING_HEADER = "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
-MANIFEST_HEADER = "instance,n,is_ud,seed,graph_file,positions_file"
 
 
 @dataclass
@@ -55,18 +44,13 @@ class RunConfig:
     register_radius: float = COMPACT_REGISTER_RADIUS_UM
     embed_iterations: int = 3000
     embed_restarts: int = 5
-    embed_w_edge: float = 1.0
-    embed_w_nonedge: float = 1.0
-    embed_w_spacing: float = 4.0
-    embed_w_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        # the configs built from these fields check their own ranges
+        self.sampler_config()
+        self.solver_config()
 
     def sampler_config(self, seed: int | None = None) -> SamplerConfig:
         return SamplerConfig(
@@ -77,7 +61,6 @@ class RunConfig:
             emulator=EmulatorConfig(
                 c6=self.c6,
                 dt=self.dt,
-                shots=self.shots,
                 duration=self.duration,
                 delta_start=self.delta_start,
                 delta_end=self.delta_end,
@@ -86,16 +69,13 @@ class RunConfig:
                 ud_radius=self.register_radius,
                 iterations=self.embed_iterations,
                 restarts=self.embed_restarts,
-                w_edge=self.embed_w_edge,
-                w_nonedge=self.embed_w_nonedge,
-                w_spacing=self.embed_w_spacing,
-                w_radius=self.embed_w_radius,
             ),
         )
 
     def solver_config(self) -> SolverConfig:
+        """`hcg_only` is the solver stopped after its root node."""
         return SolverConfig(
-            node_budget=self.node_budget,
+            node_budget=1 if self.mode == "hcg_only" else self.node_budget,
             hcg=HcgCaps(max_iterations=self.hcg_max_iterations),
         )
 
@@ -114,23 +94,48 @@ def parse_config_file(text: str) -> dict[str, str]:
     return out
 
 
+def _coerce(ftype: str, value: str) -> object:
+    """Parse a config or CSV string by its dataclass field type."""
+    if ftype == "bool":
+        return value.lower() in ("1", "true", "yes", "on")
+    if ftype == "int":
+        return int(value)
+    if ftype == "float":
+        return float(value)
+    return value
+
+
+def _format(value: object) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_header(cls: type) -> str:
+    return ",".join(f.name for f in fields(cls))
+
+
+def to_csv_row(record: object) -> str:
+    return ",".join(_format(getattr(record, f.name)) for f in fields(record))
+
+
+def parse_csv(cls: type, text: str) -> list:
+    """Records of dataclass `cls` from CSV text headed by `csv_header(cls)`."""
+    lines = text.splitlines()
+    if not lines or lines[0] != csv_header(cls):
+        raise ValueError(f"malformed {cls.__name__} CSV header")
+    types = [f.type for f in fields(cls)]
+    return [cls(*(_coerce(t, v) for t, v in zip(types, line.split(","), strict=True)))
+            for line in lines[1:]]
+
+
 def make_run_config(settings: dict[str, str]) -> RunConfig:
     """Build a RunConfig from string settings, coercing by field type."""
     known = {f.name: f.type for f in fields(RunConfig)}
-    kwargs: dict[str, object] = {}
-    for key, value in settings.items():
+    for key in settings:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        ftype = known[key]
-        if ftype == "bool":
-            kwargs[key] = value.lower() in ("1", "true", "yes", "on")
-        elif ftype == "int":
-            kwargs[key] = int(value)
-        elif ftype == "float":
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: _coerce(known[key], value) for key, value in settings.items()})
 
 
 @dataclass(frozen=True)
@@ -174,25 +179,12 @@ def generate_dataset(
             (out / graph_file).write_text(g.to_dimacs())
             (out / positions_file).write_text(positions_to_csv(pos))
             records.append(InstanceRecord(name, n, is_ud, inst_seed, graph_file, positions_file))
-    lines = [MANIFEST_HEADER]
-    lines.extend(
-        f"{r.instance},{r.n},{str(r.is_ud).lower()},{r.seed},{r.graph_file},{r.positions_file}"
-        for r in records
-    )
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    (out / "manifest.csv").write_text(records_to_csv(records, InstanceRecord))
     return records
 
 
 def load_manifest(dataset_dir: str | Path) -> list[InstanceRecord]:
-    path = Path(dataset_dir) / "manifest.csv"
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise ValueError(f"malformed manifest at {path}")
-    records = []
-    for line in lines[1:]:
-        name, n, is_ud, seed, graph_file, positions_file = line.split(",")
-        records.append(InstanceRecord(name, int(n), is_ud == "true", int(seed), graph_file, positions_file))
-    return records
+    return parse_csv(InstanceRecord, (Path(dataset_dir) / "manifest.csv").read_text())
 
 
 @dataclass(frozen=True)
@@ -211,80 +203,34 @@ class BenchRecord:
     ilp_calls: int
     wall_ms: float
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.instance},{self.n},{str(self.is_ud).lower()},{self.chi_exact},"
-            f"{self.chi_hat},{self.gap!r},{str(self.proven).lower()},{self.shots},"
-            f"{self.nodes_generated},{self.nodes_explored},{self.nodes_pruned},"
-            f"{self.ilp_calls},{self.wall_ms!r}"
-        )
+
+BENCH_HEADER = csv_header(BenchRecord)
+MANIFEST_HEADER = csv_header(InstanceRecord)
+PRICING_HEADER = "instance," + csv_header(PricingStats)
 
 
 def parse_bench_csv(text: str) -> list[BenchRecord]:
-    lines = text.splitlines()
-    if not lines or lines[0] != BENCH_HEADER:
-        raise ValueError("malformed benchmark CSV header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        records.append(BenchRecord(
-            instance=parts[0], n=int(parts[1]), is_ud=parts[2] == "true",
-            chi_exact=int(parts[3]), chi_hat=int(parts[4]), gap=float(parts[5]),
-            proven=parts[6] == "true", shots=int(parts[7]), nodes_generated=int(parts[8]),
-            nodes_explored=int(parts[9]), nodes_pruned=int(parts[10]),
-            ilp_calls=int(parts[11]), wall_ms=float(parts[12]),
-        ))
-    return records
+    return parse_csv(BenchRecord, text)
 
 
-def solve_instance(g: Graph, config: RunConfig, engine_seed: int,
-                   clock=time.perf_counter) -> tuple[dict, list[PricingStats]]:
-    """Run one instance in the configured mode; the coloring is re-validated."""
+def solve_instance(
+    g: Graph, config: RunConfig, engine_seed: int, clock=time.perf_counter,
+) -> tuple[Coloring, bool, SearchStats, list[PricingStats]]:
+    """Run one instance in the configured mode: the validated coloring, whether
+    it is proven optimal, the search statistics (timed here, validation
+    included) and the pricing log."""
     t0 = clock()
     if config.mode == "exact":
         chi, assignment = exact_coloring(g)
-        classes: dict[int, int] = {}
-        for v, c in enumerate(assignment):
-            classes[c] = classes.get(c, 0) | (1 << v)
-        union = 0
-        for cls in classes.values():
-            if cls & union or not g.is_independent(cls):
-                raise RuntimeError("oracle produced an invalid coloring")
-            union |= cls
-        if union != g.full_mask:
-            raise RuntimeError("oracle coloring does not cover the graph")
-        return {
-            "chi_hat": chi, "proven": True, "shots": 0,
-            "nodes_generated": 0, "nodes_explored": 0, "nodes_pruned": 0,
-            "ilp_calls": 0, "wall_ms": (clock() - t0) * 1e3,
-        }, []
-
-    engine = PricingEngine(config.sampler_config(seed=engine_seed))
-    if config.mode == "hcg_only":
-        pool = ColumnPool.with_singletons(g)
-        res = run_hcg(g, tuple(range(g.n)), pool, engine,
-                      HcgCaps(max_iterations=config.hcg_max_iterations))
-        coloring = primal_heuristic(g, pool.masks())
-        coloring.validate(g, g.full_mask)
-        lb = node_lb(0, res.lp_bound, spectral_lb(g))
-        return {
-            "chi_hat": coloring.colors_used, "proven": coloring.colors_used == lb,
-            "shots": res.shots_used, "nodes_generated": 1, "nodes_explored": 1,
-            "nodes_pruned": 0, "ilp_calls": res.exact_pricer_calls,
-            "wall_ms": (clock() - t0) * 1e3,
-        }, res.pricing_log
-
-    res = solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
-    res.coloring.validate(g, g.full_mask)
-    return {
-        "chi_hat": res.chi_hat, "proven": res.proven_optimal,
-        "shots": res.stats.shots_total,
-        "nodes_generated": res.stats.nodes_generated,
-        "nodes_explored": res.stats.nodes_explored,
-        "nodes_pruned": res.stats.nodes_pruned,
-        "ilp_calls": res.stats.exact_pricer_calls,
-        "wall_ms": (clock() - t0) * 1e3,
-    }, res.pricing_log
+        coloring = Coloring(tuple(mask_of(v for v in range(g.n) if assignment[v] == c) for c in range(chi)))
+        proven, stats, log = True, SearchStats(), []
+    else:
+        engine = PricingEngine(config.sampler_config(seed=engine_seed))
+        res = solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
+        coloring, proven, stats, log = res.coloring, res.proven_optimal, res.stats, res.pricing_log
+    coloring.validate(g, g.full_mask)
+    stats.wall_seconds = clock() - t0
+    return coloring, proven, stats, log
 
 
 def run_benchmark(
@@ -306,25 +252,21 @@ def run_benchmark(
         g = parse_dimacs((dataset / inst.graph_file).read_text())
         chi_exact, _ = exact_coloring(g)
         engine_seed = int(np.random.default_rng([config.seed, idx]).integers(1 << 31))
-        result, log = solve_instance(g, config, engine_seed, clock=clock)
-        chi_hat = result["chi_hat"]
+        coloring, proven, stats, log = solve_instance(g, config, engine_seed, clock=clock)
+        chi_hat = coloring.colors_used
         if chi_hat < chi_exact:
             raise RuntimeError(f"{inst.instance}: reported {chi_hat} colors below chi={chi_exact}")
         records.append(BenchRecord(
             instance=inst.instance, n=inst.n, is_ud=inst.is_ud,
             chi_exact=chi_exact, chi_hat=chi_hat,
             gap=(chi_hat - chi_exact) / chi_exact,
-            proven=result["proven"], shots=result["shots"],
-            nodes_generated=result["nodes_generated"],
-            nodes_explored=result["nodes_explored"],
-            nodes_pruned=result["nodes_pruned"],
-            ilp_calls=result["ilp_calls"], wall_ms=result["wall_ms"],
+            proven=proven, shots=stats.shots_total,
+            nodes_generated=stats.nodes_generated,
+            nodes_explored=stats.nodes_explored,
+            nodes_pruned=stats.nodes_pruned,
+            ilp_calls=stats.exact_pricer_calls, wall_ms=stats.wall_seconds * 1e3,
         ))
-        pricing_rows.extend(
-            f"{inst.instance},{row.iteration},{row.n_sub},{row.shots},"
-            f"{row.distinct_bitstrings},{row.improving},{row.maximal}"
-            for row in log
-        )
+        pricing_rows.extend(f"{inst.instance},{to_csv_row(row)}" for row in log)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -334,8 +276,8 @@ def run_benchmark(
     return records, pricing_rows
 
 
-def records_to_csv(records: list[BenchRecord]) -> str:
-    return "\n".join([BENCH_HEADER, *(r.to_csv_row() for r in records)]) + "\n"
+def records_to_csv(records: list, cls: type = BenchRecord) -> str:
+    return "\n".join([csv_header(cls), *map(to_csv_row, records)]) + "\n"
 
 
 def _rate(records: list[BenchRecord]) -> float:

@@ -10,13 +10,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .bounds import SpectralBounds, spectral_lb
+from .bounds import CEIL_TOL, SpectralBounds, spectral_lb
 from .graphs import Graph, expand_mask, restrict_mask
-from .hcg import HcgCaps, run_hcg
+from .hcg import HcgCaps, require_positive, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
-
-CEIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,9 @@ class SolverConfig:
     node_budget: int = 1000
     hcg: HcgCaps = field(default_factory=HcgCaps)
 
+    def __post_init__(self) -> None:
+        require_positive(self, "node_budget")
+
 
 def primal_heuristic(res_graph: Graph, pool_masks: list[int]) -> Coloring:
     """Greedy coloring from pooled sets: repeatedly color the highest-degree
@@ -122,11 +123,9 @@ def node_score(local_ub: int, residual_edge_count: int) -> float:
     return float(local_ub * residual_edge_count)
 
 
-def branch(root_graph: Graph, node: BBNode, pool_masks: list[int],
-           visited: set[int] | None = None) -> list[BBNode]:
+def branch(root_graph: Graph, node: BBNode, pool_masks: list[int]) -> list[BBNode]:
     """Children from pool columns that restrict to maximal independent sets of
-    the residual subgraph. Duplicate residuals, within this expansion or in
-    `visited`, are dropped."""
+    the residual subgraph. Distinct sets leave distinct residuals."""
     if node.residual_root == 0:
         raise ValueError("cannot branch on an empty residual")
     res_graph, old_to_new = node.res_graph, node.res_old_to_new
@@ -140,15 +139,10 @@ def branch(root_graph: Graph, node: BBNode, pool_masks: list[int],
     maximal.sort(key=lambda m: (-m.bit_count(), m))
 
     children: list[BBNode] = []
-    seen: set[int] = set(visited or ())
     for local in maximal:
         fixed = expand_mask(local, new_to_old)
-        child_residual = node.residual_root & ~fixed
-        if child_residual in seen:
-            continue
-        seen.add(child_residual)
         children.append(BBNode(
-            residual_root=child_residual,
+            residual_root=node.residual_root & ~fixed,
             depth=node.depth + 1,
             fixed_classes=node.fixed_classes + (fixed,),
         ))
@@ -216,7 +210,7 @@ def solve_qcbp(
 
     def enqueue_children(parent: BBNode) -> None:
         nonlocal order_counter, unsound_closure, budget_hit
-        children = branch(g, parent, pool.masks(), visited=None)
+        children = branch(g, parent, pool.masks())
         queued = 0
         for child in children:
             if child.residual_root == 0:

@@ -18,43 +18,6 @@ EIG_ZERO_TOL = 1e-8
 CEIL_TOL = 1e-6
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below tol. Returns eigenvalues sorted ascending.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a.diagonal().copy()
-    for _ in range(max_sweeps):
-        offdiag = a - np.diag(a.diagonal())
-        if math.sqrt((offdiag * offdiag).sum()) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence")
-    return np.sort(a.diagonal())
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
@@ -64,7 +27,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:
     """Sorted eigenvalues of the 0/1 adjacency matrix."""
-    return jacobi_eigenvalues(adjacency_matrix(g))
+    return np.linalg.eigvalsh(adjacency_matrix(g))
 
 
 @dataclass(frozen=True)

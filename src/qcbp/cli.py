@@ -10,6 +10,7 @@ from pathlib import Path
 from .bench import (
     PRICING_HEADER,
     RunConfig,
+    csv_header,
     generate_dataset,
     make_run_config,
     parse_bench_csv,
@@ -17,9 +18,11 @@ from .bench import (
     run_benchmark,
     solve_instance,
     summarize,
+    to_csv_row,
 )
 from .chromatic import exact_chromatic_number
 from .graphs import parse_dimacs
+from .pricing import PricingStats
 
 _CONFIG_FLAGS = [f.name for f in fields(RunConfig)]
 
@@ -56,20 +59,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _build_config(args)
     g = parse_dimacs(Path(args.graph).read_text())
-    result, log = solve_instance(g, config, engine_seed=config.seed)
+    coloring, proven, stats, log = solve_instance(g, config, engine_seed=config.seed)
     print(f"instance: {args.graph}")
     print(f"mode={config.mode} sampler={config.sampler}")
-    print(f"colors={result['chi_hat']} proven_optimal={str(result['proven']).lower()}")
-    print(f"shots={result['shots']} ilp_calls={result['ilp_calls']} "
-          f"nodes={result['nodes_generated']}/{result['nodes_explored']}/{result['nodes_pruned']} "
-          f"(generated/explored/pruned) wall_ms={result['wall_ms']:.1f}")
+    print(f"colors={coloring.colors_used} proven_optimal={str(proven).lower()}")
+    print(f"shots={stats.shots_total} ilp_calls={stats.exact_pricer_calls} "
+          f"nodes={stats.nodes_generated}/{stats.nodes_explored}/{stats.nodes_pruned} "
+          f"(generated/explored/pruned) wall_ms={stats.wall_seconds * 1e3:.1f}")
     if args.chi_exact:
         print(f"chi_exact={exact_chromatic_number(g)}")
     if args.pricing_log:
-        rows = [f"{r.iteration},{r.n_sub},{r.shots},{r.distinct_bitstrings},{r.improving},{r.maximal}"
-                for r in log]
-        header = PRICING_HEADER.split(",", 1)[1]  # per-run log has no instance column
-        Path(args.pricing_log).write_text("\n".join([header, *rows]) + "\n")
+        # the per-run log has no instance column
+        rows = [csv_header(PricingStats), *map(to_csv_row, log)]
+        Path(args.pricing_log).write_text("\n".join(rows) + "\n")
         print(f"pricing log written to {args.pricing_log}")
     return 0
 

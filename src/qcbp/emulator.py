@@ -28,8 +28,6 @@ DEFAULT_C6 = 877_455.0
 class EmulatorConfig:
     c6: float = DEFAULT_C6
     dt: float = 1e-3          # us
-    shots: int = 200
-    seed: int = 0
     max_qubits: int = 20
     duration: float = 3.0     # us
     delta_start: float = -15.0
@@ -42,8 +40,6 @@ class EmulatorConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
         if self.c6 <= 0:
             raise ValueError("c6 must be positive")
 

@@ -4,7 +4,9 @@ Each round solves the restricted master, restricts the subproblem to vertices
 with positive duals, and asks the sampler for improving columns. When the
 sampler comes back empty, the exact MWIS safeguard either supplies the column
 the sampler missed or certifies that none exists, which makes the final master
-objective the true LP bound.
+objective the true LP bound. A run cut off by its iteration cap reports
+Farley's bound instead: the restricted master's objective is then an upper
+bound on the LP, not a lower one.
 """
 
 from __future__ import annotations
@@ -12,13 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, expand_mask, iter_bits, mask_of, restrict_mask
-from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis, reduced_cost
+from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis,
+                      require_positive)
 from .rmp import Column, ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 
 @dataclass(frozen=True)
 class HcgCaps:
     max_iterations: int = 50
+
+    def __post_init__(self) -> None:
+        require_positive(self, "max_iterations")
 
 
 @dataclass
@@ -115,10 +121,19 @@ def run_hcg(
             )
         prev_obj = sol.objective
 
+    lp_bound = sol.objective
+    if not certified:
+        # Farley: the clipped duals scaled by the heaviest independent set
+        # under them are dual feasible, so this is a valid LP lower bound.
+        best = exact_mwis(graph, sol.duals)
+        engine.exact_pricer_calls += 1
+        heaviest = sum(float(sol.duals[v]) for v in iter_bits(best))
+        lp_bound = sum(max(float(p), 0.0) for p in sol.duals) / max(1.0, heaviest)
+
     return HcgResult(
         pool=pool,
         rmp=sol,
-        lp_bound=sol.objective,
+        lp_bound=lp_bound,
         iterations=iterations,
         shots_used=engine.shots_used - shots_before,
         exact_pricer_calls=engine.exact_pricer_calls - exact_before,

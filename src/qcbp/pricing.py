@@ -3,8 +3,8 @@
 The sampler path embeds the dual-positive subproblem on a register, runs the
 adiabatic pulse, samples bitstrings, and keeps those that are independent,
 improving, and new. A classical branch-and-bound MWIS provides the exact
-safeguard that certifies termination. Registers, pulses, and final states are
-cached per subproblem vertex set because the search revisits subgraphs.
+safeguard that certifies termination. Final states are cached per subproblem
+vertex set because the search revisits subgraphs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbedParams, Register, audit, embed
-from .emulator import EmulatorConfig, PulseSchedule, StateVector, build_adiabatic_pulse, evolve, sample
+from .embedding import EmbedParams, audit, embed
+from .emulator import EmulatorConfig, StateVector, build_adiabatic_pulse, evolve, sample
 from .graphs import Graph, expand_mask, iter_bits, mask_of
 from .rmp import ColumnPool
 
@@ -27,6 +27,12 @@ DUAL_POS_EPS = 1e-6
 # 10 um hardware maximum, so every target edge sits deep inside the blockade
 # (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
 COMPACT_REGISTER_RADIUS_UM = 6.0
+
+
+def require_positive(config, name: str) -> None:
+    """Reject a count below 1 when the config that holds it is built."""
+    if getattr(config, name) < 1:
+        raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
 
 
 def reduced_cost(mask: int, duals: np.ndarray) -> float:
@@ -108,15 +114,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-
-
-@dataclass
-class _CacheEntry:
-    register: Register
-    pulse: PulseSchedule
-    state: StateVector
+        require_positive(self, "shots")
 
 
 class PricingEngine:
@@ -124,7 +122,7 @@ class PricingEngine:
 
     def __init__(self, config: SamplerConfig | None = None) -> None:
         self.config = config or SamplerConfig()
-        self.cache: dict[int, _CacheEntry] = {}
+        self.cache: dict[int, StateVector] = {}
         self.shots_used = 0
         self.exact_pricer_calls = 0
         self._draws = 0
@@ -138,16 +136,15 @@ class PricingEngine:
         return [self.config.seed, self._draws]
 
     def _emulated_distribution(self, sub: Graph, key: int) -> StateVector:
-        entry = self.cache.get(key)
-        if entry is None:
+        state = self.cache.get(key)
+        if state is None:
             reg = embed(sub, self.config.embed, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
             report = audit(sub, reg, self.config.embed.ud_radius)
             pulse = build_adiabatic_pulse(report, self.config.emulator)
             state = evolve(reg, pulse, self.config.emulator)
-            entry = _CacheEntry(register=reg, pulse=pulse, state=state)
-            self.cache[key] = entry
-        return entry.state
+            self.cache[key] = state
+        return state
 
     def _draw_bitstrings(self, sub: Graph, key: int, weights: np.ndarray) -> dict[int, int]:
         if self.config.kind == "emulated_qaa":

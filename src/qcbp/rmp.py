@@ -26,7 +26,7 @@ class RmpError(RuntimeError):
     """Numerical failure inside the simplex; never patched silently."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Column:
     """An independent set in root-graph indexing plus discovery bookkeeping."""
 

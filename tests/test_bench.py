@@ -1,7 +1,12 @@
 import itertools
+from dataclasses import replace
+
 import pytest
 
 from qcbp.bench import (
+    BENCH_HEADER,
+    MANIFEST_HEADER,
+    PRICING_HEADER,
     BenchRecord,
     RunConfig,
     generate_dataset,
@@ -12,6 +17,7 @@ from qcbp.bench import (
     records_to_csv,
     run_benchmark,
     summarize,
+    to_csv_row,
 )
 from qcbp.graphs import parse_dimacs, positions_from_csv, pairwise_distances
 
@@ -48,6 +54,11 @@ class TestRunConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file("just words\n")
+
+    @pytest.mark.parametrize("key", ["node_budget", "hcg_max_iterations", "shots"])
+    def test_counts_below_one_rejected(self, key):
+        with pytest.raises(ValueError, match=">= 1"):
+            make_run_config({key: "0"})
 
 
 class TestDataset:
@@ -111,9 +122,11 @@ class TestBenchmark:
 
     def test_hcg_only_mode(self, small_dataset):
         cfg = RunConfig(mode="hcg_only", sampler="classical_stochastic", shots=30, seed=2)
-        records, _ = run_benchmark(small_dataset, cfg, clock=counter_clock())
+        records, rows = run_benchmark(small_dataset, cfg, clock=counter_clock())
         assert all(r.nodes_generated == 1 and r.nodes_explored == 1 for r in records)
         assert all(r.chi_hat >= r.chi_exact for r in records)
+        root_only = replace(cfg, mode="qcbp", node_budget=1)
+        assert run_benchmark(small_dataset, root_only, clock=counter_clock()) == (records, rows)
 
     def test_deterministic_with_fixed_clock(self, small_dataset):
         cfg = RunConfig(mode="qcbp", sampler="classical_stochastic", shots=25, seed=3)
@@ -122,10 +135,26 @@ class TestBenchmark:
         assert records_to_csv(rec_a) == records_to_csv(rec_b)
         assert rows_a == rows_b
 
+    def test_csv_headers_pinned(self, small_dataset, tmp_path):
+        out = tmp_path / "out"
+        run_benchmark(small_dataset, RunConfig(mode="exact"), out_dir=out, clock=counter_clock())
+        records_header = ("instance,n,is_ud,chi_exact,chi_hat,gap,proven,shots,"
+                          "nodes_generated,nodes_explored,nodes_pruned,ilp_calls,wall_ms")
+        manifest_header = "instance,n,is_ud,seed,graph_file,positions_file"
+        pricing_header = "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
+        assert (BENCH_HEADER, MANIFEST_HEADER, PRICING_HEADER) == (
+            records_header, manifest_header, pricing_header)
+        assert (out / "records.csv").read_text().splitlines()[0] == records_header
+        assert (small_dataset / "manifest.csv").read_text().splitlines()[0] == manifest_header
+        assert (out / "pricing_log.csv").read_text() == pricing_header + "\n"
+
     def test_csv_round_trip(self):
         record = BenchRecord("x", 5, True, 2, 3, 0.5, False, 100, 4, 2, 1, 2, 12.5)
+        assert to_csv_row(record) == "x,5,true,2,3,0.5,false,100,4,2,1,2,12.5"
         parsed = parse_bench_csv(records_to_csv([record]))
         assert parsed == [record]
+        with pytest.raises(ValueError):
+            parse_bench_csv(records_to_csv([record]).replace("12.5", "12.5,7"))
 
     def test_summary_sections(self, small_dataset):
         records, pricing = run_benchmark(

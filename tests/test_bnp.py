@@ -16,6 +16,7 @@ from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, flip_random_pairs, mask_of, random_ud_graph
+from qcbp.hcg import HcgCaps
 from qcbp.pricing import PricingEngine, SamplerConfig
 
 
@@ -103,12 +104,6 @@ class TestBranch:
         g = Graph.from_edges(4, [])  # singletons are never maximal here
         node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
         assert branch(g, node, [1, 2, 4, 8]) == []
-
-    def test_visited_residuals_dropped(self):
-        g = complete(3)
-        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
-        children = branch(g, node, [1, 2, 4], visited={mask_of([1, 2])})
-        assert {c.residual_root for c in children} == {mask_of([0, 2]), mask_of([0, 1])}
 
 
 class TestNodeBounds:
@@ -200,6 +195,20 @@ class TestSolve:
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_column_generation_keeps_the_root_bound_sound(self, cap):
+        rng = np.random.default_rng(87)
+        for k in range(30):
+            g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
+            engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
+            # a root bound above chi would raise here: the heuristic beats it
+            res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=cap)), engine=engine)
+            assert res.root_lb <= exact_chromatic_number(g)
+
+    def test_node_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="node_budget"):
+            SolverConfig(node_budget=0)
 
     def test_emulated_sampler_end_to_end(self):
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)

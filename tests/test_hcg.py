@@ -121,6 +121,27 @@ class TestAccounting:
         res = run_hcg(g, tuple(range(g.n)), pool, exact_engine(), HcgCaps(max_iterations=1))
         assert not res.certified or res.iterations <= 1
 
+    def test_capped_bound_stays_below_the_lp(self):
+        # An unfinished master's objective is an upper bound on the LP; the
+        # capped run must report a lower one (Farley's).
+        rng = np.random.default_rng(76)
+        capped = 0
+        for cap in (1, 2):
+            for _ in range(8):
+                g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
+                res = run_hcg(g, tuple(range(g.n)), ColumnPool.with_singletons(g), exact_engine(),
+                              HcgCaps(max_iterations=cap))
+                assert res.lp_bound <= full_lp_value(g) + 1e-9
+                if not res.certified:
+                    capped += 1
+                    # the bound's own exact MWIS call is counted
+                    assert res.exact_pricer_calls == res.iterations + 1
+        assert capped > 0
+
+    def test_caps_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            HcgCaps(max_iterations=0)
+
 
 class TestSubproblemIndexing:
     def test_columns_translate_to_root(self):
