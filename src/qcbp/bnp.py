@@ -11,8 +11,8 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import CEIL_TOL, SpectralBounds, spectral_lb
-from .graphs import Graph, expand_mask, restrict_mask
-from .hcg import HcgCaps, require_positive, run_hcg
+from .graphs import Graph, expand_mask, require_positive, restrict_mask
+from .hcg import HcgCaps, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
 

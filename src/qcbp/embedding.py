@@ -3,7 +3,9 @@
 A register is found by momentum gradient descent directly on the 2n coordinates,
 minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
-hardware minimum spacing, and points outside the register disk. The audit then
+hardware minimum spacing, and points outside the register disk. The restarts
+descend as one batch that stops once a restart reaches zero loss (an exact
+layout), so the iteration budget only caps graphs with none. The audit then
 compares the unit-disk graph of the layout against the target graph and
 extracts the distance bounds the pulse builder needs.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, pairwise_distances
+from .graphs import Graph, pairwise_distances, require_positive
 
 MIN_SPACING_UM = 4.0
 REGISTER_RADIUS_UM = 50.0
@@ -83,6 +85,10 @@ class EmbedParams:
     momentum: float = 0.9
     restarts: int = 5
 
+    def __post_init__(self) -> None:
+        require_positive(self, "iterations")
+        require_positive(self, "restarts")
+
 
 def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
     """Compare the target graph with the unit-disk graph the register encodes."""
@@ -118,39 +124,45 @@ def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> Embedding
     )
 
 
-def _descend(g: Graph, params: EmbedParams, rng: np.random.Generator) -> np.ndarray:
-    """One optimization run from a random start; returns raw coordinates."""
+def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
+    """All restarts as one (R, n, 2) batch; restart r starts from
+    default_rng([seed, r]). Stops at the first iteration where some restart has
+    zero loss, whose layout is then exact, or after `params.iterations`."""
     n = g.n
     edge_mask = np.zeros((n, n), dtype=bool)
     for u, v in g.edges():
         edge_mask[u, v] = edge_mask[v, u] = True
     nonedge_mask = ~edge_mask
     np.fill_diagonal(nonedge_mask, False)
+    eye = np.eye(n, dtype=bool)
 
     init_radius = max(6.0, 2.5 * math.sqrt(n))
-    pos = rng.uniform(-init_radius, init_radius, size=(n, 2))
+    rngs = [np.random.default_rng([seed, r]) for r in range(params.restarts)]
+    pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
     step = params.step
     for _ in range(params.iterations):
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(dist, 1.0)
-        # k[i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
+        diff = pos[:, :, None, :] - pos[:, None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=3))
+        dist[:, eye] = 1.0
+        # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
         k = 2.0 * params.w_edge * np.maximum(dist - params.ud_radius, 0.0) * edge_mask
         k -= 2.0 * params.w_nonedge * np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
         pair_close = np.maximum(params.min_spacing - dist, 0.0)
-        np.fill_diagonal(pair_close, 0.0)
+        pair_close[:, eye] = 0.0
         k -= 2.0 * params.w_spacing * pair_close
-        grad = (k[:, :, None] * diff / dist[:, :, None]).sum(axis=1)
-        centroid = pos.mean(axis=0)
-        offset = pos - centroid
-        r = np.sqrt((offset * offset).sum(axis=1))
+        grad = (k[..., None] * diff / dist[..., None]).sum(axis=2)
+        offset = pos - pos.mean(axis=1, keepdims=True)
+        r = np.sqrt((offset * offset).sum(axis=2))
         outside = np.maximum(r - params.register_radius, 0.0)
         safe_r = np.where(r > 1e-12, r, 1.0)
-        grad += 2.0 * params.w_radius * (outside / safe_r)[:, None] * offset
+        grad += 2.0 * params.w_radius * (outside / safe_r)[..., None] * offset
+        # Every hinge term is zero: momentum would only move a finished layout on.
+        if not grad.any(axis=(1, 2)).all():
+            break
         # Per-atom normalized descent keeps each move at the um scale of `step`,
         # which the hinge losses need to stay stable.
-        gnorm = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
+        gnorm = np.sqrt((grad * grad).sum(axis=2, keepdims=True))
         vel = params.momentum * vel - step * grad / np.maximum(gnorm, 1e-9)
         pos = pos + vel
         step *= params.step_decay
@@ -160,9 +172,6 @@ def _descend(g: Graph, params: EmbedParams, rng: np.random.Generator) -> np.ndar
 def _project(pos: np.ndarray, params: EmbedParams) -> np.ndarray:
     """Rescale around the centroid so both hard constraints hold exactly."""
     pos = pos - pos.mean(axis=0)
-    n = len(pos)
-    if n == 1:
-        return pos
     d = pairwise_distances(pos)
     np.fill_diagonal(d, np.inf)
     min_d = float(d.min())
@@ -182,19 +191,18 @@ def _project(pos: np.ndarray, params: EmbedParams) -> np.ndarray:
 def embed(g: Graph, params: EmbedParams | None = None, seed: int = 0) -> Register:
     """Best register over the configured restarts.
 
+    The restarts descend as one batch that ends as soon as one of them reaches
+    zero loss, so `params.iterations` only caps graphs with no exact layout.
     Restarts are ranked by audited edge discrepancies: fewest missing+extra
     first, then fewest extra (extra edges only shrink the sampled family,
     which keeps pricing sound), then restart order.
     """
     params = params or EmbedParams()
-    if g.n == 1:
-        return Register(positions=((0.0, 0.0),))
     best: tuple[tuple[int, int, int], Register] | None = None
     last_error: EmbeddingError | None = None
-    for restart in range(params.restarts):
-        rng = np.random.default_rng([seed, restart])
+    for restart, raw in enumerate(_descend(g, params, seed)):
         try:
-            pos = _project(_descend(g, params, rng), params)
+            pos = _project(raw, params)
             reg = Register(positions=tuple((float(x), float(y)) for x, y in pos))
         except EmbeddingError as exc:
             last_error = exc

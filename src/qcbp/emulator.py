@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingReport, Register
-from .graphs import pairwise_distances
+from .graphs import pairwise_distances, require_positive
 
 OMEGA_MAX = 4.0 * math.pi
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
@@ -42,6 +42,12 @@ class EmulatorConfig:
             raise ValueError("dt must be positive")
         if self.c6 <= 0:
             raise ValueError("c6 must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if not (self.rise_fraction > 0 and self.fall_fraction > 0
+                and self.rise_fraction + self.fall_fraction < 1):
+            raise ValueError("rise_fraction and fall_fraction must be positive with a sum below 1")
+        require_positive(self, "max_qubits")
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,11 @@ class PulseSchedule:
     def delta_at(self, t: float) -> float:
         ts, vs = zip(*self.delta)
         return float(np.interp(t, ts, vs))
+
+    def at_midpoints(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Omega and delta at the midpoints of `steps` equal steps."""
+        t = (np.arange(steps) + 0.5) * (self.duration / steps)
+        return np.interp(t, *zip(*self.omega)), np.interp(t, *zip(*self.delta))
 
     def to_csv(self) -> str:
         times = sorted({t for t, _ in self.omega} | {t for t, _ in self.delta})
@@ -186,10 +197,7 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
 
     positions = reg.as_array()
     size = 1 << n
-    states = np.arange(size)
-    occupation = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        occupation += (states >> i) & 1
+    occupation = np.bitwise_count(np.arange(size))
     inter_half = np.exp(-0.5j * h * interaction_diagonal(positions, cfg.c6))
     inter_full = inter_half * inter_half
     rabi_scale = 0.5 if cfg.half_rabi else 1.0
@@ -198,8 +206,8 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
     def half_phase(delta: float) -> np.ndarray:
         return inter_half * np.exp(0.5j * h * delta * counts)[occupation]
 
-    deltas = [pulse.delta_at((k + 0.5) * h) for k in range(steps)]
-    thetas = [rabi_scale * pulse.omega_at((k + 0.5) * h) * h for k in range(steps)]
+    omegas, deltas = (values.tolist() for values in pulse.at_midpoints(steps))
+    thetas = [rabi_scale * omega * h for omega in omegas]
 
     psi = np.zeros(size, dtype=np.complex128)
     psi[0] = 1.0

@@ -14,6 +14,12 @@ import numpy as np
 MAX_VERTICES = 64
 
 
+def require_positive(config, name: str) -> None:
+    """Reject a count below 1 when the config that holds it is built."""
+    if getattr(config, name) < 1:
+        raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bitmask."""
     m = 0

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, expand_mask, iter_bits, mask_of, restrict_mask
-from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis,
-                      require_positive)
+from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive, restrict_mask
+from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis
 from .rmp import Column, ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 

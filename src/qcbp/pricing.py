@@ -3,8 +3,9 @@
 The sampler path embeds the dual-positive subproblem on a register, runs the
 adiabatic pulse, samples bitstrings, and keeps those that are independent,
 improving, and new. A classical branch-and-bound MWIS provides the exact
-safeguard that certifies termination. Final states are cached per subproblem
-vertex set because the search revisits subgraphs.
+safeguard that certifies termination. The embed seed comes from the
+subproblem's vertex set and the evolution is deterministic, so a revisited
+subgraph gets the same final state again without a cache.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbedParams, audit, embed
-from .emulator import EmulatorConfig, StateVector, build_adiabatic_pulse, evolve, sample
-from .graphs import Graph, expand_mask, iter_bits, mask_of
+from .emulator import EmulatorConfig, build_adiabatic_pulse, evolve, sample
+from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
 from .rmp import ColumnPool
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
@@ -27,12 +28,6 @@ DUAL_POS_EPS = 1e-6
 # 10 um hardware maximum, so every target edge sits deep inside the blockade
 # (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
 COMPACT_REGISTER_RADIUS_UM = 6.0
-
-
-def require_positive(config, name: str) -> None:
-    """Reject a count below 1 when the config that holds it is built."""
-    if getattr(config, name) < 1:
-        raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
 
 
 def reduced_cost(mask: int, duals: np.ndarray) -> float:
@@ -118,11 +113,10 @@ class SamplerConfig:
 
 
 class PricingEngine:
-    """Owns the sampler configuration, the per-subgraph cache, and shot accounting."""
+    """Owns the sampler configuration and shot accounting."""
 
     def __init__(self, config: SamplerConfig | None = None) -> None:
         self.config = config or SamplerConfig()
-        self.cache: dict[int, StateVector] = {}
         self.shots_used = 0
         self.exact_pricer_calls = 0
         self._draws = 0
@@ -135,20 +129,13 @@ class PricingEngine:
         self._draws += 1
         return [self.config.seed, self._draws]
 
-    def _emulated_distribution(self, sub: Graph, key: int) -> StateVector:
-        state = self.cache.get(key)
-        if state is None:
+    def _draw_bitstrings(self, sub: Graph, key: int, weights: np.ndarray) -> dict[int, int]:
+        if self.config.kind == "emulated_qaa":
             reg = embed(sub, self.config.embed, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
             report = audit(sub, reg, self.config.embed.ud_radius)
             pulse = build_adiabatic_pulse(report, self.config.emulator)
             state = evolve(reg, pulse, self.config.emulator)
-            self.cache[key] = state
-        return state
-
-    def _draw_bitstrings(self, sub: Graph, key: int, weights: np.ndarray) -> dict[int, int]:
-        if self.config.kind == "emulated_qaa":
-            state = self._emulated_distribution(sub, key)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
             return sample(state, self.config.shots, seed).counts
         # classical_stochastic: weighted random greedy maximal sets

@@ -55,10 +55,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file("just words\n")
 
-    @pytest.mark.parametrize("key", ["node_budget", "hcg_max_iterations", "shots"])
+    @pytest.mark.parametrize(
+        "key", ["node_budget", "hcg_max_iterations", "shots", "embed_iterations", "embed_restarts"])
     def test_counts_below_one_rejected(self, key):
         with pytest.raises(ValueError, match=">= 1"):
             make_run_config({key: "0"})
+
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    def test_nonpositive_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="duration"):
+            make_run_config({"duration": value})
 
 
 class TestDataset:

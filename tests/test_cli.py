@@ -54,6 +54,12 @@ class TestSolve:
         assert main(["solve", str(graph), "--hcg-max-iterations", "0"]) == 2
         assert "max_iterations must be >= 1" in capsys.readouterr().err
 
+    def test_zero_embed_restarts_errors(self, tmp_path, capsys):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        assert main(["solve", str(graph), "--embed-restarts", "0"]) == 2
+        assert "restarts must be >= 1" in capsys.readouterr().err
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dimacs")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -7,10 +7,13 @@ from qcbp.embedding import (
     EmbedParams,
     EmbeddingError,
     Register,
+    _descend,
+    _project,
     audit,
     embed,
 )
 from qcbp.graphs import Graph, pairwise_distances, random_ud_graph
+from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM
 
 
 def complete(n: int) -> Graph:
@@ -134,3 +137,36 @@ class TestEmbed:
             if audit(g, reg, 10.0).is_exact_ud:
                 hits += 1
         assert hits >= 3
+
+    def test_default_params_exact_on_random_ud_graphs(self):
+        # The batch stops at the first zero-loss restart, whose layout is exact.
+        # Radius and box are `generate_dataset`'s defaults.
+        rng = np.random.default_rng(42)
+        for i in range(28):
+            n = 6 + i % 7
+            g, _ = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=40)
+            reg = embed(g, seed=int(rng.integers(1e6)))
+            assert audit(g, reg, 10.0).is_exact_ud, (n, i)
+
+    def test_star_gets_fewest_discrepancies_among_restarts(self):
+        # K_{1,7} is no unit-disk graph: at most five points within the radius
+        # of a hub can be pairwise farther apart than the radius.
+        star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
+        params = EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM)
+        reg = embed(star, params, seed=3)
+        assert reg == embed(star, params, seed=3)
+        keys = []
+        for raw in _descend(star, params, 3):
+            rep = audit(star, register_from(_project(raw, params)), params.ud_radius)
+            keys.append((len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)))
+        rep = audit(star, reg, params.ud_radius)
+        assert (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)) == min(keys)
+        assert min(keys)[0] > 0
+
+
+class TestEmbedParams:
+    @pytest.mark.parametrize("name", ["iterations", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            EmbedParams(**{name: value})

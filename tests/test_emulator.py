@@ -65,10 +65,40 @@ class TestPulse:
         with pytest.raises(ValueError, match="zero"):
             PulseSchedule(3.0, ((0.0, 1.0), (3.0, 0.0)), ((0.0, -15.0), (3.0, 15.0)))
 
+    @pytest.mark.parametrize("duration, dt", [(3.0, 1e-3), (3.0, 2e-3), (1.7, 7e-4)])
+    def test_midpoint_schedule_matches_scalar_lookups(self, duration, dt):
+        cfg = EmulatorConfig(duration=duration, dt=dt)
+        pulse = build_adiabatic_pulse(worked_report(), cfg)
+        steps = round(pulse.duration / cfg.dt)
+        h = pulse.duration / steps
+        omegas, deltas = pulse.at_midpoints(steps)
+        assert omegas.tolist() == [pulse.omega_at((k + 0.5) * h) for k in range(steps)]
+        assert deltas.tolist() == [pulse.delta_at((k + 0.5) * h) for k in range(steps)]
+
     def test_csv(self):
         text = build_adiabatic_pulse(worked_report(), EmulatorConfig()).to_csv()
         assert text.startswith("t_us,omega_rad_per_us,delta_rad_per_us\n")
         assert len(text.strip().splitlines()) == 5
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({"duration": 0.0}, "duration"),
+        ({"duration": -3.0}, "duration"),
+        ({"max_qubits": 0}, "max_qubits must be >= 1"),
+        ({"rise_fraction": 0.6, "fall_fraction": 0.6}, "sum below 1"),
+        ({"rise_fraction": 0.5, "fall_fraction": 0.5}, "sum below 1"),
+        ({"rise_fraction": 0.0}, "positive"),
+        ({"fall_fraction": -0.1}, "positive"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            EmulatorConfig(**kwargs)
+
+    def test_edge_of_range_builds_a_pulse(self):
+        cfg = EmulatorConfig(rise_fraction=0.4, fall_fraction=0.5, max_qubits=1, duration=0.5)
+        pulse = build_adiabatic_pulse(worked_report(), cfg)
+        assert pulse.omega[1][0] < pulse.omega[2][0]
 
 
 class TestEvolve:

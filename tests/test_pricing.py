@@ -156,17 +156,6 @@ class TestEmulatedSampler:
             assert col.reduced_cost < -1e-6
             assert col.mask not in pool
 
-    def test_cache_reused_per_vertex_set(self):
-        g, _ = random_ud_graph(5, seed=9, radius=10, box=22)
-        engine = PricingEngine(self.FAST)
-        pool = ColumnPool.with_singletons(g)
-        duals = np.full(5, 0.8)
-        engine.sample_columns(g, tuple(range(5)), duals, pool)
-        assert len(engine.cache) == 1
-        engine.sample_columns(g, tuple(range(5)), duals, pool)
-        assert len(engine.cache) == 1
-        assert engine.shots_used == 200
-
     def test_extend_to_maximal_flag(self):
         g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
         cfg = SamplerConfig(
