@@ -4,7 +4,7 @@ The Hamiltonian is Omega(t) * sum_i X_i - delta(t) * sum_i n_i
 + sum_{i<j} (C6 / r_ij^6) n_i n_j, with basis index bit i holding the
 occupation of atom i. Time stepping is second-order Strang splitting with
 midpoint pulse values: half a diagonal phase, a global X rotation applied as
-n single-qubit rotations, and the second diagonal half. Every factor is
+one matmul per block of qubits, and the second diagonal half. Every factor is
 unitary, so the norm is conserved to rounding.
 """
 
@@ -22,6 +22,8 @@ OMEGA_MAX = 4.0 * math.pi
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
+BLOCK_QUBITS = 4  # widest qubit block of x_rotations; 4 and 5 measure alike
+GEMM_SIZE = 1 << 15  # most multiply-adds per BLAS call; OpenBLAS threads larger calls
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,12 @@ class EmulatorConfig:
     half_rabi: bool = False   # drive with Omega/2 on the transverse term
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.c6 <= 0:
-            raise ValueError("c6 must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        for name in ("c6", "dt", "duration", "omega_max", "delta_start", "delta_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0 and name in ("c6", "dt", "duration", "omega_max"):
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not (self.rise_fraction > 0 and self.fall_fraction > 0
                 and self.rise_fraction + self.fall_fraction < 1):
             raise ValueError("rise_fraction and fall_fraction must be positive with a sum below 1")
@@ -156,38 +158,50 @@ def build_adiabatic_pulse(report: EmbeddingReport, cfg: EmulatorConfig) -> Pulse
 
 
 def interaction_diagonal(positions: np.ndarray, c6: float) -> np.ndarray:
-    """Diagonal of the pair-interaction term over all 2^n basis states."""
+    """Diagonal of the pair-interaction term over all 2^n basis states, in O(2^n) memory."""
     n = len(positions)
     dist = pairwise_distances(positions)
-    size = 1 << n
-    states = np.arange(size)
-    bits = [(states >> i) & 1 for i in range(n)]
-    diag = np.zeros(size)
+    states = np.arange(1 << n)
+    diag = np.zeros(1 << n)
     for i in range(n):
+        bit = (states >> i) & 1
         for j in range(i + 1, n):
-            diag += (c6 / dist[i, j] ** 6) * (bits[i] & bits[j])
+            diag += (c6 / dist[i, j] ** 6) * (bit & (states >> j))
     return diag
 
 
-def _rotate_all(psi: np.ndarray, n: int, theta: float) -> np.ndarray:
-    """Apply exp(-i theta X_i) to every qubit; the factors commute, so qubit
-    pairs are handled with one 4x4 matmul each."""
-    c, s = math.cos(theta), math.sin(theta)
-    u2 = np.array([[c, -1j * s], [-1j * s, c]])
-    u4 = np.kron(u2, u2)
-    size = psi.size
-    for q in range(0, n - 1, 2):
-        psi = np.matmul(u4, psi.reshape(1 << q, 4, -1))
-    if n % 2:
-        psi = np.matmul(u2, psi.reshape(1 << (n - 1), 2, -1))
-    return psi.reshape(size)
+def x_rotations(n: int, thetas: np.ndarray):
+    """Step k's exp(-i thetas[k] sum_i X_i) as `rotate(psi, k)`, one matmul per
+    block of qubits (near-equal blocks, low bits first). On m qubits it is
+    U[x, y] = cos^(m-h) (-i sin)^h, h = popcount(x ^ y), gathered from powers."""
+    count = -(-n // BLOCK_QUBITS)
+    sizes = [n // count + (b < n % count) for b in range(count)]
+    cos, sin = np.cos(thetas)[:, None], -1j * np.sin(thetas)[:, None]
+    tables = {m: (cos ** (m - np.arange(m + 1)) * sin ** np.arange(m + 1),
+                  np.bitwise_count(np.arange(1 << m)[:, None] ^ np.arange(1 << m))) for m in set(sizes)}
+
+    def rotate(psi: np.ndarray, k: int) -> np.ndarray:
+        size, low = psi.size, 1
+        mats = {m: powers[k][hops] for m, (powers, hops) in tables.items()}
+        for m in sizes:
+            u, width = mats[m], GEMM_SIZE >> 2 * m
+            if low == 1:  # rows of the lowest block, `width` rows per call
+                psi = np.matmul(psi.reshape(-1, min(width, size >> m), 1 << m), u)
+            elif low <= width:  # columns of a higher block, one call per batch
+                psi = np.matmul(u, psi.reshape(-1, 1 << m, low))
+            else:  # the same, `width` columns per call
+                cols = psi.reshape(-1, 1 << m, low // width, width).transpose(0, 2, 1, 3)
+                psi = np.matmul(u, cols).transpose(0, 2, 1, 3).reshape(size)
+            low <<= m
+        return psi.reshape(size)
+    return rotate
 
 
 def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVector:
     """Evolve |0...0> under the register Hamiltonian for the full pulse.
 
     Consecutive diagonal half-steps are merged, so each step costs one phase
-    multiply and one sweep of X rotations.
+    multiply and one matmul per qubit block; per-step tables are built first.
     """
     n = reg.n
     if n > cfg.max_qubits:
@@ -195,29 +209,25 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
     steps = max(1, round(pulse.duration / cfg.dt))
     h = pulse.duration / steps
 
-    positions = reg.as_array()
     size = 1 << n
     occupation = np.bitwise_count(np.arange(size))
-    inter_half = np.exp(-0.5j * h * interaction_diagonal(positions, cfg.c6))
+    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
     inter_full = inter_half * inter_half
-    rabi_scale = 0.5 if cfg.half_rabi else 1.0
     counts = np.arange(n + 1)
 
-    def half_phase(delta: float) -> np.ndarray:
-        return inter_half * np.exp(0.5j * h * delta * counts)[occupation]
-
-    omegas, deltas = (values.tolist() for values in pulse.at_midpoints(steps))
-    thetas = [rabi_scale * omega * h for omega in omegas]
+    omegas, deltas = pulse.at_midpoints(steps)
+    thetas = (0.5 if cfg.half_rabi else 1.0) * omegas * h
+    rotate = x_rotations(n, thetas)
+    phases = np.exp(0.5j * h * (deltas[:-1] + deltas[1:])[:, None] * counts)
 
     psi = np.zeros(size, dtype=np.complex128)
     psi[0] = 1.0
-    psi *= half_phase(deltas[0])
+    psi *= inter_half * np.exp(0.5j * h * deltas[0] * counts)[occupation]
     for k in range(steps):
-        if thetas[k]:
-            psi = _rotate_all(psi, n, thetas[k])
+        psi = rotate(psi, k)
         if k + 1 < steps:
-            psi *= inter_full * np.exp(0.5j * h * (deltas[k] + deltas[k + 1]) * counts)[occupation]
-    psi *= half_phase(deltas[-1])
+            psi *= inter_full * phases[k][occupation]
+    psi *= inter_half * np.exp(0.5j * h * deltas[-1] * counts)[occupation]
     return StateVector(amplitudes=psi, n=n)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qcbp.embedding import Register
@@ -35,24 +37,68 @@ def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, re
         occ += (np.arange(size) >> i) & 1
     rabi_scale = 0.5 if cfg.half_rabi else 1.0
 
-    omega_ts, omega_vs = zip(*pulse.omega)
-    delta_ts, delta_vs = zip(*pulse.delta)
+    # Omega and delta at every stage time t, t + h/2, t + h, looked up at once
+    t = np.arange(steps) * h
+    stages = np.stack([t, t + h / 2, t + h])
+    oms = rabi_scale * np.interp(stages, *zip(*pulse.omega))
+    des = np.interp(stages, *zip(*pulse.delta))
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        om = rabi_scale * float(np.interp(t, omega_ts, omega_vs))
-        de = float(np.interp(t, delta_ts, delta_vs))
+    def rhs(stage: int, k: int, psi: np.ndarray) -> np.ndarray:
+        om, de = oms[stage, k], des[stage, k]
         return -1j * (om * (x_op @ psi) + (inter - de * occ) * psi)
 
     psi = np.zeros(size, dtype=np.complex128)
     psi[0] = 1.0
     for k in range(steps):
-        t = k * h
-        k1 = rhs(t, psi)
-        k2 = rhs(t + h / 2, psi + h / 2 * k1)
-        k3 = rhs(t + h / 2, psi + h / 2 * k2)
-        k4 = rhs(t + h, psi + h * k3)
+        k1 = rhs(0, k, psi)
+        k2 = rhs(1, k, psi + h / 2 * k1)
+        k3 = rhs(1, k, psi + h / 2 * k2)
+        k4 = rhs(2, k, psi + h * k3)
         psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return psi / np.linalg.norm(psi)
+
+
+def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> np.ndarray:
+    """The emulator's Strang steps with the X rotation applied qubit pair by
+    qubit pair: one kron(u2, u2) matmul per pair, and u2 on an odd last qubit.
+
+    Same step count, midpoint grid and merged diagonal half-steps as
+    `evolve`; only the rotation kernel differs.
+    """
+    n = reg.n
+    steps = max(1, round(pulse.duration / cfg.dt))
+    h = pulse.duration / steps
+    size = 1 << n
+    occupation = np.bitwise_count(np.arange(size))
+    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
+    inter_full = inter_half * inter_half
+    rabi_scale = 0.5 if cfg.half_rabi else 1.0
+    counts = np.arange(n + 1)
+
+    def half_phase(delta: float) -> np.ndarray:
+        return inter_half * np.exp(0.5j * h * delta * counts)[occupation]
+
+    def rotate_pairs(psi: np.ndarray, theta: float) -> np.ndarray:
+        c, s = math.cos(theta), math.sin(theta)
+        u2 = np.array([[c, -1j * s], [-1j * s, c]])
+        u4 = np.kron(u2, u2)
+        for q in range(0, n - 1, 2):
+            psi = np.matmul(u4, psi.reshape(1 << q, 4, -1))
+        if n % 2:
+            psi = np.matmul(u2, psi.reshape(1 << (n - 1), 2, -1))
+        return psi.reshape(size)
+
+    omegas, deltas = (values.tolist() for values in pulse.at_midpoints(steps))
+    psi = np.zeros(size, dtype=np.complex128)
+    psi[0] = 1.0
+    psi *= half_phase(deltas[0])
+    for k in range(steps):
+        if omegas[k]:
+            psi = rotate_pairs(psi, rabi_scale * omegas[k] * h)
+        if k + 1 < steps:
+            psi *= inter_full * np.exp(0.5j * h * (deltas[k] + deltas[k + 1]) * counts)[occupation]
+    psi *= half_phase(deltas[-1])
+    return psi
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -66,6 +66,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="duration"):
             make_run_config({"duration": value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "nan"), ("dt", "inf"), ("duration", "inf"), ("c6", "nan"),
+        ("delta_start", "nan"), ("delta_end", "-inf"),
+    ])
+    def test_nonfinite_emulator_knobs_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            make_run_config({key: value})
+
 
 class TestDataset:
     def test_counts_and_flags(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcbp.embedding import Register, audit
 from qcbp.emulator import (
+    DEFAULT_C6,
     OMEGA_MAX,
     EmulatorConfig,
     PulseSchedule,
@@ -13,11 +15,13 @@ from qcbp.emulator import (
     bitstring,
     build_adiabatic_pulse,
     evolve,
+    interaction_diagonal,
     sample,
+    x_rotations,
 )
-from qcbp.graphs import Graph
+from qcbp.graphs import Graph, pairwise_distances
 
-from oracles import fidelity, random_register, rk4_final_state
+from oracles import dense_x_operator, fidelity, random_register, rk4_final_state, strang_pairs_final_state
 
 
 def worked_report():
@@ -90,6 +94,16 @@ class TestConfigRanges:
         ({"rise_fraction": 0.5, "fall_fraction": 0.5}, "sum below 1"),
         ({"rise_fraction": 0.0}, "positive"),
         ({"fall_fraction": -0.1}, "positive"),
+        ({"dt": math.nan}, "dt must be finite"),
+        ({"dt": math.inf}, "dt must be finite"),
+        ({"duration": math.inf}, "duration must be finite"),
+        ({"c6": math.nan}, "c6 must be finite"),
+        ({"c6": -1.0}, "c6 must be positive"),
+        ({"delta_start": math.nan}, "delta_start must be finite"),
+        ({"delta_end": -math.inf}, "delta_end must be finite"),
+        ({"omega_max": 0.0}, "omega_max must be positive"),
+        ({"omega_max": -1.0}, "omega_max must be positive"),
+        ({"omega_max": math.inf}, "omega_max must be finite"),
     ])
     def test_out_of_range_rejected(self, kwargs, reason):
         with pytest.raises(ValueError, match=reason):
@@ -99,6 +113,69 @@ class TestConfigRanges:
         cfg = EmulatorConfig(rise_fraction=0.4, fall_fraction=0.5, max_qubits=1, duration=0.5)
         pulse = build_adiabatic_pulse(worked_report(), cfg)
         assert pulse.omega[1][0] < pulse.omega[2][0]
+
+
+def unit_disk_register(seed, n, radius=10.0):
+    """A random register and the audit of its own unit-disk graph."""
+    reg = random_register(np.random.default_rng(seed), n, spread=16.0)
+    dist = pairwise_distances(reg.as_array())
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] <= radius])
+    return reg, audit(g, reg, radius)
+
+
+class TestXRotation:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_blocks_match_dense_exponential(self, n):
+        rng = np.random.default_rng(n)
+        w, v = np.linalg.eigh(dense_x_operator(n))
+        for theta in (0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi))):
+            dense = (v * np.exp(-1j * theta * w)) @ v.T
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            psi /= np.linalg.norm(psi)
+            rotated = x_rotations(n, np.array([0.3, theta]))(psi.copy(), 1)
+            assert np.abs(rotated - dense @ psi).max() <= 1e-12
+
+
+class TestInteractionDiagonal:
+    def test_matches_all_pairs_reference(self):
+        reg, _ = unit_disk_register(60, 10)
+        positions = reg.as_array()
+        dist = pairwise_distances(positions)
+        states = np.arange(1 << 10)
+        expected = np.zeros(1 << 10)
+        for i in range(10):
+            for j in range(i + 1, 10):
+                expected += (DEFAULT_C6 / dist[i, j] ** 6) * (((states >> i) & 1) & ((states >> j) & 1))
+        assert np.array_equal(interaction_diagonal(positions, DEFAULT_C6), expected)
+
+    def test_peak_memory_is_a_few_states(self):
+        n = 16
+        positions = np.array([(5.0 * (q % 4), 5.0 * (q // 4)) for q in range(n)])
+        tracemalloc.start()
+        try:
+            interaction_diagonal(positions, DEFAULT_C6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state_bytes = 16 << n  # complex128 amplitudes
+        assert peak <= 4 * state_bytes
+
+
+class TestAgainstPairReference:
+    """`evolve` against the same Strang steps rotated qubit pair by pair."""
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("half_rabi", [False, True])
+    def test_amplitudes_and_samples(self, n, half_rabi):
+        cfg = EmulatorConfig(half_rabi=half_rabi)
+        reg, report = unit_disk_register(70 + n, n)
+        pulse = build_adiabatic_pulse(report, cfg)
+        psi = evolve(reg, pulse, cfg)
+        ref = strang_pairs_final_state(reg, pulse, cfg)
+        assert np.abs(psi.amplitudes - ref).max() <= 1e-10
+        ref_state = StateVector(amplitudes=ref, n=n)
+        for seed in range(10):
+            assert sample(psi, 200, seed).counts == sample(ref_state, 200, seed).counts
 
 
 class TestEvolve:
