@@ -1,6 +1,11 @@
 """Branch-and-bound around column generation: branching on maximal sets,
 bounding with master-LP and spectral lower bounds, and a greedy primal
 heuristic that recombines pooled columns into feasible colorings.
+
+A node branches on its residual's highest-degree vertex v: one child fixes
+each maximal independent set that contains v, with the sets the pool already
+holds first. The children cover every coloring of the residual whatever the
+sampler returned, so an exhausted search is a proof.
 """
 
 from __future__ import annotations
@@ -9,9 +14,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .bounds import CEIL_TOL, SpectralBounds, spectral_lb
-from .graphs import Graph, expand_mask, require_positive, restrict_mask
+from .graphs import Graph, expand_mask, iter_bits, require_positive, restrict_mask
 from .hcg import HcgCaps, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
@@ -74,7 +80,7 @@ class SolveResult:
     lp_root: float
     root_lb: int
     stats: SearchStats
-    pool: ColumnPool
+    pool: tuple[int, ...]  # every column mask discovered, in discovery order
     pricing_log: list[PricingStats] = field(default_factory=list)
 
 
@@ -123,9 +129,39 @@ def node_score(local_ub: int, residual_edge_count: int) -> float:
     return float(local_ub * residual_edge_count)
 
 
-def branch(root_graph: Graph, node: BBNode, pool_masks: list[int]) -> list[BBNode]:
-    """Children from pool columns that restrict to maximal independent sets of
-    the residual subgraph. Distinct sets leave distinct residuals."""
+def maximal_sets_containing(g: Graph, v: int) -> list[int]:
+    """Every maximal independent set of g that contains v.
+
+    These are v plus the maximal independent sets of the subgraph on v's
+    non-neighbours, enumerated as maximal cliques of the complement by
+    Bron-Kerbosch with pivoting, in bitmask form.
+    """
+    non_adj = [g.full_mask & ~(g.adj[u] | 1 << u) for u in range(g.n)]
+    found: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            found.append(r)
+            return
+        pivot = max(iter_bits(p | x), key=lambda u: (p & non_adj[u]).bit_count())
+        for u in iter_bits(p & ~non_adj[pivot]):
+            expand(r | 1 << u, p & non_adj[u], x & non_adj[u])
+            p &= ~(1 << u)
+            x |= 1 << u
+
+    expand(1 << v, non_adj[v], 0)
+    return found
+
+
+def branch(root_graph: Graph, node: BBNode, pool_masks: Iterable[int]) -> list[BBNode]:
+    """One child per maximal independent set of the residual that contains
+    its highest-degree vertex v (lowest index on ties).
+
+    The class holding v in any coloring extends to one of these sets, so the
+    children cover every coloring of the residual. Sets that a pooled column
+    restricts to come first, so the sampler steers the search; then larger
+    sets, then smaller masks. Distinct sets leave distinct residuals.
+    """
     if node.residual_root == 0:
         raise ValueError("cannot branch on an empty residual")
     res_graph, old_to_new = node.res_graph, node.res_old_to_new
@@ -133,24 +169,22 @@ def branch(root_graph: Graph, node: BBNode, pool_masks: list[int]) -> list[BBNod
         res_graph, old_to_new = root_graph.induced_subgraph(node.residual_root)
     new_to_old = tuple(sorted(old_to_new))
 
-    candidates = {restrict_mask(m, old_to_new) for m in pool_masks}
-    candidates.discard(0)
-    maximal = [m for m in candidates if res_graph.is_maximal_independent(m)]
-    maximal.sort(key=lambda m: (-m.bit_count(), m))
-
-    children: list[BBNode] = []
-    for local in maximal:
-        fixed = expand_mask(local, new_to_old)
-        children.append(BBNode(
+    v = max(range(res_graph.n), key=lambda u: (res_graph.degree(u), -u))
+    pooled = {m & node.residual_root for m in pool_masks}
+    fixed_sets = [expand_mask(local, new_to_old) for local in maximal_sets_containing(res_graph, v)]
+    fixed_sets.sort(key=lambda m: (m not in pooled, -m.bit_count(), m))
+    return [
+        BBNode(
             residual_root=node.residual_root & ~fixed,
             depth=node.depth + 1,
             fixed_classes=node.fixed_classes + (fixed,),
-        ))
-    return children
+        )
+        for fixed in fixed_sets
+    ]
 
 
 def _restricted_pool(pool: ColumnPool, old_to_new: dict[int, int]) -> list[int]:
-    masks = {restrict_mask(m, old_to_new) for m in pool.masks()}
+    masks = {restrict_mask(m, old_to_new) for m in pool}
     masks.discard(0)
     return sorted(masks)
 
@@ -175,7 +209,7 @@ def solve_qcbp(
     root_spectral = spectral_lb(g)
     root_lb = node_lb(0, root_hcg.lp_bound, root_spectral)
 
-    incumbent = primal_heuristic(g, pool.masks())
+    incumbent = primal_heuristic(g, list(pool))
     incumbent.validate(g, g.full_mask)
     ub = incumbent.colors_used
 
@@ -209,15 +243,12 @@ def solve_qcbp(
             incumbent, ub = cand, len(full)
 
     def enqueue_children(parent: BBNode) -> None:
-        nonlocal order_counter, unsound_closure, budget_hit
-        children = branch(g, parent, pool.masks())
-        queued = 0
-        for child in children:
+        nonlocal unsound_closure, budget_hit
+        for child in branch(g, parent, pool):
             if child.residual_root == 0:
                 stats.nodes_generated += 1
                 stats.nodes_pruned += 1
                 try_incumbent(child.fixed_classes, None, None)
-                queued += 1
                 continue
             existing = visited.get(child.residual_root)
             if existing is not None:
@@ -231,19 +262,13 @@ def solve_qcbp(
                         existing.stale = True
                         visited[child.residual_root] = child
                         _enrich_and_push(child, parent)
-                        queued += 1
-                else:
-                    # The recorded node covers this subtree at least as shallowly.
-                    queued += 1
+                # Otherwise the recorded node covers this subtree at least as shallowly.
                 continue
             if stats.nodes_generated >= config.node_budget:
                 budget_hit = True
                 break
             visited[child.residual_root] = child
             _enrich_and_push(child, parent)
-            queued += 1
-        if queued == 0 and parent.lb < ub:
-            unsound_closure = True
 
     def _enrich_and_push(child: BBNode, parent: BBNode) -> None:
         nonlocal order_counter
@@ -312,6 +337,6 @@ def solve_qcbp(
         lp_root=root_hcg.lp_bound,
         root_lb=root_lb,
         stats=stats,
-        pool=pool,
+        pool=tuple(pool),
         pricing_log=pricing_log,
     )

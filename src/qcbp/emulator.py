@@ -83,12 +83,6 @@ class PulseSchedule:
         t = (np.arange(steps) + 0.5) * (self.duration / steps)
         return np.interp(t, *zip(*self.omega)), np.interp(t, *zip(*self.delta))
 
-    def to_csv(self) -> str:
-        times = sorted({t for t, _ in self.omega} | {t for t, _ in self.delta})
-        lines = ["t_us,omega_rad_per_us,delta_rad_per_us"]
-        lines.extend(f"{t!r},{self.omega_at(t)!r},{self.delta_at(t)!r}" for t in times)
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -109,11 +103,6 @@ class SampleSet:
     counts: dict[int, int]
     total: int
     n: int
-
-    def to_csv(self) -> str:
-        lines = ["bitstring,count"]
-        lines.extend(f"{bitstring(k, self.n)},{c}" for k, c in sorted(self.counts.items()))
-        return "\n".join(lines) + "\n"
 
 
 def bitstring(mask: int, n: int) -> str:

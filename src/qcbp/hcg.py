@@ -6,7 +6,8 @@ sampler comes back empty, the exact MWIS safeguard either supplies the column
 the sampler missed or certifies that none exists, which makes the final master
 objective the true LP bound. A run cut off by its iteration cap reports
 Farley's bound instead: the restricted master's objective is then an upper
-bound on the LP, not a lower one.
+bound on the LP, not a lower one. Columns are only ever appended to the
+master within a run, so each re-solve restarts from the previous optimal basis.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive, restrict_mask
 from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis
-from .rmp import Column, ColumnPool, RmpSolution, init_rmp, solve_rmp
+from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,8 @@ def run_hcg(
 
     model = init_rmp(graph)
     for v in range(graph.n):
-        pool.add(Column(mask=1 << sub_to_root[v], discovered_reduced_cost=0.0,
-                        is_maximal=False, origin="singleton"))
-    for root_mask in pool.masks():
+        pool.add(1 << sub_to_root[v])
+    for root_mask in pool:
         local = restrict_mask(root_mask, root_to_local)
         if local:
             model.add(local)
@@ -93,8 +93,7 @@ def run_hcg(
             columns, stats = engine.sample_columns(sub, psub_to_root, w, pool, iteration=iteration)
             log.append(stats)
             for col in columns:
-                pool.add(Column(mask=col.mask, discovered_reduced_cost=col.reduced_cost,
-                                is_maximal=col.maximal_in_subgraph, origin="quantum"))
+                pool.add(col.mask)
                 model.add(restrict_mask(col.mask, root_to_local))
                 added += 1
         if added == 0:
@@ -103,9 +102,7 @@ def run_hcg(
             value = sum(float(w[v]) for v in iter_bits(best_local))
             if value > 1.0 + IMPROVE_EPS:
                 root_mask = expand_mask(best_local, psub_to_root)
-                pool.add(Column(mask=root_mask, discovered_reduced_cost=1.0 - value,
-                                is_maximal=sub.is_maximal_independent(best_local),
-                                origin="exact_pricer"))
+                pool.add(root_mask)
                 model.add(restrict_mask(root_mask, root_to_local))
                 added = 1
             else:

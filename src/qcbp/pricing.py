@@ -80,7 +80,6 @@ class PricedColumn:
 
     mask: int
     reduced_cost: float
-    maximal_in_subgraph: bool
 
 
 @dataclass(frozen=True)
@@ -193,9 +192,8 @@ class PricingEngine:
             if root_mask in pool or root_mask in seen_root:
                 continue
             seen_root.add(root_mask)
-            maximal = sub.is_maximal_independent(local)
-            n_maximal += maximal
-            columns.append(PricedColumn(mask=root_mask, reduced_cost=rc, maximal_in_subgraph=maximal))
+            n_maximal += sub.is_maximal_independent(local)
+            columns.append(PricedColumn(mask=root_mask, reduced_cost=rc))
         stats = PricingStats(
             iteration=iteration,
             n_sub=sub.n,

@@ -2,14 +2,18 @@
 
 The model is min sum(lambda) subject to one equality row per vertex
 (each vertex covered exactly once) and lambda >= 0. Columns are independent
-sets. The n singleton columns are always present, so the identity basis is a
-feasible simplex start and no phase-1 is needed. Duals come straight from
-the optimal basis.
+sets. The model keeps its 0/1 constraint matrix, written one column at a time
+as columns arrive, and the last optimal basis. The first solve starts from the
+n singleton columns, which are always present, so no phase-1 is needed. Later
+solves restart from the previous optimal basis: columns are only ever
+appended, so that basis stays primal feasible. Duals come straight from the
+optimal basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -26,62 +30,60 @@ class RmpError(RuntimeError):
     """Numerical failure inside the simplex; never patched silently."""
 
 
-@dataclass(frozen=True, slots=True)
-class Column:
-    """An independent set in root-graph indexing plus discovery bookkeeping."""
-
-    mask: int
-    discovered_reduced_cost: float
-    is_maximal: bool
-    origin: str  # singleton | quantum | exact_pricer
-
-
 class ColumnPool:
-    """Ordered, duplicate-free collection of root-graph columns."""
+    """Insertion-ordered, duplicate-free set of root-graph column masks."""
 
     def __init__(self) -> None:
-        self._by_mask: dict[int, Column] = {}
+        self._masks: dict[int, None] = {}
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._by_mask
+        return mask in self._masks
 
     def __len__(self) -> int:
-        return len(self._by_mask)
+        return len(self._masks)
 
-    @property
-    def columns(self) -> list[Column]:
-        return list(self._by_mask.values())
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._masks)
 
-    def masks(self) -> list[int]:
-        return list(self._by_mask)
-
-    def add(self, column: Column) -> bool:
-        if column.mask in self._by_mask or column.mask == 0:
+    def add(self, mask: int) -> bool:
+        if mask in self._masks or mask == 0:
             return False
-        self._by_mask[column.mask] = column
+        self._masks[mask] = None
         return True
 
     @classmethod
     def with_singletons(cls, g: Graph) -> "ColumnPool":
         pool = cls()
         for v in range(g.n):
-            pool.add(Column(mask=1 << v, discovered_reduced_cost=0.0, is_maximal=False, origin="singleton"))
+            pool.add(1 << v)
         return pool
 
 
 @dataclass
 class RmpModel:
-    """Column pool of one subproblem, as local bitmasks over `graph`."""
+    """Column pool of one subproblem, as local bitmasks over `graph`, with its
+    constraint matrix (columns beyond `len(masks)` are spare capacity) and the
+    last optimal basis (None until the first solve)."""
 
     graph: Graph
     masks: list[int] = field(default_factory=list)
     _seen: set[int] = field(default_factory=set)
+    _a: np.ndarray = field(init=False, repr=False)
+    _basis: list[int] | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self._a = np.zeros((self.graph.n, 4 * self.graph.n))
 
     def add(self, mask: int) -> bool:
         if mask in self._seen or mask == 0:
             return False
         if not self.graph.is_independent(mask):
             raise ValueError(f"column {mask:#x} is not an independent set (pricing bug)")
+        j = len(self.masks)
+        if j == self._a.shape[1]:
+            self._a = np.hstack([self._a, np.zeros_like(self._a)])
+        for v in iter_bits(mask):
+            self._a[v, j] = 1.0
         self.masks.append(mask)
         self._seen.add(mask)
         return True
@@ -107,34 +109,24 @@ def add_columns(model: RmpModel, masks: list[int]) -> int:
     return sum(1 for m in masks if model.add(m))
 
 
-def _constraint_matrix(model: RmpModel) -> np.ndarray:
-    n = model.graph.n
-    a = np.zeros((n, len(model.masks)))
-    for j, mask in enumerate(model.masks):
-        for v in iter_bits(mask):
-            a[v, j] = 1.0
-    return a
-
-
 def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 1'x subject to a x = 1, x >= 0 from a feasible starting basis.
 
     Dantzig pricing with a switch to Bland's rule after a run of degenerate
-    pivots, which guarantees termination.
+    pivots, which guarantees termination. Costs and right-hand side are all
+    ones, so one basis inverse per pivot gives the primal values (its row
+    sums), the duals (its column sums) and the entering direction.
     """
-    n, m = a.shape
-    b = np.ones(n)
-    c = np.ones(m)
     degenerate = 0
     bland = False
     for _ in range(MAX_PIVOTS):
-        basis_mat = a[:, basis]
         try:
-            x_b = np.linalg.solve(basis_mat, b)
-            y = np.linalg.solve(basis_mat.T, c[basis])
+            inv = np.linalg.inv(a[:, basis])
         except np.linalg.LinAlgError as exc:
             raise RmpError("singular basis") from exc
-        reduced = c - a.T @ y
+        x_b = inv.sum(axis=1)
+        y = inv.sum(axis=0)
+        reduced = 1.0 - y @ a
         reduced[basis] = 0.0
         if bland:
             improving = np.flatnonzero(reduced < -OPT_TOL)
@@ -145,7 +137,7 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -OPT_TOL:
                 return x_b, y
-        direction = np.linalg.solve(basis_mat, a[:, enter])
+        direction = inv @ a[:, enter]
         positive = np.flatnonzero(direction > PIVOT_TOL)
         if positive.size == 0:
             raise RmpError("unbounded direction in a bounded LP (numerical failure)")
@@ -164,21 +156,25 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
 
 
 def solve_rmp(model: RmpModel) -> RmpSolution:
-    """Optimal basic solution and duals of the current model.
+    """Optimal basic solution and duals of the current model, from the last
+    optimal basis or, on the first solve, from the singleton basis.
 
     Feasibility, strong duality, and pool dual-feasibility are re-checked on
     the way out; violations raise RmpError rather than being patched.
     """
-    n = model.graph.n
-    singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
-    if len(singleton_pos) < n:
-        raise RmpError("model is missing singleton columns (infeasible start)")
-    basis = [singleton_pos[1 << v] for v in range(n)]
+    if model._basis is None:
+        n = model.graph.n
+        singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
+        if len(singleton_pos) < n:
+            raise RmpError("model is missing singleton columns (infeasible start)")
+        basis = [singleton_pos[1 << v] for v in range(n)]
+    else:
+        basis = list(model._basis)
 
-    a = _constraint_matrix(model)
+    a = model._a[:, :len(model.masks)]
     x_b, duals = _revised_simplex(a, basis)
 
-    lam = np.zeros(len(model.masks))
+    lam = np.zeros(a.shape[1])
     lam[basis] = x_b
     if lam.min() < -1e-7:
         raise RmpError(f"negative basic variable {lam.min():.3e}")
@@ -190,20 +186,8 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
         raise RmpError(f"primal feasibility residual {residual:.3e}")
     if abs(objective - float(duals.sum())) > 1e-7:
         raise RmpError("strong duality violated at reported optimum")
-    slack = (a.T @ duals - 1.0).max()
+    slack = (duals @ a - 1.0).max()
     if slack > OPT_TOL:
         raise RmpError(f"dual infeasibility {slack:.3e} over the pool")
+    model._basis = basis
     return RmpSolution(lam=lam, duals=duals, objective=objective)
-
-
-def to_lp_text(model: RmpModel) -> str:
-    """Model dump in LP text format, for cross-checks with external solvers."""
-    cols = [f"l{j}" for j in range(len(model.masks))]
-    lines = ["Minimize", " obj: " + " + ".join(cols), "Subject To"]
-    for v in range(model.graph.n):
-        terms = [cols[j] for j, mask in enumerate(model.masks) if mask >> v & 1]
-        lines.append(f" cover_{v}: " + " + ".join(terms) + " = 1")
-    lines.append("Bounds")
-    lines.extend(f" 0 <= {name}" for name in cols)
-    lines.append("End")
-    return "\n".join(lines) + "\n"

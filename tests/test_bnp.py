@@ -6,6 +6,7 @@ from qcbp.bnp import (
     Coloring,
     SolverConfig,
     branch,
+    maximal_sets_containing,
     node_lb,
     node_score,
     primal_heuristic,
@@ -15,7 +16,7 @@ from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
-from qcbp.graphs import Graph, flip_random_pairs, mask_of, random_ud_graph
+from qcbp.graphs import Graph, flip_random_pairs, mask_of, random_ud_graph, restrict_mask
 from qcbp.hcg import HcgCaps
 from qcbp.pricing import PricingEngine, SamplerConfig
 
@@ -86,24 +87,62 @@ class TestColoring:
 
 class TestBranch:
     def test_triangle_children(self):
+        # Every vertex has degree 2, so v = 0, whose only maximal set is {0}.
         g = complete(3)
         node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
         children = branch(g, node, [1, 2, 4])
-        assert len(children) == 3
-        assert sorted(c.residual_root.bit_count() for c in children) == [2, 2, 2]
-        assert all(c.depth == 1 for c in children)
+        assert [c.fixed_classes for c in children] == [(1,)]
+        assert children[0].residual_root == mask_of([1, 2])
+        assert children[0].depth == 1
 
     def test_path3_only_maximal_columns_branch(self):
+        # v = 1 (degree 2); the pooled {0, 2} holds no v, so no child fixes it.
         g = path3()
         node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
         children = branch(g, node, [mask_of([0, 2]), 2, 1, 4])
-        residuals = {c.residual_root for c in children}
-        assert residuals == {mask_of([1]), mask_of([0, 2])}
+        assert [c.residual_root for c in children] == [mask_of([0, 2])]
 
     def test_no_maximal_candidates(self):
-        g = Graph.from_edges(4, [])  # singletons are never maximal here
+        # The pool holds no maximal set; branching does not depend on it.
+        g = Graph.from_edges(4, [])
         node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
-        assert branch(g, node, [1, 2, 4, 8]) == []
+        children = branch(g, node, [1, 2, 4, 8])
+        assert [c.fixed_classes for c in children] == [(g.full_mask,)]
+        assert children[0].residual_root == 0
+
+    def test_pooled_sets_first_then_size_then_mask(self):
+        # Path 0-1-2-3-4-5: v = 1, non-neighbours 3-4-5 give {1,3,5} and {1,4}.
+        g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
+        assert [c.fixed_classes[-1] for c in branch(g, node, [1 << v for v in range(6)])] == [
+            mask_of([1, 3, 5]), mask_of([1, 4])]
+        # Residual 0-1-2-3-4 gives {1,3} and {1,4}; a pooled column counts
+        # through its restriction to the residual.
+        node = BBNode(residual_root=mask_of(range(5)), depth=1, fixed_classes=(1 << 5,))
+        assert [c.fixed_classes[-1] for c in branch(g, node, [])] == [
+            mask_of([1, 3]), mask_of([1, 4])]
+        assert [c.fixed_classes[-1] for c in branch(g, node, [mask_of([1, 4, 5])])] == [
+            mask_of([1, 4]), mask_of([1, 3])]
+
+    def test_maximal_sets_containing_matches_brute_force(self):
+        rng = np.random.default_rng(89)
+        for _ in range(150):
+            g = random_graph(int(rng.integers(1, 11)), rng.uniform(0.0, 0.9), rng)
+            maximal = [s for s in range(1, 1 << g.n) if g.is_maximal_independent(s)]
+            for v in range(g.n):
+                assert sorted(maximal_sets_containing(g, v)) == [s for s in maximal if s >> v & 1]
+
+    def test_children_are_the_maximal_sets_through_the_top_vertex(self):
+        rng = np.random.default_rng(88)
+        for _ in range(60):
+            g = random_graph(int(rng.integers(1, 11)), rng.uniform(0.0, 0.9), rng)
+            residual = int(rng.integers(1, 1 << g.n))
+            res, old_to_new = g.induced_subgraph(residual)
+            v = max(range(res.n), key=lambda u: (res.degree(u), -u))
+            brute = [s for s in range(1, 1 << res.n) if s >> v & 1 and res.is_maximal_independent(s)]
+            children = branch(g, BBNode(residual_root=residual, depth=0, fixed_classes=()), [])
+            assert sorted(restrict_mask(c.fixed_classes[-1], old_to_new) for c in children) == brute
+            assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)
 
 
 class TestNodeBounds:
@@ -205,6 +244,30 @@ class TestSolve:
             # a root bound above chi would raise here: the heuristic beats it
             res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=cap)), engine=engine)
             assert res.root_lb <= exact_chromatic_number(g)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_proof_means_optimal_when_the_sampler_misses_optimal_classes(self, cap):
+        # Branching only on pooled maximal sets gave 5 wrong proofs here, e.g.
+        # instance 40 at cap 1 (n = 7, chi 2, "proven" at 3): its pool held no
+        # optimal class, so every child was pruned.
+        rng = np.random.default_rng(2)
+        for k in range(150):
+            g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
+            engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
+            res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=cap)), engine=engine)
+            res.coloring.validate(g, g.full_mask)
+            if res.proven_optimal:
+                assert res.chi_hat == exact_chromatic_number(g), f"instance {k}"
+
+    def test_gnp_instance_proven_at_its_chromatic_number(self):
+        # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 11, instance 4:
+        # every node's LP was certified, yet it was "proven" at 5 with chi = 4.
+        rng = np.random.default_rng([11, 20, 4])
+        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
+        res = solve_qcbp(g, engine=exact_engine())
+        res.coloring.validate(g, g.full_mask)
+        assert res.proven_optimal
+        assert res.chi_hat == exact_chromatic_number(g) == 4
 
     def test_node_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="node_budget"):

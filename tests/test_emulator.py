@@ -10,7 +10,6 @@ from qcbp.emulator import (
     OMEGA_MAX,
     EmulatorConfig,
     PulseSchedule,
-    SampleSet,
     StateVector,
     bitstring,
     build_adiabatic_pulse,
@@ -78,11 +77,6 @@ class TestPulse:
         omegas, deltas = pulse.at_midpoints(steps)
         assert omegas.tolist() == [pulse.omega_at((k + 0.5) * h) for k in range(steps)]
         assert deltas.tolist() == [pulse.delta_at((k + 0.5) * h) for k in range(steps)]
-
-    def test_csv(self):
-        text = build_adiabatic_pulse(worked_report(), EmulatorConfig()).to_csv()
-        assert text.startswith("t_us,omega_rad_per_us,delta_rad_per_us\n")
-        assert len(text.strip().splitlines()) == 5
 
 
 class TestConfigRanges:
@@ -270,7 +264,3 @@ class TestSample:
         psi = StateVector(amplitudes=np.full(4, 0.5, dtype=complex), n=2)
         assert sample(psi, 50, seed=3).counts == sample(psi, 50, seed=3).counts
         assert sample(psi, 50, seed=3).counts != sample(psi, 50, seed=4).counts
-
-    def test_csv(self):
-        out = SampleSet(counts={0b01: 3, 0b10: 7}, total=10, n=2)
-        assert out.to_csv() == "bitstring,count\n10,3\n01,7\n"

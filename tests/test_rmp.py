@@ -8,7 +8,6 @@ from qcbp.rmp import (
     add_columns,
     init_rmp,
     solve_rmp,
-    to_lp_text,
 )
 
 
@@ -122,17 +121,33 @@ class TestSolve:
             sol = solve_rmp(model)
             assert abs(sol.objective - lp_oracle(g, model.masks)) < 1e-6
 
+    def test_warm_restart_matches_cold_solve(self):
+        # Each re-solve restarts from the previous optimal basis; a fresh model
+        # holding the same columns starts from the singletons.
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
+            extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
+            rng.shuffle(extra)
+            warm = init_rmp(g)
+            solve_rmp(warm)
+            for batch in np.array_split(np.array(extra, dtype=object), 4):
+                add_columns(warm, list(batch))
+                got = solve_rmp(warm).objective
+                cold = init_rmp(g)
+                add_columns(cold, warm.masks)
+                assert abs(got - solve_rmp(cold).objective) < 1e-9
+
+    def test_matrix_grows_past_its_initial_capacity(self):
+        g = Graph.from_edges(10, [])
+        model = init_rmp(g)
+        add_columns(model, [s for s in range(1, 1 << g.n) if s.bit_count() == 2])
+        assert len(model.masks) == 10 + 45
+        assert abs(solve_rmp(model).objective - 5.0) < 1e-9
+
     def test_missing_singletons_detected(self):
         model = init_rmp(path3())
         model.masks.pop(0)
         with pytest.raises(RmpError, match="singleton"):
             solve_rmp(model)
 
-
-class TestLpDump:
-    def test_shape(self):
-        model = init_rmp(path3())
-        add_columns(model, [mask_of([0, 2])])
-        text = to_lp_text(model)
-        assert "Minimize" in text and "cover_1: l1 = 1" in text
-        assert "l0 + l3" in text
