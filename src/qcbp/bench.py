@@ -19,7 +19,7 @@ import numpy as np
 from .bnp import Coloring, SearchStats, SolverConfig, solve_qcbp
 from .chromatic import exact_coloring
 from .embedding import EmbedParams
-from .emulator import DEFAULT_C6, EmulatorConfig
+from .emulator import EmulatorConfig
 from .graphs import Graph, flip_random_pairs, mask_of, parse_dimacs, positions_to_csv, random_ud_graph
 from .hcg import HcgCaps
 from .pricing import COMPACT_REGISTER_RADIUS_UM, PricingEngine, PricingStats, SamplerConfig
@@ -31,19 +31,19 @@ MODES = ("qcbp", "hcg_only", "exact")
 class RunConfig:
     mode: str = "qcbp"
     sampler: str = "emulated_qaa"
-    shots: int = 200
+    shots: int = SamplerConfig.shots
     seed: int = 0
-    node_budget: int = 1000
-    hcg_max_iterations: int = 50
+    node_budget: int = SolverConfig.node_budget
+    hcg_max_iterations: int = HcgCaps.max_iterations
     extend_to_maximal: bool = False
-    dt: float = 1e-3
-    c6: float = DEFAULT_C6
-    duration: float = 3.0
-    delta_start: float = -15.0
-    delta_end: float = 15.0
+    dt: float = EmulatorConfig.dt
+    c6: float = EmulatorConfig.c6
+    duration: float = EmulatorConfig.duration
+    delta_start: float = EmulatorConfig.delta_start
+    delta_end: float = EmulatorConfig.delta_end
     register_radius: float = COMPACT_REGISTER_RADIUS_UM
-    embed_iterations: int = 3000
-    embed_restarts: int = 5
+    embed_iterations: int = EmbedParams.iterations
+    embed_restarts: int = EmbedParams.restarts
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

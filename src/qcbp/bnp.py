@@ -6,6 +6,14 @@ A node branches on its residual's highest-degree vertex v: one child fixes
 each maximal independent set that contains v, with the sets the pool already
 holds first. The children cover every coloring of the residual whatever the
 sampler returned, so an exhausted search is a proof.
+
+The root is a node like any other, and every node names its residual by its
+vertex mask in the root graph. Different branches can leave the same
+residual, and the shallower path to it needs fewer colors, so one dict keeps
+the least depth each residual was queued at: a child at that depth or deeper
+is dropped, a queued node that a shallower one has since replaced is pruned
+when popped, and a residual reached again by a shallower path is explored
+again even if it was explored before.
 """
 
 from __future__ import annotations
@@ -14,10 +22,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
-from .bounds import CEIL_TOL, SpectralBounds, spectral_lb
-from .graphs import Graph, expand_mask, iter_bits, require_positive, restrict_mask
+from .bounds import CEIL_TOL, spectral_lb
+from .graphs import Graph, expand_mask, iter_bits, require_positive
 from .hcg import HcgCaps, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
@@ -47,18 +55,10 @@ class Coloring:
 
 @dataclass
 class BBNode:
-    residual_root: int
+    residual_root: int  # the vertices still to color, in root indexing
     depth: int
     fixed_classes: tuple[int, ...]
     lb: int = 1
-    local_ub: int = 0
-    score: float = 0.0
-    order: int = 0
-    stale: bool = False
-    closed: bool = False
-    res_graph: Graph | None = None
-    res_old_to_new: dict[int, int] | None = None
-    spectral: SpectralBounds | None = None
 
 
 @dataclass
@@ -93,15 +93,16 @@ class SolverConfig:
         require_positive(self, "node_budget")
 
 
-def primal_heuristic(res_graph: Graph, pool_masks: list[int]) -> Coloring:
-    """Greedy coloring from pooled sets: repeatedly color the highest-degree
-    uncolored vertex with the pooled set that still covers the most.
+def primal_heuristic(g: Graph, residual: int, pool_masks: Collection[int]) -> Coloring:
+    """Greedy coloring of the residual from pooled sets restricted to it:
+    repeatedly color the highest-degree uncolored vertex (degree within the
+    residual) with the pooled set that still covers the most.
 
     Ties go to the lowest vertex index and the smallest set bitmask. The
     singletons in the pool guarantee progress.
     """
-    order = sorted(range(res_graph.n), key=lambda v: (-res_graph.degree(v), v))
-    uncolored = res_graph.full_mask
+    order = sorted(iter_bits(residual), key=lambda v: (-(g.adj[v] & residual).bit_count(), v))
+    uncolored = residual
     classes: list[int] = []
     while uncolored:
         v = next(u for u in order if (uncolored >> u) & 1)
@@ -119,10 +120,11 @@ def primal_heuristic(res_graph: Graph, pool_masks: list[int]) -> Coloring:
     return Coloring(classes=tuple(classes))
 
 
-def node_lb(depth: int, lp_bound: float, spectral: SpectralBounds) -> int:
-    """Colors fixed so far plus the tightest residual bound; the LP value
-    enters through its ceiling since the chromatic number is integral."""
-    return depth + max(math.ceil(lp_bound - CEIL_TOL), spectral.combined_lb)
+def node_lb(depth: int, lp_bound: float, lb: int) -> int:
+    """A node's bound once its master LP is solved: the colors fixed so far
+    plus the LP value's ceiling (the chromatic number is integral), never
+    below the bound `lb` the node already had."""
+    return max(lb, depth + math.ceil(lp_bound - CEIL_TOL))
 
 
 def node_score(local_ub: int, residual_edge_count: int) -> float:
@@ -160,33 +162,26 @@ def branch(root_graph: Graph, node: BBNode, pool_masks: Iterable[int]) -> list[B
     The class holding v in any coloring extends to one of these sets, so the
     children cover every coloring of the residual. Sets that a pooled column
     restricts to come first, so the sampler steers the search; then larger
-    sets, then smaller masks. Distinct sets leave distinct residuals.
+    sets, then smaller masks. Distinct sets leave distinct residuals. Each
+    child starts from its parent's bound, which covers the whole subtree.
     """
-    if node.residual_root == 0:
+    residual = node.residual_root
+    if residual == 0:
         raise ValueError("cannot branch on an empty residual")
-    res_graph, old_to_new = node.res_graph, node.res_old_to_new
-    if res_graph is None or old_to_new is None:
-        res_graph, old_to_new = root_graph.induced_subgraph(node.residual_root)
-    new_to_old = tuple(sorted(old_to_new))
-
+    res_graph = root_graph.induced_subgraph(residual)
     v = max(range(res_graph.n), key=lambda u: (res_graph.degree(u), -u))
-    pooled = {m & node.residual_root for m in pool_masks}
-    fixed_sets = [expand_mask(local, new_to_old) for local in maximal_sets_containing(res_graph, v)]
+    pooled = {m & residual for m in pool_masks}
+    fixed_sets = [expand_mask(local, residual) for local in maximal_sets_containing(res_graph, v)]
     fixed_sets.sort(key=lambda m: (m not in pooled, -m.bit_count(), m))
     return [
         BBNode(
-            residual_root=node.residual_root & ~fixed,
+            residual_root=residual & ~fixed,
             depth=node.depth + 1,
             fixed_classes=node.fixed_classes + (fixed,),
+            lb=node.lb,
         )
         for fixed in fixed_sets
     ]
-
-
-def _restricted_pool(pool: ColumnPool, old_to_new: dict[int, int]) -> list[int]:
-    masks = {restrict_mask(m, old_to_new) for m in pool}
-    masks.discard(0)
-    return sorted(masks)
 
 
 def solve_qcbp(
@@ -196,145 +191,89 @@ def solve_qcbp(
     clock=time.perf_counter,
 ) -> SolveResult:
     """Full solve: certified column generation at every explored node, greedy
-    incumbents from the shared pool, best-score-first search with bound and
-    redundancy pruning."""
+    incumbents from the shared pool, best-score-first search with bound
+    pruning.
+
+    The root is the first node of the search. A residual is explored at the
+    least depth it is reached at: a child is dropped when its residual is
+    already queued at a depth at most its own, and a queued node is pruned
+    when popped if its residual has since been queued at a lesser depth. A
+    node reached by a shallower path is explored again even when its residual
+    was explored before, so an exhausted search is a proof.
+    """
     config = config or SolverConfig()
     engine = engine or PricingEngine()
     t_start = clock()
 
     pool = ColumnPool.with_singletons(g)
-    identity = tuple(range(g.n))
-    root_hcg = run_hcg(g, identity, pool, engine, config.hcg)
-    pricing_log = list(root_hcg.pricing_log)
-    root_spectral = spectral_lb(g)
-    root_lb = node_lb(0, root_hcg.lp_bound, root_spectral)
-
-    incumbent = primal_heuristic(g, list(pool))
-    incumbent.validate(g, g.full_mask)
-    ub = incumbent.colors_used
-
-    stats = SearchStats(nodes_generated=1, nodes_explored=1)
-    if ub < root_lb:
-        raise RuntimeError(f"heuristic coloring ({ub}) beat the root lower bound ({root_lb})")
-
-    visited: dict[int, BBNode] = {}
-    explored_keys: set[int] = set()
+    pricing_log: list[PricingStats] = []
+    stats = SearchStats()
+    incumbent = Coloring(classes=())
+    ub = g.n + 1  # every coloring beats it, so the root's heuristic sets the incumbent
+    root_lb, lp_root = 0, 0.0
+    best_depth: dict[int, int] = {}  # residual -> least depth it was queued at
     heap: list[tuple[float, int, BBNode]] = []
-    order_counter = 0
-    unsound_closure = False
     budget_hit = False
 
-    root_node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=(),
-                       lb=root_lb, res_graph=g, res_old_to_new={v: v for v in range(g.n)},
-                       spectral=root_spectral)
-    root_node.closed = True
-    visited[g.full_mask] = root_node
-    explored_keys.add(g.full_mask)
-
-    def try_incumbent(classes: tuple[int, ...], extra: Coloring | None,
-                      new_to_old: tuple[int, ...] | None) -> None:
-        nonlocal incumbent, ub
-        full = list(classes)
-        if extra is not None and new_to_old is not None:
-            full.extend(expand_mask(c, new_to_old) for c in extra.classes)
-        if len(full) < ub:
-            cand = Coloring(classes=tuple(full))
-            cand.validate(g, g.full_mask)
-            incumbent, ub = cand, len(full)
-
-    def enqueue_children(parent: BBNode) -> None:
-        nonlocal unsound_closure, budget_hit
-        for child in branch(g, parent, pool):
-            if child.residual_root == 0:
-                stats.nodes_generated += 1
-                stats.nodes_pruned += 1
-                try_incumbent(child.fixed_classes, None, None)
-                continue
-            existing = visited.get(child.residual_root)
-            if existing is not None:
-                if child.depth < existing.depth:
-                    if existing.closed:
-                        # The shallower path to this residual cannot be re-explored
-                        # without breaking once-only processing; optimality claims
-                        # are withdrawn instead.
-                        unsound_closure = True
-                    else:
-                        existing.stale = True
-                        visited[child.residual_root] = child
-                        _enrich_and_push(child, parent)
-                # Otherwise the recorded node covers this subtree at least as shallowly.
-                continue
-            if stats.nodes_generated >= config.node_budget:
-                budget_hit = True
-                break
-            visited[child.residual_root] = child
-            _enrich_and_push(child, parent)
-
-    def _enrich_and_push(child: BBNode, parent: BBNode) -> None:
-        nonlocal order_counter
-        child.res_graph, child.res_old_to_new = g.induced_subgraph(child.residual_root)
-        child.spectral = spectral_lb(child.res_graph)
-        # the parent's refined bound covers the whole subtree, so it transfers
-        child.lb = max(child.depth + child.spectral.combined_lb, parent.lb)
-        local_pool = _restricted_pool(pool, child.res_old_to_new)
-        child.local_ub = primal_heuristic(child.res_graph, local_pool).colors_used
-        child.score = node_score(child.local_ub, child.res_graph.edge_count)
-        order_counter += 1
-        child.order = order_counter
+    def push(node: BBNode) -> None:
+        residual = node.residual_root
+        res_graph = g.induced_subgraph(residual)
+        node.lb = max(node.lb, node.depth + spectral_lb(res_graph).combined_lb)
+        local_ub = primal_heuristic(g, residual, pool).colors_used
+        best_depth[residual] = node.depth
         stats.nodes_generated += 1
-        heapq.heappush(heap, (-child.score, child.order, child))
+        heapq.heappush(heap, (-node_score(local_ub, res_graph.edge_count), stats.nodes_generated, node))
 
-    if ub > root_lb:
-        enqueue_children(root_node)
+    def try_incumbent(classes: tuple[int, ...]) -> None:
+        nonlocal incumbent, ub
+        if len(classes) < ub:
+            candidate = Coloring(classes=classes)
+            candidate.validate(g, g.full_mask)
+            incumbent, ub = candidate, len(classes)
 
+    push(BBNode(residual_root=g.full_mask, depth=0, fixed_classes=()))
     while heap and ub > root_lb and not budget_hit:
         _, _, node = heapq.heappop(heap)
-        if node.stale:
-            node.closed = True
+        if node.depth > best_depth[node.residual_root] or node.lb >= ub:
             stats.nodes_pruned += 1
             continue
-        if node.lb >= ub:
-            node.closed = True
-            stats.nodes_pruned += 1
-            continue
-        assert node.residual_root not in explored_keys, "residual explored twice"
-        explored_keys.add(node.residual_root)
         stats.nodes_explored += 1
-        node.closed = True
 
-        new_to_old = tuple(sorted(node.res_old_to_new))
-        hcg_res = run_hcg(node.res_graph, new_to_old, pool, engine, config.hcg)
+        hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg)
         pricing_log.extend(hcg_res.pricing_log)
-        node.lb = max(node.lb, node_lb(node.depth, hcg_res.lp_bound, node.spectral))
-
-        local_pool = _restricted_pool(pool, node.res_old_to_new)
-        heur = primal_heuristic(node.res_graph, local_pool)
-        try_incumbent(node.fixed_classes, heur, new_to_old)
+        node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
+        try_incumbent(node.fixed_classes + primal_heuristic(g, node.residual_root, pool).classes)
+        if node.depth == 0:
+            root_lb, lp_root = node.lb, hcg_res.lp_bound
+            if ub < root_lb:
+                raise RuntimeError(f"heuristic coloring ({ub}) beat the root lower bound ({root_lb})")
 
         if node.lb >= ub:
             continue
-        enqueue_children(node)
+        for child in branch(g, node, pool):
+            residual = child.residual_root
+            if residual == 0:
+                stats.nodes_generated += 1
+                stats.nodes_pruned += 1
+                try_incumbent(child.fixed_classes)
+            elif best_depth.get(residual, child.depth + 1) > child.depth:
+                if stats.nodes_generated >= config.node_budget:
+                    budget_hit = True
+                    break
+                push(child)
 
-    open_nodes = [n for _, _, n in heap if not n.stale and not n.closed]
-    stats.nodes_pruned += sum(1 for _, _, n in heap if n.stale and not n.closed)
-    stats.nodes_open = len(open_nodes)
-    min_open_lb = min((n.lb for n in open_nodes), default=None)
-    if min_open_lb is None:
-        global_lb = max(root_lb, ub)
-    else:
-        global_lb = max(root_lb, min(min_open_lb, ub))
-    proven = ub == global_lb
-    if (unsound_closure or budget_hit) and ub != root_lb:
-        proven = False
-
+    # a queued node whose residual was queued again shallower is pruned, not open
+    stats.nodes_open = sum(n.depth == best_depth[n.residual_root] for _, _, n in heap)
+    stats.nodes_pruned += len(heap) - stats.nodes_open
     stats.shots_total = engine.shots_used
     stats.exact_pricer_calls = engine.exact_pricer_calls
     stats.wall_seconds = clock() - t_start
     return SolveResult(
         coloring=incumbent,
         chi_hat=ub,
-        proven_optimal=proven,
-        lp_root=root_hcg.lp_bound,
+        # the loop stops early only at the root bound or at the budget
+        proven_optimal=not budget_hit or ub == root_lb,
+        lp_root=lp_root,
         root_lb=root_lb,
         stats=stats,
         pool=tuple(pool),

@@ -96,19 +96,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Measured bitstrings keyed by basis index (bit i = atom i)."""
-
-    counts: dict[int, int]
-    total: int
-    n: int
-
-
-def bitstring(mask: int, n: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
-
-
 def blockade_radius(report: EmbeddingReport) -> float:
     """Geometric mean of the extreme edge/non-edge distances.
 
@@ -220,10 +207,10 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
     return StateVector(amplitudes=psi, n=n)
 
 
-def sample(psi: StateVector, shots: int, seed: int) -> SampleSet:
-    """Multinomial draw of bitstrings from the measurement distribution."""
+def sample(psi: StateVector, shots: int, seed: int) -> dict[int, int]:
+    """Multinomial draw of bitstrings from the measurement distribution:
+    counts keyed by basis index (bit i = atom i), zero counts left out."""
     p = psi.probabilities()
     p = p / p.sum()
     raw = np.random.default_rng(seed).multinomial(shots, p)
-    counts = {int(i): int(c) for i, c in enumerate(raw) if c}
-    return SampleSet(counts=counts, total=shots, n=psi.n)
+    return {int(i): int(c) for i, c in enumerate(raw) if c}

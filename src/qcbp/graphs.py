@@ -1,7 +1,9 @@
 """Bitset graph core: independence tests, DIMACS I/O, unit-disk instance generation.
 
 Vertices are integers 0..n-1 and every vertex set is a plain int bitmask,
-so n is capped at 64. Graphs are immutable after construction.
+so n is capped at 64. Graphs are immutable after construction. An induced
+subgraph is named by the mask of the vertices it keeps; `restrict_mask` and
+`expand_mask` carry masks into it and back.
 """
 
 from __future__ import annotations
@@ -36,21 +38,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def restrict_mask(mask: int, old_to_new: dict[int, int]) -> int:
-    """Re-index a bitmask through an old->new vertex map, dropping unmapped bits."""
+def restrict_mask(mask: int, keep: int) -> int:
+    """Move each bit of mask that lies in keep to its rank in keep, dropping the rest."""
     out = 0
-    for v in iter_bits(mask):
-        j = old_to_new.get(v)
-        if j is not None:
-            out |= 1 << j
+    for v in iter_bits(mask & keep):
+        out |= 1 << (keep & ((1 << v) - 1)).bit_count()
     return out
 
 
-def expand_mask(mask: int, new_to_old: tuple[int, ...]) -> int:
-    """Re-index a bitmask of a subgraph back to the parent graph's indices."""
+def expand_mask(local: int, keep: int) -> int:
+    """Inverse of restrict_mask: bit i of local goes to the i-th lowest bit of keep."""
     out = 0
-    for v in iter_bits(mask):
-        out |= 1 << new_to_old[v]
+    while local:
+        low = keep & -keep
+        if local & 1:
+            out |= low
+        keep ^= low
+        local >>= 1
     return out
 
 
@@ -111,17 +115,13 @@ class Graph:
                 return False
         return True
 
-    def induced_subgraph(self, keep: int) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on the kept vertices plus the order-preserving old->new map."""
+    def induced_subgraph(self, keep: int) -> "Graph":
+        """Induced subgraph on the kept vertices, renumbered in increasing order
+        (vertex v becomes its rank in keep, as in restrict_mask)."""
         if keep == 0:
             raise ValueError("cannot induce a subgraph on an empty vertex set")
-        kept = list(iter_bits(keep))
-        old_to_new = {v: i for i, v in enumerate(kept)}
-        adj = [0] * len(kept)
-        for i, v in enumerate(kept):
-            adj[i] = restrict_mask(self.adj[v] & keep, old_to_new)
-        m = sum(a.bit_count() for a in adj) // 2
-        return Graph(n=len(kept), adj=tuple(adj), edge_count=m), old_to_new
+        adj = tuple(restrict_mask(self.adj[v], keep) for v in iter_bits(keep))
+        return Graph(n=len(adj), adj=adj, edge_count=sum(a.bit_count() for a in adj) // 2)
 
     def to_dimacs(self) -> str:
         lines = [f"p edge {self.n} {self.edge_count}"]

@@ -8,6 +8,13 @@ objective the true LP bound. A run cut off by its iteration cap reports
 Farley's bound instead: the restricted master's objective is then an upper
 bound on the LP, not a lower one. Columns are only ever appended to the
 master within a run, so each re-solve restarts from the previous optimal basis.
+
+A subproblem is named by the mask of its vertices in the root graph: the
+search node's residual. The same mask is the sampler's seed key in
+`qcbp.pricing`. The search runs column generation once per explored node; it
+meets a mask again only when a shallower path reaches a residual that was
+already explored (the depth rule in `qcbp.bnp`), and that second run starts
+from every column the first one pooled.
 """
 
 from __future__ import annotations
@@ -29,44 +36,38 @@ class HcgCaps:
 
 @dataclass
 class HcgResult:
-    pool: ColumnPool
     rmp: RmpSolution
     lp_bound: float
     iterations: int
-    shots_used: int
-    exact_pricer_calls: int
-    new_sets_per_iteration: list[int]
     certified: bool
     pricing_log: list[PricingStats] = field(default_factory=list)
 
 
 def run_hcg(
-    graph: Graph,
-    sub_to_root: tuple[int, ...],
+    root: Graph,
+    keep: int,
     pool: ColumnPool,
     engine: PricingEngine,
     caps: HcgCaps | None = None,
 ) -> HcgResult:
-    """Column generation on one (sub)problem until certified or capped.
+    """Column generation on the subproblem that `root` induces on `keep`,
+    until certified or capped.
 
-    `graph` is the subproblem in local indexing and `sub_to_root` maps its
-    vertices to the root graph; new columns are pushed into the shared pool
-    in root indexing. Singletons are injected so the master stays feasible.
+    The master works in the subproblem's own indexing; every new column goes
+    into the shared pool in root indexing, and the pooled columns enter the
+    master restricted to `keep`. Singletons are injected so the master stays
+    feasible.
     """
     caps = caps or HcgCaps()
-    root_to_local = {r: i for i, r in enumerate(sub_to_root)}
-
+    graph = root.induced_subgraph(keep)
     model = init_rmp(graph)
-    for v in range(graph.n):
-        pool.add(1 << sub_to_root[v])
+    for v in iter_bits(keep):
+        pool.add(1 << v)
     for root_mask in pool:
-        local = restrict_mask(root_mask, root_to_local)
+        local = restrict_mask(root_mask, keep)
         if local:
             model.add(local)
 
-    shots_before = engine.shots_used
-    exact_before = engine.exact_pricer_calls
-    new_per_iter: list[int] = []
     log: list[PricingStats] = []
     certified = False
 
@@ -76,40 +77,31 @@ def run_hcg(
     for iteration in range(1, caps.max_iterations + 1):
         iterations = iteration
         duals = sol.duals
-        keep = mask_of(v for v in range(graph.n) if duals[v] > DUAL_POS_EPS)
-        if keep == 0:
+        positive = mask_of(v for v in range(graph.n) if duals[v] > DUAL_POS_EPS)
+        if positive == 0:
             # Unreachable for a feasible master (the duals sum to the
             # objective, which is at least 1), kept as a safe exit.
             certified = True
-            new_per_iter.append(0)
             break
-        sub, old_to_new = graph.induced_subgraph(keep)
-        local_order = sorted(old_to_new)
-        psub_to_root = tuple(sub_to_root[v] for v in local_order)
-        w = duals[local_order]
+        sub = graph.induced_subgraph(positive)
+        sub_root = expand_mask(positive, keep)
+        w = duals[list(iter_bits(positive))]
 
-        added = 0
+        found: list[int] = []
         if engine.kind != "exact_pricer" and sub.n >= 2:
-            columns, stats = engine.sample_columns(sub, psub_to_root, w, pool, iteration=iteration)
+            columns, stats = engine.sample_columns(sub, sub_root, w, pool, iteration=iteration)
             log.append(stats)
-            for col in columns:
-                pool.add(col.mask)
-                model.add(restrict_mask(col.mask, root_to_local))
-                added += 1
-        if added == 0:
+            found = [col.mask for col in columns]
+        if not found:
             best_local = exact_mwis(sub, w)
             engine.exact_pricer_calls += 1
-            value = sum(float(w[v]) for v in iter_bits(best_local))
-            if value > 1.0 + IMPROVE_EPS:
-                root_mask = expand_mask(best_local, psub_to_root)
-                pool.add(root_mask)
-                model.add(restrict_mask(root_mask, root_to_local))
-                added = 1
-            else:
+            if sum(float(w[v]) for v in iter_bits(best_local)) <= 1.0 + IMPROVE_EPS:
                 certified = True
-        new_per_iter.append(added)
-        if certified:
-            break
+                break
+            found = [expand_mask(best_local, sub_root)]
+        for root_mask in found:
+            pool.add(root_mask)
+            model.add(restrict_mask(root_mask, keep))
         sol = solve_rmp(model)
         if sol.objective > prev_obj + 1e-9:
             raise RuntimeError(
@@ -126,14 +118,5 @@ def run_hcg(
         heaviest = sum(float(sol.duals[v]) for v in iter_bits(best))
         lp_bound = sum(max(float(p), 0.0) for p in sol.duals) / max(1.0, heaviest)
 
-    return HcgResult(
-        pool=pool,
-        rmp=sol,
-        lp_bound=lp_bound,
-        iterations=iterations,
-        shots_used=engine.shots_used - shots_before,
-        exact_pricer_calls=engine.exact_pricer_calls - exact_before,
-        new_sets_per_iteration=new_per_iter,
-        certified=certified,
-        pricing_log=log,
-    )
+    return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations,
+                     certified=certified, pricing_log=log)

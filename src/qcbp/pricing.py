@@ -136,7 +136,7 @@ class PricingEngine:
             pulse = build_adiabatic_pulse(report, self.config.emulator)
             state = evolve(reg, pulse, self.config.emulator)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
-            return sample(state, self.config.shots, seed).counts
+            return sample(state, self.config.shots, seed)
         # classical_stochastic: weighted random greedy maximal sets
         rng = np.random.default_rng(self._next_seed())
         counts: dict[int, int] = {}
@@ -159,12 +159,13 @@ class PricingEngine:
     def sample_columns(
         self,
         sub: Graph,
-        sub_to_root: tuple[int, ...],
+        sub_root: int,
         duals: np.ndarray,
         pool: ColumnPool,
         iteration: int = 0,
     ) -> tuple[list[PricedColumn], PricingStats]:
-        """Sampler pricing pass over the dual-positive subproblem.
+        """Sampler pricing pass over the dual-positive subproblem `sub`, which
+        the root graph induces on the mask `sub_root`.
 
         Every returned column is independent in the subproblem, has reduced
         cost below -1e-6, and is absent from the pool, re-checked here no
@@ -174,7 +175,7 @@ class PricingEngine:
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
         if sub.n == 0:
             return [], PricingStats(iteration, 0, 0, 0, 0, 0)
-        counts = self._draw_bitstrings(sub, mask_of(sub_to_root), np.asarray(duals, dtype=float))
+        counts = self._draw_bitstrings(sub, sub_root, np.asarray(duals, dtype=float))
         self.shots_used += self.config.shots
 
         columns: list[PricedColumn] = []
@@ -188,7 +189,7 @@ class PricingEngine:
             rc = reduced_cost(local, duals)
             if rc >= -IMPROVE_EPS:
                 continue
-            root_mask = expand_mask(local, sub_to_root)
+            root_mask = expand_mask(local, sub_root)
             if root_mask in pool or root_mask in seen_root:
                 continue
             seen_root.add(root_mask)

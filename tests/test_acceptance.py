@@ -189,7 +189,7 @@ def test_criterion_8_pricing_soundness():
         duals = rng.uniform(0.0, 1.4, size=n)
         pool = ColumnPool.with_singletons(g)
         engine = PricingEngine(cfg)
-        cols, _ = engine.sample_columns(g, tuple(range(n)), duals, pool)
+        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
         for col in cols:
             assert g.is_independent(col.mask)
             assert col.reduced_cost < -1e-6
@@ -204,7 +204,7 @@ def test_criterion_8_pricing_soundness():
         duals = rng.uniform(0.2, 1.2, size=g.n)
         pool = ColumnPool.with_singletons(g)
         engine = PricingEngine(em_cfg)
-        cols, _ = engine.sample_columns(g, tuple(range(g.n)), duals, pool)
+        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
         for col in cols:
             assert g.is_independent(col.mask)
             assert col.reduced_cost < -1e-6

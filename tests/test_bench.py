@@ -19,7 +19,10 @@ from qcbp.bench import (
     summarize,
     to_csv_row,
 )
+from qcbp.bnp import SolverConfig
+from qcbp.embedding import EmbedParams
 from qcbp.graphs import parse_dimacs, positions_from_csv, pairwise_distances
+from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, SamplerConfig
 
 
 def counter_clock():
@@ -33,6 +36,12 @@ class TestRunConfig:
         assert cfg.mode == "qcbp" and cfg.sampler == "emulated_qaa"
         assert cfg.shots == 200 and cfg.duration == 3.0
         assert cfg.delta_start == -15.0 and cfg.delta_end == 15.0
+
+    def test_defaults_come_from_the_owning_classes(self):
+        cfg = RunConfig()
+        assert cfg.sampler_config() == SamplerConfig(
+            embed=EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM))
+        assert cfg.solver_config() == SolverConfig()
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):

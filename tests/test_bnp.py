@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import qcbp.bnp
 
 from qcbp.bnp import (
     BBNode,
@@ -12,12 +16,12 @@ from qcbp.bnp import (
     primal_heuristic,
     solve_qcbp,
 )
-from qcbp.bounds import spectral_lb
+from qcbp.bounds import SpectralBounds, spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
-from qcbp.graphs import Graph, flip_random_pairs, mask_of, random_ud_graph, restrict_mask
-from qcbp.hcg import HcgCaps
+from qcbp.graphs import Graph, expand_mask, flip_random_pairs, mask_of, random_ud_graph, restrict_mask
+from qcbp.hcg import HcgCaps, HcgResult
 from qcbp.pricing import PricingEngine, SamplerConfig
 
 
@@ -48,17 +52,17 @@ def stochastic_engine(seed: int = 0) -> PricingEngine:
 
 class TestPrimalHeuristic:
     def test_triangle_with_singletons(self):
-        coloring = primal_heuristic(complete(3), [1, 2, 4])
+        coloring = primal_heuristic(complete(3), 0b111, [1, 2, 4])
         assert coloring.colors_used == 3
 
     def test_path3_uses_endpoint_pair(self):
-        coloring = primal_heuristic(path3(), [1, 2, 4, mask_of([0, 2])])
+        coloring = primal_heuristic(path3(), 0b111, [1, 2, 4, mask_of([0, 2])])
         assert coloring.colors_used == 2
         assert coloring.classes == (mask_of([1]), mask_of([0, 2]))
 
     def test_edgeless_with_full_set(self):
         g = Graph.from_edges(4, [])
-        coloring = primal_heuristic(g, [1, 2, 4, 8, g.full_mask])
+        coloring = primal_heuristic(g, g.full_mask, [1, 2, 4, 8, g.full_mask])
         assert coloring.colors_used == 1
 
     def test_coloring_always_feasible(self):
@@ -67,8 +71,22 @@ class TestPrimalHeuristic:
             g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
             pool = [1 << v for v in range(g.n)]
             pool += [s for s in range(1, 1 << g.n) if g.is_independent(s) and rng.random() < 0.1]
-            coloring = primal_heuristic(g, pool)
+            coloring = primal_heuristic(g, g.full_mask, pool)
             coloring.validate(g, g.full_mask)
+
+    def test_residual_coloring_matches_the_induced_graph_heuristic(self):
+        rng = np.random.default_rng(90)
+        for _ in range(60):
+            g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
+            residual = int(rng.integers(1, 1 << g.n))
+            pool = [1 << v for v in range(g.n)]
+            pool += [s for s in range(1, 1 << g.n) if g.is_independent(s) and rng.random() < 0.1]
+            coloring = primal_heuristic(g, residual, pool)
+            coloring.validate(g, residual)
+            sub = g.induced_subgraph(residual)
+            local = primal_heuristic(sub, sub.full_mask, {restrict_mask(m, residual) for m in pool} - {0})
+            assert coloring.colors_used == local.colors_used
+            assert coloring.classes == tuple(expand_mask(c, residual) for c in local.classes)
 
 
 class TestColoring:
@@ -137,37 +155,28 @@ class TestBranch:
         for _ in range(60):
             g = random_graph(int(rng.integers(1, 11)), rng.uniform(0.0, 0.9), rng)
             residual = int(rng.integers(1, 1 << g.n))
-            res, old_to_new = g.induced_subgraph(residual)
+            res = g.induced_subgraph(residual)
             v = max(range(res.n), key=lambda u: (res.degree(u), -u))
             brute = [s for s in range(1, 1 << res.n) if s >> v & 1 and res.is_maximal_independent(s)]
             children = branch(g, BBNode(residual_root=residual, depth=0, fixed_classes=()), [])
-            assert sorted(restrict_mask(c.fixed_classes[-1], old_to_new) for c in children) == brute
+            assert sorted(restrict_mask(c.fixed_classes[-1], residual) for c in children) == brute
             assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)
 
 
 class TestNodeBounds:
+    # a node's bound before its LP is solved: depth plus the residual's spectral bound
     def test_rmp_term_ceiling(self):
-        assert node_lb(0, 2.0, spectral_lb(path3())) == 2
+        assert node_lb(0, 2.0, 0 + spectral_lb(path3()).combined_lb) == 2
 
     def test_depth_plus_edgeless(self):
-        assert node_lb(1, 1.0, spectral_lb(Graph.from_edges(3, []))) == 2
+        assert node_lb(1, 1.0, 1 + spectral_lb(Graph.from_edges(3, [])).combined_lb) == 2
 
     def test_k4_bound(self):
-        assert node_lb(0, 4.0, spectral_lb(complete(4))) == 4
+        assert node_lb(0, 4.0, 0 + spectral_lb(complete(4)).combined_lb) == 4
 
     def test_score(self):
         assert node_score(3, 5) == 15.0
         assert node_score(4, 0) == 0.0
-
-    def test_higher_score_popped_first(self):
-        import heapq
-
-        heap = []
-        a = BBNode(residual_root=1, depth=0, fixed_classes=(), score=15.0, order=1)
-        b = BBNode(residual_root=2, depth=0, fixed_classes=(), score=8.0, order=2)
-        heapq.heappush(heap, (-b.score, b.order, b))
-        heapq.heappush(heap, (-a.score, a.order, a))
-        assert heapq.heappop(heap)[2] is a
 
 
 class TestSolve:
@@ -293,3 +302,69 @@ class TestSolve:
             res = solve_qcbp(h, engine=stochastic_engine(seed))
             res.coloring.validate(h, h.full_mask)
             assert res.chi_hat >= exact_chromatic_number(h)
+
+
+class TestWeakBoundSearch:
+    """With the LP bound reported as 0 and the spectral bound as 1, nodes are
+    pruned only by depth + 1 >= ub, so the search goes deep and meets the same
+    residual along paths of different depths."""
+
+    @pytest.fixture
+    def weak_bounds(self, monkeypatch):
+        real_run_hcg = qcbp.bnp.run_hcg
+        monkeypatch.setattr(qcbp.bnp, "run_hcg", lambda *args: replace(real_run_hcg(*args), lp_bound=0.0))
+        monkeypatch.setattr(qcbp.bnp, "spectral_lb", lambda g: SpectralBounds(1.0, 1.0, 1.0, 1))
+        depths: dict[int, set[int]] = {}
+        real_branch = qcbp.bnp.branch
+
+        def recording_branch(*args):
+            children = real_branch(*args)
+            for c in children:
+                depths.setdefault(c.residual_root, set()).add(c.depth)
+            return children
+
+        monkeypatch.setattr(qcbp.bnp, "branch", recording_branch)
+        return depths
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        res = solve_qcbp(g, engine=exact_engine())
+        res.coloring.validate(g, g.full_mask)
+        s = res.stats
+        assert s.nodes_generated == s.nodes_explored + s.nodes_pruned + s.nodes_open
+        if res.proven_optimal:
+            assert res.chi_hat == exact_chromatic_number(g)
+
+    def test_residual_met_again_deeper(self, weak_bounds):
+        g = Graph.from_edges(9, [
+            (0, 2), (1, 6), (1, 7), (2, 4), (2, 5), (2, 7), (2, 8), (3, 4), (3, 6), (3, 7),
+            (3, 8), (4, 5), (4, 6), (4, 8), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8)])
+        assert exact_chromatic_number(g) == 4
+        self.check(g)
+        assert any(len(d) > 1 for r, d in weak_bounds.items() if r)
+
+    def test_shallower_path_explores_a_residual_again(self, weak_bounds, monkeypatch):
+        # Pricing nothing leaves only singletons to the heuristic, and a seeded
+        # random search order reaches one residual by a deeper path first.
+        explored = []
+
+        def no_pricing(root, keep, pool, engine, caps):
+            explored.append(keep)
+            return HcgResult(rmp=None, lp_bound=0.0, iterations=0, certified=False)
+
+        order = np.random.default_rng(0)
+        monkeypatch.setattr(qcbp.bnp, "run_hcg", no_pricing)
+        monkeypatch.setattr(qcbp.bnp, "node_score", lambda local_ub, edges: float(order.random()))
+        g = Graph.from_edges(8, [
+            (0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7),
+            (2, 4), (2, 5), (2, 6), (3, 4), (4, 7), (5, 6), (5, 7)])
+        res = solve_qcbp(g, engine=exact_engine())
+        assert len(explored) > len(set(explored))
+        assert res.proven_optimal and res.chi_hat == exact_chromatic_number(g) == 4
+        s = res.stats
+        assert s.nodes_generated == s.nodes_explored + s.nodes_pruned + s.nodes_open
+
+    def test_random_graphs(self, weak_bounds):
+        rng = np.random.default_rng(91)
+        for _ in range(100):
+            self.check(random_graph(int(rng.integers(1, 11)), rng.uniform(0.1, 0.8), rng))

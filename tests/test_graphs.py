@@ -106,19 +106,20 @@ class TestIndependence:
 
 class TestInducedSubgraph:
     def test_path_minus_middle(self):
-        sub, mapping = path3().induced_subgraph(mask_of([0, 2]))
+        keep = mask_of([0, 2])
+        sub = path3().induced_subgraph(keep)
         assert sub.n == 2 and sub.edge_count == 0
-        assert mapping == {0: 0, 2: 1}
+        assert [expand_mask(1 << i, keep) for i in range(sub.n)] == [1 << 0, 1 << 2]
 
     def test_k4_minus_vertex_is_k3(self):
-        sub, _ = complete(4).induced_subgraph(mask_of([0, 2, 3]))
+        sub = complete(4).induced_subgraph(mask_of([0, 2, 3]))
         assert sub == complete(3)
 
     def test_identity(self):
         g = path3()
-        sub, mapping = g.induced_subgraph(g.full_mask)
+        sub = g.induced_subgraph(g.full_mask)
         assert sub == g
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert all(restrict_mask(1 << v, g.full_mask) == 1 << v for v in range(3))
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
@@ -130,15 +131,14 @@ class TestInducedSubgraph:
             g = random_graph(9, 0.4, rng)
             drop1 = int(rng.integers(1, g.full_mask))
             keep1 = g.full_mask ^ (drop1 & (g.full_mask >> 1))  # keep at least one vertex
-            sub1, m1 = g.induced_subgraph(keep1)
+            sub1 = g.induced_subgraph(keep1)
             keep2_local = (1 << sub1.n) - 1
             drop2_local = int(rng.integers(0, keep2_local))
             if keep2_local ^ drop2_local == 0:
                 continue
-            sub2, m2 = sub1.induced_subgraph(keep2_local ^ drop2_local)
-            new_to_old1 = tuple(sorted(m1))
-            keep_final = expand_mask(keep2_local ^ drop2_local, new_to_old1)
-            direct, _ = g.induced_subgraph(keep_final)
+            sub2 = sub1.induced_subgraph(keep2_local ^ drop2_local)
+            keep_final = expand_mask(keep2_local ^ drop2_local, keep1)
+            direct = g.induced_subgraph(keep_final)
             assert sub2 == direct
 
 
@@ -186,12 +186,19 @@ class TestFlipRandomPairs:
 
 class TestMaskHelpers:
     def test_roundtrip(self):
-        mapping = {2: 0, 5: 1, 9: 2}
-        new_to_old = tuple(sorted(mapping))
+        keep = mask_of([2, 5, 9])
         m = mask_of([2, 9])
-        local = restrict_mask(m, mapping)
+        local = restrict_mask(m, keep)
         assert local == 0b101
-        assert expand_mask(local, new_to_old) == m
+        assert expand_mask(local, keep) == m
+
+    def test_restrict_inverts_expand(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            keep = int(rng.integers(0, 1 << 20))
+            x = int(rng.integers(0, 1 << keep.bit_count())) if keep else 0
+            assert restrict_mask(expand_mask(x, keep), keep) == x
+            assert expand_mask(x, keep) & ~keep == 0
 
     def test_iter_bits(self):
         assert list(iter_bits(0b10110)) == [1, 2, 4]

@@ -3,7 +3,7 @@ import pytest
 
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
-from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph
+from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.pricing import (
     PricingEngine,
     SamplerConfig,
@@ -83,8 +83,7 @@ class TestExactMwis:
 
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):
-    sub_to_root = tuple(range(g.n))
-    cols, stats = engine.sample_columns(g, sub_to_root, duals, pool)
+    cols, stats = engine.sample_columns(g, g.full_mask, duals, pool)
     for col in cols:
         assert g.is_independent(col.mask)
         assert col.reduced_cost < -1e-6
@@ -113,7 +112,7 @@ class TestClassicalSampler:
         out = []
         for _ in range(2):
             engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=3))
-            cols, _ = engine.sample_columns(g, tuple(range(8)), duals, ColumnPool.with_singletons(g))
+            cols, _ = engine.sample_columns(g, g.full_mask, duals, ColumnPool.with_singletons(g))
             out.append([c.mask for c in cols])
         assert out[0] == out[1]
 
@@ -121,8 +120,8 @@ class TestClassicalSampler:
         g = random_graph(6, 0.4, np.random.default_rng(63))
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=25, seed=0))
         pool = ColumnPool.with_singletons(g)
-        engine.sample_columns(g, tuple(range(6)), np.full(6, 0.8), pool)
-        engine.sample_columns(g, tuple(range(6)), np.full(6, 0.8), pool)
+        engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
+        engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
         assert engine.shots_used == 50
 
 
@@ -138,20 +137,15 @@ class TestEmulatedSampler:
     def test_soundness_and_translation(self):
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
         sub_mask = mask_of([0, 2, 3, 4, 6])
-        sub, old_to_new = g.induced_subgraph(sub_mask)
-        sub_to_root = tuple(sorted(old_to_new))
+        sub = g.induced_subgraph(sub_mask)
         duals = np.full(sub.n, 0.9)
         pool = ColumnPool.with_singletons(g)
         engine = PricingEngine(self.FAST)
-        cols, stats = engine.sample_columns(sub, sub_to_root, duals, pool)
+        cols, stats = engine.sample_columns(sub, sub_mask, duals, pool)
         assert stats.shots == 100 and engine.shots_used == 100
         for col in cols:
             assert col.mask & ~sub_mask == 0  # root mask stays inside the subproblem
-            local = 0
-            for i, r in enumerate(sub_to_root):
-                if col.mask >> r & 1:
-                    local |= 1 << i
-            assert sub.is_independent(local)
+            assert sub.is_independent(restrict_mask(col.mask, sub_mask))
             assert col.reduced_cost < -1e-6
             assert col.mask not in pool
 
@@ -162,7 +156,7 @@ class TestEmulatedSampler:
             embed=EmbedParams(iterations=800, restarts=2), emulator=EmulatorConfig(dt=2e-3),
         )
         engine = PricingEngine(cfg)
-        cols, _ = engine.sample_columns(g, tuple(range(6)), np.full(6, 0.9), ColumnPool.with_singletons(g))
+        cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
         assert all(g.is_maximal_independent(c.mask) for c in cols)
 
 
@@ -174,4 +168,4 @@ class TestConfig:
     def test_exact_kind_has_no_sampling_path(self):
         engine = PricingEngine(SamplerConfig(kind="exact_pricer"))
         with pytest.raises(ValueError, match="exact_pricer"):
-            engine.sample_columns(path3(), (0, 1, 2), np.ones(3), ColumnPool.with_singletons(path3()))
+            engine.sample_columns(path3(), path3().full_mask, np.ones(3), ColumnPool.with_singletons(path3()))
