@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
@@ -69,6 +70,7 @@ class SearchStats:
     nodes_open: int = 0
     shots_total: int = 0
     exact_pricer_calls: int = 0
+    uncertified_nodes: int = 0  # HCG runs stopped at the cap, bounded by Farley's bound
     wall_seconds: float = 0.0
 
 
@@ -80,7 +82,7 @@ class SolveResult:
     lp_root: float
     root_lb: int
     stats: SearchStats
-    pool: tuple[int, ...]  # every column mask discovered, in discovery order
+    pool: array  # typecode "Q": every column mask discovered, in discovery order
     pricing_log: list[PricingStats] = field(default_factory=list)
 
 
@@ -241,6 +243,7 @@ def solve_qcbp(
 
         hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg)
         pricing_log.extend(hcg_res.pricing_log)
+        stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
         try_incumbent(node.fixed_classes + primal_heuristic(g, node.residual_root, pool).classes)
         if node.depth == 0:
@@ -276,6 +279,6 @@ def solve_qcbp(
         lp_root=lp_root,
         root_lb=root_lb,
         stats=stats,
-        pool=tuple(pool),
+        pool=array("Q", pool),
         pricing_log=pricing_log,
     )

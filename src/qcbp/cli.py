@@ -65,7 +65,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"colors={coloring.colors_used} proven_optimal={str(proven).lower()}")
     print(f"shots={stats.shots_total} ilp_calls={stats.exact_pricer_calls} "
           f"nodes={stats.nodes_generated}/{stats.nodes_explored}/{stats.nodes_pruned} "
-          f"(generated/explored/pruned) wall_ms={stats.wall_seconds * 1e3:.1f}")
+          f"(generated/explored/pruned) uncertified_nodes={stats.uncertified_nodes} "
+          f"wall_ms={stats.wall_seconds * 1e3:.1f}")
     if args.chi_exact:
         print(f"chi_exact={exact_chromatic_number(g)}")
     if args.pricing_log:

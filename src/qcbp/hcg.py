@@ -2,11 +2,12 @@
 
 Each round solves the restricted master, restricts the subproblem to vertices
 with positive duals, and asks the sampler for improving columns. When the
-sampler comes back empty, the exact MWIS safeguard either supplies the column
-the sampler missed or certifies that none exists, which makes the final master
-objective the true LP bound. A run cut off by its iteration cap reports
-Farley's bound instead: the restricted master's objective is then an upper
-bound on the LP, not a lower one. Columns are only ever appended to the
+sampler comes back empty, the exact MWIS safeguard either certifies that no
+improving column exists, which makes the final master objective the true LP
+bound, or supplies up to one column per master row: the heaviest set first,
+then the other improving sets its search built. A run cut off by its
+iteration cap reports Farley's bound instead: the restricted master's
+objective is then an upper bound on the LP, not a lower one. Columns are only ever appended to the
 master within a run, so each re-solve restarts from the previous optimal basis.
 
 A subproblem is named by the mask of its vertices in the root graph: the
@@ -93,12 +94,13 @@ def run_hcg(
             log.append(stats)
             found = [col.mask for col in columns]
         if not found:
-            best_local = exact_mwis(sub, w)
+            improving: list[int] = []
+            best_local = exact_mwis(sub, w, improving)
             engine.exact_pricer_calls += 1
             if sum(float(w[v]) for v in iter_bits(best_local)) <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
-            found = [expand_mask(best_local, sub_root)]
+            found = [expand_mask(local, sub_root) for local in improving]
         for root_mask in found:
             pool.add(root_mask)
             model.add(restrict_mask(root_mask, keep))

@@ -3,13 +3,15 @@
 The sampler path embeds the dual-positive subproblem on a register, runs the
 adiabatic pulse, samples bitstrings, and keeps those that are independent,
 improving, and new. A classical branch-and-bound MWIS provides the exact
-safeguard that certifies termination. The embed seed comes from the
+safeguard that certifies termination, and hands back the other improving sets
+its search builds as extra columns. The embed seed comes from the
 subproblem's vertex set and the evolution is deterministic, so a revisited
 subgraph gets the same final state again without a cache.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +37,24 @@ def reduced_cost(mask: int, duals: np.ndarray) -> float:
     return 1.0 - sum(float(duals[v]) for v in iter_bits(mask))
 
 
-def exact_mwis(g: Graph, weights) -> int:
+def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
     """Independent set maximizing the weight sum, by branch-and-bound.
 
     Vertices with non-positive weight are dropped up front (they never help).
     Branching follows descending weight with the remaining-weight-sum bound.
     Equal-weight optima resolve to the smallest bitmask value.
+
+    When `columns` is given, it receives up to `g.n` distinct improving sets
+    (weight above 1 + IMPROVE_EPS) among those the search builds: the
+    returned set first, then heavier sets before lighter ones, ties to the
+    smaller mask. A master over `g` has `g.n` rows, so no more columns can
+    enter one basis.
     """
     w = [float(x) for x in weights]
     order = sorted((v for v in range(g.n) if w[v] > 0.0), key=lambda v: (-w[v], v))
     best_w = 0.0
     best_mask = 0
+    improving: list[tuple[float, int]] = []  # (-weight, mask): sorts heavier first
     adj = g.adj
 
     def weight_of(mask: int) -> float:
@@ -66,11 +75,17 @@ def exact_mwis(g: Graph, weights) -> int:
             return
         v = order[pos]
         removed = (adj[v] | (1 << v)) & cand
-        descend(pos + 1, cand & ~removed, cur_w + w[v], cur_mask | (1 << v), rem - weight_of(removed))
+        with_v = cur_w + w[v]
+        if with_v > 1.0 + IMPROVE_EPS:
+            improving.append((-with_v, cur_mask | (1 << v)))
+        descend(pos + 1, cand & ~removed, with_v, cur_mask | (1 << v), rem - weight_of(removed))
         descend(pos + 1, cand & ~(1 << v), cur_w, cur_mask, rem - w[v])
 
     cand0 = mask_of(order)
     descend(0, cand0, 0.0, 0, weight_of(cand0))
+    if columns is not None:
+        ranked = heapq.nsmallest(g.n, improving, key=lambda c: (c[1] != best_mask, c))
+        columns.extend(mask for _, mask in ranked)
     return best_mask
 
 

@@ -27,6 +27,8 @@ from oracles import brute_mwis_value, fidelity, random_register, rk4_final_state
 
 SWEEP_SEED = 11
 
+pytestmark = pytest.mark.slow
+
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

@@ -278,6 +278,32 @@ class TestSolve:
         assert res.proven_optimal
         assert res.chi_hat == exact_chromatic_number(g) == 4
 
+    @pytest.mark.parametrize("seed, k", [(1, 61), (203, 68)])
+    def test_gnp_instance_certifies_every_node(self, seed, k):
+        # Drawn as the gnp_exact benchmark draws them. With one exact column
+        # per round, column generation hit its 50-round cap on a node of each,
+        # which was then bounded by Farley's bound.
+        rng = np.random.default_rng([seed, 20, k])
+        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
+        res = solve_qcbp(g, engine=exact_engine())
+        res.coloring.validate(g, g.full_mask)
+        assert res.proven_optimal
+        assert res.chi_hat == exact_chromatic_number(g)
+        assert res.stats.uncertified_nodes == 0
+
+    def test_capped_runs_are_counted_uncertified(self):
+        g = random_graph(9, 0.4, np.random.default_rng(88))
+        res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=1)), engine=exact_engine())
+        assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
+
+    def test_pool_is_a_packed_array_of_distinct_masks(self):
+        g = random_graph(10, 0.4, np.random.default_rng(89))
+        res = solve_qcbp(g, engine=exact_engine())
+        assert res.pool.typecode == "Q" and res.pool.itemsize == 8
+        assert list(res.pool[:g.n]) == [1 << v for v in range(g.n)]
+        assert len(set(res.pool)) == len(res.pool)
+        assert all(g.is_independent(m) for m in res.pool)
+
     def test_node_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="node_budget"):
             SolverConfig(node_budget=0)

@@ -142,6 +142,16 @@ class TestAccounting:
                     assert engine.exact_pricer_calls == res.iterations + 1
         assert capped > 0
 
+    def test_one_exact_round_adds_several_columns(self):
+        # Round 1 prices the singleton basis (every dual 1). The search meets
+        # {0,1}, {0,1,2} and the full set, then prunes the rest by its bound;
+        # all three enter, heaviest first.
+        g = Graph.from_edges(4, [])
+        pool = ColumnPool.with_singletons(g)
+        res = run_hcg(g, g.full_mask, pool, exact_engine(), HcgCaps(max_iterations=1))
+        assert res.iterations == 1
+        assert list(pool) == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b0111, 0b0011]
+
     def test_caps_below_one_rejected(self):
         with pytest.raises(ValueError, match="max_iterations"):
             HcgCaps(max_iterations=0)

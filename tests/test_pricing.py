@@ -5,6 +5,7 @@ from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.pricing import (
+    IMPROVE_EPS,
     PricingEngine,
     SamplerConfig,
     exact_mwis,
@@ -80,6 +81,35 @@ class TestExactMwis:
             got = exact_mwis(g, w)
             assert g.is_independent(got)
             assert sum(w[v] for v in iter_bits(got)) == pytest.approx(value, abs=1e-9)
+
+    def test_columns_are_the_heaviest_improving_sets_best_first(self):
+        # Quarter weights sum exactly, so equal-weight sets are common and the
+        # mask tie-break is exercised.
+        rng = np.random.default_rng(64)
+        several = 0
+        for k in range(200):
+            n = int(rng.integers(2, 13))
+            g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+            w = rng.integers(-2, 6, size=n) / 4.0 if k % 2 else rng.uniform(-0.3, 1.3, size=n)
+            improving = {}
+            for s in range(1 << n):
+                weight = sum(float(w[v]) for v in iter_bits(s))
+                if g.is_independent(s) and weight > 1.0 + IMPROVE_EPS:
+                    improving[s] = weight
+            columns: list[int] = []
+            best = exact_mwis(g, w, columns)
+            assert best == brute_mwis(g, w)[1]
+            assert len(columns) <= n
+            assert len(set(columns)) == len(columns)
+            assert all(m in improving for m in columns)
+            if improving:
+                assert columns[0] == best
+            else:
+                assert columns == []
+            rest = [(-improving[m], m) for m in columns[1:]]
+            assert rest == sorted(rest)
+            several += len(columns) > 1
+        assert several > 50
 
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):

@@ -138,6 +138,32 @@ class TestSolve:
                 add_columns(cold, warm.masks)
                 assert abs(got - solve_rmp(cold).objective) < 1e-9
 
+    def test_eta_updated_inverse_matches_highs_and_a_cold_solve(self, monkeypatch):
+        # A cold solve over every independent set of a 12-vertex graph runs
+        # about 10-25 pivots, so some of these cross a fresh inverse after
+        # REFACTOR_PIVOTS eta updates; all the other pivots are eta updates.
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inversions.append(1) or real_inv(m))
+        rng = np.random.default_rng(34)
+        refactored = 0
+        for _ in range(12):
+            g = random_graph(12, rng.uniform(0.15, 0.5), rng)
+            extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
+            cold = init_rmp(g)
+            add_columns(cold, extra)
+            inversions.clear()
+            objective = solve_rmp(cold).objective
+            refactored += len(inversions) > 1
+            assert abs(objective - lp_oracle(g, cold.masks)) < 1e-6
+            warm = init_rmp(g)
+            add_columns(warm, extra[::2])
+            solve_rmp(warm)
+            add_columns(warm, extra)
+            assert sorted(warm.masks) == sorted(cold.masks)
+            assert abs(solve_rmp(warm).objective - objective) < 1e-9
+        assert refactored > 0
+
     def test_matrix_grows_past_its_initial_capacity(self):
         g = Graph.from_edges(10, [])
         model = init_rmp(g)
