@@ -97,7 +97,11 @@ def parse_config_file(text: str) -> dict[str, str]:
 def _coerce(ftype: str, value: str) -> object:
     """Parse a config or CSV string by its dataclass field type."""
     if ftype == "bool":
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() in ("1", "true", "yes", "on"):
+            return True
+        if value.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean (1/true/yes/on or 0/false/no/off), got {value!r}")
     if ftype == "int":
         return int(value)
     if ftype == "float":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
 from .bounds import CEIL_TOL, spectral_lb
-from .graphs import Graph, expand_mask, iter_bits, require_positive
+from .graphs import Graph, iter_bits, require_positive
 from .hcg import HcgCaps, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
@@ -133,14 +133,14 @@ def node_score(local_ub: int, residual_edge_count: int) -> float:
     return float(local_ub * residual_edge_count)
 
 
-def maximal_sets_containing(g: Graph, v: int) -> list[int]:
-    """Every maximal independent set of g that contains v.
+def maximal_sets_containing(g: Graph, v: int, keep: int) -> list[int]:
+    """Every maximal independent set of g's subgraph on `keep` that contains v.
 
-    These are v plus the maximal independent sets of the subgraph on v's
-    non-neighbours, enumerated as maximal cliques of the complement by
-    Bron-Kerbosch with pivoting, in bitmask form.
+    These are v plus the maximal independent sets on v's non-neighbours in
+    `keep`, enumerated as maximal cliques of the complement by Bron-Kerbosch
+    with pivoting, in bitmask form.
     """
-    non_adj = [g.full_mask & ~(g.adj[u] | 1 << u) for u in range(g.n)]
+    non_adj = {u: keep & ~(g.adj[u] | 1 << u) for u in iter_bits(keep)}
     found: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -170,10 +170,9 @@ def branch(root_graph: Graph, node: BBNode, pool_masks: Iterable[int]) -> list[B
     residual = node.residual_root
     if residual == 0:
         raise ValueError("cannot branch on an empty residual")
-    res_graph = root_graph.induced_subgraph(residual)
-    v = max(range(res_graph.n), key=lambda u: (res_graph.degree(u), -u))
+    v = max(iter_bits(residual), key=lambda u: ((root_graph.adj[u] & residual).bit_count(), -u))
     pooled = {m & residual for m in pool_masks}
-    fixed_sets = [expand_mask(local, residual) for local in maximal_sets_containing(res_graph, v)]
+    fixed_sets = maximal_sets_containing(root_graph, v, residual)
     fixed_sets.sort(key=lambda m: (m not in pooled, -m.bit_count(), m))
     return [
         BBNode(

@@ -67,7 +67,6 @@ class EmbeddingReport:
     extra_edges: tuple[tuple[int, int], ...]    # in the layout, absent from target
     r_max: float | None                         # max distance over target edges
     r_min_gap: float | None                     # min distance over target non-edges (R_min)
-    effective_graph: Graph
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,16 @@ class EmbedParams:
     def __post_init__(self) -> None:
         require_positive(self, "iterations")
         require_positive(self, "restarts")
+        for name in ("ud_radius", "min_spacing", "register_radius", "step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("w_edge", "w_nonedge", "w_spacing", "w_radius"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not 0 < self.step_decay <= 1:
+            raise ValueError(f"step_decay must lie in (0, 1], got {self.step_decay!r}")
 
 
 def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
@@ -99,13 +108,10 @@ def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> Embedding
     extra: list[tuple[int, int]] = []
     r_max: float | None = None
     r_min_gap: float | None = None
-    effective: list[tuple[int, int]] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             d = float(dist[u, v])
             within = d <= ud_radius
-            if within:
-                effective.append((u, v))
             if g.has_edge(u, v):
                 r_max = d if r_max is None else max(r_max, d)
                 if not within:
@@ -120,7 +126,6 @@ def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> Embedding
         extra_edges=tuple(extra),
         r_max=r_max,
         r_min_gap=r_min_gap,
-        effective_graph=Graph.from_edges(g.n, effective),
     )
 
 

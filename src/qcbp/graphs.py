@@ -1,9 +1,12 @@
 """Bitset graph core: independence tests, DIMACS I/O, unit-disk instance generation.
 
 Vertices are integers 0..n-1 and every vertex set is a plain int bitmask,
-so n is capped at 64. Graphs are immutable after construction. An induced
-subgraph is named by the mask of the vertices it keeps; `restrict_mask` and
-`expand_mask` carry masks into it and back.
+so n is capped at 64. Graphs are immutable after construction. A subgraph is
+named by the root-graph mask of the vertices it keeps, and the solver passes
+that mask around rather than a renumbered graph. Only code that needs the kept
+vertices numbered 0..k-1 (the sampler's atom register, the adjacency spectrum)
+builds an `induced_subgraph`; `restrict_mask` and `expand_mask` carry masks
+into it and back.
 """
 
 from __future__ import annotations

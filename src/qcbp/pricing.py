@@ -44,11 +44,11 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
     Branching follows descending weight with the remaining-weight-sum bound.
     Equal-weight optima resolve to the smallest bitmask value.
 
-    When `columns` is given, it receives up to `g.n` distinct improving sets
+    When `columns` is given, it receives up to k distinct improving sets
     (weight above 1 + IMPROVE_EPS) among those the search builds: the
     returned set first, then heavier sets before lighter ones, ties to the
-    smaller mask. A master over `g` has `g.n` rows, so no more columns can
-    enter one basis.
+    smaller mask. k counts the positive weights, the vertices of the priced
+    subproblem; its master has k rows, so no more columns enter one basis.
     """
     w = [float(x) for x in weights]
     order = sorted((v for v in range(g.n) if w[v] > 0.0), key=lambda v: (-w[v], v))
@@ -84,7 +84,7 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
     cand0 = mask_of(order)
     descend(0, cand0, 0.0, 0, weight_of(cand0))
     if columns is not None:
-        ranked = heapq.nsmallest(g.n, improving, key=lambda c: (c[1] != best_mask, c))
+        ranked = heapq.nsmallest(len(order), improving, key=lambda c: (c[1] != best_mask, c))
         columns.extend(mask for _, mask in ranked)
     return best_mask
 
@@ -173,24 +173,26 @@ class PricingEngine:
 
     def sample_columns(
         self,
-        sub: Graph,
-        sub_root: int,
+        root: Graph,
+        positive: int,
         duals: np.ndarray,
         pool: ColumnPool,
         iteration: int = 0,
     ) -> tuple[list[PricedColumn], PricingStats]:
-        """Sampler pricing pass over the dual-positive subproblem `sub`, which
-        the root graph induces on the mask `sub_root`.
+        """Sampler pricing pass over the subproblem that `root` induces on the
+        dual-positive mask `positive` (`duals` holds one value per root vertex).
 
-        Every returned column is independent in the subproblem, has reduced
-        cost below -1e-6, and is absent from the pool, re-checked here no
-        matter what the sampler produced.
+        Every returned column is a root mask, independent, with reduced cost
+        below -1e-6 and absent from the pool, re-checked here no matter what
+        the sampler produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
-        if sub.n == 0:
+        if positive == 0:
             return [], PricingStats(iteration, 0, 0, 0, 0, 0)
-        counts = self._draw_bitstrings(sub, sub_root, np.asarray(duals, dtype=float))
+        sub = root.induced_subgraph(positive)
+        w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
+        counts = self._draw_bitstrings(sub, positive, w)
         self.shots_used += self.config.shots
 
         columns: list[PricedColumn] = []
@@ -201,10 +203,10 @@ class PricingEngine:
                 continue
             if self.config.extend_to_maximal:
                 local = self._extend_to_maximal(sub, local)
-            rc = reduced_cost(local, duals)
+            rc = reduced_cost(local, w)
             if rc >= -IMPROVE_EPS:
                 continue
-            root_mask = expand_mask(local, sub_root)
+            root_mask = expand_mask(local, positive)
             if root_mask in pool or root_mask in seen_root:
                 continue
             seen_root.add(root_mask)

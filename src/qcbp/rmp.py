@@ -1,19 +1,21 @@
 """Restricted master problem: the set-partitioning LP over a column pool.
 
-The model is min sum(lambda) subject to one equality row per vertex
-(each vertex covered exactly once) and lambda >= 0. Columns are independent
-sets. The model keeps its 0/1 constraint matrix, written one column at a time
-as columns arrive, and the last optimal basis. The first solve starts from the
-n singleton columns, which are always present, so no phase-1 is needed. Later
-solves restart from the previous optimal basis: columns are only ever
-appended, so that basis stays primal feasible. Duals come straight from the
-optimal basis, whose inverse each pivot updates rather than recomputes.
+The model is min sum(lambda) subject to one equality row per vertex of the
+subproblem's root-graph mask `keep`, in increasing order (each vertex covered
+exactly once), and lambda >= 0. Columns are independent sets, given as root
+masks and cut down to `keep`; duals come back one per root vertex, 0 outside
+`keep`. The model keeps its 0/1 constraint matrix, written one column at a
+time as columns arrive, and the last optimal basis. The first solve starts
+from the singleton columns, which are always present, so no phase-1 is
+needed. Later solves restart from the previous optimal basis: columns are only
+ever appended, so that basis stays primal feasible. Duals come straight from
+the optimal basis, whose inverse each pivot updates rather than recomputes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -67,20 +69,26 @@ class ColumnPool:
 
 @dataclass
 class RmpModel:
-    """Column pool of one subproblem, as local bitmasks over `graph`, with its
-    constraint matrix (columns beyond `len(masks)` are spare capacity) and the
-    last optimal basis (None until the first solve)."""
+    """Column pool of the subproblem on `keep`, as root masks cut down to it,
+    with its constraint matrix (columns beyond `len(masks)` are spare
+    capacity) and the last optimal basis (None until the first solve)."""
 
     graph: Graph
+    keep: int
     masks: list[int] = field(default_factory=list)
     _seen: set[int] = field(default_factory=set)
+    _row: dict[int, int] = field(init=False, repr=False)
     _a: np.ndarray = field(init=False, repr=False)
     _basis: list[int] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        self._a = np.zeros((self.graph.n, 4 * self.graph.n))
+        if not 0 < self.keep <= self.graph.full_mask:
+            raise ValueError(f"keep {self.keep:#x} is not a nonempty vertex mask of the graph")
+        self._row = {v: i for i, v in enumerate(iter_bits(self.keep))}
+        self._a = np.zeros((len(self._row), 4 * len(self._row)))
 
     def add(self, mask: int) -> bool:
+        mask &= self.keep
         if mask in self._seen or mask == 0:
             return False
         if not self.graph.is_independent(mask):
@@ -89,7 +97,7 @@ class RmpModel:
         if j == self._a.shape[1]:
             self._a = np.hstack([self._a, np.zeros_like(self._a)])
         for v in iter_bits(mask):
-            self._a[v, j] = 1.0
+            self._a[self._row[v], j] = 1.0
         self.masks.append(mask)
         self._seen.add(mask)
         return True
@@ -98,19 +106,20 @@ class RmpModel:
 @dataclass(frozen=True)
 class RmpSolution:
     lam: np.ndarray       # one value per model column, >= 0
-    duals: np.ndarray     # one value per vertex
+    duals: np.ndarray     # one value per root vertex, 0 outside the model's `keep`
     objective: float
 
 
-def init_rmp(g: Graph) -> RmpModel:
-    """Model seeded with the n singleton columns (always feasible)."""
-    model = RmpModel(graph=g)
-    for v in range(g.n):
+def init_rmp(g: Graph, keep: int | None = None) -> RmpModel:
+    """Model of the subproblem on `keep` (all of g by default), seeded with
+    its singleton columns (always feasible)."""
+    model = RmpModel(graph=g, keep=g.full_mask if keep is None else keep)
+    for v in iter_bits(model.keep):
         model.add(1 << v)
     return model
 
 
-def add_columns(model: RmpModel, masks: list[int]) -> int:
+def add_columns(model: RmpModel, masks: Iterable[int]) -> int:
     """Insert independent sets, skipping duplicates; returns the number added."""
     return sum(1 for m in masks if model.add(m))
 
@@ -183,16 +192,15 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     the way out; violations raise RmpError rather than being patched.
     """
     if model._basis is None:
-        n = model.graph.n
         singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
-        if len(singleton_pos) < n:
+        if len(singleton_pos) < len(model._row):
             raise RmpError("model is missing singleton columns (infeasible start)")
-        basis = [singleton_pos[1 << v] for v in range(n)]
+        basis = [singleton_pos[1 << v] for v in model._row]
     else:
         basis = list(model._basis)
 
     a = model._a[:, :len(model.masks)]
-    x_b, duals = _revised_simplex(a, basis)
+    x_b, y = _revised_simplex(a, basis)
 
     lam = np.zeros(a.shape[1])
     lam[basis] = x_b
@@ -204,10 +212,12 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     residual = np.abs(a @ lam - 1.0).max()
     if residual > FEAS_TOL:
         raise RmpError(f"primal feasibility residual {residual:.3e}")
-    if abs(objective - float(duals.sum())) > 1e-7:
+    if abs(objective - float(y.sum())) > 1e-7:
         raise RmpError("strong duality violated at reported optimum")
-    slack = (duals @ a - 1.0).max()
+    slack = (y @ a - 1.0).max()
     if slack > OPT_TOL:
         raise RmpError(f"dual infeasibility {slack:.3e} over the pool")
     model._basis = basis
+    duals = np.zeros(model.graph.n)
+    duals[list(model._row)] = y
     return RmpSolution(lam=lam, duals=duals, objective=objective)

@@ -56,6 +56,18 @@ class TestRunConfig:
         cfg = make_run_config(settings)
         assert cfg.mode == "exact" and cfg.shots == 50 and cfg.extend_to_maximal is True
 
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, value, expected):
+        assert make_run_config({"extend_to_maximal": value}).extend_to_maximal is expected
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "y"])
+    def test_unknown_boolean_spelling_rejected(self, value):
+        with pytest.raises(ValueError, match="expected a boolean"):
+            make_run_config({"extend_to_maximal": value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             make_run_config({"qubits": "3"})

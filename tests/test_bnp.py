@@ -148,7 +148,8 @@ class TestBranch:
             g = random_graph(int(rng.integers(1, 11)), rng.uniform(0.0, 0.9), rng)
             maximal = [s for s in range(1, 1 << g.n) if g.is_maximal_independent(s)]
             for v in range(g.n):
-                assert sorted(maximal_sets_containing(g, v)) == [s for s in maximal if s >> v & 1]
+                assert sorted(maximal_sets_containing(g, v, g.full_mask)) == [
+                    s for s in maximal if s >> v & 1]
 
     def test_children_are_the_maximal_sets_through_the_top_vertex(self):
         rng = np.random.default_rng(88)

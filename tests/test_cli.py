@@ -60,6 +60,19 @@ class TestSolve:
         assert main(["solve", str(graph), "--embed-restarts", "0"]) == 2
         assert "restarts must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_bad_register_radius_errors(self, tmp_path, capsys, value):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        assert main(["solve", str(graph), "--register-radius", value]) == 2
+        assert "ud_radius must be positive and finite" in capsys.readouterr().err
+
+    def test_misspelt_boolean_errors(self, tmp_path, capsys):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        assert main(["solve", str(graph), "--extend-to-maximal", "ture"]) == 2
+        assert "expected a boolean" in capsys.readouterr().err
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dimacs")]) == 2
         assert "error:" in capsys.readouterr().err

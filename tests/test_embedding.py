@@ -58,7 +58,6 @@ class TestAudit:
             rep = audit(g, register_from(pos), ud_radius=10)
             assert rep.is_exact_ud
             assert rep.missing_edges == () and rep.extra_edges == ()
-            assert rep.effective_graph == g
 
     def test_missing_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -170,3 +169,29 @@ class TestEmbedParams:
     def test_count_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             EmbedParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["ud_radius", "min_spacing", "register_radius", "step"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_lengths_and_step_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            EmbedParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["w_edge", "w_nonedge", "w_spacing", "w_radius"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_loss_weights_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            EmbedParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
+    def test_momentum_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="momentum must lie in"):
+            EmbedParams(momentum=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, math.nan])
+    def test_step_decay_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="step_decay must lie in"):
+            EmbedParams(step_decay=value)
+
+    def test_range_edges_accepted(self):
+        params = EmbedParams(w_edge=0.0, w_radius=0.0, momentum=0.0, step_decay=1.0)
+        assert params.momentum == 0.0 and params.step_decay == 1.0

@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
-from qcbp.graphs import Graph, iter_bits, random_ud_graph
+from qcbp.graphs import Graph, expand_mask, iter_bits, random_ud_graph
 from qcbp.hcg import HcgCaps, run_hcg
 from qcbp.pricing import PricingEngine, SamplerConfig
 from qcbp.rmp import ColumnPool
@@ -169,6 +169,24 @@ class TestSubproblemIndexing:
         for mask in priced:
             assert mask & ~keep == 0
             assert g.is_independent(mask)
+
+
+    @pytest.mark.parametrize("make_engine", [exact_engine, stochastic_engine])
+    def test_root_masks_match_a_run_on_the_induced_subgraph(self, make_engine):
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            g = random_graph(int(rng.integers(4, 11)), rng.uniform(0.2, 0.7), rng)
+            keep = (int(rng.integers(1, 1 << g.n)) & ~1) or 1 << (g.n - 1)
+            sub = g.induced_subgraph(keep)
+            pool, local_pool = ColumnPool.with_singletons(g), ColumnPool.with_singletons(sub)
+            engine, local_engine = make_engine(), make_engine()
+            res = run_hcg(g, keep, pool, engine, HcgCaps())
+            local = run_hcg(sub, sub.full_mask, local_pool, local_engine, HcgCaps())
+            assert (res.lp_bound, res.iterations, res.certified) == (
+                local.lp_bound, local.iterations, local.certified)
+            assert res.pricing_log == local.pricing_log
+            assert [m for m in pool if m & keep == m] == [expand_mask(m, keep) for m in local_pool]
+            assert engine.exact_pricer_calls == local_engine.exact_pricer_calls
 
 
 class TestEmulatedEndToEnd:

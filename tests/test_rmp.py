@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from qcbp.graphs import Graph, iter_bits, mask_of
+from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
 from qcbp.rmp import (
     RmpError,
     add_columns,
@@ -171,9 +171,37 @@ class TestSolve:
         assert len(model.masks) == 10 + 45
         assert abs(solve_rmp(model).objective - 5.0) < 1e-9
 
+    @pytest.mark.parametrize("keep", [0, 0b1000])
+    def test_keep_outside_the_graph_rejected(self, keep):
+        with pytest.raises(ValueError, match="not a nonempty vertex mask"):
+            init_rmp(path3(), keep)
+
     def test_missing_singletons_detected(self):
         model = init_rmp(path3())
         model.masks.pop(0)
         with pytest.raises(RmpError, match="singleton"):
             solve_rmp(model)
 
+
+
+class TestSubproblemMaster:
+    def test_root_mask_master_equals_induced_master(self):
+        # Rows follow the vertices of `keep` by rank; with its lowest vertex
+        # above 0, a row indexed by vertex number lands on the wrong row or
+        # outside the matrix.
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            g = random_graph(int(rng.integers(3, 11)), rng.uniform(0.1, 0.8), rng)
+            keep = int(rng.integers(1, 1 << g.n)) & ~1
+            keep = keep or 1 << (g.n - 1)
+            columns = [s for s in all_independent_sets(g) if rng.random() < 0.3]
+            model = init_rmp(g, keep)
+            add_columns(model, columns)
+            local = init_rmp(g.induced_subgraph(keep))
+            add_columns(local, [restrict_mask(s, keep) for s in columns])
+            assert [restrict_mask(m, keep) for m in model.masks] == local.masks
+            sol, local_sol = solve_rmp(model), solve_rmp(local)
+            assert sol.objective == local_sol.objective
+            assert sol.duals.shape == (g.n,)
+            assert np.array_equal(sol.duals[list(iter_bits(keep))], local_sol.duals)
+            assert not sol.duals[[v for v in range(g.n) if not keep >> v & 1]].any()
