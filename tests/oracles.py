@@ -20,14 +20,18 @@ def dense_x_operator(n: int) -> np.ndarray:
     return x
 
 
-def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, refine: int = 10) -> np.ndarray:
+RK4_STEP = 1e-4  # us; fixed, so a coarser emulator dt never coarsens its reference
+
+
+def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, step: float = RK4_STEP) -> np.ndarray:
     """Classic fixed-step RK4 integration of the Schrodinger equation.
 
-    Steps at cfg.dt / refine. The state is normalized at the end to remove
-    the integrator's tiny norm drift before fidelity comparisons.
+    Steps at `step` (rounded to divide the duration), not at cfg.dt; cfg
+    gives only c6 and half_rabi. The state is normalized at the end to
+    remove the integrator's tiny norm drift before fidelity comparisons.
     """
     n = reg.n
-    steps = max(1, round(pulse.duration / cfg.dt)) * refine
+    steps = max(1, round(pulse.duration / step))
     h = pulse.duration / steps
     x_op = dense_x_operator(n)
     inter = interaction_diagonal(reg.as_array(), cfg.c6)

@@ -119,7 +119,7 @@ def test_criterion_5_emulator_fidelity():
         else:
             pulse = build_adiabatic_pulse(audit(g, reg, 10.0), cfg)
         psi = evolve(reg, pulse, cfg)
-        ref = rk4_final_state(reg, pulse, cfg, refine=10)
+        ref = rk4_final_state(reg, pulse, cfg, step=1e-4)
         f = fidelity(psi.amplitudes, ref)
         worst = min(worst, f)
         assert f >= 1 - 1e-4, f"case {case}: fidelity {f}"

@@ -193,6 +193,24 @@ class TestEvolve:
         ref = rk4_final_state(reg, pulse, EmulatorConfig())
         assert fidelity(psi.amplitudes, ref) >= 1 - 1e-4
 
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_default_dt_samples_like_a_tenth_of_it(self, n):
+        """The default step's error budget on sampler-sized registers: the
+        measurement distribution moves by TVD <= 1e-2 at dt / 10."""
+        cfg = EmulatorConfig()
+        reg, report = unit_disk_register(90 + n, n)
+        pulse = build_adiabatic_pulse(report, cfg)
+        p = evolve(reg, pulse, cfg).probabilities()
+        q = evolve(reg, pulse, EmulatorConfig(dt=cfg.dt / 10)).probabilities()
+        assert 0.5 * np.abs(p - q).sum() <= 1e-2
+
+    def test_default_grid_puts_ramp_corners_on_step_boundaries(self):
+        """The midpoint rule never straddles a kink of the default pulse."""
+        cfg = EmulatorConfig()
+        steps = round(cfg.duration / cfg.dt)
+        for corner in (cfg.rise_fraction * steps, (1.0 - cfg.fall_fraction) * steps):
+            assert corner == pytest.approx(round(corner), abs=1e-9)
+
     def test_halving_dt_changes_little(self):
         rng = np.random.default_rng(51)
         reg = random_register(rng, 3, spread=8.0)
