@@ -7,6 +7,12 @@ each maximal independent set that contains v, with the sets the pool already
 holds first. The children cover every coloring of the residual whatever the
 sampler returned, so an exhausted search is a proof.
 
+A child is cheap to queue: it keeps its parent's bound, and its score is
+the parent's heuristic color count times the child's residual edge count, the
+larger first. It is bounded when popped, by the spectral bounds of its
+residual, and pruned on them before column generation runs; the primal
+heuristic runs once per explored node, after column generation.
+
 The root is a node like any other, and every node names its residual by its
 vertex mask in the root graph. Different branches can leave the same
 residual, and the shallower path to it needs fewer colors, so one dict keeps
@@ -70,7 +76,8 @@ class SearchStats:
     nodes_open: int = 0
     shots_total: int = 0
     exact_pricer_calls: int = 0
-    uncertified_nodes: int = 0  # HCG runs stopped at the cap, bounded by Farley's bound
+    uncertified_nodes: int = 0  # HCG runs stopped at the cap
+    unproven_reason: str = ""  # "budget" when the node budget stopped the search unproven
     wall_seconds: float = 0.0
 
 
@@ -195,6 +202,12 @@ def solve_qcbp(
     incumbents from the shared pool, best-score-first search with bound
     pruning.
 
+    A child is queued with its parent's bound and a score, the parent's
+    heuristic color count (after its column generation) times the child's
+    residual edge count. It is bounded when popped: the spectral bounds of its
+    residual can prune it before column generation runs, and the primal
+    heuristic runs once for each node explored.
+
     The root is the first node of the search. A residual is explored at the
     least depth it is reached at: a child is dropped when its residual is
     already queued at a depth at most its own, and a queued node is pruned
@@ -216,14 +229,12 @@ def solve_qcbp(
     heap: list[tuple[float, int, BBNode]] = []
     budget_hit = False
 
-    def push(node: BBNode) -> None:
+    def push(node: BBNode, local_ub: int) -> None:
         residual = node.residual_root
-        res_graph = g.induced_subgraph(residual)
-        node.lb = max(node.lb, node.depth + spectral_lb(res_graph).combined_lb)
-        local_ub = primal_heuristic(g, residual, pool).colors_used
+        edges = sum((g.adj[v] & residual).bit_count() for v in iter_bits(residual)) // 2
         best_depth[residual] = node.depth
         stats.nodes_generated += 1
-        heapq.heappush(heap, (-node_score(local_ub, res_graph.edge_count), stats.nodes_generated, node))
+        heapq.heappush(heap, (-node_score(local_ub, edges), stats.nodes_generated, node))
 
     def try_incumbent(classes: tuple[int, ...]) -> None:
         nonlocal incumbent, ub
@@ -232,10 +243,15 @@ def solve_qcbp(
             candidate.validate(g, g.full_mask)
             incumbent, ub = candidate, len(classes)
 
-    push(BBNode(residual_root=g.full_mask, depth=0, fixed_classes=()))
+    push(BBNode(residual_root=g.full_mask, depth=0, fixed_classes=()), g.n)  # alone, any score
     while heap and ub > root_lb and not budget_hit:
         _, _, node = heapq.heappop(heap)
         if node.depth > best_depth[node.residual_root] or node.lb >= ub:
+            stats.nodes_pruned += 1
+            continue
+        spectral = spectral_lb(g.induced_subgraph(node.residual_root)).combined_lb
+        node.lb = max(node.lb, node.depth + spectral)
+        if node.lb >= ub:
             stats.nodes_pruned += 1
             continue
         stats.nodes_explored += 1
@@ -244,7 +260,8 @@ def solve_qcbp(
         pricing_log.extend(hcg_res.pricing_log)
         stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
-        try_incumbent(node.fixed_classes + primal_heuristic(g, node.residual_root, pool).classes)
+        local = primal_heuristic(g, node.residual_root, pool)
+        try_incumbent(node.fixed_classes + local.classes)
         if node.depth == 0:
             root_lb, lp_root = node.lb, hcg_res.lp_bound
             if ub < root_lb:
@@ -262,8 +279,11 @@ def solve_qcbp(
                 if stats.nodes_generated >= config.node_budget:
                     budget_hit = True
                     break
-                push(child)
+                push(child, local.colors_used)
 
+    # the loop stops early only at the root bound or at the budget
+    proven = not budget_hit or ub == root_lb
+    stats.unproven_reason = "" if proven else "budget"
     # a queued node whose residual was queued again shallower is pruned, not open
     stats.nodes_open = sum(n.depth == best_depth[n.residual_root] for _, _, n in heap)
     stats.nodes_pruned += len(heap) - stats.nodes_open
@@ -273,8 +293,7 @@ def solve_qcbp(
     return SolveResult(
         coloring=incumbent,
         chi_hat=ub,
-        # the loop stops early only at the root bound or at the budget
-        proven_optimal=not budget_hit or ub == root_lb,
+        proven_optimal=proven,
         lp_root=lp_root,
         root_lb=root_lb,
         stats=stats,

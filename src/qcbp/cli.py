@@ -66,6 +66,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"shots={stats.shots_total} ilp_calls={stats.exact_pricer_calls} "
           f"nodes={stats.nodes_generated}/{stats.nodes_explored}/{stats.nodes_pruned} "
           f"(generated/explored/pruned) uncertified_nodes={stats.uncertified_nodes} "
+          f"unproven_reason={stats.unproven_reason or '-'} "
           f"wall_ms={stats.wall_seconds * 1e3:.1f}")
     if args.chi_exact:
         print(f"chi_exact={exact_chromatic_number(g)}")

@@ -3,12 +3,16 @@
 Each round solves the restricted master, restricts the subproblem to vertices
 with positive duals, and asks the sampler for improving columns. When the
 sampler comes back empty, the exact MWIS safeguard either certifies that no
-improving column exists, which makes the final master objective the true LP
-bound, or supplies up to one column per master row: the heaviest set first,
-then the other improving sets its search built. A run cut off by its
-iteration cap reports Farley's bound instead: the restricted master's
-objective is then an upper bound on the LP, not a lower one. Columns are only
-appended within a run, so each re-solve restarts from the last optimal basis.
+improving column exists or supplies up to one column per master row: the
+heaviest set first, then the other improving sets its search built. Columns
+are only appended within a run, so each re-solve restarts from the last
+optimal basis.
+
+Every run reports Farley's bound: the clipped duals' sum over the weight of
+the heaviest independent set under them. The master's objective is not a
+certified bound. A capped run's is an upper bound on the LP, and a certificate
+only shows that no set weighs more than 1 + IMPROVE_EPS. A certified run takes
+the weight from its certifying exact call; a capped run makes one more.
 
 A subproblem is the root graph and the mask of its vertices, the search
 node's residual; the master, the exact pricer and the pool see no other
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, iter_bits, mask_of, require_positive
 from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis
-from .rmp import ColumnPool, RmpSolution, add_columns, init_rmp, solve_rmp
+from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 
 @dataclass(frozen=True)
@@ -60,11 +64,11 @@ def run_hcg(
     New columns go into the shared pool as found.
     """
     caps = caps or HcgCaps()
-    model = init_rmp(root, keep)
-    add_columns(model, pool)
+    model = init_rmp(root, keep, pool)
 
     log: list[PricingStats] = []
     certified = False
+    heaviest = 0.0  # weight of the last exact pricer's set
 
     sol = solve_rmp(model)
     prev_obj = sol.objective
@@ -76,7 +80,7 @@ def run_hcg(
         if positive == 0:
             # Unreachable for a feasible master (the duals sum to the
             # objective, which is at least 1), kept as a safe exit.
-            certified = True
+            certified, heaviest = True, 0.0
             break
 
         found: list[int] = []
@@ -87,7 +91,8 @@ def run_hcg(
         if not found:
             best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals], found)
             engine.exact_pricer_calls += 1
-            if sum(float(duals[v]) for v in iter_bits(best)) <= 1.0 + IMPROVE_EPS:
+            heaviest = sum(float(duals[v]) for v in iter_bits(best))
+            if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
         for mask in found:
@@ -100,14 +105,17 @@ def run_hcg(
             )
         prev_obj = sol.objective
 
-    lp_bound = sol.objective
-    if not certified:
-        # Farley: the clipped duals scaled by the heaviest independent set
-        # under them are dual feasible, so this is a valid LP lower bound.
-        best = exact_mwis(root, sol.duals)
+    duals = sol.duals
+    if certified:
+        # The certifying call priced the duals at most DUAL_POS_EPS as 0, so
+        # they add at most their sum to any set.
+        heaviest += sum(float(d) for d in duals if 0.0 < d <= DUAL_POS_EPS)
+    else:
+        heaviest = sum(float(duals[v]) for v in iter_bits(exact_mwis(root, duals)))
         engine.exact_pricer_calls += 1
-        heaviest = sum(float(sol.duals[v]) for v in iter_bits(best))
-        lp_bound = sum(max(float(p), 0.0) for p in sol.duals) / max(1.0, heaviest)
+    # Farley: the clipped duals scaled by the heaviest independent set under
+    # them are dual feasible, so this is a valid LP lower bound.
+    lp_bound = sum(max(float(d), 0.0) for d in duals) / max(1.0, heaviest)
 
     return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations,
                      certified=certified, pricing_log=log)

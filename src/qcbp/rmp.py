@@ -4,12 +4,14 @@ The model is min sum(lambda) subject to one equality row per vertex of the
 subproblem's root-graph mask `keep`, in increasing order (each vertex covered
 exactly once), and lambda >= 0. Columns are independent sets, given as root
 masks and cut down to `keep`; duals come back one per root vertex, 0 outside
-`keep`. The model keeps its 0/1 constraint matrix, written one column at a
-time as columns arrive, and the last optimal basis. The first solve starts
-from the singleton columns, which are always present, so no phase-1 is
-needed. Later solves restart from the previous optimal basis: columns are only
-ever appended, so that basis stays primal feasible. Duals come straight from
-the optimal basis, whose inverse each pivot updates rather than recomputes.
+`keep`. The model keeps its 0/1 constraint matrix and the last optimal
+basis. The matrix is written from the pool in one array operation when the
+model is built, then one column at a time as priced columns arrive. The first
+solve starts from the singleton columns, which are always present, so no
+phase-1 is needed. Later solves restart from the previous optimal basis:
+columns are only ever appended, so that basis stays primal feasible. Duals
+come straight from the optimal basis, whose inverse each pivot updates rather
+than recomputes.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class RmpModel:
     _seen: set[int] = field(default_factory=set)
     _row: dict[int, int] = field(init=False, repr=False)
     _a: np.ndarray = field(init=False, repr=False)
-    _basis: list[int] | None = field(default=None, init=False)
+    _basis: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
@@ -94,13 +96,22 @@ class RmpModel:
         if not self.graph.is_independent(mask):
             raise ValueError(f"column {mask:#x} is not an independent set (pricing bug)")
         j = len(self.masks)
-        if j == self._a.shape[1]:
-            self._a = np.hstack([self._a, np.zeros_like(self._a)])
+        self._reserve(j + 1)
         for v in iter_bits(mask):
             self._a[self._row[v], j] = 1.0
         self.masks.append(mask)
         self._seen.add(mask)
         return True
+
+    def _reserve(self, columns: int) -> None:
+        """Double the matrix's capacity until it holds `columns` columns."""
+        capacity = self._a.shape[1]
+        while capacity < columns:
+            capacity *= 2
+        if capacity > self._a.shape[1]:
+            grown = np.zeros((self._a.shape[0], capacity))
+            grown[:, :len(self.masks)] = self._a[:, :len(self.masks)]
+            self._a = grown
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,26 @@ class RmpSolution:
     objective: float
 
 
-def init_rmp(g: Graph, keep: int | None = None) -> RmpModel:
-    """Model of the subproblem on `keep` (all of g by default), seeded with
-    its singleton columns (always feasible)."""
+def init_rmp(g: Graph, keep: int | None = None, pool: Iterable[int] = ()) -> RmpModel:
+    """Model of the subproblem on `keep` (all of g by default): its singleton
+    columns (always feasible), then the pooled masks cut down to `keep`,
+    written in one array operation.
+
+    Zero and repeated restrictions are dropped, and first occurrences keep
+    their pool order, so the columns are those that `add_columns` would
+    insert one by one. Pooled masks are independent sets, and so are their
+    restrictions, so they are not checked again.
+    """
     model = RmpModel(graph=g, keep=g.full_mask if keep is None else keep)
-    for v in iter_bits(model.keep):
-        model.add(1 << v)
+    rows = np.fromiter(model._row, np.uint64, len(model._row))
+    pooled = np.fromiter(pool, np.uint64) & np.uint64(model.keep)
+    masks = np.concatenate([np.uint64(1) << rows, pooled[pooled != 0]])
+    _, first = np.unique(masks, return_index=True)
+    masks = masks[np.sort(first)]
+    model._reserve(masks.size)
+    model._a[:, :masks.size] = (masks >> rows[:, None]) & 1
+    model.masks = masks.tolist()
+    model._seen = set(model.masks)
     return model
 
 
@@ -124,7 +149,7 @@ def add_columns(model: RmpModel, masks: Iterable[int]) -> int:
     return sum(1 for m in masks if model.add(m))
 
 
-def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _revised_simplex(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 1'x subject to a x = 1, x >= 0 from a feasible starting basis.
 
     Dantzig pricing with a switch to Bland's rule after a run of degenerate
@@ -132,7 +157,9 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
     ones, so the basis inverse gives the primal values (its row sums), the
     duals (its column sums) and the entering direction. The inverse is taken
     once and then carried across each pivot by a rank-one eta update, with a
-    fresh inverse every REFACTOR_PIVOTS pivots.
+    fresh inverse every REFACTOR_PIVOTS pivots. `basis` (column indices, one
+    per row) is updated in place; among tied leaving rows, the one whose
+    basic column has the smallest index leaves.
     """
     degenerate = 0
     bland = False
@@ -143,7 +170,7 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
         reduced = 1.0 - y @ a
         reduced[basis] = 0.0
         if bland:
-            improving = np.flatnonzero(reduced < -OPT_TOL)
+            improving = (reduced < -OPT_TOL).nonzero()[0]
             if improving.size == 0:
                 return x_b, y
             enter = int(improving[0])
@@ -152,13 +179,13 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
             if reduced[enter] >= -OPT_TOL:
                 return x_b, y
         direction = inv @ a[:, enter]
-        positive = np.flatnonzero(direction > PIVOT_TOL)
+        positive = (direction > PIVOT_TOL).nonzero()[0]
         if positive.size == 0:
             raise RmpError("unbounded direction in a bounded LP (numerical failure)")
         ratios = x_b[positive] / direction[positive]
         theta = ratios.min()
-        ties = positive[np.flatnonzero(ratios <= theta + 1e-12)]
-        leave = int(min(ties, key=lambda i: basis[i]))
+        ties = positive[ratios <= theta + 1e-12]
+        leave = int(ties[basis[ties].argmin()])
         if theta < 1e-12:
             degenerate += 1
             if degenerate >= DEGENERATE_PIVOT_LIMIT:
@@ -172,12 +199,12 @@ def _revised_simplex(a: np.ndarray, basis: list[int]) -> tuple[np.ndarray, np.nd
             # The new inverse is E @ inv for the eta matrix E that maps
             # `direction` to the unit vector of row `leave`.
             pivot_row = inv[leave] / direction[leave]
-            inv -= np.outer(direction, pivot_row)
+            inv -= direction[:, None] * pivot_row
             inv[leave] = pivot_row
     raise RmpError("simplex pivot limit reached")
 
 
-def _basis_inverse(a: np.ndarray, basis: list[int]) -> np.ndarray:
+def _basis_inverse(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError as exc:
@@ -195,9 +222,9 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
         singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
         if len(singleton_pos) < len(model._row):
             raise RmpError("model is missing singleton columns (infeasible start)")
-        basis = [singleton_pos[1 << v] for v in model._row]
+        basis = np.array([singleton_pos[1 << v] for v in model._row], dtype=np.intp)
     else:
-        basis = list(model._basis)
+        basis = model._basis.copy()
 
     a = model._a[:, :len(model.masks)]
     x_b, y = _revised_simplex(a, basis)

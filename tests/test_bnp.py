@@ -305,6 +305,46 @@ class TestSolve:
         assert len(set(res.pool)) == len(res.pool)
         assert all(g.is_independent(m) for m in res.pool)
 
+    def test_unproven_reason(self):
+        # Groetzsch graph: chi 4 above its LP bound 2.9, so the root must branch
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        edges += [(10, 5 + i) for i in range(5)]
+        g = Graph.from_edges(11, edges)
+        res = solve_qcbp(g, SolverConfig(node_budget=1), engine=exact_engine())
+        assert not res.proven_optimal and res.stats.unproven_reason == "budget"
+        res = solve_qcbp(g, engine=exact_engine())
+        assert res.proven_optimal and res.chi_hat == 4 and res.stats.unproven_reason == ""
+
+    def test_children_are_bounded_when_popped(self, monkeypatch):
+        # Bounds and the heuristic run for popped nodes only: spectral_lb
+        # before each run_hcg, primal_heuristic once after it on the same
+        # residual, and nothing for the children still queued at the end.
+        events: list[tuple[str, int]] = []
+
+        def counting(name, fn, mask_of_args):
+            def wrapped(*args):
+                events.append((name, mask_of_args(args)))
+                return fn(*args)
+            return wrapped
+
+        for name, pick in (("spectral_lb", lambda a: 0), ("run_hcg", lambda a: a[1]),
+                           ("primal_heuristic", lambda a: a[1]), ("node_score", lambda a: 0)):
+            monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
+        # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 1, instance 4
+        rng = np.random.default_rng([1, 20, 4])
+        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
+        res = solve_qcbp(g, engine=exact_engine())
+        s = res.stats
+        names = [name for name, _ in events]
+        assert names.count("run_hcg") == names.count("primal_heuristic") == s.nodes_explored > 1
+        for i, (name, mask) in enumerate(events):
+            if name == "run_hcg":
+                assert names[i - 1] == "spectral_lb"
+                assert events[i + 1] == ("primal_heuristic", mask)
+        assert s.nodes_open > 0
+        assert names.count("spectral_lb") <= names.count("node_score") - s.nodes_open
+
     def test_node_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="node_budget"):
             SolverConfig(node_budget=0)

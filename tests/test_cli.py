@@ -38,6 +38,17 @@ class TestSolve:
         assert "colors=2" in capsys.readouterr().out
         assert log.read_text().startswith("iteration,n_sub,shots,distinct_bitstrings,improving,maximal")
 
+    def test_budget_stop_prints_its_reason(self, tmp_path, capsys):
+        # Groetzsch graph: chi 4 above its LP bound 2.9, so one node cannot prove it
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        edges += [(10, 5 + i) for i in range(5)]
+        graph = tmp_path / "groetzsch.dimacs"
+        graph.write_text(Graph.from_edges(11, edges).to_dimacs())
+        assert main(["solve", str(graph), "--mode", "hcg_only", "--sampler", "exact_pricer"]) == 0
+        out = capsys.readouterr().out
+        assert "proven_optimal=false" in out and "unproven_reason=budget" in out
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())

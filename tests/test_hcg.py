@@ -79,6 +79,19 @@ class TestCertificates:
                 assert res.certified
                 assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
 
+    def test_certified_bound_is_farleys_and_never_above_the_full_lp(self):
+        # The pricer certifies max weight <= 1 + 1e-6 only, so the master's
+        # objective may sit above the LP; Farley's bound may not.
+        rng = np.random.default_rng(77)
+        for engine_maker in (exact_engine, stochastic_engine):
+            for _ in range(15):
+                g = random_graph(int(rng.integers(1, 13)), rng.uniform(0.1, 0.8), rng)
+                res = run_root(g, engine_maker())
+                assert res.certified
+                lp = full_lp_value(g)
+                assert lp - 1e-6 <= res.lp_bound <= lp + 1e-9
+                assert res.lp_bound <= res.rmp.objective + 1e-12
+
     def test_certificate_means_no_improving_set(self):
         rng = np.random.default_rng(71)
         for _ in range(10):

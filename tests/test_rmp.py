@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
 from qcbp.rmp import (
     RmpError,
+    _revised_simplex,
     add_columns,
     init_rmp,
     solve_rmp,
@@ -18,6 +19,15 @@ def path3() -> Graph:
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> int:
+    """A random subset of `within`, thinned greedily to an independent set."""
+    s = 0
+    for v in iter_bits(int(rng.integers(1 << g.n)) & within):
+        if not g.adj[v] & s:
+            s |= 1 << v
+    return s
 
 
 def all_independent_sets(g: Graph) -> list[int]:
@@ -64,6 +74,31 @@ class TestModelConstruction:
         model = init_rmp(path3())
         with pytest.raises(ValueError, match="independent"):
             add_columns(model, [mask_of([0, 1])])
+
+    def test_pooled_master_equals_the_column_by_column_model(self):
+        rng = np.random.default_rng(35)
+        for _ in range(100):
+            g = random_graph(int(rng.integers(1, 13)), rng.uniform(0.1, 0.8), rng)
+            keep = int(rng.integers(1, 1 << g.n))
+            pool = [random_independent_set(g, g.full_mask, rng) for _ in range(int(rng.integers(0, 40)))]
+            # masks disjoint from keep, and masks that differ from earlier ones only outside it
+            outside = g.full_mask & ~keep
+            pool += [random_independent_set(g, outside, rng) for _ in range(3)]
+            for s in pool[:5]:
+                t = s | random_independent_set(g, outside, rng)
+                if g.is_independent(t):
+                    pool.append(t)
+            rng.shuffle(pool)
+            if rng.random() < 0.5:
+                pool = [1 << v for v in range(g.n)] + pool
+            one_shot = init_rmp(g, keep, pool)
+            by_column = init_rmp(g, keep)
+            add_columns(by_column, pool)
+            assert one_shot.masks == by_column.masks
+            assert all(isinstance(m, int) for m in one_shot.masks)
+            cols = len(by_column.masks)
+            assert np.array_equal(one_shot._a[:, :cols], by_column._a[:, :cols])
+            assert solve_rmp(one_shot).objective == solve_rmp(by_column).objective
 
 
 class TestSolve:
@@ -182,6 +217,14 @@ class TestSolve:
         with pytest.raises(RmpError, match="singleton"):
             solve_rmp(model)
 
+    def test_leaving_row_tie_goes_to_the_smallest_basis_index(self):
+        # Row 0 holds column 1 and row 1 holds column 0; column 2 enters with
+        # equal ratios in both rows, and row 1 leaves because its column is 0.
+        a = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        basis = np.array([1, 0], dtype=np.intp)
+        x_b, y = _revised_simplex(a, basis)
+        assert basis.tolist() == [1, 2]
+        assert np.allclose(x_b, [0.0, 1.0]) and np.allclose(y, [1.0, 0.0])
 
 
 class TestSubproblemMaster:
