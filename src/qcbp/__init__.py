@@ -11,7 +11,7 @@ from .chromatic import exact_chromatic_number
 from .embedding import EmbedParams, Register, audit, embed
 from .emulator import EmulatorConfig, PulseSchedule, build_adiabatic_pulse, evolve, sample
 from .graphs import Graph, parse_dimacs, random_ud_graph
-from .hcg import HcgCaps, run_hcg
+from .hcg import run_hcg
 from .pricing import PricingEngine, SamplerConfig, exact_mwis
 from .rmp import ColumnPool, init_rmp, solve_rmp
 
@@ -20,7 +20,6 @@ __all__ = [
     "EmbedParams",
     "EmulatorConfig",
     "Graph",
-    "HcgCaps",
     "PricingEngine",
     "PulseSchedule",
     "Register",

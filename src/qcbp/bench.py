@@ -21,7 +21,6 @@ from .chromatic import exact_coloring
 from .embedding import EmbedParams
 from .emulator import EmulatorConfig
 from .graphs import Graph, flip_random_pairs, mask_of, parse_dimacs, positions_to_csv, random_ud_graph
-from .hcg import HcgCaps
 from .pricing import COMPACT_REGISTER_RADIUS_UM, PricingEngine, PricingStats, SamplerConfig
 
 MODES = ("qcbp", "hcg_only", "exact")
@@ -34,7 +33,7 @@ class RunConfig:
     shots: int = SamplerConfig.shots
     seed: int = 0
     node_budget: int = SolverConfig.node_budget
-    hcg_max_iterations: int = HcgCaps.max_iterations
+    hcg_max_iterations: int = SolverConfig.hcg_max_iterations
     extend_to_maximal: bool = False
     dt: float = EmulatorConfig.dt
     c6: float = EmulatorConfig.c6
@@ -76,7 +75,7 @@ class RunConfig:
         """`hcg_only` is the solver stopped after its root node."""
         return SolverConfig(
             node_budget=1 if self.mode == "hcg_only" else self.node_budget,
-            hcg=HcgCaps(max_iterations=self.hcg_max_iterations),
+            hcg_max_iterations=self.hcg_max_iterations,
         )
 
 
@@ -166,6 +165,10 @@ def generate_dataset(
     The first round(per_n * ud_fraction) instances of each size keep their
     unit-disk structure; the rest get 1-3 adjacency flips (non-UD).
     """
+    if per_n < 1:
+        raise ValueError(f"per_n must be >= 1, got {per_n}")
+    if not 0 <= ud_fraction <= 1:
+        raise ValueError(f"ud_fraction must lie in [0, 1], got {ud_fraction!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: list[InstanceRecord] = []

@@ -33,7 +33,7 @@ from typing import Collection, Iterable
 
 from .bounds import CEIL_TOL, spectral_lb
 from .graphs import Graph, iter_bits, require_positive
-from .hcg import HcgCaps, run_hcg
+from .hcg import MAX_ITERATIONS, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
 
@@ -96,10 +96,11 @@ class SolveResult:
 @dataclass(frozen=True)
 class SolverConfig:
     node_budget: int = 1000
-    hcg: HcgCaps = field(default_factory=HcgCaps)
+    hcg_max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self) -> None:
         require_positive(self, "node_budget")
+        require_positive(self, "hcg_max_iterations")
 
 
 def primal_heuristic(g: Graph, residual: int, pool_masks: Collection[int]) -> Coloring:
@@ -256,7 +257,7 @@ def solve_qcbp(
             continue
         stats.nodes_explored += 1
 
-        hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg)
+        hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg_max_iterations)
         pricing_log.extend(hcg_res.pricing_log)
         stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)

@@ -45,12 +45,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return make_run_config(settings)
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    ns = tuple(int(x) for x in args.ns.split(","))
-    records = generate_dataset(
-        args.out, ns=ns, per_n=args.per_n, ud_fraction=args.ud_fraction,
-        seed=args.seed, radius=args.radius, box=args.box,
-    )
+    # only the flags given reach generate_dataset, which holds the defaults
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    records = generate_dataset(args.out, **options)
     n_ud = sum(r.is_ud for r in records)
     print(f"wrote {len(records)} instances ({n_ud} unit-disk) to {args.out}")
     return 0
@@ -105,14 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a benchmark dataset")
+    gen = sub.add_parser("gen", help="generate a benchmark dataset", argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--ns", default="8,9,10,11,12", help="comma-separated instance sizes")
-    gen.add_argument("--per-n", type=int, default=12)
-    gen.add_argument("--ud-fraction", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--radius", type=float, default=10.0)
-    gen.add_argument("--box", type=float, default=40.0)
+    gen.add_argument("--ns", type=_sizes, help="comma-separated instance sizes")
+    gen.add_argument("--per-n", type=int)
+    gen.add_argument("--ud-fraction", type=float)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--radius", type=float)
+    gen.add_argument("--box", type=float)
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve a single DIMACS instance")

@@ -3,11 +3,13 @@
 A register is found by momentum gradient descent directly on the 2n coordinates,
 minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
-hardware minimum spacing, and points outside the register disk. The restarts
-descend as one batch that stops once a restart reaches zero loss (an exact
-layout), so the iteration budget only caps graphs with none. The audit then
-compares the unit-disk graph of the layout against the target graph and
-extracts the distance bounds the pulse builder needs.
+hardware minimum spacing, and points outside the register disk. The hardware
+limits, the loss weights and the descent schedule are module constants;
+EmbedParams holds only the unit-disk radius, the iteration budget and the
+restart count. The restarts descend as one batch that stops once a restart
+reaches zero loss (an exact layout), so the iteration budget only caps graphs
+with none. The audit then compares the unit-disk graph of the layout against
+the target graph and extracts the distance bounds the pulse builder needs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .graphs import Graph, pairwise_distances, require_positive
 MIN_SPACING_UM = 4.0
 REGISTER_RADIUS_UM = 50.0
 UD_RADIUS_UM = 10.0
+# Loss weights of the edge, non-edge, spacing and register-disk hinges.
+W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
+# Momentum descent: first move per atom in um, its per-iteration decay, momentum.
+STEP, STEP_DECAY, MOMENTUM = 0.5, 0.999, 0.9
 
 
 class EmbeddingError(RuntimeError):
@@ -72,31 +78,14 @@ class EmbeddingReport:
 @dataclass(frozen=True)
 class EmbedParams:
     ud_radius: float = UD_RADIUS_UM
-    min_spacing: float = MIN_SPACING_UM
-    register_radius: float = REGISTER_RADIUS_UM
-    w_edge: float = 1.0
-    w_nonedge: float = 1.0
-    w_spacing: float = 4.0
-    w_radius: float = 1.0
     iterations: int = 3000
-    step: float = 0.5
-    step_decay: float = 0.999
-    momentum: float = 0.9
     restarts: int = 5
 
     def __post_init__(self) -> None:
         require_positive(self, "iterations")
         require_positive(self, "restarts")
-        for name in ("ud_radius", "min_spacing", "register_radius", "step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        for name in ("w_edge", "w_nonedge", "w_spacing", "w_radius"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not 0 < self.step_decay <= 1:
-            raise ValueError(f"step_decay must lie in (0, 1], got {self.step_decay!r}")
+        if not 0 < self.ud_radius < math.inf:
+            raise ValueError(f"ud_radius must be positive and finite, got {self.ud_radius!r}")
 
 
 def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
@@ -145,36 +134,36 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
     rngs = [np.random.default_rng([seed, r]) for r in range(params.restarts)]
     pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
-    step = params.step
+    step = STEP
     for _ in range(params.iterations):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
         dist[:, eye] = 1.0
         # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
-        k = 2.0 * params.w_edge * np.maximum(dist - params.ud_radius, 0.0) * edge_mask
-        k -= 2.0 * params.w_nonedge * np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
-        pair_close = np.maximum(params.min_spacing - dist, 0.0)
+        k = 2.0 * W_EDGE * np.maximum(dist - params.ud_radius, 0.0) * edge_mask
+        k -= 2.0 * W_NONEDGE * np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
+        pair_close = np.maximum(MIN_SPACING_UM - dist, 0.0)
         pair_close[:, eye] = 0.0
-        k -= 2.0 * params.w_spacing * pair_close
+        k -= 2.0 * W_SPACING * pair_close
         grad = (k[..., None] * diff / dist[..., None]).sum(axis=2)
         offset = pos - pos.mean(axis=1, keepdims=True)
         r = np.sqrt((offset * offset).sum(axis=2))
-        outside = np.maximum(r - params.register_radius, 0.0)
+        outside = np.maximum(r - REGISTER_RADIUS_UM, 0.0)
         safe_r = np.where(r > 1e-12, r, 1.0)
-        grad += 2.0 * params.w_radius * (outside / safe_r)[..., None] * offset
+        grad += 2.0 * W_RADIUS * (outside / safe_r)[..., None] * offset
         # Every hinge term is zero: momentum would only move a finished layout on.
         if not grad.any(axis=(1, 2)).all():
             break
         # Per-atom normalized descent keeps each move at the um scale of `step`,
         # which the hinge losses need to stay stable.
         gnorm = np.sqrt((grad * grad).sum(axis=2, keepdims=True))
-        vel = params.momentum * vel - step * grad / np.maximum(gnorm, 1e-9)
+        vel = MOMENTUM * vel - step * grad / np.maximum(gnorm, 1e-9)
         pos = pos + vel
-        step *= params.step_decay
+        step *= STEP_DECAY
     return pos
 
 
-def _project(pos: np.ndarray, params: EmbedParams) -> np.ndarray:
+def _project(pos: np.ndarray) -> np.ndarray:
     """Rescale around the centroid so both hard constraints hold exactly."""
     pos = pos - pos.mean(axis=0)
     d = pairwise_distances(pos)
@@ -183,8 +172,8 @@ def _project(pos: np.ndarray, params: EmbedParams) -> np.ndarray:
     max_r = float(np.sqrt((pos * pos).sum(axis=1)).max())
     if min_d <= 1e-9:
         raise EmbeddingError("coincident atoms cannot be separated by rescaling")
-    scale_lo = params.min_spacing / min_d
-    scale_hi = params.register_radius / max_r if max_r > 1e-12 else np.inf
+    scale_lo = MIN_SPACING_UM / min_d
+    scale_hi = REGISTER_RADIUS_UM / max_r if max_r > 1e-12 else np.inf
     if scale_lo > scale_hi * (1 + 1e-12):
         raise EmbeddingError(
             f"spacing needs scale >= {scale_lo:.3f} but register radius allows <= {scale_hi:.3f}"
@@ -207,7 +196,7 @@ def embed(g: Graph, params: EmbedParams | None = None, seed: int = 0) -> Registe
     last_error: EmbeddingError | None = None
     for restart, raw in enumerate(_descend(g, params, seed)):
         try:
-            pos = _project(raw, params)
+            pos = _project(raw)
             reg = Register(positions=tuple((float(x), float(y)) for x, y in pos))
         except EmbeddingError as exc:
             last_error = exc

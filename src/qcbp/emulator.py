@@ -6,6 +6,10 @@ occupation of atom i. Time stepping is second-order Strang splitting with
 midpoint pulse values: half a diagonal phase, a global X rotation applied as
 one matmul per block of qubits, and the second diagonal half. Every factor is
 unitary, so the norm is conserved to rounding.
+
+The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS) and
+the pulse's RAMP_FRACTION are constants. EmulatorConfig holds only what a run
+may set: C6, the time step, the pulse duration and the detuning sweep's ends.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingReport, Register
-from .graphs import pairwise_distances, require_positive
+from .graphs import pairwise_distances
 
-OMEGA_MAX = 4.0 * math.pi
+OMEGA_MAX = 4.0 * math.pi  # rad/us; the peak Rabi frequency never exceeds it
+MAX_QUBITS = 20  # largest register `evolve` accepts: 2^20 amplitudes, 16 MB
+RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again falls
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
@@ -30,26 +36,17 @@ GEMM_SIZE = 1 << 15  # most multiply-adds per BLAS call; OpenBLAS threads larger
 class EmulatorConfig:
     c6: float = DEFAULT_C6
     dt: float = 1 / 300       # us; 900 steps: infidelity <= 1.1e-6 vs 1e-4 us RK4, TVD <= 3.1e-3 vs 1e-3
-    max_qubits: int = 20
     duration: float = 3.0     # us
     delta_start: float = -15.0
     delta_end: float = 15.0
-    rise_fraction: float = 0.15
-    fall_fraction: float = 0.15
-    omega_max: float = OMEGA_MAX
-    half_rabi: bool = False   # drive with Omega/2 on the transverse term
 
     def __post_init__(self) -> None:
-        for name in ("c6", "dt", "duration", "omega_max", "delta_start", "delta_end"):
+        for name in ("c6", "dt", "duration", "delta_start", "delta_end"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if value <= 0 and name in ("c6", "dt", "duration", "omega_max"):
+            if value <= 0 and name in ("c6", "dt", "duration"):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if not (self.rise_fraction > 0 and self.fall_fraction > 0
-                and self.rise_fraction + self.fall_fraction < 1):
-            raise ValueError("rise_fraction and fall_fraction must be positive with a sum below 1")
-        require_positive(self, "max_qubits")
 
 
 @dataclass(frozen=True)
@@ -115,18 +112,18 @@ def blockade_radius(report: EmbeddingReport) -> float:
 def build_adiabatic_pulse(report: EmbeddingReport, cfg: EmulatorConfig) -> PulseSchedule:
     """Trapezoidal Rabi drive capped by the blockade condition, linear detuning sweep.
 
-    The peak Rabi frequency is min(C6 / r_b^6, omega_max) for blockade radius
-    r_b; the drive rises over the first rise_fraction of the duration and
-    falls over the last fall_fraction. The detuning ramps linearly from
-    delta_start to delta_end across the full duration.
+    The peak Rabi frequency is min(C6 / r_b^6, OMEGA_MAX) for blockade radius
+    r_b; the drive rises over the first RAMP_FRACTION of the duration and
+    falls over the last. The detuning ramps linearly from delta_start to
+    delta_end across the full duration.
     """
     r_b = blockade_radius(report)
-    peak = min(cfg.c6 / r_b**6, cfg.omega_max)
+    peak = min(cfg.c6 / r_b**6, OMEGA_MAX)
     t_end = cfg.duration
     omega = (
         (0.0, 0.0),
-        (cfg.rise_fraction * t_end, peak),
-        ((1.0 - cfg.fall_fraction) * t_end, peak),
+        (RAMP_FRACTION * t_end, peak),
+        ((1.0 - RAMP_FRACTION) * t_end, peak),
         (t_end, 0.0),
     )
     delta = ((0.0, cfg.delta_start), (t_end, cfg.delta_end))
@@ -180,8 +177,8 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
     multiply and one matmul per qubit block; per-step tables are built first.
     """
     n = reg.n
-    if n > cfg.max_qubits:
-        raise ValueError(f"{n} atoms exceed the emulation cap of {cfg.max_qubits}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} atoms exceed the emulation cap of {MAX_QUBITS}")
     steps = max(1, round(pulse.duration / cfg.dt))
     h = pulse.duration / steps
 
@@ -192,8 +189,7 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
     counts = np.arange(n + 1)
 
     omegas, deltas = pulse.at_midpoints(steps)
-    thetas = (0.5 if cfg.half_rabi else 1.0) * omegas * h
-    rotate = x_rotations(n, thetas)
+    rotate = x_rotations(n, omegas * h)
     phases = np.exp(0.5j * h * (deltas[:-1] + deltas[1:])[:, None] * counts)
 
     psi = np.zeros(size, dtype=np.complex128)

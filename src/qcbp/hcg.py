@@ -8,11 +8,14 @@ heaviest set first, then the other improving sets its search built. Columns
 are only appended within a run, so each re-solve restarts from the last
 optimal basis.
 
-Every run reports Farley's bound: the clipped duals' sum over the weight of
-the heaviest independent set under them. The master's objective is not a
-certified bound. A capped run's is an upper bound on the LP, and a certificate
-only shows that no set weighs more than 1 + IMPROVE_EPS. A certified run takes
-the weight from its certifying exact call; a capped run makes one more.
+A run that has not certified after `max_iterations` pricing rounds stops
+capped; the search passes `SolverConfig.hcg_max_iterations`, whose default is
+MAX_ITERATIONS. Every run reports Farley's bound: the clipped duals' sum over
+the weight of the heaviest independent set under them. The master's objective
+is not a certified bound. A capped run's is an upper bound on the LP, and a
+certificate only shows that no set weighs more than 1 + IMPROVE_EPS. A
+certified run takes the weight from its certifying exact call; a capped run
+makes one more.
 
 A subproblem is the root graph and the mask of its vertices, the search
 node's residual; the master, the exact pricer and the pool see no other
@@ -27,17 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, iter_bits, mask_of, require_positive
+from .graphs import Graph, iter_bits, mask_of
 from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis
 from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
 
-
-@dataclass(frozen=True)
-class HcgCaps:
-    max_iterations: int = 50
-
-    def __post_init__(self) -> None:
-        require_positive(self, "max_iterations")
+MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
 
 
 @dataclass
@@ -54,16 +51,15 @@ def run_hcg(
     keep: int,
     pool: ColumnPool,
     engine: PricingEngine,
-    caps: HcgCaps | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> HcgResult:
     """Column generation on the subproblem that `root` induces on `keep`,
-    until certified or capped.
+    until certified or after `max_iterations` pricing rounds.
 
     Every column, pooled or new, is a root-graph mask; the master cuts each
     one down to `keep` and holds its own singletons, so it stays feasible.
     New columns go into the shared pool as found.
     """
-    caps = caps or HcgCaps()
     model = init_rmp(root, keep, pool)
 
     log: list[PricingStats] = []
@@ -73,7 +69,7 @@ def run_hcg(
     sol = solve_rmp(model)
     prev_obj = sol.objective
     iterations = 0
-    for iteration in range(1, caps.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         iterations = iteration
         duals = sol.duals
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
@@ -85,9 +81,8 @@ def run_hcg(
 
         found: list[int] = []
         if engine.kind != "exact_pricer" and positive.bit_count() >= 2:
-            columns, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)
+            found, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)
             log.append(stats)
-            found = [col.mask for col in columns]
         if not found:
             best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals], found)
             engine.exact_pricer_calls += 1

@@ -90,14 +90,6 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
 
 
 @dataclass(frozen=True)
-class PricedColumn:
-    """A new improving column in root-graph indexing."""
-
-    mask: int
-    reduced_cost: float
-
-
-@dataclass(frozen=True)
 class PricingStats:
     """One row of the per-iteration pricing log."""
 
@@ -178,7 +170,7 @@ class PricingEngine:
         duals: np.ndarray,
         pool: ColumnPool,
         iteration: int = 0,
-    ) -> tuple[list[PricedColumn], PricingStats]:
+    ) -> tuple[list[int], PricingStats]:
         """Sampler pricing pass over the subproblem that `root` induces on the
         dual-positive mask `positive` (`duals` holds one value per root vertex).
 
@@ -195,7 +187,7 @@ class PricingEngine:
         counts = self._draw_bitstrings(sub, positive, w)
         self.shots_used += self.config.shots
 
-        columns: list[PricedColumn] = []
+        columns: list[int] = []
         seen_root: set[int] = set()
         n_maximal = 0
         for local in counts:
@@ -203,15 +195,14 @@ class PricingEngine:
                 continue
             if self.config.extend_to_maximal:
                 local = self._extend_to_maximal(sub, local)
-            rc = reduced_cost(local, w)
-            if rc >= -IMPROVE_EPS:
+            if reduced_cost(local, w) >= -IMPROVE_EPS:
                 continue
             root_mask = expand_mask(local, positive)
             if root_mask in pool or root_mask in seen_root:
                 continue
             seen_root.add(root_mask)
             n_maximal += sub.is_maximal_independent(local)
-            columns.append(PricedColumn(mask=root_mask, reduced_cost=rc))
+            columns.append(root_mask)
         stats = PricingStats(
             iteration=iteration,
             n_sub=sub.n,

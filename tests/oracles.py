@@ -27,8 +27,8 @@ def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, st
     """Classic fixed-step RK4 integration of the Schrodinger equation.
 
     Steps at `step` (rounded to divide the duration), not at cfg.dt; cfg
-    gives only c6 and half_rabi. The state is normalized at the end to
-    remove the integrator's tiny norm drift before fidelity comparisons.
+    gives only c6. The state is normalized at the end to remove the
+    integrator's tiny norm drift before fidelity comparisons.
     """
     n = reg.n
     steps = max(1, round(pulse.duration / step))
@@ -39,12 +39,11 @@ def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, st
     occ = np.zeros(size)
     for i in range(n):
         occ += (np.arange(size) >> i) & 1
-    rabi_scale = 0.5 if cfg.half_rabi else 1.0
 
     # Omega and delta at every stage time t, t + h/2, t + h, looked up at once
     t = np.arange(steps) * h
     stages = np.stack([t, t + h / 2, t + h])
-    oms = rabi_scale * np.interp(stages, *zip(*pulse.omega))
+    oms = np.interp(stages, *zip(*pulse.omega))
     des = np.interp(stages, *zip(*pulse.delta))
 
     def rhs(stage: int, k: int, psi: np.ndarray) -> np.ndarray:
@@ -76,7 +75,6 @@ def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorC
     occupation = np.bitwise_count(np.arange(size))
     inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
     inter_full = inter_half * inter_half
-    rabi_scale = 0.5 if cfg.half_rabi else 1.0
     counts = np.arange(n + 1)
 
     def half_phase(delta: float) -> np.ndarray:
@@ -98,7 +96,7 @@ def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorC
     psi *= half_phase(deltas[0])
     for k in range(steps):
         if omegas[k]:
-            psi = rotate_pairs(psi, rabi_scale * omegas[k] * h)
+            psi = rotate_pairs(psi, omegas[k] * h)
         if k + 1 < steps:
             psi *= inter_full * np.exp(0.5j * h * (deltas[k] + deltas[k + 1]) * counts)[occupation]
     psi *= half_phase(deltas[-1])

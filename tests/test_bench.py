@@ -1,5 +1,6 @@
 import itertools
-from dataclasses import replace
+import math
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -25,6 +26,18 @@ from qcbp.graphs import parse_dimacs, positions_from_csv, pairwise_distances
 from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, SamplerConfig
 
 
+def leaves(config, prefix: str = "") -> dict[str, object]:
+    """Every non-dataclass field of a nested config, keyed by its dotted path."""
+    out: dict[str, object] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update(leaves(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
 def counter_clock():
     ticker = itertools.count()
     return lambda: float(next(ticker))
@@ -42,6 +55,21 @@ class TestRunConfig:
         assert cfg.sampler_config() == SamplerConfig(
             embed=EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM))
         assert cfg.solver_config() == SolverConfig()
+
+    def test_every_nested_field_is_reachable(self):
+        # A config field that no RunConfig field sets is a library-only knob.
+        moved = {
+            "mode": "exact", "sampler": "classical_stochastic", "shots": 7, "seed": 3,
+            "node_budget": 9, "hcg_max_iterations": 4, "extend_to_maximal": True,
+            "dt": 2e-3, "c6": 5e5, "duration": 2.0, "delta_start": -10.0, "delta_end": 12.0,
+            "register_radius": 7.0, "embed_iterations": 100, "embed_restarts": 2,
+        }
+        assert moved.keys() == {f.name for f in fields(RunConfig)}
+        default, cfg = RunConfig(), RunConfig(**moved)
+        assert all(getattr(cfg, k) != getattr(default, k) for k in moved)
+        before = leaves(default.sampler_config()) | leaves(default.solver_config())
+        after = leaves(cfg.sampler_config()) | leaves(cfg.solver_config())
+        assert [name for name in before if after[name] == before[name]] == []
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -124,6 +152,17 @@ class TestDataset:
                 for v in range(u + 1, g.n)
             )
             assert matches == rec.is_ud
+
+    def test_per_n_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="per_n must be >= 1"):
+            generate_dataset(tmp_path / "out", per_n=0)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_ud_fraction_outside_unit_interval_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match=r"ud_fraction must lie in \[0, 1\]"):
+            generate_dataset(tmp_path / "out", ud_fraction=value)
+        assert not (tmp_path / "out").exists()
 
     def test_regeneration_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -21,7 +21,7 @@ from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, mask_of, random_ud_graph, restrict_mask
-from qcbp.hcg import HcgCaps, HcgResult
+from qcbp.hcg import HcgResult
 from qcbp.pricing import PricingEngine, SamplerConfig
 
 
@@ -252,7 +252,7 @@ class TestSolve:
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
             engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
             # a root bound above chi would raise here: the heuristic beats it
-            res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=cap)), engine=engine)
+            res = solve_qcbp(g, SolverConfig(hcg_max_iterations=cap), engine=engine)
             assert res.root_lb <= exact_chromatic_number(g)
 
     @pytest.mark.parametrize("cap", [1, 2])
@@ -264,7 +264,7 @@ class TestSolve:
         for k in range(150):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
             engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
-            res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=cap)), engine=engine)
+            res = solve_qcbp(g, SolverConfig(hcg_max_iterations=cap), engine=engine)
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g), f"instance {k}"
@@ -294,7 +294,7 @@ class TestSolve:
 
     def test_capped_runs_are_counted_uncertified(self):
         g = random_graph(9, 0.4, np.random.default_rng(88))
-        res = solve_qcbp(g, SolverConfig(hcg=HcgCaps(max_iterations=1)), engine=exact_engine())
+        res = solve_qcbp(g, SolverConfig(hcg_max_iterations=1), engine=exact_engine())
         assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
 
     def test_pool_is_a_packed_array_of_distinct_masks(self):
@@ -415,7 +415,7 @@ class TestWeakBoundSearch:
         # random search order reaches one residual by a deeper path first.
         explored = []
 
-        def no_pricing(root, keep, pool, engine, caps):
+        def no_pricing(root, keep, pool, engine, max_iterations):
             explored.append(keep)
             return HcgResult(rmp=None, lp_bound=0.0, iterations=0, certified=False)
 

@@ -1,5 +1,6 @@
 import pytest
 
+import qcbp.cli
 from qcbp.cli import main
 from qcbp.graphs import Graph
 
@@ -15,6 +16,22 @@ class TestGen:
     def test_writes_dataset(self, dataset):
         assert (dataset / "manifest.csv").exists()
         assert len(list(dataset.glob("*.dimacs"))) == 4
+
+    def test_only_given_flags_reach_the_generator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qcbp.cli, "generate_dataset", lambda out, **kw: calls.append((out, kw)) or [])
+        assert main(["gen", "--out", "d", "--ns", "5,6", "--ud-fraction", "0.25"]) == 0
+        assert main(["gen", "--out", "e"]) == 0
+        assert calls == [("d", {"ns": (5, 6), "ud_fraction": 0.25}), ("e", {})]
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--per-n", "0", "per_n must be >= 1"),
+        ("--ud-fraction", "3", "ud_fraction must lie in [0, 1]"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, flag, value, reason):
+        assert main(["gen", "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolve:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from qcbp.bnp import SolverConfig
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, expand_mask, iter_bits, random_ud_graph
-from qcbp.hcg import HcgCaps, run_hcg
+from qcbp.hcg import run_hcg
 from qcbp.pricing import PricingEngine, SamplerConfig
 from qcbp.rmp import ColumnPool
 
@@ -37,7 +38,7 @@ def stochastic_engine(seed: int = 0) -> PricingEngine:
 
 def run_root(g: Graph, engine: PricingEngine, pool: ColumnPool | None = None):
     pool = ColumnPool.with_singletons(g) if pool is None else pool
-    return run_hcg(g, g.full_mask, pool, engine, HcgCaps())
+    return run_hcg(g, g.full_mask, pool, engine)
 
 
 class TestSmallGraphs:
@@ -134,7 +135,7 @@ class TestAccounting:
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
         pool = ColumnPool.with_singletons(g)
-        res = run_hcg(g, g.full_mask, pool, exact_engine(), HcgCaps(max_iterations=1))
+        res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert not res.certified or res.iterations <= 1
 
     def test_capped_bound_stays_below_the_lp(self):
@@ -146,8 +147,7 @@ class TestAccounting:
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
                 engine = exact_engine()
-                res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), engine,
-                              HcgCaps(max_iterations=cap))
+                res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), engine, cap)
                 assert res.lp_bound <= full_lp_value(g) + 1e-9
                 if not res.certified:
                     capped += 1
@@ -161,13 +161,13 @@ class TestAccounting:
         # all three enter, heaviest first.
         g = Graph.from_edges(4, [])
         pool = ColumnPool.with_singletons(g)
-        res = run_hcg(g, g.full_mask, pool, exact_engine(), HcgCaps(max_iterations=1))
+        res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert res.iterations == 1
         assert list(pool) == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b0111, 0b0011]
 
     def test_caps_below_one_rejected(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            HcgCaps(max_iterations=0)
+        with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):
+            SolverConfig(hcg_max_iterations=0)
 
 
 class TestSubproblemIndexing:
@@ -175,7 +175,7 @@ class TestSubproblemIndexing:
         g, _ = random_ud_graph(9, seed=11, radius=10, box=30)
         keep = 0b101110110
         pool = ColumnPool.with_singletons(g)
-        res = run_hcg(g, keep, pool, exact_engine(), HcgCaps())
+        res = run_hcg(g, keep, pool, exact_engine())
         assert res.certified
         priced = [mask for mask in pool if mask.bit_count() > 1]
         assert priced
@@ -193,8 +193,8 @@ class TestSubproblemIndexing:
             sub = g.induced_subgraph(keep)
             pool, local_pool = ColumnPool.with_singletons(g), ColumnPool.with_singletons(sub)
             engine, local_engine = make_engine(), make_engine()
-            res = run_hcg(g, keep, pool, engine, HcgCaps())
-            local = run_hcg(sub, sub.full_mask, local_pool, local_engine, HcgCaps())
+            res = run_hcg(g, keep, pool, engine)
+            local = run_hcg(sub, sub.full_mask, local_pool, local_engine)
             assert (res.lp_bound, res.iterations, res.certified) == (
                 local.lp_bound, local.iterations, local.certified)
             assert res.pricing_log == local.pricing_log

@@ -114,13 +114,13 @@ class TestExactMwis:
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):
     cols, stats = engine.sample_columns(g, g.full_mask, duals, pool)
-    for col in cols:
-        assert g.is_independent(col.mask)
-        assert col.reduced_cost < -1e-6
-        assert col.mask not in pool
-        assert col.reduced_cost == pytest.approx(reduced_cost(col.mask, duals), abs=1e-12)
+    assert len(set(cols)) == len(cols)
+    for mask in cols:
+        assert g.is_independent(mask)
+        assert reduced_cost(mask, duals) < -IMPROVE_EPS
+        assert mask not in pool
     assert stats.improving == len(cols)
-    assert stats.maximal == sum(g.is_maximal_independent(c.mask) for c in cols)
+    assert stats.maximal == sum(g.is_maximal_independent(mask) for mask in cols)
     assert stats.shots == engine.config.shots
     return cols
 
@@ -143,7 +143,7 @@ class TestClassicalSampler:
         for _ in range(2):
             engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=3))
             cols, _ = engine.sample_columns(g, g.full_mask, duals, ColumnPool.with_singletons(g))
-            out.append([c.mask for c in cols])
+            out.append(cols)
         assert out[0] == out[1]
 
     def test_shot_accounting(self):
@@ -173,11 +173,11 @@ class TestEmulatedSampler:
         engine = PricingEngine(self.FAST)
         cols, stats = engine.sample_columns(g, sub_mask, duals, pool)
         assert stats.shots == 100 and engine.shots_used == 100
-        for col in cols:
-            assert col.mask & ~sub_mask == 0  # root mask stays inside the subproblem
-            assert sub.is_independent(restrict_mask(col.mask, sub_mask))
-            assert col.reduced_cost < -1e-6
-            assert col.mask not in pool
+        for mask in cols:
+            assert mask & ~sub_mask == 0  # root mask stays inside the subproblem
+            assert sub.is_independent(restrict_mask(mask, sub_mask))
+            assert reduced_cost(mask, duals) < -IMPROVE_EPS
+            assert mask not in pool
 
     def test_extend_to_maximal_flag(self):
         g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
@@ -187,7 +187,7 @@ class TestEmulatedSampler:
         )
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
-        assert all(g.is_maximal_independent(c.mask) for c in cols)
+        assert all(g.is_maximal_independent(mask) for mask in cols)
 
 
 class TestConfig:
