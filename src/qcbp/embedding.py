@@ -4,9 +4,9 @@ A register is found by momentum gradient descent directly on the 2n coordinates,
 minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
 hardware minimum spacing, and points outside the register disk. The hardware
-limits, the loss weights and the descent schedule are module constants;
-EmbedParams holds only the unit-disk radius, the iteration budget and the
-restart count. The restarts descend as one batch that stops once a restart
+limits and the loss weights are module constants; EmbedParams holds the
+unit-disk radius, the iteration budget, the restart count and the descent
+schedule (first step, its decay, momentum). The restarts descend as one batch that stops once a restart
 reaches zero loss (an exact layout), so the iteration budget only caps graphs
 with none. The audit then compares the unit-disk graph of the layout against
 the target graph and extracts the distance bounds the pulse builder needs.
@@ -26,8 +26,6 @@ REGISTER_RADIUS_UM = 50.0
 UD_RADIUS_UM = 10.0
 # Loss weights of the edge, non-edge, spacing and register-disk hinges.
 W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
-# Momentum descent: first move per atom in um, its per-iteration decay, momentum.
-STEP, STEP_DECAY, MOMENTUM = 0.5, 0.999, 0.9
 
 
 class EmbeddingError(RuntimeError):
@@ -79,13 +77,21 @@ class EmbeddingReport:
 class EmbedParams:
     ud_radius: float = UD_RADIUS_UM
     iterations: int = 3000
+    step: float = 0.5         # first move per atom, um
+    step_decay: float = 0.999
+    momentum: float = 0.9
     restarts: int = 5
 
     def __post_init__(self) -> None:
         require_positive(self, "iterations")
         require_positive(self, "restarts")
-        if not 0 < self.ud_radius < math.inf:
-            raise ValueError(f"ud_radius must be positive and finite, got {self.ud_radius!r}")
+        for name in ("ud_radius", "step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not 0 < self.step_decay <= 1:
+            raise ValueError(f"step_decay must lie in (0, 1], got {self.step_decay!r}")
 
 
 def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
@@ -134,7 +140,7 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
     rngs = [np.random.default_rng([seed, r]) for r in range(params.restarts)]
     pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
-    step = STEP
+    step = params.step
     for _ in range(params.iterations):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
@@ -157,9 +163,9 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
         # Per-atom normalized descent keeps each move at the um scale of `step`,
         # which the hinge losses need to stay stable.
         gnorm = np.sqrt((grad * grad).sum(axis=2, keepdims=True))
-        vel = MOMENTUM * vel - step * grad / np.maximum(gnorm, 1e-9)
+        vel = params.momentum * vel - step * grad / np.maximum(gnorm, 1e-9)
         pos = pos + vel
-        step *= STEP_DECAY
+        step *= params.step_decay
     return pos
 
 

@@ -170,14 +170,26 @@ class TestEmbedParams:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             EmbedParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["ud_radius", "step"])
     @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
-    def test_ud_radius_must_be_positive_and_finite(self, value):
-        with pytest.raises(ValueError, match="ud_radius must be positive and finite"):
-            EmbedParams(ud_radius=value)
+    def test_lengths_and_step_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            EmbedParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
+    def test_momentum_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="momentum must lie in"):
+            EmbedParams(momentum=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, math.nan])
+    def test_step_decay_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="step_decay must lie in"):
+            EmbedParams(step_decay=value)
 
     def test_range_edges_accepted(self):
-        # One restart of one iteration still lays out a register that
-        # `Register` accepts, at any positive radius.
+        # One restart of one iteration, without momentum or decay, still lays
+        # out a register that `Register` accepts, at any positive radius.
         for radius in (1e-3, 1e3):
-            reg = embed(complete(4), EmbedParams(ud_radius=radius, iterations=1, restarts=1))
-            assert reg.n == 4
+            params = EmbedParams(ud_radius=radius, iterations=1, restarts=1,
+                                 momentum=0.0, step_decay=1.0)
+            assert embed(complete(4), params).n == 4

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,10 +162,13 @@ class TestAgainstPairReference:
     """`evolve` against the same Strang steps rotated qubit pair by pair."""
 
     @pytest.mark.parametrize("n", [8, 10, 12])
-    def test_amplitudes_and_samples(self, n):
+    @pytest.mark.parametrize("half_rabi", [False, True])
+    def test_amplitudes_and_samples(self, n, half_rabi):
         cfg = EmulatorConfig()
         reg, report = unit_disk_register(70 + n, n)
         pulse = build_adiabatic_pulse(report, cfg)
+        if half_rabi:  # a second rotation angle per step: the same pulse at Omega/2
+            pulse = replace(pulse, omega=tuple((t, 0.5 * w) for t, w in pulse.omega))
         psi = evolve(reg, pulse, cfg)
         ref = strang_pairs_final_state(reg, pulse, cfg)
         assert np.abs(psi.amplitudes - ref).max() <= 1e-10
