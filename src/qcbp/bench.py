@@ -122,14 +122,17 @@ def to_csv_row(record: object) -> str:
     return ",".join(_format(getattr(record, f.name)) for f in fields(record))
 
 
+def parse_row(cls: type, line: str) -> object:
+    """One record of dataclass `cls` from a CSV row in `csv_header(cls)` order."""
+    return cls(*(_coerce(f.type, v) for f, v in zip(fields(cls), line.split(","), strict=True)))
+
+
 def parse_csv(cls: type, text: str) -> list:
     """Records of dataclass `cls` from CSV text headed by `csv_header(cls)`."""
     lines = text.splitlines()
     if not lines or lines[0] != csv_header(cls):
         raise ValueError(f"malformed {cls.__name__} CSV header")
-    types = [f.type for f in fields(cls)]
-    return [cls(*(_coerce(t, v) for t, v in zip(types, line.split(","), strict=True)))
-            for line in lines[1:]]
+    return [parse_row(cls, line) for line in lines[1:]]
 
 
 def make_run_config(settings: dict[str, str]) -> RunConfig:
@@ -163,15 +166,18 @@ def generate_dataset(
     """Write DIMACS graphs, position CSVs, and a manifest; deterministic per seed.
 
     The first round(per_n * ud_fraction) instances of each size keep their
-    unit-disk structure; the rest get 1-3 adjacency flips (non-UD).
+    unit-disk structure; the rest get 1-3 adjacency flips (non-UD). Every
+    instance is built before anything is written, so a rejected argument
+    leaves no directory and no partial dataset.
     """
     if per_n < 1:
         raise ValueError(f"per_n must be >= 1, got {per_n}")
     if not 0 <= ud_fraction <= 1:
         raise ValueError(f"ud_fraction must lie in [0, 1], got {ud_fraction!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"ns must not repeat a size (each names its instances), got {tuple(ns)}")
     records: list[InstanceRecord] = []
+    files: dict[str, str] = {}
     n_ud = round(per_n * ud_fraction)
     for n in ns:
         for i in range(per_n):
@@ -183,10 +189,14 @@ def generate_dataset(
             name = f"n{n:02d}_{'ud' if is_ud else 'nud'}_{i:02d}"
             graph_file = f"{name}.dimacs"
             positions_file = f"{name}_positions.csv"
-            (out / graph_file).write_text(g.to_dimacs())
-            (out / positions_file).write_text(positions_to_csv(pos))
+            files[graph_file] = g.to_dimacs()
+            files[positions_file] = positions_to_csv(pos)
             records.append(InstanceRecord(name, n, is_ud, inst_seed, graph_file, positions_file))
-    (out / "manifest.csv").write_text(records_to_csv(records, InstanceRecord))
+    files["manifest.csv"] = records_to_csv(records, InstanceRecord)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, text in files.items():
+        (out / file_name).write_text(text)
     return records
 
 
@@ -337,17 +347,17 @@ def summarize(records: list[BenchRecord], pricing_rows: list[str]) -> str:
             cells.append(f"n={n}:{statistics.median(grp):.1f}" if grp else f"n={n}:-")
         lines.append(f"unit_disk={str(flag).lower():5s}  " + "  ".join(cells))
 
-    by_sub: dict[int, list[tuple[int, int, int]]] = {}
+    by_sub: dict[int, list[PricingStats]] = {}
     for row in pricing_rows:
-        _, _, n_sub, _, distinct, improving, maximal = row.split(",")
-        by_sub.setdefault(int(n_sub), []).append((int(distinct), int(improving), int(maximal)))
+        stats = parse_row(PricingStats, row.partition(",")[2])  # after the instance column
+        by_sub.setdefault(stats.n_sub, []).append(stats)
     if by_sub:
         lines.append("")
         lines.append("== sampler quality by subproblem size (improving / maximal fraction of distinct) ==")
         for n_sub in sorted(by_sub):
-            distinct = sum(d for d, _, _ in by_sub[n_sub])
-            improving = sum(i for _, i, _ in by_sub[n_sub])
-            maximal = sum(m for _, _, m in by_sub[n_sub])
+            distinct = sum(s.distinct_bitstrings for s in by_sub[n_sub])
+            improving = sum(s.improving for s in by_sub[n_sub])
+            maximal = sum(s.maximal for s in by_sub[n_sub])
             if distinct:
                 lines.append(
                     f"n_sub={n_sub:2d}  improving={improving / distinct:.3f}  "

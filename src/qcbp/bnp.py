@@ -1,11 +1,16 @@
 """Branch-and-bound around column generation: branching on maximal sets,
 bounding with master-LP and spectral lower bounds, and a greedy primal
-heuristic that recombines pooled columns into feasible colorings.
+heuristic that recombines a node's columns into feasible colorings.
+
+A node's work comes back in the result of its column generation: the search
+adds up the pricing log and the exact pricer's calls from it, and hands its
+columns (the pool cut down to the residual, plus the sets priced at the node)
+to the primal heuristic and to branching.
 
 A node branches on its residual's highest-degree vertex v: one child fixes
-each maximal independent set that contains v, with the sets the pool already
-holds first. The children cover every coloring of the residual whatever the
-sampler returned, so an exhausted search is a proof.
+each maximal independent set that contains v, with the sets among the node's
+columns first. The children cover every coloring of the residual whatever
+the sampler returned, so an exhausted search is a proof.
 
 A child is cheap to queue: it keeps its parent's bound, and its score is
 the parent's heuristic color count times the child's residual edge count, the
@@ -103,13 +108,13 @@ class SolverConfig:
         require_positive(self, "hcg_max_iterations")
 
 
-def primal_heuristic(g: Graph, residual: int, pool_masks: Collection[int]) -> Coloring:
-    """Greedy coloring of the residual from pooled sets restricted to it:
-    repeatedly color the highest-degree uncolored vertex (degree within the
-    residual) with the pooled set that still covers the most.
+def primal_heuristic(g: Graph, residual: int, columns: Collection[int]) -> Coloring:
+    """Greedy coloring of the residual from the node's columns restricted to
+    it: repeatedly color the highest-degree uncolored vertex (degree within
+    the residual) with the column that still covers the most.
 
     Ties go to the lowest vertex index and the smallest set bitmask. The
-    singletons in the pool guarantee progress.
+    singletons among the columns guarantee progress.
     """
     order = sorted(iter_bits(residual), key=lambda v: (-(g.adj[v] & residual).bit_count(), v))
     uncolored = residual
@@ -117,7 +122,7 @@ def primal_heuristic(g: Graph, residual: int, pool_masks: Collection[int]) -> Co
     while uncolored:
         v = next(u for u in order if (uncolored >> u) & 1)
         best: int | None = None
-        for mask in pool_masks:
+        for mask in columns:
             if not (mask >> v) & 1:
                 continue
             surviving = mask & uncolored
@@ -165,21 +170,21 @@ def maximal_sets_containing(g: Graph, v: int, keep: int) -> list[int]:
     return found
 
 
-def branch(root_graph: Graph, node: BBNode, pool_masks: Iterable[int]) -> list[BBNode]:
+def branch(root_graph: Graph, node: BBNode, columns: Iterable[int]) -> list[BBNode]:
     """One child per maximal independent set of the residual that contains
     its highest-degree vertex v (lowest index on ties).
 
     The class holding v in any coloring extends to one of these sets, so the
-    children cover every coloring of the residual. Sets that a pooled column
-    restricts to come first, so the sampler steers the search; then larger
-    sets, then smaller masks. Distinct sets leave distinct residuals. Each
+    children cover every coloring of the residual. Sets that one of the
+    node's `columns` restricts to come first, so the sampler steers the
+    search; then larger sets, then smaller masks. Distinct sets leave distinct residuals. Each
     child starts from its parent's bound, which covers the whole subtree.
     """
     residual = node.residual_root
     if residual == 0:
         raise ValueError("cannot branch on an empty residual")
     v = max(iter_bits(residual), key=lambda u: ((root_graph.adj[u] & residual).bit_count(), -u))
-    pooled = {m & residual for m in pool_masks}
+    pooled = {m & residual for m in columns}
     fixed_sets = maximal_sets_containing(root_graph, v, residual)
     fixed_sets.sort(key=lambda m: (m not in pooled, -m.bit_count(), m))
     return [
@@ -200,7 +205,7 @@ def solve_qcbp(
     clock=time.perf_counter,
 ) -> SolveResult:
     """Full solve: certified column generation at every explored node, greedy
-    incumbents from the shared pool, best-score-first search with bound
+    incumbents from each node's columns, best-score-first search with bound
     pruning.
 
     A child is queued with its parent's bound and a score, the parent's
@@ -259,9 +264,10 @@ def solve_qcbp(
 
         hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg_max_iterations)
         pricing_log.extend(hcg_res.pricing_log)
+        stats.exact_pricer_calls += hcg_res.exact_calls
         stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
-        local = primal_heuristic(g, node.residual_root, pool)
+        local = primal_heuristic(g, node.residual_root, hcg_res.columns)
         try_incumbent(node.fixed_classes + local.classes)
         if node.depth == 0:
             root_lb, lp_root = node.lb, hcg_res.lp_bound
@@ -270,7 +276,7 @@ def solve_qcbp(
 
         if node.lb >= ub:
             continue
-        for child in branch(g, node, pool):
+        for child in branch(g, node, hcg_res.columns):
             residual = child.residual_root
             if residual == 0:
                 stats.nodes_generated += 1
@@ -288,8 +294,7 @@ def solve_qcbp(
     # a queued node whose residual was queued again shallower is pruned, not open
     stats.nodes_open = sum(n.depth == best_depth[n.residual_root] for _, _, n in heap)
     stats.nodes_pruned += len(heap) - stats.nodes_open
-    stats.shots_total = engine.shots_used
-    stats.exact_pricer_calls = engine.exact_pricer_calls
+    stats.shots_total = sum(row.shots for row in pricing_log)
     stats.wall_seconds = clock() - t_start
     return SolveResult(
         coloring=incumbent,

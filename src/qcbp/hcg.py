@@ -39,11 +39,23 @@ MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
 
 @dataclass
 class HcgResult:
+    """What one run did at its node.
+
+    `iterations` counts pricing rounds and `certified` says whether the exact
+    pricer closed the run; `pricing_log` has a row per sampler call and
+    `exact_calls` counts the exact pricer's calls, the capped run's bound call
+    included. `columns` are the master's masks: the pool cut down to the
+    node's residual and deduplicated, singletons first, then the columns
+    priced at this node.
+    """
+
     rmp: RmpSolution
     lp_bound: float
     iterations: int
     certified: bool
     pricing_log: list[PricingStats] = field(default_factory=list)
+    exact_calls: int = 0
+    columns: list[int] = field(default_factory=list)
 
 
 def run_hcg(
@@ -58,11 +70,13 @@ def run_hcg(
 
     Every column, pooled or new, is a root-graph mask; the master cuts each
     one down to `keep` and holds its own singletons, so it stays feasible.
-    New columns go into the shared pool as found.
+    New columns go into the shared pool as found. The result reports the
+    run's own work and the master's columns; the engine keeps no tally.
     """
     model = init_rmp(root, keep, pool)
 
     log: list[PricingStats] = []
+    exact_calls = 0
     certified = False
     heaviest = 0.0  # weight of the last exact pricer's set
 
@@ -85,7 +99,7 @@ def run_hcg(
             log.append(stats)
         if not found:
             best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals], found)
-            engine.exact_pricer_calls += 1
+            exact_calls += 1
             heaviest = sum(float(duals[v]) for v in iter_bits(best))
             if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
@@ -107,10 +121,10 @@ def run_hcg(
         heaviest += sum(float(d) for d in duals if 0.0 < d <= DUAL_POS_EPS)
     else:
         heaviest = sum(float(duals[v]) for v in iter_bits(exact_mwis(root, duals)))
-        engine.exact_pricer_calls += 1
+        exact_calls += 1
     # Farley: the clipped duals scaled by the heaviest independent set under
     # them are dual feasible, so this is a valid LP lower bound.
     lp_bound = sum(max(float(d), 0.0) for d in duals) / max(1.0, heaviest)
 
-    return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations,
-                     certified=certified, pricing_log=log)
+    return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations, certified=certified,
+                     pricing_log=log, exact_calls=exact_calls, columns=model.masks)

@@ -119,12 +119,15 @@ class SamplerConfig:
 
 
 class PricingEngine:
-    """Owns the sampler configuration and shot accounting."""
+    """Holds the sampler configuration and the seed stream of its draws.
+
+    Each draw takes the next seed of the stream, which carries on across
+    solves that share the engine. The engine keeps no tallies: a sampling
+    pass reports its shots in its `PricingStats` row.
+    """
 
     def __init__(self, config: SamplerConfig | None = None) -> None:
         self.config = config or SamplerConfig()
-        self.shots_used = 0
-        self.exact_pricer_calls = 0
         self._draws = 0
 
     @property
@@ -185,7 +188,6 @@ class PricingEngine:
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
         counts = self._draw_bitstrings(sub, positive, w)
-        self.shots_used += self.config.shots
 
         columns: list[int] = []
         seen_root: set[int] = set()

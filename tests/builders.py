@@ -1,0 +1,33 @@
+"""Small graphs and pricing engines that several test modules build."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qcbp.graphs import Graph
+from qcbp.pricing import PricingEngine, SamplerConfig
+
+
+def path3() -> Graph:
+    return Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def exact_engine() -> PricingEngine:
+    return PricingEngine(SamplerConfig(kind="exact_pricer"))
+
+
+def stochastic_engine(seed: int = 0) -> PricingEngine:
+    return PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=seed))

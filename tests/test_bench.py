@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -161,6 +162,21 @@ class TestDataset:
             generate_dataset(tmp_path / "out", per_n=0)
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_size_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ns must not repeat a size"):
+            generate_dataset(tmp_path / "out", ns=(5, 5), per_n=1)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("options, reason", [
+        ({"ns": (5, 0)}, "n must be >= 1"),
+        ({"radius": -1.0}, "radius must be positive"),
+        ({"box": 0.0}, "could not place"),
+    ])
+    def test_bad_instance_parameters_write_nothing(self, tmp_path, options, reason):
+        with pytest.raises((ValueError, RuntimeError), match=reason):
+            generate_dataset(tmp_path / "out", **options)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
     def test_ud_fraction_outside_unit_interval_rejected(self, tmp_path, value):
         with pytest.raises(ValueError, match=r"ud_fraction must lie in \[0, 1\]"):
@@ -242,3 +258,18 @@ class TestBenchmark:
         assert "optimality rate" in text
         assert "mean relative gap" in text
         assert "exact-pricer calls" in text
+
+    def test_sampler_quality_sums_the_pricing_rows(self, small_dataset):
+        records, pricing = run_benchmark(
+            small_dataset, RunConfig(mode="qcbp", sampler="classical_stochastic", shots=25, seed=4),
+            clock=counter_clock(),
+        )
+        distinct: dict[int, int] = {}
+        for row in pricing:
+            cells = dict(zip(PRICING_HEADER.split(","), row.split(","), strict=True))
+            n_sub = int(cells["n_sub"])
+            distinct[n_sub] = distinct.get(n_sub, 0) + int(cells["distinct_bitstrings"])
+        table = summarize(records, pricing).split("== sampler quality by subproblem size")[1]
+        shown = {int(n): int(d) for n, d in re.findall(r"n_sub=\s*(\d+) .*\(distinct=(\d+)\)", table)}
+        assert len(shown) > 1
+        assert shown == {n: d for n, d in distinct.items() if d}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcbp.bnp
+import qcbp.hcg
 
 from qcbp.bnp import (
     BBNode,
@@ -20,34 +21,11 @@ from qcbp.bounds import SpectralBounds, spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
-from qcbp.graphs import Graph, expand_mask, flip_random_pairs, mask_of, random_ud_graph, restrict_mask
+from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.hcg import HcgResult
 from qcbp.pricing import PricingEngine, SamplerConfig
 
-
-def path3() -> Graph:
-    return Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
-def exact_engine() -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="exact_pricer"))
-
-
-def stochastic_engine(seed: int = 0) -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=seed))
+from builders import complete, cycle, exact_engine, path3, random_graph, stochastic_engine
 
 
 class TestPrimalHeuristic:
@@ -345,6 +323,50 @@ class TestSolve:
         assert s.nodes_open > 0
         assert names.count("spectral_lb") <= names.count("node_score") - s.nodes_open
 
+    def test_solves_sharing_an_engine_report_their_own_work(self, monkeypatch):
+        # The engine's seed stream carries on across solves, but each solve's
+        # shots and exact-pricer calls are its own.
+        exact_calls = []
+        real_exact_mwis = qcbp.hcg.exact_mwis
+
+        def counting(*args):
+            exact_calls.append(args)
+            return real_exact_mwis(*args)
+
+        monkeypatch.setattr(qcbp.hcg, "exact_mwis", counting)
+        rng = np.random.default_rng([1, 20, 2])  # explores 7 nodes
+        gnp = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
+        engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=50, seed=0))
+        for g in (cycle(5), cycle(5), gnp):
+            exact_calls.clear()
+            res = solve_qcbp(g, engine=engine)
+            assert res.stats.shots_total == sum(row.shots for row in res.pricing_log) > 0
+            assert res.stats.exact_pricer_calls == len(exact_calls) > 0
+        assert res.stats.nodes_explored > 1
+
+    def test_heuristic_and_branching_read_the_node_columns(self, monkeypatch):
+        # Both get the node's master columns: inside its residual, no repeats.
+        seen: list[tuple[int, list[int]]] = []
+
+        def recording(fn, residual_of):
+            def wrapped(*args):
+                seen.append((residual_of(args), list(args[2])))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(qcbp.bnp, "primal_heuristic",
+                            recording(qcbp.bnp.primal_heuristic, lambda a: a[1]))
+        monkeypatch.setattr(qcbp.bnp, "branch",
+                            recording(qcbp.bnp.branch, lambda a: a[1].residual_root))
+        rng = np.random.default_rng([1, 20, 4])
+        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
+        res = solve_qcbp(g, engine=exact_engine())
+        assert len(seen) > res.stats.nodes_explored > 1
+        for residual, columns in seen:
+            assert all(0 < m and m & ~residual == 0 for m in columns)
+            assert len(set(columns)) == len(columns)
+            assert set(columns) >= {1 << v for v in iter_bits(residual)}
+
     def test_node_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="node_budget"):
             SolverConfig(node_budget=0)
@@ -417,7 +439,8 @@ class TestWeakBoundSearch:
 
         def no_pricing(root, keep, pool, engine, max_iterations):
             explored.append(keep)
-            return HcgResult(rmp=None, lp_bound=0.0, iterations=0, certified=False)
+            return HcgResult(rmp=None, lp_bound=0.0, iterations=0, certified=False,
+                             columns=[1 << v for v in iter_bits(keep)])
 
         order = np.random.default_rng(0)
         monkeypatch.setattr(qcbp.bnp, "run_hcg", no_pricing)

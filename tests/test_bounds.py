@@ -6,18 +6,7 @@ from qcbp.bounds import adjacency_spectrum, spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.graphs import Graph
 
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from builders import complete, cycle, random_graph
 
 
 class TestAdjacencySpectrum:

@@ -6,13 +6,7 @@ import pytest
 from qcbp.chromatic import exact_chromatic_number, exact_coloring, greedy_coloring
 from qcbp.graphs import Graph
 
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+from builders import complete, cycle
 
 
 def petersen() -> Graph:

@@ -27,6 +27,8 @@ class TestGen:
     @pytest.mark.parametrize("flag, value, reason", [
         ("--per-n", "0", "per_n must be >= 1"),
         ("--ud-fraction", "3", "ud_fraction must lie in [0, 1]"),
+        ("--ns", "5,5", "ns must not repeat a size"),
+        ("--ns", "0", "n must be >= 1"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, flag, value, reason):
         assert main(["gen", "--out", str(tmp_path / "out"), flag, value]) == 2

@@ -15,9 +15,7 @@ from qcbp.embedding import (
 from qcbp.graphs import Graph, pairwise_distances, random_ud_graph
 from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM
 
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+from builders import complete
 
 
 FAST = EmbedParams(iterations=600, restarts=2)

@@ -15,18 +15,7 @@ from qcbp.graphs import (
     restrict_mask,
 )
 
-
-def path3() -> Graph:
-    return Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from builders import complete, path3, random_graph
 
 
 class TestParseDimacs:

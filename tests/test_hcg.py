@@ -10,10 +10,7 @@ from qcbp.hcg import run_hcg
 from qcbp.pricing import PricingEngine, SamplerConfig
 from qcbp.rmp import ColumnPool
 
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from builders import exact_engine, random_graph, stochastic_engine
 
 
 def full_lp_value(g: Graph) -> float:
@@ -26,14 +23,6 @@ def full_lp_value(g: Graph) -> float:
     res = linprog(np.ones(len(masks)), A_eq=a, b_eq=np.ones(g.n), bounds=(0, None), method="highs")
     assert res.status == 0
     return float(res.fun)
-
-
-def exact_engine() -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="exact_pricer"))
-
-
-def stochastic_engine(seed: int = 0) -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=seed))
 
 
 def run_root(g: Graph, engine: PricingEngine, pool: ColumnPool | None = None):
@@ -63,10 +52,9 @@ class TestSmallGraphs:
         assert res.lp_bound == pytest.approx(2.0, abs=1e-9)
 
     def test_single_vertex(self):
-        engine = exact_engine()
-        res = run_root(Graph.from_edges(1, []), engine)
+        res = run_root(Graph.from_edges(1, []), exact_engine())
         assert res.certified and res.lp_bound == pytest.approx(1.0)
-        assert engine.exact_pricer_calls >= 1
+        assert res.exact_calls >= 1
 
 
 class TestCertificates:
@@ -109,10 +97,9 @@ class TestCertificates:
         rng = np.random.default_rng(72)
         for _ in range(10):
             g = random_graph(7, 0.5, rng)
-            engine = stochastic_engine(int(rng.integers(1 << 20)))
-            res = run_root(g, engine)
+            res = run_root(g, stochastic_engine(int(rng.integers(1 << 20))))
             assert res.certified
-            assert engine.exact_pricer_calls >= 1
+            assert res.exact_calls >= 1
 
 
 class TestAccounting:
@@ -121,16 +108,14 @@ class TestAccounting:
         g = random_graph(9, 0.4, rng)
         engine = stochastic_engine(5)
         res = run_root(g, engine)
-        assert engine.shots_used == sum(row.shots for row in res.pricing_log)
+        assert [row.shots for row in res.pricing_log] == [engine.config.shots] * len(res.pricing_log)
         assert 1 <= len(res.pricing_log) <= res.iterations
 
     def test_exact_pricer_mode_uses_no_shots(self):
         g = random_graph(8, 0.4, np.random.default_rng(74))
-        engine = exact_engine()
-        res = run_root(g, engine)
-        assert engine.shots_used == 0
+        res = run_root(g, exact_engine())
         assert res.pricing_log == []
-        assert engine.exact_pricer_calls == res.iterations
+        assert res.exact_calls == res.iterations
 
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
@@ -146,13 +131,12 @@ class TestAccounting:
         for cap in (1, 2):
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
-                engine = exact_engine()
-                res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), engine, cap)
+                res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), exact_engine(), cap)
                 assert res.lp_bound <= full_lp_value(g) + 1e-9
                 if not res.certified:
                     capped += 1
                     # the bound's own exact MWIS call is counted
-                    assert engine.exact_pricer_calls == res.iterations + 1
+                    assert res.exact_calls == res.iterations + 1
         assert capped > 0
 
     def test_one_exact_round_adds_several_columns(self):
@@ -192,14 +176,13 @@ class TestSubproblemIndexing:
             keep = (int(rng.integers(1, 1 << g.n)) & ~1) or 1 << (g.n - 1)
             sub = g.induced_subgraph(keep)
             pool, local_pool = ColumnPool.with_singletons(g), ColumnPool.with_singletons(sub)
-            engine, local_engine = make_engine(), make_engine()
-            res = run_hcg(g, keep, pool, engine)
-            local = run_hcg(sub, sub.full_mask, local_pool, local_engine)
-            assert (res.lp_bound, res.iterations, res.certified) == (
-                local.lp_bound, local.iterations, local.certified)
+            res = run_hcg(g, keep, pool, make_engine())
+            local = run_hcg(sub, sub.full_mask, local_pool, make_engine())
+            assert (res.lp_bound, res.iterations, res.certified, res.exact_calls) == (
+                local.lp_bound, local.iterations, local.certified, local.exact_calls)
             assert res.pricing_log == local.pricing_log
             assert [m for m in pool if m & keep == m] == [expand_mask(m, keep) for m in local_pool]
-            assert engine.exact_pricer_calls == local_engine.exact_pricer_calls
+            assert res.columns == [expand_mask(m, keep) for m in local.columns]
 
 
 class TestEmulatedEndToEnd:
@@ -210,9 +193,8 @@ class TestEmulatedEndToEnd:
             embed=EmbedParams(iterations=800, restarts=2),
             emulator=EmulatorConfig(dt=2e-3),
         )
-        engine = PricingEngine(cfg)
-        res = run_root(g, engine)
+        res = run_root(g, PricingEngine(cfg))
         assert res.certified
         assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
-        assert engine.exact_pricer_calls >= 1
-        assert engine.shots_used > 0
+        assert res.exact_calls >= 1
+        assert sum(row.shots for row in res.pricing_log) > 0

@@ -13,18 +13,7 @@ from qcbp.pricing import (
 )
 from qcbp.rmp import ColumnPool
 
-
-def path3() -> Graph:
-    return Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from builders import complete, path3, random_graph
 
 
 def brute_mwis(g: Graph, w) -> tuple[float, int]:
@@ -150,9 +139,9 @@ class TestClassicalSampler:
         g = random_graph(6, 0.4, np.random.default_rng(63))
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=25, seed=0))
         pool = ColumnPool.with_singletons(g)
-        engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
-        engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
-        assert engine.shots_used == 50
+        _, first = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
+        _, second = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
+        assert (first.shots, second.shots) == (25, 25)
 
 
 class TestEmulatedSampler:
@@ -172,7 +161,7 @@ class TestEmulatedSampler:
         pool = ColumnPool.with_singletons(g)
         engine = PricingEngine(self.FAST)
         cols, stats = engine.sample_columns(g, sub_mask, duals, pool)
-        assert stats.shots == 100 and engine.shots_used == 100
+        assert stats.shots == 100
         for mask in cols:
             assert mask & ~sub_mask == 0  # root mask stays inside the subproblem
             assert sub.is_independent(restrict_mask(mask, sub_mask))

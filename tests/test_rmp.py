@@ -11,14 +11,7 @@ from qcbp.rmp import (
     solve_rmp,
 )
 
-
-def path3() -> Graph:
-    return Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from builders import path3, random_graph
 
 
 def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> int:
