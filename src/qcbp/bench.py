@@ -350,7 +350,8 @@ def summarize(records: list[BenchRecord], pricing_rows: list[str]) -> str:
     by_sub: dict[int, list[PricingStats]] = {}
     for row in pricing_rows:
         stats = parse_row(PricingStats, row.partition(",")[2])  # after the instance column
-        by_sub.setdefault(stats.n_sub, []).append(stats)
+        if stats.shots:  # a round answered from the sample memory drew nothing to rate
+            by_sub.setdefault(stats.n_sub, []).append(stats)
     if by_sub:
         lines.append("")
         lines.append("== sampler quality by subproblem size (improving / maximal fraction of distinct) ==")

@@ -4,12 +4,15 @@ A register is found by momentum gradient descent directly on the 2n coordinates,
 minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
 hardware minimum spacing, and points outside the register disk. The hardware
-limits and the loss weights are module constants; EmbedParams holds the
-unit-disk radius, the iteration budget, the restart count and the descent
-schedule (first step, its decay, momentum). The restarts descend as one batch that stops once a restart
-reaches zero loss (an exact layout), so the iteration budget only caps graphs
-with none. The audit then compares the unit-disk graph of the layout against
-the target graph and extracts the distance bounds the pulse builder needs.
+limits, the loss weights, the descent schedule (first step, its decay,
+momentum) and the stall rule are module constants; EmbedParams holds the
+unit-disk radius, the iteration budget and the restart count. The restarts
+descend as one batch. It stops once a restart reaches zero loss (an exact
+layout), or once the batch's best loss has fallen by less than STALL_DROP over
+the last STALL_WINDOW iterations, so a graph with no exact layout stops when
+its descent stalls and the iteration budget is only a cap. The audit then
+compares the unit-disk graph of the layout against the target graph and
+extracts the distance bounds that `build_adiabatic_pulse` needs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,15 @@ REGISTER_RADIUS_UM = 50.0
 UD_RADIUS_UM = 10.0
 # Loss weights of the edge, non-edge, spacing and register-disk hinges.
 W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
+# Descent schedule: the first move per atom (um), its decay per iteration, and
+# the momentum.
+STEP_UM, STEP_DECAY, MOMENTUM = 0.5, 0.999, 0.9
+# Stall rule, tuned against that schedule: every STALL_WINDOW iterations the
+# batch's best loss must have fallen by STALL_DROP (a share) since the last
+# check, or the descent stops. Over the 470 layouts that the ud_qaa benchmark
+# sets of seeds 1-10 ask for, the rule cuts no exact layout (the slowest takes
+# 335 iterations), and it stops the 7 inexact ones after 200 to 400.
+STALL_WINDOW, STALL_DROP = 100, 0.05
 
 
 class EmbeddingError(RuntimeError):
@@ -77,21 +89,13 @@ class EmbeddingReport:
 class EmbedParams:
     ud_radius: float = UD_RADIUS_UM
     iterations: int = 3000
-    step: float = 0.5         # first move per atom, um
-    step_decay: float = 0.999
-    momentum: float = 0.9
     restarts: int = 5
 
     def __post_init__(self) -> None:
         require_positive(self, "iterations")
         require_positive(self, "restarts")
-        for name in ("ud_radius", "step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not 0 < self.step_decay <= 1:
-            raise ValueError(f"step_decay must lie in (0, 1], got {self.step_decay!r}")
+        if not 0 < self.ud_radius < math.inf:
+            raise ValueError(f"ud_radius must be positive and finite, got {self.ud_radius!r}")
 
 
 def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
@@ -127,7 +131,8 @@ def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> Embedding
 def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
     """All restarts as one (R, n, 2) batch; restart r starts from
     default_rng([seed, r]). Stops at the first iteration where some restart has
-    zero loss, whose layout is then exact, or after `params.iterations`."""
+    zero loss, whose layout is then exact, at the first stalled check of the
+    batch's best loss (see STALL_WINDOW), or after `params.iterations`."""
     n = g.n
     edge_mask = np.zeros((n, n), dtype=bool)
     for u, v in g.edges():
@@ -140,17 +145,18 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
     rngs = [np.random.default_rng([seed, r]) for r in range(params.restarts)]
     pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
-    step = params.step
-    for _ in range(params.iterations):
+    step = STEP_UM
+    checked_loss = math.inf
+    for it in range(params.iterations):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
         dist[:, eye] = 1.0
-        # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
-        k = 2.0 * W_EDGE * np.maximum(dist - params.ud_radius, 0.0) * edge_mask
-        k -= 2.0 * W_NONEDGE * np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
+        too_far = np.maximum(dist - params.ud_radius, 0.0) * edge_mask
+        too_near = np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
         pair_close = np.maximum(MIN_SPACING_UM - dist, 0.0)
         pair_close[:, eye] = 0.0
-        k -= 2.0 * W_SPACING * pair_close
+        # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
+        k = 2.0 * (W_EDGE * too_far - W_NONEDGE * too_near - W_SPACING * pair_close)
         grad = (k[..., None] * diff / dist[..., None]).sum(axis=2)
         offset = pos - pos.mean(axis=1, keepdims=True)
         r = np.sqrt((offset * offset).sum(axis=2))
@@ -160,12 +166,20 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
         # Every hinge term is zero: momentum would only move a finished layout on.
         if not grad.any(axis=(1, 2)).all():
             break
-        # Per-atom normalized descent keeps each move at the um scale of `step`,
-        # which the hinge losses need to stay stable.
+        if it % STALL_WINDOW == 0:
+            # Each pair appears twice in the (n, n) hinges, each atom once.
+            pairs = (W_EDGE * too_far**2 + W_NONEDGE * too_near**2
+                     + W_SPACING * pair_close**2).sum(axis=(1, 2))
+            loss = float((pairs / 2.0 + W_RADIUS * (outside**2).sum(axis=1)).min())
+            if loss > (1.0 - STALL_DROP) * checked_loss:
+                break
+            checked_loss = loss
+        # Per-atom normalized descent keeps each move at the um scale of the
+        # step, which the hinge losses need to stay stable.
         gnorm = np.sqrt((grad * grad).sum(axis=2, keepdims=True))
-        vel = params.momentum * vel - step * grad / np.maximum(gnorm, 1e-9)
+        vel = MOMENTUM * vel - step * grad / np.maximum(gnorm, 1e-9)
         pos = pos + vel
-        step *= params.step_decay
+        step *= STEP_DECAY
     return pos
 
 
@@ -192,7 +206,8 @@ def embed(g: Graph, params: EmbedParams | None = None, seed: int = 0) -> Registe
     """Best register over the configured restarts.
 
     The restarts descend as one batch that ends as soon as one of them reaches
-    zero loss, so `params.iterations` only caps graphs with no exact layout.
+    zero loss or the batch's best loss stalls, so `params.iterations` is only
+    a cap.
     Restarts are ranked by audited edge discrepancies: fewest missing+extra
     first, then fewest extra (extra edges only shrink the sampled family,
     which keeps pricing sound), then restart order.

@@ -190,6 +190,8 @@ def random_ud_graph(
         raise ValueError("n must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not box > 0:
+        raise ValueError(f"box must be positive, got {box!r}")
     rng = np.random.default_rng(seed)
     for _ in range(50):
         pts: list[np.ndarray] = []

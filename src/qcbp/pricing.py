@@ -1,12 +1,16 @@
 """Pricing for column generation: find independent sets whose dual weight beats 1.
 
-The sampler path embeds the dual-positive subproblem on a register, runs the
-adiabatic pulse, samples bitstrings, and keeps those that are independent,
-improving, and new. A classical branch-and-bound MWIS provides the exact
-safeguard that certifies termination, and hands back the other improving sets
-its search builds as extra columns. The embed seed comes from the
-subproblem's vertex set and the evolution is deterministic, so a revisited
-subgraph gets the same final state again without a cache.
+The sampler path first prices the solve's sample memory: every independent
+set the sampler has drawn in this solve, kept on the solve's `ColumnPool` and
+cut down to the dual-positive mask. Only when none of those improves does it
+embed the dual-positive subproblem on a register, run the adiabatic pulse and
+sample bitstrings; it remembers every independent one. Either way it keeps
+the sets that are independent, improving, and new. A recalled round logs no
+shots. A classical branch-and-bound MWIS provides the exact safeguard that
+certifies termination, and hands back the other improving sets its search
+builds as extra columns. The embed seed comes from the subproblem's vertex set
+and the evolution is deterministic, so a revisited subgraph gets the same
+final state again without a cache.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .embedding import EmbedParams, audit, embed
 from .emulator import EmulatorConfig, build_adiabatic_pulse, evolve, sample
-from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
+from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive, restrict_mask
 from .rmp import ColumnPool
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
@@ -52,34 +56,40 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
     """
     w = [float(x) for x in weights]
     order = sorted((v for v in range(g.n) if w[v] > 0.0), key=lambda v: (-w[v], v))
+    weight_of_bit = {1 << v: w[v] for v in order}
+    # Per branching position: the vertex's bit, weight and closed neighbourhood.
+    branch = [(1 << v, w[v], g.adj[v] | (1 << v)) for v in order]
+    depth = len(branch)
     best_w = 0.0
     best_mask = 0
     improving: list[tuple[float, int]] = []  # (-weight, mask): sorts heavier first
-    adj = g.adj
 
     def weight_of(mask: int) -> float:
-        return sum(w[v] for v in iter_bits(mask))
+        """The set's weight, summed in increasing vertex order."""
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += weight_of_bit[low]
+            mask ^= low
+        return total
 
-    def consider(cur_w: float, cur_mask: int) -> None:
+    def descend(pos: int, cand: int, cur_w: float, cur_mask: int, rem: float) -> None:
         nonlocal best_w, best_mask
         if cur_w > best_w + 1e-12 or (cur_w > best_w - 1e-12 and cur_mask < best_mask):
             best_w, best_mask = cur_w, cur_mask
-
-    def descend(pos: int, cand: int, cur_w: float, cur_mask: int, rem: float) -> None:
-        consider(cur_w, cur_mask)
         if cur_w + rem < best_w - 1e-12:
             return
-        while pos < len(order) and not (cand >> order[pos]) & 1:
+        while pos < depth and not cand & branch[pos][0]:
             pos += 1
-        if pos == len(order):
+        if pos == depth:
             return
-        v = order[pos]
-        removed = (adj[v] | (1 << v)) & cand
-        with_v = cur_w + w[v]
+        bit, w_v, closed = branch[pos]
+        removed = closed & cand
+        with_v = cur_w + w_v
         if with_v > 1.0 + IMPROVE_EPS:
-            improving.append((-with_v, cur_mask | (1 << v)))
-        descend(pos + 1, cand & ~removed, with_v, cur_mask | (1 << v), rem - weight_of(removed))
-        descend(pos + 1, cand & ~(1 << v), cur_w, cur_mask, rem - w[v])
+            improving.append((-with_v, cur_mask | bit))
+        descend(pos + 1, cand & ~removed, with_v, cur_mask | bit, rem - weight_of(removed))
+        descend(pos + 1, cand & ~bit, cur_w, cur_mask, rem - w_v)
 
     cand0 = mask_of(order)
     descend(0, cand0, 0.0, 0, weight_of(cand0))
@@ -177,9 +187,12 @@ class PricingEngine:
         """Sampler pricing pass over the subproblem that `root` induces on the
         dual-positive mask `positive` (`duals` holds one value per root vertex).
 
-        Every returned column is a root mask, independent, with reduced cost
-        below -1e-6 and absent from the pool, re-checked here no matter what
-        the sampler produced.
+        The pass first recalls the pool's sample memory: every independent set
+        this solve has drawn, cut down to `positive`. Only when none of those
+        is a column does it draw again, and it stores every independent set
+        the draw returns. Every returned column is a root mask, independent,
+        with reduced cost below -1e-6 and absent from the pool, re-checked
+        here no matter what the sampler produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
@@ -187,12 +200,35 @@ class PricingEngine:
             return [], PricingStats(iteration, 0, 0, 0, 0, 0)
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
-        counts = self._draw_bitstrings(sub, positive, w)
+        recalled = dict.fromkeys(restrict_mask(mask, positive) for mask in pool.samples)
+        columns, n_maximal = self._columns(sub, positive, w, pool, recalled)
+        if columns:
+            return columns, PricingStats(iteration, sub.n, 0, 0, len(columns), n_maximal)
 
+        counts = self._draw_bitstrings(sub, positive, w)
+        pool.samples.update(
+            (expand_mask(local, positive), None) for local in counts if sub.is_independent(local))
+        columns, n_maximal = self._columns(sub, positive, w, pool, counts)
+        stats = PricingStats(
+            iteration=iteration,
+            n_sub=sub.n,
+            shots=self.config.shots,
+            distinct_bitstrings=len(counts),
+            improving=len(columns),
+            maximal=n_maximal,
+        )
+        return columns, stats
+
+    def _columns(
+        self, sub: Graph, positive: int, w: np.ndarray, pool: ColumnPool, candidates
+    ) -> tuple[list[int], int]:
+        """The candidates (masks of `sub`) that are independent and, after the
+        optional extension to maximal, improving and new, as root masks; and
+        how many of those are maximal in `sub`."""
         columns: list[int] = []
         seen_root: set[int] = set()
         n_maximal = 0
-        for local in counts:
+        for local in candidates:
             if not sub.is_independent(local):
                 continue
             if self.config.extend_to_maximal:
@@ -205,12 +241,4 @@ class PricingEngine:
             seen_root.add(root_mask)
             n_maximal += sub.is_maximal_independent(local)
             columns.append(root_mask)
-        stats = PricingStats(
-            iteration=iteration,
-            n_sub=sub.n,
-            shots=self.config.shots,
-            distinct_bitstrings=len(counts),
-            improving=len(columns),
-            maximal=n_maximal,
-        )
-        return columns, stats
+        return columns, n_maximal

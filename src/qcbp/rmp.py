@@ -41,10 +41,17 @@ class RmpError(RuntimeError):
 
 
 class ColumnPool:
-    """Insertion-ordered, duplicate-free set of root-graph column masks."""
+    """Insertion-ordered, duplicate-free set of root-graph column masks.
+
+    A solve's pool also carries its sample memory, `samples`: every
+    independent set the sampler has drawn in this solve, as a root mask in
+    first-seen order, whether or not it became a column. Iteration and
+    membership cover the columns only.
+    """
 
     def __init__(self) -> None:
         self._masks: dict[int, None] = {}
+        self.samples: dict[int, None] = {}
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._masks

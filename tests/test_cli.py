@@ -29,6 +29,7 @@ class TestGen:
         ("--ud-fraction", "3", "ud_fraction must lie in [0, 1]"),
         ("--ns", "5,5", "ns must not repeat a size"),
         ("--ns", "0", "n must be >= 1"),
+        ("--box", "0", "box must be positive"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, flag, value, reason):
         assert main(["gen", "--out", str(tmp_path / "out"), flag, value]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,12 @@ class TestRandomUdGraph:
         dist = pairwise_distances(pos)
         np.fill_diagonal(dist, np.inf)
         assert dist.min() >= 4.0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("box", [0.0, -40.0, math.nan])
+    def test_box_must_be_positive(self, n, box):
+        with pytest.raises(ValueError, match="box must be positive"):
+            random_ud_graph(n, seed=0, box=box)
 
     def test_infeasible_box_raises(self):
         with pytest.raises(RuntimeError):

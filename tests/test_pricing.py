@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qcbp.pricing
+from qcbp.bnp import solve_qcbp
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
@@ -139,7 +141,9 @@ class TestClassicalSampler:
         g = random_graph(6, 0.4, np.random.default_rng(63))
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=25, seed=0))
         pool = ColumnPool.with_singletons(g)
-        _, first = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
+        cols, first = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
+        for mask in cols:  # as run_hcg pools them, so none is recalled
+            pool.add(mask)
         _, second = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
         assert (first.shots, second.shots) == (25, 25)
 
@@ -177,6 +181,53 @@ class TestEmulatedSampler:
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
         assert all(g.is_maximal_independent(mask) for mask in cols)
+
+
+class TestSampleMemory:
+    def test_recalled_columns_are_sound_and_draw_nothing(self, monkeypatch):
+        evolved = []
+        real_evolve = qcbp.pricing.evolve
+
+        def counting(*args):
+            evolved.append(args)
+            return real_evolve(*args)
+
+        monkeypatch.setattr(qcbp.pricing, "evolve", counting)
+        g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
+        pool = ColumnPool.with_singletons(g)
+        engine = PricingEngine(TestEmulatedSampler.FAST)
+        # At duals of 0.45 only sets of 3 or more improve; the drawn pairs are
+        # remembered all the same.
+        cols, first = engine.sample_columns(g, g.full_mask, np.full(g.n, 0.45), pool)
+        for mask in cols:
+            pool.add(mask)
+        assert first.shots == 100 and len(evolved) == 1
+        assert len(pool.samples) > len(cols)
+
+        # At the next round's duals the pairs improve too, and come back from
+        # the memory; the dual-positive mask leaves vertex 5 out.
+        positive = mask_of([0, 1, 2, 3, 4, 6])
+        duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.9, 0.0)
+        cols, stats = engine.sample_columns(g, positive, duals, pool)
+        assert cols and len(evolved) == 1
+        assert (stats.shots, stats.distinct_bitstrings, stats.improving) == (0, 0, len(cols))
+        assert len(set(cols)) == len(cols)
+        for mask in cols:
+            assert mask & ~positive == 0
+            assert g.is_independent(mask)
+            assert reduced_cost(mask, duals) < -IMPROVE_EPS
+            assert mask not in pool
+
+    def test_memory_is_per_solve(self):
+        # The same graph solved twice on one engine: each solve's first
+        # sampler call draws, since its pool starts with an empty memory, and
+        # each solve later answers some round from its memory.
+        engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=20, seed=0))
+        g = random_graph(12, 0.3, np.random.default_rng(64))
+        for _ in range(2):
+            log = solve_qcbp(g, engine=engine).pricing_log
+            assert log[0].shots == 20
+            assert any(row.shots == 0 for row in log)
 
 
 class TestConfig:

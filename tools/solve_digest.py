@@ -1,13 +1,15 @@
 """One SHA-256 over every solve of a benchmark workload, to show that a change
 keeps the solver's results.
 
-    python3 tools/solve_digest.py --workload gnp_exact --seed 1 [--tree PATH]
+    python3 tools/solve_digest.py --workload gnp_exact --seed 1,11 [--tree PATH]
 
 Imports `qcbp` from PATH/src and the workloads and solve loop from
 PATH/benchmark (PATH defaults to this repository), so running it once on a
 checkout of the parent commit and once here compares the two. Each instance is
 solved as `benchmark/run.py` solves it: with the workload's sampler at
 `RunConfig` defaults and the engine seed taken from the instance index.
+`--seed` takes one workload seed or a comma-separated list, and one digest line
+is printed per seed.
 
 The digest covers, per solve in order: chi-hat, the proof flag, the root LP
 value (as `float.hex`), the color classes, the column pool in discovery
@@ -36,12 +38,17 @@ def solve_fields(outcome) -> tuple:
             r.coloring.classes, tuple(r.pool), stats, tuple(astuple(row) for row in r.pricing_log))
 
 
+def seed_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="root of the qcbp source tree to solve with")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=seed_list, required=True,
+                    help="a workload seed, or a comma-separated list of them")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     if not (tree / "src" / "qcbp" / "__init__.py").is_file() or not (tree / "benchmark").is_dir():
@@ -64,13 +71,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     config = RunConfig(sampler=workload.sampler)
-    digest = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
-        instances = workload.make(args.seed, Path(tmp))
-    for i, inst in enumerate(instances):
-        chi = exact_coloring(inst.graph)[0]
-        digest.update(repr(solve_fields(solve(inst.name, inst.graph, chi, i, config))).encode())
-    print(f"{digest.hexdigest()}  {workload.name} seed {args.seed} ({len(instances)} solves)")
+    for seed in args.seed:
+        digest = hashlib.sha256()
+        with tempfile.TemporaryDirectory() as tmp:
+            instances = workload.make(seed, Path(tmp))
+        for i, inst in enumerate(instances):
+            chi = exact_coloring(inst.graph)[0]
+            digest.update(repr(solve_fields(solve(inst.name, inst.graph, chi, i, config))).encode())
+        print(f"{digest.hexdigest()}  {workload.name} seed {seed} ({len(instances)} solves)",
+              flush=True)
     return 0
 
 
