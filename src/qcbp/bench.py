@@ -80,8 +80,9 @@ class RunConfig:
 
 
 def parse_config_file(text: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines, each key once; '#' starts a comment."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,7 +90,9 @@ def parse_config_file(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
+        if key in line_of:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {line_of[key]}")
+        out[key], line_of[key] = value, lineno
     return out
 
 
@@ -138,10 +141,15 @@ def parse_csv(cls: type, text: str) -> list:
 def make_run_config(settings: dict[str, str]) -> RunConfig:
     """Build a RunConfig from string settings, coercing by field type."""
     known = {f.name: f.type for f in fields(RunConfig)}
-    for key in settings:
+    values: dict[str, object] = {}
+    for key, value in settings.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-    return RunConfig(**{key: _coerce(known[key], value) for key, value in settings.items()})
+        try:
+            values[key] = _coerce(known[key], value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    return RunConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -200,10 +208,6 @@ def generate_dataset(
     return records
 
 
-def load_manifest(dataset_dir: str | Path) -> list[InstanceRecord]:
-    return parse_csv(InstanceRecord, (Path(dataset_dir) / "manifest.csv").read_text())
-
-
 @dataclass(frozen=True)
 class BenchRecord:
     instance: str
@@ -221,13 +225,7 @@ class BenchRecord:
     wall_ms: float
 
 
-BENCH_HEADER = csv_header(BenchRecord)
-MANIFEST_HEADER = csv_header(InstanceRecord)
 PRICING_HEADER = "instance," + csv_header(PricingStats)
-
-
-def parse_bench_csv(text: str) -> list[BenchRecord]:
-    return parse_csv(BenchRecord, text)
 
 
 def solve_instance(
@@ -261,8 +259,8 @@ def run_benchmark(
     With a deterministic clock and fixed seeds the CSV outputs are
     byte-identical across runs (single worker).
     """
-    manifest = load_manifest(dataset_dir)
     dataset = Path(dataset_dir)
+    manifest = parse_csv(InstanceRecord, (dataset / "manifest.csv").read_text())
     records: list[BenchRecord] = []
     pricing_rows: list[str] = []
     for idx, inst in enumerate(manifest):

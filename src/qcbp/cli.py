@@ -9,12 +9,13 @@ from pathlib import Path
 
 from .bench import (
     PRICING_HEADER,
+    BenchRecord,
     RunConfig,
     csv_header,
     generate_dataset,
     make_run_config,
-    parse_bench_csv,
     parse_config_file,
+    parse_csv,
     run_benchmark,
     solve_instance,
     summarize,
@@ -89,7 +90,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = parse_bench_csv(Path(args.records).read_text())
+    records = parse_csv(BenchRecord, Path(args.records).read_text())
     pricing_rows: list[str] = []
     if args.pricing_log:
         lines = Path(args.pricing_log).read_text().splitlines()

@@ -86,9 +86,6 @@ class StateVector:
     amplitudes: np.ndarray
     n: int
 
-    def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

@@ -3,10 +3,11 @@
 Vertices are integers 0..n-1 and every vertex set is a plain int bitmask,
 so n is capped at 64. Graphs are immutable after construction. A subgraph is
 named by the root-graph mask of the vertices it keeps, and the solver passes
-that mask around rather than a renumbered graph. Only code that needs the kept
-vertices numbered 0..k-1 (the sampler's atom register, the adjacency spectrum)
-builds an `induced_subgraph`; `restrict_mask` and `expand_mask` carry masks
-into it and back.
+that mask around rather than a renumbered graph: columns, duals, the master's
+rows and the sampler's filter all stay in root numbering. Only the sampler's
+atom register and the adjacency spectrum number the kept vertices 0..k-1;
+they build an `induced_subgraph`, and `expand_mask` carries a drawn bitstring
+back to the root.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ def run_hcg(
                 break
         for mask in found:
             pool.add(mask)
-            model.add(mask)
+        model.add(found)
         sol = solve_rmp(model)
         if sol.objective > prev_obj + 1e-9:
             raise RuntimeError(

@@ -4,13 +4,16 @@ The sampler path first prices the solve's sample memory: every independent
 set the sampler has drawn in this solve, kept on the solve's `ColumnPool` and
 cut down to the dual-positive mask. Only when none of those improves does it
 embed the dual-positive subproblem on a register, run the adiabatic pulse and
-sample bitstrings; it remembers every independent one. Either way it keeps
-the sets that are independent, improving, and new. A recalled round logs no
-shots. A classical branch-and-bound MWIS provides the exact safeguard that
-certifies termination, and hands back the other improving sets its search
-builds as extra columns. The embed seed comes from the subproblem's vertex set
-and the evolution is deterministic, so a revisited subgraph gets the same
-final state again without a cache.
+sample bitstrings; it remembers every independent one. The register is the
+only place where the subproblem's vertices are renumbered: drawn bitstrings
+are expanded to root masks once, and everything else is priced in root
+numbering against the root-indexed duals. Either way it keeps the sets that
+are independent, improving, and new. A recalled round logs no shots. A
+classical branch-and-bound MWIS provides the exact safeguard that certifies
+termination, and hands back the other improving sets its search builds as
+extra columns. The embed seed comes from the subproblem's vertex set and the
+evolution is deterministic, so a revisited subgraph gets the same final state
+again without a cache.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .embedding import EmbedParams, audit, embed
 from .emulator import EmulatorConfig, build_adiabatic_pulse, evolve, sample
-from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive, restrict_mask
+from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
 from .rmp import ColumnPool
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
@@ -170,12 +173,6 @@ class PricingEngine:
             counts[chosen] = counts.get(chosen, 0) + 1
         return dict(sorted(counts.items()))
 
-    def _extend_to_maximal(self, sub: Graph, mask: int) -> int:
-        for v in range(sub.n):
-            if not (mask >> v) & 1 and not sub.adj[v] & mask:
-                mask |= 1 << v
-        return mask
-
     def sample_columns(
         self,
         root: Graph,
@@ -189,56 +186,59 @@ class PricingEngine:
 
         The pass first recalls the pool's sample memory: every independent set
         this solve has drawn, cut down to `positive`. Only when none of those
-        is a column does it draw again, and it stores every independent set
-        the draw returns. Every returned column is a root mask, independent,
-        with reduced cost below -1e-6 and absent from the pool, re-checked
-        here no matter what the sampler produced.
+        is a column does it draw again, on a register of the induced subgraph,
+        and it stores every independent set the draw returns. Every returned
+        column is a root mask, independent, with reduced cost below -1e-6 and
+        absent from the pool, re-checked here no matter what the sampler
+        produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
         if positive == 0:
             return [], PricingStats(iteration, 0, 0, 0, 0, 0)
+        n_sub = positive.bit_count()
+        recalled = dict.fromkeys(mask & positive for mask in pool.samples)
+        columns, n_maximal = self._columns(root, positive, duals, pool, recalled)
+        if columns:
+            return columns, PricingStats(iteration, n_sub, 0, 0, len(columns), n_maximal)
+
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
-        recalled = dict.fromkeys(restrict_mask(mask, positive) for mask in pool.samples)
-        columns, n_maximal = self._columns(sub, positive, w, pool, recalled)
-        if columns:
-            return columns, PricingStats(iteration, sub.n, 0, 0, len(columns), n_maximal)
-
-        counts = self._draw_bitstrings(sub, positive, w)
-        pool.samples.update(
-            (expand_mask(local, positive), None) for local in counts if sub.is_independent(local))
-        columns, n_maximal = self._columns(sub, positive, w, pool, counts)
+        drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
+        pool.samples.update((mask, None) for mask in drawn if root.is_independent(mask))
+        columns, n_maximal = self._columns(root, positive, duals, pool, drawn)
         stats = PricingStats(
             iteration=iteration,
-            n_sub=sub.n,
+            n_sub=n_sub,
             shots=self.config.shots,
-            distinct_bitstrings=len(counts),
+            distinct_bitstrings=len(drawn),
             improving=len(columns),
             maximal=n_maximal,
         )
         return columns, stats
 
     def _columns(
-        self, sub: Graph, positive: int, w: np.ndarray, pool: ColumnPool, candidates
+        self, root: Graph, positive: int, duals: np.ndarray, pool: ColumnPool, candidates
     ) -> tuple[list[int], int]:
-        """The candidates (masks of `sub`) that are independent and, after the
-        optional extension to maximal, improving and new, as root masks; and
-        how many of those are maximal in `sub`."""
+        """The candidates (root masks within `positive`) that are independent
+        and, after the optional extension to maximal within `positive`,
+        improving and new; and how many of those are maximal within
+        `positive`."""
         columns: list[int] = []
-        seen_root: set[int] = set()
+        seen: set[int] = set()
         n_maximal = 0
-        for local in candidates:
-            if not sub.is_independent(local):
+        for mask in candidates:
+            if not root.is_independent(mask):
                 continue
             if self.config.extend_to_maximal:
-                local = self._extend_to_maximal(sub, local)
-            if reduced_cost(local, w) >= -IMPROVE_EPS:
+                for v in iter_bits(positive & ~mask):
+                    if not root.adj[v] & mask:
+                        mask |= 1 << v
+            if reduced_cost(mask, duals) >= -IMPROVE_EPS:
                 continue
-            root_mask = expand_mask(local, positive)
-            if root_mask in pool or root_mask in seen_root:
+            if mask in pool or mask in seen:
                 continue
-            seen_root.add(root_mask)
-            n_maximal += sub.is_maximal_independent(local)
-            columns.append(root_mask)
+            seen.add(mask)
+            n_maximal += all(root.adj[v] & mask for v in iter_bits(positive & ~mask))
+            columns.append(mask)
         return columns, n_maximal

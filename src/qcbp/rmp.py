@@ -5,18 +5,19 @@ subproblem's root-graph mask `keep`, in increasing order (each vertex covered
 exactly once), and lambda >= 0. Columns are independent sets, given as root
 masks and cut down to `keep`; duals come back one per root vertex, 0 outside
 `keep`. The model keeps its 0/1 constraint matrix and the last optimal
-basis. The matrix is written from the pool in one array operation when the
-model is built, then one column at a time as priced columns arrive. The first
-solve starts from the singleton columns, which are always present, so no
-phase-1 is needed. Later solves restart from the previous optimal basis:
-columns are only ever appended, so that basis stays primal feasible. Duals
-come straight from the optimal basis, whose inverse each pivot updates rather
-than recomputes.
+basis. One writer turns masks into matrix columns, a batch at a time in one
+array operation: the singletons and the pool when the model is built, then
+each round's priced columns. The first solve starts from the singleton
+columns, which are always present, so no phase-1 is needed. Later solves
+restart from the previous optimal basis: columns are only ever appended, so
+that basis stays primal feasible. Duals come straight from the optimal basis,
+whose inverse each pivot updates rather than recomputes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -79,46 +80,40 @@ class ColumnPool:
 @dataclass
 class RmpModel:
     """Column pool of the subproblem on `keep`, as root masks cut down to it,
-    with its constraint matrix (columns beyond `len(masks)` are spare
-    capacity) and the last optimal basis (None until the first solve)."""
+    with its constraint matrix (one column per mask, one row per vertex of
+    `keep`) and the last optimal basis (None until the first solve)."""
 
     graph: Graph
     keep: int
     masks: list[int] = field(default_factory=list)
-    _seen: set[int] = field(default_factory=set)
-    _row: dict[int, int] = field(init=False, repr=False)
     _a: np.ndarray = field(init=False, repr=False)
     _basis: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
             raise ValueError(f"keep {self.keep:#x} is not a nonempty vertex mask of the graph")
-        self._row = {v: i for i, v in enumerate(iter_bits(self.keep))}
-        self._a = np.zeros((len(self._row), 4 * len(self._row)))
+        self._a = np.zeros((self.keep.bit_count(), 0))
 
-    def add(self, mask: int) -> bool:
-        mask &= self.keep
-        if mask in self._seen or mask == 0:
-            return False
-        if not self.graph.is_independent(mask):
-            raise ValueError(f"column {mask:#x} is not an independent set (pricing bug)")
-        j = len(self.masks)
-        self._reserve(j + 1)
-        for v in iter_bits(mask):
-            self._a[self._row[v], j] = 1.0
-        self.masks.append(mask)
-        self._seen.add(mask)
-        return True
+    def add(self, masks: Iterable[int]) -> int:
+        """Append independent sets as columns, skipping duplicates; returns the
+        number added."""
+        masks = list(masks)
+        for mask in masks:
+            if not self.graph.is_independent(mask & self.keep):
+                raise ValueError(f"column {mask:#x} is not an independent set (pricing bug)")
+        return self._write(masks)
 
-    def _reserve(self, columns: int) -> None:
-        """Double the matrix's capacity until it holds `columns` columns."""
-        capacity = self._a.shape[1]
-        while capacity < columns:
-            capacity *= 2
-        if capacity > self._a.shape[1]:
-            grown = np.zeros((self._a.shape[0], capacity))
-            grown[:, :len(self.masks)] = self._a[:, :len(self.masks)]
-            self._a = grown
+    def _write(self, masks: Iterable[int]) -> int:
+        """Append the masks cut down to `keep` as matrix columns, dropping zeros
+        and masks already present (a repeat keeps its first position); returns
+        the number appended."""
+        held = set(self.masks)
+        new = [m for m in dict.fromkeys(mask & self.keep for mask in masks) if m and m not in held]
+        rows = np.fromiter(iter_bits(self.keep), np.uint64)
+        columns = (np.array(new, np.uint64) >> rows[:, None]) & 1
+        self._a = np.concatenate([self._a, columns], axis=1, dtype=float)
+        self.masks += new
+        return len(new)
 
 
 @dataclass(frozen=True)
@@ -130,30 +125,15 @@ class RmpSolution:
 
 def init_rmp(g: Graph, keep: int | None = None, pool: Iterable[int] = ()) -> RmpModel:
     """Model of the subproblem on `keep` (all of g by default): its singleton
-    columns (always feasible), then the pooled masks cut down to `keep`,
-    written in one array operation.
+    columns (always feasible), then the pooled masks cut down to `keep`.
 
     Zero and repeated restrictions are dropped, and first occurrences keep
-    their pool order, so the columns are those that `add_columns` would
-    insert one by one. Pooled masks are independent sets, and so are their
+    their pool order. Pooled masks are independent sets, and so are their
     restrictions, so they are not checked again.
     """
     model = RmpModel(graph=g, keep=g.full_mask if keep is None else keep)
-    rows = np.fromiter(model._row, np.uint64, len(model._row))
-    pooled = np.fromiter(pool, np.uint64) & np.uint64(model.keep)
-    masks = np.concatenate([np.uint64(1) << rows, pooled[pooled != 0]])
-    _, first = np.unique(masks, return_index=True)
-    masks = masks[np.sort(first)]
-    model._reserve(masks.size)
-    model._a[:, :masks.size] = (masks >> rows[:, None]) & 1
-    model.masks = masks.tolist()
-    model._seen = set(model.masks)
+    model._write(chain((1 << v for v in iter_bits(model.keep)), pool))
     return model
-
-
-def add_columns(model: RmpModel, masks: Iterable[int]) -> int:
-    """Insert independent sets, skipping duplicates; returns the number added."""
-    return sum(1 for m in masks if model.add(m))
 
 
 def _revised_simplex(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,13 +207,13 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     """
     if model._basis is None:
         singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
-        if len(singleton_pos) < len(model._row):
+        if len(singleton_pos) < model.keep.bit_count():
             raise RmpError("model is missing singleton columns (infeasible start)")
-        basis = np.array([singleton_pos[1 << v] for v in model._row], dtype=np.intp)
+        basis = np.array([singleton_pos[1 << v] for v in iter_bits(model.keep)], dtype=np.intp)
     else:
         basis = model._basis.copy()
 
-    a = model._a[:, :len(model.masks)]
+    a = model._a
     x_b, y = _revised_simplex(a, basis)
 
     lam = np.zeros(a.shape[1])
@@ -253,5 +233,5 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
         raise RmpError(f"dual infeasibility {slack:.3e} over the pool")
     model._basis = basis
     duals = np.zeros(model.graph.n)
-    duals[list(model._row)] = y
+    duals[list(iter_bits(model.keep))] = y
     return RmpSolution(lam=lam, duals=duals, objective=objective)

@@ -30,35 +30,46 @@ def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, st
     gives only c6. The state is normalized at the end to remove the
     integrator's tiny norm drift before fidelity comparisons.
     """
-    n = reg.n
-    steps = max(1, round(pulse.duration / step))
-    h = pulse.duration / steps
-    x_op = dense_x_operator(n)
-    inter = interaction_diagonal(reg.as_array(), cfg.c6)
+    return rk4_final_states([reg], [pulse], cfg, step)[0]
+
+
+def rk4_final_states(
+    regs: list[Register], pulses: list[PulseSchedule], cfg: EmulatorConfig, step: float = RK4_STEP,
+) -> np.ndarray:
+    """`rk4_final_state` for registers of one size whose pulses share a
+    duration, integrated side by side: row b is register b's final state."""
+    n, duration = regs[0].n, pulses[0].duration
+    if any(reg.n != n for reg in regs) or any(pulse.duration != duration for pulse in pulses):
+        raise ValueError("a batch needs registers of one size and pulses of one duration")
+    steps = max(1, round(duration / step))
+    h = duration / steps
+    x_op = dense_x_operator(n)  # symmetric, so psi @ x_op applies it to every row
+    inter = np.stack([interaction_diagonal(reg.as_array(), cfg.c6) for reg in regs])
     size = 1 << n
     occ = np.zeros(size)
     for i in range(n):
         occ += (np.arange(size) >> i) & 1
 
-    # Omega and delta at every stage time t, t + h/2, t + h, looked up at once
+    # Omega and delta at every stage time t, t + h/2, t + h, looked up at once;
+    # the last axis runs over the batch
     t = np.arange(steps) * h
     stages = np.stack([t, t + h / 2, t + h])
-    oms = np.interp(stages, *zip(*pulse.omega))
-    des = np.interp(stages, *zip(*pulse.delta))
+    oms = np.stack([np.interp(stages, *zip(*pulse.omega)) for pulse in pulses], axis=-1)
+    des = np.stack([np.interp(stages, *zip(*pulse.delta)) for pulse in pulses], axis=-1)
 
     def rhs(stage: int, k: int, psi: np.ndarray) -> np.ndarray:
-        om, de = oms[stage, k], des[stage, k]
-        return -1j * (om * (x_op @ psi) + (inter - de * occ) * psi)
+        om, de = oms[stage, k][:, None], des[stage, k][:, None]
+        return -1j * (om * (psi @ x_op) + (inter - de * occ) * psi)
 
-    psi = np.zeros(size, dtype=np.complex128)
-    psi[0] = 1.0
+    psi = np.zeros((len(regs), size), dtype=np.complex128)
+    psi[:, 0] = 1.0
     for k in range(steps):
         k1 = rhs(0, k, psi)
         k2 = rhs(1, k, psi + h / 2 * k1)
         k3 = rhs(1, k, psi + h / 2 * k2)
         k4 = rhs(2, k, psi + h * k3)
         psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return psi / np.linalg.norm(psi)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> np.ndarray:

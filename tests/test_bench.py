@@ -6,16 +6,15 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 
 from qcbp.bench import (
-    BENCH_HEADER,
-    MANIFEST_HEADER,
     PRICING_HEADER,
     BenchRecord,
+    InstanceRecord,
     RunConfig,
+    csv_header,
     generate_dataset,
-    load_manifest,
     make_run_config,
-    parse_bench_csv,
     parse_config_file,
+    parse_csv,
     records_to_csv,
     run_benchmark,
     summarize,
@@ -106,6 +105,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file("just words\n")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        with pytest.raises(ValueError, match="config line 4: key 'shots' repeats line 1"):
+            parse_config_file("shots=5\nmode = qcbp\n# shots=6\nshots = 7\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("shots", "abc"), ("node_budget", "1.5"), ("dt", "fast"), ("extend_to_maximal", "ture"),
+    ])
+    def test_coercion_failure_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}': .*{value}"):
+            make_run_config({key: value})
+
     @pytest.mark.parametrize(
         "key", ["node_budget", "hcg_max_iterations", "shots", "embed_iterations", "embed_restarts"])
     def test_counts_below_one_rejected(self, key):
@@ -131,7 +141,7 @@ class TestDataset:
         records = generate_dataset(tmp_path, ns=(5, 6), per_n=4, ud_fraction=0.5, seed=1)
         assert len(records) == 8
         assert sum(r.is_ud for r in records) == 4
-        manifest = load_manifest(tmp_path)
+        manifest = parse_csv(InstanceRecord, (tmp_path / "manifest.csv").read_text())
         assert manifest == records
 
     def test_files_parse_back(self, tmp_path):
@@ -209,7 +219,7 @@ class TestBenchmark:
         assert (out / "records.csv").exists()
         assert (out / "pricing_log.csv").exists()
         assert (out / "summary.txt").exists()
-        parsed = parse_bench_csv((out / "records.csv").read_text())
+        parsed = parse_csv(BenchRecord, (out / "records.csv").read_text())
         assert parsed == records
 
     def test_hcg_only_mode(self, small_dataset):
@@ -234,7 +244,7 @@ class TestBenchmark:
                           "nodes_generated,nodes_explored,nodes_pruned,ilp_calls,wall_ms")
         manifest_header = "instance,n,is_ud,seed,graph_file,positions_file"
         pricing_header = "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
-        assert (BENCH_HEADER, MANIFEST_HEADER, PRICING_HEADER) == (
+        assert (csv_header(BenchRecord), csv_header(InstanceRecord), PRICING_HEADER) == (
             records_header, manifest_header, pricing_header)
         assert (out / "records.csv").read_text().splitlines()[0] == records_header
         assert (small_dataset / "manifest.csv").read_text().splitlines()[0] == manifest_header
@@ -243,10 +253,10 @@ class TestBenchmark:
     def test_csv_round_trip(self):
         record = BenchRecord("x", 5, True, 2, 3, 0.5, False, 100, 4, 2, 1, 2, 12.5)
         assert to_csv_row(record) == "x,5,true,2,3,0.5,false,100,4,2,1,2,12.5"
-        parsed = parse_bench_csv(records_to_csv([record]))
+        parsed = parse_csv(BenchRecord, records_to_csv([record]))
         assert parsed == [record]
         with pytest.raises(ValueError):
-            parse_bench_csv(records_to_csv([record]).replace("12.5", "12.5,7"))
+            parse_csv(BenchRecord, records_to_csv([record]).replace("12.5", "12.5,7"))
 
     def test_summary_sections(self, small_dataset):
         records, pricing = run_benchmark(

@@ -104,6 +104,20 @@ class TestSolve:
         assert main(["solve", str(graph), "--extend-to-maximal", "ture"]) == 2
         assert "expected a boolean" in capsys.readouterr().err
 
+    def test_bad_number_names_its_flag(self, tmp_path, capsys):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        assert main(["solve", str(graph), "--shots", "abc"]) == 2
+        assert "config key 'shots': invalid literal for int()" in capsys.readouterr().err
+
+    def test_repeated_config_key_errors(self, tmp_path, capsys):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        conf = tmp_path / "run.conf"
+        conf.write_text("shots = 5\nshots = 7\n")
+        assert main(["solve", str(graph), "--config", str(conf)]) == 2
+        assert "config line 2: key 'shots' repeats line 1" in capsys.readouterr().err
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dimacs")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -218,6 +218,30 @@ class TestSampleMemory:
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
+    @pytest.mark.parametrize("extend", [False, True])
+    def test_recalled_sets_are_priced_within_the_positive_mask(self, extend):
+        # Sets drawn on the whole graph come back cut down to a smaller
+        # dual-positive mask, where many are not maximal: the extension and the
+        # logged maximal count both work within that mask.
+        rng = np.random.default_rng(65)
+        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0, extend_to_maximal=extend)
+        recalled = not_maximal = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 11))
+            g = random_graph(n, rng.uniform(0.1, 0.6), rng)
+            engine, pool = PricingEngine(cfg), ColumnPool.with_singletons(g)
+            engine.sample_columns(g, g.full_mask, np.full(n, 0.3), pool)
+            positive = int(rng.integers(1, 1 << n)) | 0b11
+            duals = np.where([(positive >> v) & 1 for v in range(n)], 0.9, 0.0)
+            cols, stats = engine.sample_columns(g, positive, duals, pool)
+            sub = g.induced_subgraph(positive)
+            assert all(mask & ~positive == 0 for mask in cols)
+            assert stats.maximal == sum(sub.is_maximal_independent(restrict_mask(m, positive)) for m in cols)
+            recalled += stats.shots == 0
+            not_maximal += len(cols) - stats.maximal
+        assert recalled > 30
+        assert (not_maximal == 0) == extend
+
     def test_memory_is_per_solve(self):
         # The same graph solved twice on one engine: each solve's first
         # sampler call draws, since its pool starts with an empty memory, and

@@ -3,13 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
-from qcbp.rmp import (
-    RmpError,
-    _revised_simplex,
-    add_columns,
-    init_rmp,
-    solve_rmp,
-)
+from qcbp.rmp import RmpError, _revised_simplex, init_rmp, solve_rmp
 
 from builders import path3, random_graph
 
@@ -25,6 +19,15 @@ def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> i
 
 def all_independent_sets(g: Graph) -> list[int]:
     return [s for s in range(1, 1 << g.n) if g.is_independent(s)]
+
+
+def first_restrictions(masks: list[int], keep: int) -> list[int]:
+    """The nonzero restrictions to keep, each at its first occurrence."""
+    out: list[int] = []
+    for s in masks:
+        if s & keep and s & keep not in out:
+            out.append(s & keep)
+    return out
 
 
 def lp_oracle(g: Graph, masks: list[int]) -> float:
@@ -55,20 +58,23 @@ class TestModelConstruction:
 
     def test_add_column(self):
         model = init_rmp(path3())
-        assert add_columns(model, [mask_of([0, 2])]) == 1
+        assert model.add([mask_of([0, 2])]) == 1
         assert len(model.masks) == 4
 
     def test_duplicate_skipped(self):
         model = init_rmp(path3())
-        add_columns(model, [mask_of([0, 2])])
-        assert add_columns(model, [mask_of([0, 2])]) == 0
+        model.add([mask_of([0, 2])])
+        assert model.add([mask_of([0, 2])]) == 0
 
     def test_dependent_set_rejected(self):
         model = init_rmp(path3())
         with pytest.raises(ValueError, match="independent"):
-            add_columns(model, [mask_of([0, 1])])
+            model.add([mask_of([0, 1])])
 
     def test_pooled_master_equals_the_column_by_column_model(self):
+        # Built independently of the model's writer: the singletons, then each
+        # pooled mask cut down to keep, first occurrences in order, and the
+        # matrix written one bit at a time.
         rng = np.random.default_rng(35)
         for _ in range(100):
             g = random_graph(int(rng.integers(1, 13)), rng.uniform(0.1, 0.8), rng)
@@ -84,20 +90,30 @@ class TestModelConstruction:
             rng.shuffle(pool)
             if rng.random() < 0.5:
                 pool = [1 << v for v in range(g.n)] + pool
-            one_shot = init_rmp(g, keep, pool)
-            by_column = init_rmp(g, keep)
-            add_columns(by_column, pool)
-            assert one_shot.masks == by_column.masks
-            assert all(isinstance(m, int) for m in one_shot.masks)
-            cols = len(by_column.masks)
-            assert np.array_equal(one_shot._a[:, :cols], by_column._a[:, :cols])
-            assert solve_rmp(one_shot).objective == solve_rmp(by_column).objective
+            split = int(rng.integers(0, len(pool) + 1))
+            model = init_rmp(g, keep, pool[:split])
+            added = model.add(pool[split:])
+
+            rows = list(iter_bits(keep))
+            singletons = [1 << v for v in rows]
+            masks = first_restrictions(singletons + pool, keep)
+            a = np.zeros((len(rows), len(masks)))
+            for j, mask in enumerate(masks):
+                for v in iter_bits(mask):
+                    a[rows.index(v), j] = 1.0
+            assert model.masks == masks
+            assert all(type(m) is int for m in model.masks)
+            assert np.array_equal(model._a, a)
+            assert added == len(masks) - len(first_restrictions(singletons + pool[:split], keep))
+            sub = g.induced_subgraph(keep)
+            oracle = lp_oracle(sub, [restrict_mask(m, keep) for m in masks])
+            assert abs(solve_rmp(model).objective - oracle) < 1e-6
 
 
 class TestSolve:
     def test_path3_with_endpoint_pair(self):
         model = init_rmp(path3())
-        add_columns(model, [mask_of([0, 2])])
+        model.add([mask_of([0, 2])])
         sol = solve_rmp(model)
         assert abs(sol.objective - 2.0) < 1e-9
         assert abs(sol.lam[3] - 1.0) < 1e-9  # the {0,2} column
@@ -106,7 +122,7 @@ class TestSolve:
     def test_edgeless_with_full_set(self):
         g = Graph.from_edges(4, [])
         model = init_rmp(g)
-        add_columns(model, [g.full_mask])
+        model.add([g.full_mask])
         sol = solve_rmp(model)
         assert abs(sol.objective - 1.0) < 1e-9
 
@@ -118,7 +134,7 @@ class TestSolve:
             prev = solve_rmp(model).objective
             for s in all_independent_sets(g):
                 if s.bit_count() > 1 and rng.random() < 0.3:
-                    add_columns(model, [s])
+                    model.add([s])
                     obj = solve_rmp(model).objective
                     assert obj <= prev + 1e-9
                     prev = obj
@@ -129,7 +145,7 @@ class TestSolve:
             g = random_graph(int(rng.integers(2, 9)), rng.uniform(0.1, 0.8), rng)
             model = init_rmp(g)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1 and rng.random() < 0.4]
-            add_columns(model, extra)
+            model.add(extra)
             sol = solve_rmp(model)
             a = np.zeros((g.n, len(model.masks)))
             for j, mask in enumerate(model.masks):
@@ -145,7 +161,7 @@ class TestSolve:
         for _ in range(25):
             g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
             model = init_rmp(g)
-            add_columns(model, [s for s in all_independent_sets(g) if s.bit_count() > 1])
+            model.add([s for s in all_independent_sets(g) if s.bit_count() > 1])
             sol = solve_rmp(model)
             assert abs(sol.objective - lp_oracle(g, model.masks)) < 1e-6
 
@@ -160,10 +176,10 @@ class TestSolve:
             warm = init_rmp(g)
             solve_rmp(warm)
             for batch in np.array_split(np.array(extra, dtype=object), 4):
-                add_columns(warm, list(batch))
+                warm.add(list(batch))
                 got = solve_rmp(warm).objective
                 cold = init_rmp(g)
-                add_columns(cold, warm.masks)
+                cold.add(warm.masks)
                 assert abs(got - solve_rmp(cold).objective) < 1e-9
 
     def test_eta_updated_inverse_matches_highs_and_a_cold_solve(self, monkeypatch):
@@ -179,24 +195,25 @@ class TestSolve:
             g = random_graph(12, rng.uniform(0.15, 0.5), rng)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
             cold = init_rmp(g)
-            add_columns(cold, extra)
+            cold.add(extra)
             inversions.clear()
             objective = solve_rmp(cold).objective
             refactored += len(inversions) > 1
             assert abs(objective - lp_oracle(g, cold.masks)) < 1e-6
             warm = init_rmp(g)
-            add_columns(warm, extra[::2])
+            warm.add(extra[::2])
             solve_rmp(warm)
-            add_columns(warm, extra)
+            warm.add(extra)
             assert sorted(warm.masks) == sorted(cold.masks)
             assert abs(solve_rmp(warm).objective - objective) < 1e-9
         assert refactored > 0
 
-    def test_matrix_grows_past_its_initial_capacity(self):
+    def test_matrix_holds_one_column_per_mask(self):
         g = Graph.from_edges(10, [])
         model = init_rmp(g)
-        add_columns(model, [s for s in range(1, 1 << g.n) if s.bit_count() == 2])
+        assert model.add([s for s in range(1, 1 << g.n) if s.bit_count() == 2]) == 45
         assert len(model.masks) == 10 + 45
+        assert model._a.shape == (10, 55)
         assert abs(solve_rmp(model).objective - 5.0) < 1e-9
 
     @pytest.mark.parametrize("keep", [0, 0b1000])
@@ -232,9 +249,9 @@ class TestSubproblemMaster:
             keep = keep or 1 << (g.n - 1)
             columns = [s for s in all_independent_sets(g) if rng.random() < 0.3]
             model = init_rmp(g, keep)
-            add_columns(model, columns)
+            model.add(columns)
             local = init_rmp(g.induced_subgraph(keep))
-            add_columns(local, [restrict_mask(s, keep) for s in columns])
+            local.add([restrict_mask(s, keep) for s in columns])
             assert [restrict_mask(m, keep) for m in model.masks] == local.masks
             sol, local_sol = solve_rmp(model), solve_rmp(local)
             assert sol.objective == local_sol.objective
