@@ -34,7 +34,6 @@ class RunConfig:
     seed: int = 0
     node_budget: int = SolverConfig.node_budget
     hcg_max_iterations: int = SolverConfig.hcg_max_iterations
-    extend_to_maximal: bool = False
     dt: float = EmulatorConfig.dt
     c6: float = EmulatorConfig.c6
     duration: float = EmulatorConfig.duration
@@ -56,7 +55,6 @@ class RunConfig:
             kind=self.sampler,
             shots=self.shots,
             seed=self.seed if seed is None else seed,
-            extend_to_maximal=self.extend_to_maximal,
             emulator=EmulatorConfig(
                 c6=self.c6,
                 dt=self.dt,
@@ -97,13 +95,12 @@ def parse_config_file(text: str) -> dict[str, str]:
 
 
 def _coerce(ftype: str, value: str) -> object:
-    """Parse a config or CSV string by its dataclass field type."""
+    """Parse a config or CSV string by its dataclass field type; a CSV boolean
+    is `true` or `false`, as `_format` writes it."""
     if ftype == "bool":
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean (1/true/yes/on or 0/false/no/off), got {value!r}")
+        if value not in ("true", "false"):
+            raise ValueError(f"expected a boolean (true or false), got {value!r}")
+        return value == "true"
     if ftype == "int":
         return int(value)
     if ftype == "float":

@@ -7,9 +7,10 @@ midpoint pulse values: half a diagonal phase, a global X rotation applied as
 one matmul per block of qubits, and the second diagonal half. Every factor is
 unitary, so the norm is conserved to rounding.
 
-The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS) and
-the pulse's RAMP_FRACTION are constants. EmulatorConfig holds only what a run
-may set: C6, the time step, the pulse duration and the detuning sweep's ends.
+The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS), the
+step cap MAX_STEPS and the pulse's RAMP_FRACTION are constants. EmulatorConfig
+holds only what a run may set: C6, the time step, the pulse duration and the
+detuning sweep's ends.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again 
 DEFAULT_C6 = 877_455.0
 BLOCK_QUBITS = 4  # widest qubit block of x_rotations; 4 and 5 measure alike
 GEMM_SIZE = 1 << 15  # most multiply-adds per BLAS call; OpenBLAS threads larger calls
+MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~0.5 kB a step at 20 atoms
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,10 @@ class EmulatorConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0 and name in ("c6", "dt", "duration"):
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        steps = round(self.duration / self.dt)
+        if steps > MAX_STEPS:
+            raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
+                             f"tables would take about {steps * 512 / 1e9:.2g} GB")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge before problem header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed edge line {line!r}") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"line {lineno}: vertex index out of range in {line!r}")
             if u == v:
@@ -220,7 +223,8 @@ def random_ud_graph(
 
 
 def flip_random_pairs(g: Graph, seed: int, max_flips: int = 3) -> Graph:
-    """Toggle the adjacency of k random vertex pairs, k uniform in {1..max_flips}.
+    """Toggle the adjacency of k random vertex pairs, k uniform in {1..max_flips}
+    and capped at the n(n-1)/2 pairs there are.
 
     Used to derive non-unit-disk instances from unit-disk ones. Graphs with a
     single vertex have no pairs and are returned unchanged.
@@ -228,7 +232,7 @@ def flip_random_pairs(g: Graph, seed: int, max_flips: int = 3) -> Graph:
     if g.n < 2:
         return g
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, max_flips + 1))
+    k = min(int(rng.integers(1, max_flips + 1)), g.n * (g.n - 1) // 2)
     edges = set(g.edges())
     flipped: set[tuple[int, int]] = set()
     while len(flipped) < k:
@@ -251,14 +255,3 @@ def positions_to_csv(positions: np.ndarray) -> str:
     lines = ["vertex,x_um,y_um"]
     lines.extend(f"{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(positions))
     return "\n".join(lines) + "\n"
-
-
-def positions_from_csv(text: str) -> np.ndarray:
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows or rows[0] != "vertex,x_um,y_um":
-        raise ValueError("malformed positions CSV header")
-    pts = []
-    for row in rows[1:]:
-        _, x, y = row.split(",")
-        pts.append((float(x), float(y)))
-    return np.array(pts)

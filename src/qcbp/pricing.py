@@ -7,9 +7,10 @@ embed the dual-positive subproblem on a register, run the adiabatic pulse and
 sample bitstrings; it remembers every independent one. The register is the
 only place where the subproblem's vertices are renumbered: drawn bitstrings
 are expanded to root masks once, and everything else is priced in root
-numbering against the root-indexed duals. Either way it keeps the sets that
-are independent, improving, and new. A recalled round logs no shots. A
-classical branch-and-bound MWIS provides the exact safeguard that certifies
+numbering against the root-indexed duals. Either way each independent set is
+extended to a maximal set within the dual-positive mask and kept if it is then
+improving and new. A recalled round logs no shots. A classical
+branch-and-bound MWIS provides the exact safeguard that certifies
 termination, and hands back the other improving sets its search builds as
 extra columns. The embed seed comes from the subproblem's vertex set and the
 evolution is deterministic, so a revisited subgraph gets the same final state
@@ -111,7 +112,7 @@ class PricingStats:
     shots: int
     distinct_bitstrings: int
     improving: int
-    maximal: int
+    maximal: int  # columns whose set was maximal before the extension
 
 
 @dataclass
@@ -119,7 +120,6 @@ class SamplerConfig:
     kind: str = "emulated_qaa"  # emulated_qaa | classical_stochastic | exact_pricer
     shots: int = 200
     seed: int = 0
-    extend_to_maximal: bool = False
     emulator: EmulatorConfig = field(default_factory=EmulatorConfig)
     embed: EmbedParams = field(
         default_factory=lambda: EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM)
@@ -188,9 +188,9 @@ class PricingEngine:
         this solve has drawn, cut down to `positive`. Only when none of those
         is a column does it draw again, on a register of the induced subgraph,
         and it stores every independent set the draw returns. Every returned
-        column is a root mask, independent, with reduced cost below -1e-6 and
-        absent from the pool, re-checked here no matter what the sampler
-        produced.
+        column is a root mask, independent, maximal within `positive`, with
+        reduced cost below -1e-6 and absent from the pool, re-checked here no
+        matter what the sampler produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
@@ -221,24 +221,24 @@ class PricingEngine:
         self, root: Graph, positive: int, duals: np.ndarray, pool: ColumnPool, candidates
     ) -> tuple[list[int], int]:
         """The candidates (root masks within `positive`) that are independent
-        and, after the optional extension to maximal within `positive`,
-        improving and new; and how many of those are maximal within
-        `positive`."""
+        and, once extended in vertex order to a maximal set within `positive`
+        (which only lowers the reduced cost: each added dual is positive),
+        improving and new; and how many of those were maximal as drawn."""
         columns: list[int] = []
         seen: set[int] = set()
         n_maximal = 0
-        for mask in candidates:
-            if not root.is_independent(mask):
+        for drawn in candidates:
+            if not root.is_independent(drawn):
                 continue
-            if self.config.extend_to_maximal:
-                for v in iter_bits(positive & ~mask):
-                    if not root.adj[v] & mask:
-                        mask |= 1 << v
+            mask = drawn
+            for v in iter_bits(positive & ~drawn):
+                if not root.adj[v] & mask:
+                    mask |= 1 << v
             if reduced_cost(mask, duals) >= -IMPROVE_EPS:
                 continue
             if mask in pool or mask in seen:
                 continue
             seen.add(mask)
-            n_maximal += all(root.adj[v] & mask for v in iter_bits(positive & ~mask))
+            n_maximal += mask == drawn
             columns.append(mask)
         return columns, n_maximal

@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 from qcbp.bench import (
@@ -15,6 +16,7 @@ from qcbp.bench import (
     make_run_config,
     parse_config_file,
     parse_csv,
+    parse_row,
     records_to_csv,
     run_benchmark,
     summarize,
@@ -22,7 +24,7 @@ from qcbp.bench import (
 )
 from qcbp.bnp import SolverConfig
 from qcbp.embedding import EmbedParams
-from qcbp.graphs import parse_dimacs, positions_from_csv, pairwise_distances
+from qcbp.graphs import parse_dimacs, pairwise_distances
 from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, SamplerConfig
 
 
@@ -36,6 +38,12 @@ def leaves(config, prefix: str = "") -> dict[str, object]:
         else:
             out[prefix + f.name] = value
     return out
+
+
+def read_positions(path) -> np.ndarray:
+    """The x, y columns of a positions CSV, after checking its header line."""
+    assert path.read_text().splitlines()[0] == "vertex,x_um,y_um"
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
 
 
 def counter_clock():
@@ -61,9 +69,9 @@ class TestRunConfig:
         # a new one fails here until it is listed.
         moved = {
             "mode": "exact", "sampler": "classical_stochastic", "shots": 7, "seed": 3,
-            "node_budget": 9, "hcg_max_iterations": 4, "extend_to_maximal": True,
-            "dt": 2e-3, "c6": 5e5, "duration": 2.0, "delta_start": -10.0, "delta_end": 12.0,
-            "register_radius": 7.0, "embed_iterations": 100, "embed_restarts": 2,
+            "node_budget": 9, "hcg_max_iterations": 4, "dt": 2e-3, "c6": 5e5, "duration": 2.0,
+            "delta_start": -10.0, "delta_end": 12.0, "register_radius": 7.0,
+            "embed_iterations": 100, "embed_restarts": 2,
         }
         assert moved.keys() == {f.name for f in fields(RunConfig)}
         default, cfg = RunConfig(), RunConfig(**moved)
@@ -81,21 +89,9 @@ class TestRunConfig:
             RunConfig(sampler="hardware")
 
     def test_config_file_parsing(self):
-        settings = parse_config_file("mode = exact\n# comment\nshots=50\n\nextend_to_maximal = true\n")
+        settings = parse_config_file("mode = exact\n# comment\nshots=50\n\ndt = 0.002\n")
         cfg = make_run_config(settings)
-        assert cfg.mode == "exact" and cfg.shots == 50 and cfg.extend_to_maximal is True
-
-    @pytest.mark.parametrize("value, expected", [
-        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
-        ("0", False), ("false", False), ("NO", False), ("Off", False),
-    ])
-    def test_boolean_spellings(self, value, expected):
-        assert make_run_config({"extend_to_maximal": value}).extend_to_maximal is expected
-
-    @pytest.mark.parametrize("value", ["ture", "", "2", "y"])
-    def test_unknown_boolean_spelling_rejected(self, value):
-        with pytest.raises(ValueError, match="expected a boolean"):
-            make_run_config({"extend_to_maximal": value})
+        assert cfg.mode == "exact" and cfg.shots == 50 and cfg.dt == 0.002
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -110,7 +106,7 @@ class TestRunConfig:
             parse_config_file("shots=5\nmode = qcbp\n# shots=6\nshots = 7\n")
 
     @pytest.mark.parametrize("key, value", [
-        ("shots", "abc"), ("node_budget", "1.5"), ("dt", "fast"), ("extend_to_maximal", "ture"),
+        ("shots", "abc"), ("node_budget", "1.5"), ("dt", "fast"),
     ])
     def test_coercion_failure_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}': .*{value}"):
@@ -149,15 +145,14 @@ class TestDataset:
         for rec in records:
             g = parse_dimacs((tmp_path / rec.graph_file).read_text())
             assert g.n == rec.n
-            pos = positions_from_csv((tmp_path / rec.positions_file).read_text())
+            pos = read_positions(tmp_path / rec.positions_file)
             assert len(pos) == rec.n
 
     def test_ud_flag_truthful(self, tmp_path):
         records = generate_dataset(tmp_path, ns=(7,), per_n=4, ud_fraction=0.5, seed=3, radius=10)
         for rec in records:
             g = parse_dimacs((tmp_path / rec.graph_file).read_text())
-            pos = positions_from_csv((tmp_path / rec.positions_file).read_text())
-            dist = pairwise_distances(pos)
+            dist = pairwise_distances(read_positions(tmp_path / rec.positions_file))
             matches = all(
                 g.has_edge(u, v) == (dist[u, v] <= 10)
                 for u in range(g.n)
@@ -257,6 +252,14 @@ class TestBenchmark:
         assert parsed == [record]
         with pytest.raises(ValueError):
             parse_csv(BenchRecord, records_to_csv([record]).replace("12.5", "12.5,7"))
+        flipped = replace(record, is_ud=False, proven=True)
+        assert parse_row(BenchRecord, to_csv_row(flipped)) == flipped
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "y", "TRUE", "1", "yes"])
+    def test_unknown_csv_boolean_rejected(self, value):
+        row = f"x,5,{value},2,3,0.5,false,100,4,2,1,2,12.5"
+        with pytest.raises(ValueError, match=f"expected a boolean \\(true or false\\), got {value!r}"):
+            parse_row(BenchRecord, row)
 
     def test_summary_sections(self, small_dataset):
         records, pricing = run_benchmark(

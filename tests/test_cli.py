@@ -24,6 +24,12 @@ class TestGen:
         assert main(["gen", "--out", "e"]) == 0
         assert calls == [("d", {"ns": (5, 6), "ud_fraction": 0.25}), ("e", {})]
 
+    def test_two_vertex_perturbed_instances(self, tmp_path, capsys):
+        # Each draws up to 3 flips on a graph with one vertex pair.
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--ns", "2", "--per-n", "3", "--ud-fraction", "0"]) == 0
+        assert "wrote 3 instances (0 unit-disk)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag, value, reason", [
         ("--per-n", "0", "per_n must be >= 1"),
         ("--ud-fraction", "3", "ud_fraction must lie in [0, 1]"),
@@ -98,12 +104,6 @@ class TestSolve:
         assert main(["solve", str(graph), "--register-radius", value]) == 2
         assert "ud_radius must be positive and finite" in capsys.readouterr().err
 
-    def test_misspelt_boolean_errors(self, tmp_path, capsys):
-        graph = tmp_path / "p3.dimacs"
-        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
-        assert main(["solve", str(graph), "--extend-to-maximal", "ture"]) == 2
-        assert "expected a boolean" in capsys.readouterr().err
-
     def test_bad_number_names_its_flag(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
@@ -117,6 +117,12 @@ class TestSolve:
         conf.write_text("shots = 5\nshots = 7\n")
         assert main(["solve", str(graph), "--config", str(conf)]) == 2
         assert "config line 2: key 'shots' repeats line 1" in capsys.readouterr().err
+
+    def test_non_integer_edge_endpoint_names_its_line(self, tmp_path, capsys):
+        graph = tmp_path / "bad.dimacs"
+        graph.write_text("p edge 3 2\ne 1 2\ne 2 x\n")
+        assert main(["solve", str(graph)]) == 2
+        assert "error: line 3: malformed edge line 'e 2 x'" in capsys.readouterr().err
 
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dimacs")]) == 2

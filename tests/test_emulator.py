@@ -9,6 +9,7 @@ from qcbp.embedding import Register, audit
 from qcbp.emulator import (
     DEFAULT_C6,
     MAX_QUBITS,
+    MAX_STEPS,
     OMEGA_MAX,
     RAMP_FRACTION,
     EmulatorConfig,
@@ -97,12 +98,17 @@ class TestConfigRanges:
         ({"c6": -1.0}, "c6 must be positive"),
         ({"delta_start": math.nan}, "delta_start must be finite"),
         ({"delta_end": -math.inf}, "delta_end must be finite"),
+        ({"dt": 1e-9}, f"3000000000 steps, above {MAX_STEPS}: evolve's per-step tables"),
+        ({"duration": 3e3}, f"steps, above {MAX_STEPS}"),
+        ({"dt": 3.0 / (MAX_STEPS + 1)}, f"steps, above {MAX_STEPS}"),
     ])
     def test_out_of_range_rejected(self, kwargs, reason):
         with pytest.raises(ValueError, match=reason):
             EmulatorConfig(**kwargs)
 
     def test_edge_of_range_builds_a_pulse(self):
+        # A pulse of MAX_STEPS steps is in range (built, never evolved here).
+        EmulatorConfig(dt=3.0 / MAX_STEPS)
         # A short duration and a zero detuning are in range: the one-step
         # pulse still ramps up before it ramps down, and evolves.
         cfg = EmulatorConfig(duration=1e-3, dt=1e-3, delta_start=0.0, delta_end=0.0)

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from qcbp.graphs import (
     mask_of,
     pairwise_distances,
     parse_dimacs,
-    positions_from_csv,
     positions_to_csv,
     random_ud_graph,
     restrict_mask,
@@ -37,6 +37,11 @@ class TestParseDimacs:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             parse_dimacs("p edge 2 1\ne 1 1")
+
+    @pytest.mark.parametrize("edge", ["e 1 x", "e 1.0 2", "e two 1"])
+    def test_non_integer_endpoint_names_its_line(self, edge):
+        with pytest.raises(ValueError, match=f"line 3: malformed edge line '{edge}'"):
+            parse_dimacs(f"p edge 2 1\nc comment\n{edge}\n")
 
     def test_malformed_header(self):
         with pytest.raises(ValueError, match="header"):
@@ -176,6 +181,13 @@ class TestFlipRandomPairs:
             diff = sum((g.adj[v] ^ h.adj[v]).bit_count() for v in range(g.n)) // 2
             assert 1 <= diff <= 3
 
+    def test_two_vertices_flip_their_one_pair(self):
+        # This seed draws k >= 2, more flips than a 2-vertex graph has pairs.
+        assert np.random.default_rng(502002).integers(1, 4) >= 2
+        for g in (Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])):
+            h = flip_random_pairs(g, seed=502002)
+            assert h.edge_count == 1 - g.edge_count
+
     def test_deterministic(self):
         g, _ = random_ud_graph(10, seed=1)
         assert flip_random_pairs(g, seed=9) == flip_random_pairs(g, seed=9)
@@ -205,4 +217,6 @@ class TestPositionsCsv:
     def test_roundtrip(self):
         _, pos = random_ud_graph(6, seed=4)
         text = positions_to_csv(pos)
-        assert np.array_equal(positions_from_csv(text), pos)
+        assert text.splitlines()[0] == "vertex,x_um,y_um"
+        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, usecols=(1, 2))
+        assert np.array_equal(back, pos)

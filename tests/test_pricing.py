@@ -110,8 +110,9 @@ def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: Co
         assert g.is_independent(mask)
         assert reduced_cost(mask, duals) < -IMPROVE_EPS
         assert mask not in pool
-    assert stats.improving == len(cols)
-    assert stats.maximal == sum(g.is_maximal_independent(mask) for mask in cols)
+        assert g.is_maximal_independent(mask)
+    # a classical draw is maximal already, so the extension adds nothing
+    assert stats.improving == stats.maximal == len(cols)
     assert stats.shots == engine.config.shots
     return cols
 
@@ -166,21 +167,12 @@ class TestEmulatedSampler:
         engine = PricingEngine(self.FAST)
         cols, stats = engine.sample_columns(g, sub_mask, duals, pool)
         assert stats.shots == 100
+        assert cols and stats.maximal <= stats.improving == len(cols)
         for mask in cols:
             assert mask & ~sub_mask == 0  # root mask stays inside the subproblem
-            assert sub.is_independent(restrict_mask(mask, sub_mask))
+            assert sub.is_maximal_independent(restrict_mask(mask, sub_mask))
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
-
-    def test_extend_to_maximal_flag(self):
-        g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
-        cfg = SamplerConfig(
-            kind="emulated_qaa", shots=80, seed=2, extend_to_maximal=True,
-            embed=EmbedParams(iterations=800, restarts=2), emulator=EmulatorConfig(dt=2e-3),
-        )
-        engine = PricingEngine(cfg)
-        cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
-        assert all(g.is_maximal_independent(mask) for mask in cols)
 
 
 class TestSampleMemory:
@@ -205,42 +197,55 @@ class TestSampleMemory:
         assert len(pool.samples) > len(cols)
 
         # At the next round's duals the pairs improve too, and come back from
-        # the memory; the dual-positive mask leaves vertex 5 out.
-        positive = mask_of([0, 1, 2, 3, 4, 6])
+        # the memory. The dual-positive mask leaves vertex 0 out, so a pair
+        # such as {2, 4} is maximal there, and new, while the first round
+        # extended it to {0, 2, 4}.
+        positive = mask_of([1, 2, 3, 4, 5, 6])
         duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.9, 0.0)
         cols, stats = engine.sample_columns(g, positive, duals, pool)
-        assert cols and len(evolved) == 1
+        assert mask_of([2, 4]) in cols and len(evolved) == 1
         assert (stats.shots, stats.distinct_bitstrings, stats.improving) == (0, 0, len(cols))
         assert len(set(cols)) == len(cols)
+        sub = g.induced_subgraph(positive)
         for mask in cols:
             assert mask & ~positive == 0
-            assert g.is_independent(mask)
+            assert sub.is_maximal_independent(restrict_mask(mask, positive))
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
-    @pytest.mark.parametrize("extend", [False, True])
-    def test_recalled_sets_are_priced_within_the_positive_mask(self, extend):
-        # Sets drawn on the whole graph come back cut down to a smaller
-        # dual-positive mask, where many are not maximal: the extension and the
-        # logged maximal count both work within that mask.
+    def test_every_column_is_maximal_within_the_positive_mask(self):
+        # Rounds of a column generation on random graphs: each round pools the
+        # last round's columns and prices a random dual-positive mask, so sets
+        # drawn on one mask come back cut down to another, where many are not
+        # maximal. Recalled or drawn, every column is extended within the mask.
         rng = np.random.default_rng(65)
-        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0, extend_to_maximal=extend)
-        recalled = not_maximal = 0
-        for _ in range(60):
+        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0)
+        recalled = drawn = extended = 0
+        for _ in range(40):
             n = int(rng.integers(4, 11))
             g = random_graph(n, rng.uniform(0.1, 0.6), rng)
             engine, pool = PricingEngine(cfg), ColumnPool.with_singletons(g)
-            engine.sample_columns(g, g.full_mask, np.full(n, 0.3), pool)
-            positive = int(rng.integers(1, 1 << n)) | 0b11
-            duals = np.where([(positive >> v) & 1 for v in range(n)], 0.9, 0.0)
-            cols, stats = engine.sample_columns(g, positive, duals, pool)
-            sub = g.induced_subgraph(positive)
-            assert all(mask & ~positive == 0 for mask in cols)
-            assert stats.maximal == sum(sub.is_maximal_independent(restrict_mask(m, positive)) for m in cols)
-            recalled += stats.shots == 0
-            not_maximal += len(cols) - stats.maximal
-        assert recalled > 30
-        assert (not_maximal == 0) == extend
+            positive = g.full_mask
+            for _ in range(4):
+                duals = np.where([(positive >> v) & 1 for v in range(n)], rng.uniform(0.3, 1.0, n), 0.0)
+                cols, stats = engine.sample_columns(g, positive, duals, pool)
+                sub = g.induced_subgraph(positive)
+                assert len(set(cols)) == len(cols) == stats.improving
+                for mask in cols:
+                    assert mask & ~positive == 0
+                    assert sub.is_maximal_independent(restrict_mask(mask, positive))
+                    assert reduced_cost(mask, duals) < -IMPROVE_EPS
+                    assert mask not in pool
+                    pool.add(mask)
+                assert stats.maximal <= stats.improving
+                if stats.shots:  # a classical draw is maximal on its own mask
+                    assert stats.maximal == stats.improving
+                    drawn += 1
+                else:
+                    recalled += 1
+                    extended += stats.improving - stats.maximal
+                positive = int(rng.integers(1, 1 << n)) | 0b11
+        assert recalled > 50 and drawn > 50 and extended > 20
 
     def test_memory_is_per_solve(self):
         # The same graph solved twice on one engine: each solve's first
