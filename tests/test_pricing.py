@@ -174,6 +174,18 @@ class TestEmulatedSampler:
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
+    def test_extend_to_maximal_flag(self):
+        # Extension to a maximal set is no longer optional: on the full graph
+        # every emulated column is a maximal independent set.
+        g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
+        cfg = SamplerConfig(
+            kind="emulated_qaa", shots=80, seed=2,
+            embed=EmbedParams(iterations=800, restarts=2), emulator=EmulatorConfig(dt=2e-3),
+        )
+        engine = PricingEngine(cfg)
+        cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
+        assert cols and all(g.is_maximal_independent(mask) for mask in cols)
+
 
 class TestSampleMemory:
     def test_recalled_columns_are_sound_and_draw_nothing(self, monkeypatch):
