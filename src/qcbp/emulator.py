@@ -3,9 +3,13 @@
 The Hamiltonian is Omega(t) * sum_i X_i - delta(t) * sum_i n_i
 + sum_{i<j} (C6 / r_ij^6) n_i n_j, with basis index bit i holding the
 occupation of atom i. Time stepping is second-order Strang splitting with
-midpoint pulse values: half a diagonal phase, a global X rotation applied as
-one matmul per block of qubits, and the second diagonal half. Every factor is
-unitary, so the norm is conserved to rounding.
+midpoint pulse values: half a diagonal phase, a global X rotation and the
+second diagonal half, with consecutive half-steps merged. The detuning part of
+the diagonal is a sum of one-atom terms, so it factors over blocks of qubits
+and commutes with the interaction part; `evolve` folds it into the rotation.
+A step is then one matmul per block of qubits, by exp(-i theta sum X)
+exp(i phi sum n) on that block, and one multiply by the interaction phase.
+Every factor is unitary, so the norm is conserved to rounding.
 
 The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS), the
 step cap MAX_STEPS and the pulse's RAMP_FRACTION are constants. EmulatorConfig
@@ -29,9 +33,12 @@ RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again 
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
-BLOCK_QUBITS = 4  # widest qubit block of x_rotations; 4 and 5 measure alike
-GEMM_SIZE = 1 << 15  # most multiply-adds per BLAS call; OpenBLAS threads larger calls
-MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~0.5 kB a step at 20 atoms
+BLOCK_QUBITS = 4  # widest qubit block of evolve's step matrices; 4 and 5 measure alike
+# Steps whose block matrices evolve builds at once: 0.26 MB at 4 qubits. A
+# 2-atom evolve (900 steps) takes 2.6 ms at 64, 2.9 at 32 and 2.3 with all
+# steps at once, where the matrices would grow with the step count.
+STEP_CHUNK = 64
+MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~40 B a step at any register size
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class EmulatorConfig:
         steps = round(self.duration / self.dt)
         if steps > MAX_STEPS:
             raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
-                             f"tables would take about {steps * 512 / 1e9:.2g} GB")
+                             f"tables would take about {steps * 40 / 1e9:.2g} GB")
 
 
 @dataclass(frozen=True)
@@ -146,63 +153,57 @@ def interaction_diagonal(positions: np.ndarray, c6: float) -> np.ndarray:
     return diag
 
 
-def x_rotations(n: int, thetas: np.ndarray):
-    """Step k's exp(-i thetas[k] sum_i X_i) as `rotate(psi, k)`, one matmul per
-    block of qubits (near-equal blocks, low bits first). On m qubits it is
-    U[x, y] = cos^(m-h) (-i sin)^h, h = popcount(x ^ y), gathered from powers."""
-    count = -(-n // BLOCK_QUBITS)
-    sizes = [n // count + (b < n % count) for b in range(count)]
+def step_blocks(m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """exp(-i thetas[k] sum_i X_i) exp(i phis[k] sum_i n_i) on m qubits for every
+    k, shape (len(thetas), 2^m, 2^m): entry [x, y] is
+    cos^(m-h) (-i sin)^h e^(i phi |y|), h = popcount(x ^ y), gathered from powers."""
+    states, counts = np.arange(1 << m), np.arange(m + 1)
     cos, sin = np.cos(thetas)[:, None], -1j * np.sin(thetas)[:, None]
-    tables = {m: (cos ** (m - np.arange(m + 1)) * sin ** np.arange(m + 1),
-                  np.bitwise_count(np.arange(1 << m)[:, None] ^ np.arange(1 << m))) for m in set(sizes)}
-
-    def rotate(psi: np.ndarray, k: int) -> np.ndarray:
-        size, low = psi.size, 1
-        mats = {m: powers[k][hops] for m, (powers, hops) in tables.items()}
-        for m in sizes:
-            u, width = mats[m], GEMM_SIZE >> 2 * m
-            if low == 1:  # rows of the lowest block, `width` rows per call
-                psi = np.matmul(psi.reshape(-1, min(width, size >> m), 1 << m), u)
-            elif low <= width:  # columns of a higher block, one call per batch
-                psi = np.matmul(u, psi.reshape(-1, 1 << m, low))
-            else:  # the same, `width` columns per call
-                cols = psi.reshape(-1, 1 << m, low // width, width).transpose(0, 2, 1, 3)
-                psi = np.matmul(u, cols).transpose(0, 2, 1, 3).reshape(size)
-            low <<= m
-        return psi.reshape(size)
-    return rotate
+    powers = cos ** (m - counts) * sin ** counts
+    phases = np.exp(1j * phis[:, None] * counts)[:, np.bitwise_count(states)]
+    return powers[:, np.bitwise_count(states[:, None] ^ states)] * phases[:, None, :]
 
 
 def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVector:
     """Evolve |0...0> under the register Hamiltonian for the full pulse.
 
-    Consecutive diagonal half-steps are merged, so each step costs one phase
-    multiply and one matmul per qubit block; per-step tables are built first.
+    Step k multiplies by the interaction phase left from step k - 1, then
+    applies one `step_blocks` matrix per block of qubits (low bits first):
+    step k's X rotation after the detuning phase left from step k - 1. The
+    matrices are built STEP_CHUNK steps at a time.
     """
     n = reg.n
     if n > MAX_QUBITS:
         raise ValueError(f"{n} atoms exceed the emulation cap of {MAX_QUBITS}")
     steps = max(1, round(pulse.duration / cfg.dt))
     h = pulse.duration / steps
+    count = -(-n // BLOCK_QUBITS)
+    sizes = [n // count + (b < n % count) for b in range(count)]  # low bits first
 
     size = 1 << n
-    occupation = np.bitwise_count(np.arange(size))
     inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
     inter_full = inter_half * inter_half
-    counts = np.arange(n + 1)
-
     omegas, deltas = pulse.at_midpoints(steps)
-    rotate = x_rotations(n, omegas * h)
-    phases = np.exp(0.5j * h * (deltas[:-1] + deltas[1:])[:, None] * counts)
+    thetas = omegas * h
+    phis = 0.5 * h * np.concatenate((deltas[:1], deltas[:-1] + deltas[1:]))
 
+    # The first half-step's interaction phase is 1 on |0...0>, so it is left
+    # out; its detuning phase is in step 0's matrices.
     psi = np.zeros(size, dtype=np.complex128)
     psi[0] = 1.0
-    psi *= inter_half * np.exp(0.5j * h * deltas[0] * counts)[occupation]
     for k in range(steps):
-        psi = rotate(psi, k)
-        if k + 1 < steps:
-            psi *= inter_full * phases[k][occupation]
-    psi *= inter_half * np.exp(0.5j * h * deltas[-1] * counts)[occupation]
+        if k % STEP_CHUNK == 0:
+            chunk = slice(k, k + STEP_CHUNK)
+            mats = {m: step_blocks(m, thetas[chunk], phis[chunk]) for m in set(sizes)}
+        if k:
+            psi *= inter_full
+        # Each matmul takes the low m bits and writes them back as the high
+        # bits, so after the last block the bits are in order again.
+        for m in sizes:
+            psi = np.matmul(mats[m][k % STEP_CHUNK], psi.reshape(-1, 1 << m).T)
+        psi = psi.reshape(size)
+    end = np.exp(0.5j * h * deltas[-1] * np.arange(n + 1))[np.bitwise_count(np.arange(size))]
+    psi *= inter_half * end
     return StateVector(amplitudes=psi, n=n)
 
 

@@ -112,7 +112,7 @@ class PricingStats:
     shots: int
     distinct_bitstrings: int
     improving: int
-    maximal: int  # columns whose set was maximal before the extension
+    maximal: int  # columns that some candidate already was before the extension
 
 
 @dataclass
@@ -223,10 +223,9 @@ class PricingEngine:
         """The candidates (root masks within `positive`) that are independent
         and, once extended in vertex order to a maximal set within `positive`
         (which only lowers the reduced cost: each added dual is positive),
-        improving and new; and how many of those were maximal as drawn."""
-        columns: list[int] = []
-        seen: set[int] = set()
-        n_maximal = 0
+        improving and new; and how many of those some candidate reached maximal
+        as drawn."""
+        maximal: dict[int, bool] = {}  # column -> some candidate was that column as drawn
         for drawn in candidates:
             if not root.is_independent(drawn):
                 continue
@@ -234,11 +233,7 @@ class PricingEngine:
             for v in iter_bits(positive & ~drawn):
                 if not root.adj[v] & mask:
                     mask |= 1 << v
-            if reduced_cost(mask, duals) >= -IMPROVE_EPS:
+            if reduced_cost(mask, duals) >= -IMPROVE_EPS or mask in pool:
                 continue
-            if mask in pool or mask in seen:
-                continue
-            seen.add(mask)
-            n_maximal += mask == drawn
-            columns.append(mask)
-        return columns, n_maximal
+            maximal[mask] = maximal.get(mask, False) or mask == drawn
+        return list(maximal), sum(maximal.values())

@@ -12,6 +12,7 @@ from qcbp.emulator import (
     MAX_STEPS,
     OMEGA_MAX,
     RAMP_FRACTION,
+    STEP_CHUNK,
     EmulatorConfig,
     PulseSchedule,
     StateVector,
@@ -19,7 +20,7 @@ from qcbp.emulator import (
     evolve,
     interaction_diagonal,
     sample,
-    x_rotations,
+    step_blocks,
 )
 from qcbp.graphs import Graph, pairwise_distances
 
@@ -129,14 +130,18 @@ def unit_disk_register(seed, n, radius=10.0):
 class TestXRotation:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_blocks_match_dense_exponential(self, n):
+        """Each step matrix is exp(-i theta sum X) exp(i phi sum n) on n qubits."""
         rng = np.random.default_rng(n)
         w, v = np.linalg.eigh(dense_x_operator(n))
-        for theta in (0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi))):
-            dense = (v * np.exp(-1j * theta * w)) @ v.T
-            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            psi /= np.linalg.norm(psi)
-            rotated = x_rotations(n, np.array([0.3, theta]))(psi.copy(), 1)
-            assert np.abs(rotated - dense @ psi).max() <= 1e-12
+        occupation = np.array([bin(state).count("1") for state in range(1 << n)])
+        angles = (0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi)))
+        thetas, phis = (np.array(grid).ravel() for grid in np.meshgrid(angles, angles))
+        mats = step_blocks(n, thetas, phis)
+        assert mats.shape == (9, 1 << n, 1 << n)
+        for mat, theta, phi in zip(mats, thetas, phis):
+            # the rotation times the diagonal exp(i phi sum n): column y takes its phase
+            dense = (v * np.exp(-1j * theta * w)) @ v.T * np.exp(1j * phi * occupation)
+            assert np.abs(mat - dense).max() <= 1e-12
 
 
 class TestInteractionDiagonal:
@@ -167,7 +172,8 @@ class TestInteractionDiagonal:
 class TestAgainstPairReference:
     """`evolve` against the same Strang steps rotated qubit pair by pair."""
 
-    @pytest.mark.parametrize("n", [8, 10, 12])
+    # n = 2, 3: one block; 9: three of 3 qubits; 10, 11: 4- and 3-qubit blocks
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 11, 12])
     @pytest.mark.parametrize("half_rabi", [False, True])
     def test_amplitudes_and_samples(self, n, half_rabi):
         cfg = EmulatorConfig()
@@ -175,10 +181,22 @@ class TestAgainstPairReference:
         pulse = build_adiabatic_pulse(report, cfg)
         if half_rabi:  # a second rotation angle per step: the same pulse at Omega/2
             pulse = replace(pulse, omega=tuple((t, 0.5 * w) for t, w in pulse.omega))
+        self.assert_matches(reg, pulse, cfg)
+
+    @pytest.mark.parametrize("steps", [1, STEP_CHUNK - 1, STEP_CHUNK + 1, 2 * STEP_CHUNK + 7])
+    def test_step_counts_across_chunks(self, steps):
+        """A one-step pulse, and step counts that leave a partial chunk."""
+        reg, report = unit_disk_register(81, 9)
+        cfg = EmulatorConfig(dt=3.0 / steps)
+        assert round(cfg.duration / cfg.dt) == steps
+        self.assert_matches(reg, build_adiabatic_pulse(report, cfg), cfg)
+
+    @staticmethod
+    def assert_matches(reg, pulse, cfg):
         psi = evolve(reg, pulse, cfg)
         ref = strang_pairs_final_state(reg, pulse, cfg)
         assert np.abs(psi.amplitudes - ref).max() <= 1e-10
-        ref_state = StateVector(amplitudes=ref, n=n)
+        ref_state = StateVector(amplitudes=ref, n=reg.n)
         for seed in range(10):
             assert sample(psi, 200, seed) == sample(ref_state, 200, seed)
 

@@ -225,6 +225,21 @@ class TestSampleMemory:
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_maximal_count_does_not_depend_on_candidate_order(self, order):
+        # Without vertex 0, the remembered {0, 4} is recalled as {4}, which
+        # extends to {2, 4}; the remembered {2, 4} is that column as drawn.
+        # Either order logs one column, and it counts as maximal.
+        g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
+        pool = ColumnPool.with_singletons(g)
+        remembered = [mask_of([0, 4]), mask_of([2, 4])]
+        pool.samples.update((remembered[i], None) for i in order)
+        positive = mask_of([1, 2, 3, 4, 5, 6])
+        duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.9, 0.0)
+        cols, stats = PricingEngine(TestEmulatedSampler.FAST).sample_columns(g, positive, duals, pool)
+        assert cols == [mask_of([2, 4])]
+        assert (stats.shots, stats.improving, stats.maximal) == (0, 1, 1)
+
     def test_every_column_is_maximal_within_the_positive_mask(self):
         # Rounds of a column generation on random graphs: each round pools the
         # last round's columns and prices a random dual-positive mask, so sets
@@ -232,7 +247,7 @@ class TestSampleMemory:
         # maximal. Recalled or drawn, every column is extended within the mask.
         rng = np.random.default_rng(65)
         cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0)
-        recalled = drawn = extended = 0
+        recalled = drawn = not_maximal = 0
         for _ in range(40):
             n = int(rng.integers(4, 11))
             g = random_graph(n, rng.uniform(0.1, 0.6), rng)
@@ -240,8 +255,9 @@ class TestSampleMemory:
             positive = g.full_mask
             for _ in range(4):
                 duals = np.where([(positive >> v) & 1 for v in range(n)], rng.uniform(0.3, 1.0, n), 0.0)
-                cols, stats = engine.sample_columns(g, positive, duals, pool)
                 sub = g.induced_subgraph(positive)
+                memory = {mask & positive for mask in pool.samples}
+                cols, stats = engine.sample_columns(g, positive, duals, pool)
                 assert len(set(cols)) == len(cols) == stats.improving
                 for mask in cols:
                     assert mask & ~positive == 0
@@ -255,9 +271,10 @@ class TestSampleMemory:
                     drawn += 1
                 else:
                     recalled += 1
-                    extended += stats.improving - stats.maximal
+                    not_maximal += sum(not sub.is_maximal_independent(restrict_mask(mask, positive))
+                                       for mask in memory if g.is_independent(mask))
                 positive = int(rng.integers(1, 1 << n)) | 0b11
-        assert recalled > 50 and drawn > 50 and extended > 20
+        assert recalled > 50 and drawn > 50 and not_maximal > 20
 
     def test_memory_is_per_solve(self):
         # The same graph solved twice on one engine: each solve's first
