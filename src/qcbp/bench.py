@@ -1,9 +1,9 @@
-"""Benchmark harness: dataset generation, solver modes, metrics, CSV reports.
+"""Benchmark harness: dataset generation, solver runs, metrics, CSV reports.
 
-Modes: `qcbp` runs the full branch-and-price solver, `hcg_only` runs the same
-solver with a one-node budget (root column generation plus the primal
-heuristic), and `exact` runs the reference backtracking oracle. Every record
-carries the exact chromatic number, so optimality rates and gaps come straight
+Every instance is solved by `solve_qcbp`; the paper's HCG baseline (root
+column generation plus the primal heuristic) is the same run with
+`node_budget = 1`. Every record also carries the exact chromatic number from
+the reference backtracking oracle, so optimality rates and gaps come straight
 off the CSV, whose columns are the fields of `BenchRecord`.
 """
 
@@ -16,19 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnp import Coloring, SearchStats, SolverConfig, solve_qcbp
+from .bnp import SolveResult, SolverConfig, solve_qcbp
 from .chromatic import exact_coloring
 from .embedding import EmbedParams
 from .emulator import EmulatorConfig
-from .graphs import Graph, flip_random_pairs, mask_of, parse_dimacs, positions_to_csv, random_ud_graph
+from .graphs import Graph, flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
 from .pricing import COMPACT_REGISTER_RADIUS_UM, PricingEngine, PricingStats, SamplerConfig
 
-MODES = ("qcbp", "hcg_only", "exact")
 
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    mode: str = "qcbp"
     sampler: str = "emulated_qaa"
     shots: int = SamplerConfig.shots
     seed: int = 0
@@ -44,8 +41,6 @@ class RunConfig:
     embed_restarts: int = EmbedParams.restarts
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # the configs built from these fields check their own ranges
         self.sampler_config()
         self.solver_config()
@@ -70,11 +65,7 @@ class RunConfig:
         )
 
     def solver_config(self) -> SolverConfig:
-        """`hcg_only` is the solver stopped after its root node."""
-        return SolverConfig(
-            node_budget=1 if self.mode == "hcg_only" else self.node_budget,
-            hcg_max_iterations=self.hcg_max_iterations,
-        )
+        return SolverConfig(node_budget=self.node_budget, hcg_max_iterations=self.hcg_max_iterations)
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -225,24 +216,19 @@ class BenchRecord:
 PRICING_HEADER = "instance," + csv_header(PricingStats)
 
 
-def solve_instance(
-    g: Graph, config: RunConfig, engine_seed: int, clock=time.perf_counter,
-) -> tuple[Coloring, bool, SearchStats, list[PricingStats]]:
-    """Run one instance in the configured mode: the validated coloring, whether
-    it is proven optimal, the search statistics (timed here, validation
-    included) and the pricing log."""
-    t0 = clock()
-    if config.mode == "exact":
-        chi, assignment = exact_coloring(g)
-        coloring = Coloring(tuple(mask_of(v for v in range(g.n) if assignment[v] == c) for c in range(chi)))
-        proven, stats, log = True, SearchStats(), []
-    else:
-        engine = PricingEngine(config.sampler_config(seed=engine_seed))
-        res = solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
-        coloring, proven, stats, log = res.coloring, res.proven_optimal, res.stats, res.pricing_log
-    coloring.validate(g, g.full_mask)
-    stats.wall_seconds = clock() - t0
-    return coloring, proven, stats, log
+def solve_instance(g: Graph, config: RunConfig, engine_seed: int, clock=time.perf_counter) -> SolveResult:
+    """Solve one instance with a fresh engine whose seed stream starts at `engine_seed`."""
+    engine = PricingEngine(config.sampler_config(seed=engine_seed))
+    return solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
+
+
+def pricing_log_rows(instance: str, log: list[PricingStats]) -> list[str]:
+    """A solve's pricing log as `PRICING_HEADER` rows."""
+    return [f"{instance},{to_csv_row(row)}" for row in log]
+
+
+def pricing_log_csv(rows: list[str]) -> str:
+    return "\n".join([PRICING_HEADER, *rows]) + "\n"
 
 
 def run_benchmark(
@@ -264,26 +250,27 @@ def run_benchmark(
         g = parse_dimacs((dataset / inst.graph_file).read_text())
         chi_exact, _ = exact_coloring(g)
         engine_seed = int(np.random.default_rng([config.seed, idx]).integers(1 << 31))
-        coloring, proven, stats, log = solve_instance(g, config, engine_seed, clock=clock)
-        chi_hat = coloring.colors_used
+        res = solve_instance(g, config, engine_seed, clock=clock)
+        res.coloring.validate(g, g.full_mask)
+        chi_hat, stats = res.coloring.colors_used, res.stats
         if chi_hat < chi_exact:
             raise RuntimeError(f"{inst.instance}: reported {chi_hat} colors below chi={chi_exact}")
         records.append(BenchRecord(
             instance=inst.instance, n=inst.n, is_ud=inst.is_ud,
             chi_exact=chi_exact, chi_hat=chi_hat,
             gap=(chi_hat - chi_exact) / chi_exact,
-            proven=proven, shots=stats.shots_total,
+            proven=res.proven_optimal, shots=stats.shots_total,
             nodes_generated=stats.nodes_generated,
             nodes_explored=stats.nodes_explored,
             nodes_pruned=stats.nodes_pruned,
             ilp_calls=stats.exact_pricer_calls, wall_ms=stats.wall_seconds * 1e3,
         ))
-        pricing_rows.extend(f"{inst.instance},{to_csv_row(row)}" for row in log)
+        pricing_rows.extend(pricing_log_rows(inst.instance, res.pricing_log))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "records.csv").write_text(records_to_csv(records))
-        (out / "pricing_log.csv").write_text("\n".join([PRICING_HEADER, *pricing_rows]) + "\n")
+        (out / "pricing_log.csv").write_text(pricing_log_csv(pricing_rows))
         (out / "summary.txt").write_text(summarize(records, pricing_rows))
     return records, pricing_rows
 

@@ -11,19 +11,18 @@ from .bench import (
     PRICING_HEADER,
     BenchRecord,
     RunConfig,
-    csv_header,
     generate_dataset,
     make_run_config,
     parse_config_file,
     parse_csv,
+    pricing_log_csv,
+    pricing_log_rows,
     run_benchmark,
     solve_instance,
     summarize,
-    to_csv_row,
 )
 from .chromatic import exact_chromatic_number
 from .graphs import parse_dimacs
-from .pricing import PricingStats
 
 _CONFIG_FLAGS = [f.name for f in fields(RunConfig)]
 
@@ -62,10 +61,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _build_config(args)
     g = parse_dimacs(Path(args.graph).read_text())
-    coloring, proven, stats, log = solve_instance(g, config, engine_seed=config.seed)
+    res = solve_instance(g, config, engine_seed=config.seed)
+    stats = res.stats
     print(f"instance: {args.graph}")
-    print(f"mode={config.mode} sampler={config.sampler}")
-    print(f"colors={coloring.colors_used} proven_optimal={str(proven).lower()}")
+    print(f"sampler={config.sampler}")
+    print(f"colors={res.chi_hat} proven_optimal={str(res.proven_optimal).lower()}")
     print(f"shots={stats.shots_total} ilp_calls={stats.exact_pricer_calls} "
           f"nodes={stats.nodes_generated}/{stats.nodes_explored}/{stats.nodes_pruned} "
           f"(generated/explored/pruned) uncertified_nodes={stats.uncertified_nodes} "
@@ -74,9 +74,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.chi_exact:
         print(f"chi_exact={exact_chromatic_number(g)}")
     if args.pricing_log:
-        # the per-run log has no instance column
-        rows = [csv_header(PricingStats), *map(to_csv_row, log)]
-        Path(args.pricing_log).write_text("\n".join(rows) + "\n")
+        # the graph file's stem names the instance, so `qcbp report` reads the log
+        rows = pricing_log_rows(Path(args.graph).stem, res.pricing_log)
+        Path(args.pricing_log).write_text(pricing_log_csv(rows))
         print(f"pricing log written to {args.pricing_log}")
     return 0
 

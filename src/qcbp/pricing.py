@@ -9,7 +9,8 @@ only place where the subproblem's vertices are renumbered: drawn bitstrings
 are expanded to root masks once, and everything else is priced in root
 numbering against the root-indexed duals. Either way each independent set is
 extended to a maximal set within the dual-positive mask and kept if it is then
-improving and new. A recalled round logs no shots. A classical
+improving and new. A recalled round logs no shots, and so does a round whose
+subproblem is too big to emulate, which draws nothing. A classical
 branch-and-bound MWIS provides the exact safeguard that certifies
 termination, and hands back the other improving sets its search builds as
 extra columns. The embed seed comes from the subproblem's vertex set and the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbedParams, audit, embed
-from .emulator import EmulatorConfig, build_adiabatic_pulse, evolve, sample
+from .emulator import MAX_QUBITS, EmulatorConfig, build_adiabatic_pulse, evolve, sample
 from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
 from .rmp import ColumnPool
 
@@ -115,7 +116,7 @@ class PricingStats:
     maximal: int  # columns that some candidate already was before the extension
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     kind: str = "emulated_qaa"  # emulated_qaa | classical_stochastic | exact_pricer
     shots: int = 200
@@ -187,10 +188,12 @@ class PricingEngine:
         The pass first recalls the pool's sample memory: every independent set
         this solve has drawn, cut down to `positive`. Only when none of those
         is a column does it draw again, on a register of the induced subgraph,
-        and it stores every independent set the draw returns. Every returned
-        column is a root mask, independent, maximal within `positive`, with
-        reduced cost below -1e-6 and absent from the pool, re-checked here no
-        matter what the sampler produced.
+        and it stores every independent set the draw returns. The emulated
+        sampler draws nothing on more than MAX_QUBITS vertices: the pass then
+        returns no columns, and the exact pricer answers the round. Every
+        returned column is a root mask, independent, maximal within
+        `positive`, with reduced cost below -1e-6 and absent from the pool,
+        re-checked here no matter what the sampler produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
@@ -201,6 +204,8 @@ class PricingEngine:
         columns, n_maximal = self._columns(root, positive, duals, pool, recalled)
         if columns:
             return columns, PricingStats(iteration, n_sub, 0, 0, len(columns), n_maximal)
+        if self.config.kind == "emulated_qaa" and n_sub > MAX_QUBITS:
+            return [], PricingStats(iteration, n_sub, 0, 0, 0, 0)  # left to the exact pricer
 
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]

@@ -48,7 +48,7 @@ def sweep(tmp_path_factory):
     """Criteria 1-3: the 60-instance emulated-QAA benchmark sweep."""
     dataset = tmp_path_factory.mktemp("dataset")
     generate_dataset(dataset, ns=(8, 9, 10, 11, 12), per_n=12, ud_fraction=0.5, seed=SWEEP_SEED)
-    config = RunConfig(mode="qcbp", sampler="emulated_qaa", shots=200, seed=SWEEP_SEED)
+    config = RunConfig(sampler="emulated_qaa", shots=200, seed=SWEEP_SEED)
     t0 = time.perf_counter()
     records, pricing_rows = run_benchmark(dataset, config)
     wall = time.perf_counter() - t0
@@ -250,7 +250,7 @@ def test_criterion_10_determinism(tmp_path):
     for _ in range(2):
         ticker = itertools.count()
         clock = lambda: float(next(ticker))  # noqa: E731
-        config = RunConfig(mode="qcbp", sampler="emulated_qaa", shots=60, seed=77,
+        config = RunConfig(sampler="emulated_qaa", shots=60, seed=77,
                            embed_iterations=600, embed_restarts=2, dt=2e-3)
         records, pricing_rows = run_benchmark(dataset, config, clock=clock)
         outputs.append((records_to_csv(records), "\n".join(pricing_rows)))

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -54,7 +54,7 @@ def counter_clock():
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.mode == "qcbp" and cfg.sampler == "emulated_qaa"
+        assert cfg.sampler == "emulated_qaa"
         assert cfg.shots == 200 and cfg.duration == 3.0
         assert cfg.delta_start == -15.0 and cfg.delta_end == 15.0
 
@@ -68,7 +68,7 @@ class TestRunConfig:
         # A config field that no RunConfig field sets is a library-only knob;
         # a new one fails here until it is listed.
         moved = {
-            "mode": "exact", "sampler": "classical_stochastic", "shots": 7, "seed": 3,
+            "sampler": "classical_stochastic", "shots": 7, "seed": 3,
             "node_budget": 9, "hcg_max_iterations": 4, "dt": 2e-3, "c6": 5e5, "duration": 2.0,
             "delta_start": -10.0, "delta_end": 12.0, "register_radius": 7.0,
             "embed_iterations": 100, "embed_restarts": 2,
@@ -80,18 +80,21 @@ class TestRunConfig:
         after = leaves(cfg.sampler_config()) | leaves(cfg.solver_config())
         assert [name for name in before if after[name] == before[name]] == []
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            RunConfig(mode="annealing")
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        # a field set after construction would skip the checks made there
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
     def test_bad_sampler(self):
         with pytest.raises(ValueError, match="sampler"):
             RunConfig(sampler="hardware")
 
     def test_config_file_parsing(self):
-        settings = parse_config_file("mode = exact\n# comment\nshots=50\n\ndt = 0.002\n")
+        settings = parse_config_file("sampler = exact_pricer\n# comment\nshots=50\n\ndt = 0.002\n")
         cfg = make_run_config(settings)
-        assert cfg.mode == "exact" and cfg.shots == 50 and cfg.dt == 0.002
+        assert cfg.sampler == "exact_pricer" and cfg.shots == 50 and cfg.dt == 0.002
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -103,7 +106,7 @@ class TestRunConfig:
 
     def test_repeated_key_rejected_with_both_lines(self):
         with pytest.raises(ValueError, match="config line 4: key 'shots' repeats line 1"):
-            parse_config_file("shots=5\nmode = qcbp\n# shots=6\nshots = 7\n")
+            parse_config_file("shots=5\nseed = 2\n# shots=6\nshots = 7\n")
 
     @pytest.mark.parametrize("key, value", [
         ("shots", "abc"), ("node_budget", "1.5"), ("dt", "fast"),
@@ -201,14 +204,15 @@ class TestBenchmark:
         generate_dataset(tmp_path, ns=(5, 6), per_n=2, ud_fraction=0.5, seed=5)
         return tmp_path
 
-    def test_exact_mode_gap_zero(self, small_dataset):
-        records, _ = run_benchmark(small_dataset, RunConfig(mode="exact"), clock=counter_clock())
+    def test_exact_pricer_gap_zero(self, small_dataset):
+        cfg = RunConfig(sampler="exact_pricer")
+        records, rows = run_benchmark(small_dataset, cfg, clock=counter_clock())
         assert all(r.gap == 0.0 and r.proven for r in records)
-        assert all(r.shots == 0 for r in records)
+        assert all(r.shots == 0 for r in records) and rows == []
 
     def test_qcbp_mode_stochastic(self, small_dataset, tmp_path):
         out = tmp_path / "out"
-        cfg = RunConfig(mode="qcbp", sampler="classical_stochastic", shots=30, seed=1)
+        cfg = RunConfig(sampler="classical_stochastic", shots=30, seed=1)
         records, pricing = run_benchmark(small_dataset, cfg, out_dir=out, clock=counter_clock())
         assert all(r.chi_hat >= r.chi_exact for r in records)
         assert (out / "records.csv").exists()
@@ -217,16 +221,15 @@ class TestBenchmark:
         parsed = parse_csv(BenchRecord, (out / "records.csv").read_text())
         assert parsed == records
 
-    def test_hcg_only_mode(self, small_dataset):
-        cfg = RunConfig(mode="hcg_only", sampler="classical_stochastic", shots=30, seed=2)
-        records, rows = run_benchmark(small_dataset, cfg, clock=counter_clock())
+    def test_node_budget_one_is_root_only(self, small_dataset):
+        # the paper's HCG baseline: root column generation plus the primal heuristic
+        cfg = RunConfig(sampler="classical_stochastic", shots=30, seed=2, node_budget=1)
+        records, _ = run_benchmark(small_dataset, cfg, clock=counter_clock())
         assert all(r.nodes_generated == 1 and r.nodes_explored == 1 for r in records)
         assert all(r.chi_hat >= r.chi_exact for r in records)
-        root_only = replace(cfg, mode="qcbp", node_budget=1)
-        assert run_benchmark(small_dataset, root_only, clock=counter_clock()) == (records, rows)
 
     def test_deterministic_with_fixed_clock(self, small_dataset):
-        cfg = RunConfig(mode="qcbp", sampler="classical_stochastic", shots=25, seed=3)
+        cfg = RunConfig(sampler="classical_stochastic", shots=25, seed=3)
         rec_a, rows_a = run_benchmark(small_dataset, cfg, clock=counter_clock())
         rec_b, rows_b = run_benchmark(small_dataset, cfg, clock=counter_clock())
         assert records_to_csv(rec_a) == records_to_csv(rec_b)
@@ -234,7 +237,7 @@ class TestBenchmark:
 
     def test_csv_headers_pinned(self, small_dataset, tmp_path):
         out = tmp_path / "out"
-        run_benchmark(small_dataset, RunConfig(mode="exact"), out_dir=out, clock=counter_clock())
+        run_benchmark(small_dataset, RunConfig(sampler="exact_pricer"), out_dir=out, clock=counter_clock())
         records_header = ("instance,n,is_ud,chi_exact,chi_hat,gap,proven,shots,"
                           "nodes_generated,nodes_explored,nodes_pruned,ilp_calls,wall_ms")
         manifest_header = "instance,n,is_ud,seed,graph_file,positions_file"
@@ -263,7 +266,7 @@ class TestBenchmark:
 
     def test_summary_sections(self, small_dataset):
         records, pricing = run_benchmark(
-            small_dataset, RunConfig(mode="qcbp", sampler="classical_stochastic", shots=25, seed=4),
+            small_dataset, RunConfig(sampler="classical_stochastic", shots=25, seed=4),
             clock=counter_clock(),
         )
         text = summarize(records, pricing)
@@ -273,7 +276,7 @@ class TestBenchmark:
 
     def test_sampler_quality_sums_the_pricing_rows(self, small_dataset):
         records, pricing = run_benchmark(
-            small_dataset, RunConfig(mode="qcbp", sampler="classical_stochastic", shots=25, seed=4),
+            small_dataset, RunConfig(sampler="classical_stochastic", shots=25, seed=4),
             clock=counter_clock(),
         )
         distinct: dict[int, int] = {}

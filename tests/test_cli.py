@@ -44,11 +44,11 @@ class TestGen:
 
 
 class TestSolve:
-    def test_exact_mode(self, tmp_path, capsys):
+    def test_chi_exact_prints_the_oracle(self, tmp_path, capsys):
         graph = tmp_path / "k4.dimacs"
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         graph.write_text(g.to_dimacs())
-        assert main(["solve", str(graph), "--mode", "exact", "--chi-exact"]) == 0
+        assert main(["solve", str(graph), "--sampler", "exact_pricer", "--chi-exact"]) == 0
         out = capsys.readouterr().out
         assert "colors=4" in out and "chi_exact=4" in out
 
@@ -57,12 +57,14 @@ class TestSolve:
         graph.write_text(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).to_dimacs())
         log = tmp_path / "pricing.csv"
         code = main([
-            "solve", str(graph), "--mode", "qcbp", "--sampler", "classical_stochastic",
+            "solve", str(graph), "--sampler", "classical_stochastic",
             "--shots", "20", "--pricing-log", str(log),
         ])
         assert code == 0
         assert "colors=2" in capsys.readouterr().out
-        assert log.read_text().startswith("iteration,n_sub,shots,distinct_bitstrings,improving,maximal")
+        lines = log.read_text().splitlines()
+        assert lines[0] == "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
+        assert len(lines) > 1 and all(line.startswith("p4,") for line in lines[1:])
 
     def test_budget_stop_prints_its_reason(self, tmp_path, capsys):
         # Groetzsch graph: chi 4 above its LP bound 2.9, so one node cannot prove it
@@ -71,7 +73,7 @@ class TestSolve:
         edges += [(10, 5 + i) for i in range(5)]
         graph = tmp_path / "groetzsch.dimacs"
         graph.write_text(Graph.from_edges(11, edges).to_dimacs())
-        assert main(["solve", str(graph), "--mode", "hcg_only", "--sampler", "exact_pricer"]) == 0
+        assert main(["solve", str(graph), "--node-budget", "1", "--sampler", "exact_pricer"]) == 0
         out = capsys.readouterr().out
         assert "proven_optimal=false" in out and "unproven_reason=budget" in out
 
@@ -79,11 +81,10 @@ class TestSolve:
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
         conf = tmp_path / "run.conf"
-        conf.write_text("mode = exact\nshots = 11\n")
-        assert main(["solve", str(graph), "--config", str(conf), "--mode", "qcbp",
-                     "--sampler", "exact_pricer"]) == 0
+        conf.write_text("sampler = classical_stochastic\nshots = 11\n")
+        assert main(["solve", str(graph), "--config", str(conf), "--sampler", "exact_pricer"]) == 0
         out = capsys.readouterr().out
-        assert "mode=qcbp" in out and "sampler=exact_pricer" in out
+        assert "sampler=exact_pricer" in out and "shots=0" in out
 
     def test_count_below_one_errors(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
@@ -134,7 +135,7 @@ class TestBenchReport:
         out = tmp_path / "out"
         code = main([
             "bench", "--dataset", str(dataset), "--out", str(out),
-            "--mode", "qcbp", "--sampler", "classical_stochastic", "--shots", "20",
+            "--sampler", "classical_stochastic", "--shots", "20",
         ])
         assert code == 0
         assert (out / "records.csv").exists()
@@ -144,8 +145,18 @@ class TestBenchReport:
         assert code == 0
         assert "optimality rate" in capsys.readouterr().out
 
-    def test_bad_mode_errors(self, dataset, tmp_path, capsys):
+    def test_report_reads_a_solve_pricing_log(self, dataset, tmp_path, capsys):
+        out, log = tmp_path / "out", tmp_path / "solve_log.csv"
+        assert main(["bench", "--dataset", str(dataset), "--out", str(out),
+                     "--sampler", "classical_stochastic", "--shots", "20"]) == 0
+        assert main(["solve", str(dataset / "n06_ud_00.dimacs"), "--sampler", "classical_stochastic",
+                     "--shots", "20", "--pricing-log", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--records", str(out / "records.csv"), "--pricing-log", str(log)]) == 0
+        assert "sampler quality by subproblem size" in capsys.readouterr().out
+
+    def test_bad_sampler_errors(self, dataset, tmp_path, capsys):
         code = main(["bench", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
-                     "--mode", "quantum"])
+                     "--sampler", "quantum"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: unknown sampler kind 'quantum'" in capsys.readouterr().err

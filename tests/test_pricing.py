@@ -1,14 +1,17 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
 import qcbp.pricing
 from qcbp.bnp import solve_qcbp
 from qcbp.embedding import EmbedParams
-from qcbp.emulator import EmulatorConfig
+from qcbp.emulator import MAX_QUBITS, EmulatorConfig
 from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.pricing import (
     IMPROVE_EPS,
     PricingEngine,
+    PricingStats,
     SamplerConfig,
     exact_mwis,
     reduced_cost,
@@ -288,7 +291,40 @@ class TestSampleMemory:
             assert any(row.shots == 0 for row in log)
 
 
+class TestEmulationCap:
+    @pytest.mark.parametrize("n, draws", [(MAX_QUBITS, True), (MAX_QUBITS + 1, False)])
+    def test_no_draw_above_the_cap(self, monkeypatch, n, draws):
+        class Drew(Exception):
+            pass
+
+        def embed(*args, **kwargs):
+            raise Drew
+
+        monkeypatch.setattr(qcbp.pricing, "embed", embed)
+        g = random_graph(n, 0.3, np.random.default_rng(n))
+        pool = ColumnPool.with_singletons(g)
+        engine = PricingEngine()
+        if draws:
+            with pytest.raises(Drew):
+                engine.sample_columns(g, g.full_mask, np.full(n, 0.9), pool, iteration=3)
+        else:
+            cols, stats = engine.sample_columns(g, g.full_mask, np.full(n, 0.9), pool, iteration=3)
+            assert (cols, stats) == ([], PricingStats(3, n, 0, 0, 0, 0))
+
+    def test_exact_pricer_answers_above_the_cap(self):
+        res = solve_qcbp(complete(MAX_QUBITS + 1), engine=PricingEngine())
+        assert (res.chi_hat, res.proven_optimal, res.stats.shots_total) == (MAX_QUBITS + 1, True, 0)
+        assert res.pricing_log and all(row.n_sub > MAX_QUBITS for row in res.pricing_log)
+
+
 class TestConfig:
+    @pytest.mark.parametrize("name", [f.name for f in fields(SamplerConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        # a field set after construction would skip the checks made there
+        cfg = SamplerConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="sampler"):
             SamplerConfig(kind="quantum_hardware")
