@@ -1,11 +1,13 @@
 """Branch-and-bound around column generation: branching on maximal sets,
 bounding with master-LP and spectral lower bounds, and a greedy primal
-heuristic that recombines a node's columns into feasible colorings.
+heuristic and a cover search that recombine a node's columns into colorings.
 
 A node's work comes back in the result of its column generation: the search
 adds up the pricing log and the exact pricer's calls from it, and hands its
 columns (the pool cut down to the residual, plus the sets priced at the node)
-to the primal heuristic and to branching.
+to the primal heuristic and to branching. When the heuristic needs more than
+the node's bound allows, the cover search looks for a coloring at that bound
+among the same columns; it only offers incumbents, so proofs are unchanged.
 
 A node branches on its residual's highest-degree vertex v: one child fixes
 each maximal independent set that contains v, with the sets among the node's
@@ -42,8 +44,10 @@ from .hcg import MAX_ITERATIONS, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
 
+COVER_STEP_CAP = 2000  # branchings of one node's cover search before it gives up
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Coloring:
     """Disjoint independent classes covering the colored vertex set."""
 
@@ -73,7 +77,7 @@ class BBNode:
     lb: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes_generated: int = 0
     nodes_explored: int = 0
@@ -86,7 +90,7 @@ class SearchStats:
     wall_seconds: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     coloring: Coloring
     chi_hat: int
@@ -133,6 +137,45 @@ def primal_heuristic(g: Graph, residual: int, columns: Collection[int]) -> Color
         classes.append(best)
         uncolored ^= best
     return Coloring(classes=tuple(classes))
+
+
+def cover_search(residual: int, columns: Iterable[int], k: int) -> tuple[int, ...] | None:
+    """At most k disjoint classes covering `residual`: k of the columns cut
+    down to it, overlaps going to the first chosen; or None.
+
+    Only the cut columns that no other one contains are tried. The search
+    branches on the uncovered vertex with the fewest covering columns (lowest
+    index on ties), trying the columns that cover the most first (then smaller
+    masks) while the rest, none wider than the widest, can still cover what
+    is left. It gives up after COVER_STEP_CAP branchings."""
+    cut = sorted({m & residual for m in columns} - {0}, key=lambda m: (-m.bit_count(), m))
+    covering: dict[int, list[int]] = {v: [] for v in iter_bits(residual)}
+    for m in cut:  # a superset of m sorts before it, so it is already listed
+        if not any(o & m == m for o in covering[(m & -m).bit_length() - 1]):
+            for v in iter_bits(m):
+                covering[v].append(m)
+    order = sorted(covering, key=lambda u: (len(covering[u]), u))
+    widest = cut[0].bit_count() if cut else 0
+    steps = 0
+
+    def search(uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
+        nonlocal steps
+        if uncovered == 0:
+            return chosen
+        if steps == COVER_STEP_CAP:
+            return None
+        steps += 1
+        v = next(u for u in order if (uncovered >> u) & 1)
+        room = (k - len(chosen) - 1) * widest  # what the columns after this one can cover
+        for m in sorted(covering[v], key=lambda m: (-(m & uncovered).bit_count(), m)):
+            if (uncovered & ~m).bit_count() > room:
+                break  # and so for every later, narrower column
+            found = search(uncovered & ~m, chosen + (m & uncovered,))
+            if found is not None:
+                return found
+        return None
+
+    return search(residual, ())
 
 
 def node_lb(depth: int, lp_bound: float, lb: int) -> int:
@@ -269,6 +312,10 @@ def solve_qcbp(
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
         local = primal_heuristic(g, node.residual_root, hcg_res.columns)
         try_incumbent(node.fixed_classes + local.classes)
+        if node.lb < ub:  # a cover by k = node.lb - depth columns would beat the incumbent
+            cover = cover_search(node.residual_root, hcg_res.columns, node.lb - node.depth)
+            if cover is not None:
+                try_incumbent(node.fixed_classes + cover)
         if node.depth == 0:
             root_lb, lp_root = node.lb, hcg_res.lp_bound
             if ub < root_lb:
@@ -303,6 +350,6 @@ def solve_qcbp(
         lp_root=lp_root,
         root_lb=root_lb,
         stats=stats,
-        pool=array("Q", pool),
+        pool=array("Q", list(pool)),  # from a list the array is sized exactly
         pricing_log=pricing_log,
     )

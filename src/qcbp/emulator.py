@@ -44,7 +44,10 @@ MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~40 B a step at 
 @dataclass(frozen=True)
 class EmulatorConfig:
     c6: float = DEFAULT_C6
-    dt: float = 1 / 300       # us; 900 steps: infidelity <= 1.1e-6 vs 1e-4 us RK4, TVD <= 3.1e-3 vs 1e-3
+    # us; 900 steps. Infidelity against RK4: <= 1.1e-6 (RK4 at 1e-4 us) on criterion
+    # 5's registers (n <= 4, 6-12 um spread), up to 3.3e-5 (RK4 at 2e-5 us) on the
+    # compact 6 um registers of random_ud_graph(6, seed, box=25). TVD <= 3.1e-3 vs 1e-3.
+    dt: float = 1 / 300
     duration: float = 3.0     # us
     delta_start: float = -15.0
     delta_end: float = 15.0

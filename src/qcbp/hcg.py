@@ -1,12 +1,12 @@
 """Hybrid column generation: alternate master solves with sampler pricing.
 
 Each round solves the restricted master, restricts the subproblem to vertices
-with positive duals, and asks the sampler for improving columns. When the
-sampler comes back empty, the exact MWIS safeguard either certifies that no
-improving column exists or supplies up to one column per master row: the
-heaviest set first, then the other improving sets its search built. Columns
-are only appended within a run, so each re-solve restarts from the last
-optimal basis.
+with positive duals, and asks the sampler for improving columns when more
+than CLASSICAL_PRICING_MAX remain (a smaller round logs no row). If it has none,
+the greedy pricer tries, and only then the exact MWIS safeguard, which
+certifies that no improving column exists or supplies the heaviest set.
+Columns are only appended within a run, so each re-solve restarts from the
+last optimal basis.
 
 A run that has not certified after `max_iterations` pricing rounds stops
 capped; the search passes `SolverConfig.hcg_max_iterations`, whose default is
@@ -31,10 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, iter_bits, mask_of
-from .pricing import DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis
+from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis,
+                      greedy_columns)
 from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
+CLASSICAL_PRICING_MAX = 3  # dual-positive vertices the greedy prices alone: it lists every maximal set
 
 
 @dataclass
@@ -94,16 +96,19 @@ def run_hcg(
             break
 
         found: list[int] = []
-        if engine.kind != "exact_pricer" and positive.bit_count() >= 2:
+        if engine.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
             found, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)
             log.append(stats)
         if not found:
-            best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals], found)
+            found = greedy_columns(root, positive, duals, pool)
+        if not found:
+            best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals])
             exact_calls += 1
             heaviest = sum(float(duals[v]) for v in iter_bits(best))
             if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
+            found = [best]
         for mask in found:
             pool.add(mask)
         model.add(found)

@@ -10,17 +10,16 @@ are expanded to root masks once, and everything else is priced in root
 numbering against the root-indexed duals. Either way each independent set is
 extended to a maximal set within the dual-positive mask and kept if it is then
 improving and new. A recalled round logs no shots, and so does a round whose
-subproblem is too big to emulate, which draws nothing. A classical
-branch-and-bound MWIS provides the exact safeguard that certifies
-termination, and hands back the other improving sets its search builds as
-extra columns. The embed seed comes from the subproblem's vertex set and the
-evolution is deterministic, so a revisited subgraph gets the same final state
-again without a cache.
+subproblem is too big to emulate, which draws nothing. The embed seed comes
+from the subproblem's vertex set and the evolution is deterministic, so a
+revisited subgraph gets the same final state again without a cache. Behind
+the sampler, a greedy pricer grows one maximal set from each dual-positive
+vertex, and a branch-and-bound MWIS, the exact safeguard, certifies
+termination or returns the heaviest set.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,18 +45,29 @@ def reduced_cost(mask: int, duals: np.ndarray) -> float:
     return 1.0 - sum(float(duals[v]) for v in iter_bits(mask))
 
 
-def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
+def greedy_columns(g: Graph, positive: int, duals: np.ndarray, pool: ColumnPool) -> list[int]:
+    """The distinct improving sets outside the pool among the maximal sets
+    within `positive` grown from each of its vertices s, in falling dual order
+    (lower index on ties), by adding vertices in that order. On at most 3
+    vertices this reaches every maximal set, so an empty answer means none
+    improves."""
+    order = sorted(iter_bits(positive), key=lambda v: (-float(duals[v]), v))
+    grown: dict[int, None] = {}
+    for s in order:
+        mask = 1 << s
+        for v in order:
+            if not g.adj[v] & mask:
+                mask |= 1 << v
+        grown[mask] = None
+    return [m for m in grown if m not in pool and reduced_cost(m, duals) < -IMPROVE_EPS]
+
+
+def exact_mwis(g: Graph, weights) -> int:
     """Independent set maximizing the weight sum, by branch-and-bound.
 
     Vertices with non-positive weight are dropped up front (they never help).
     Branching follows descending weight with the remaining-weight-sum bound.
     Equal-weight optima resolve to the smallest bitmask value.
-
-    When `columns` is given, it receives up to k distinct improving sets
-    (weight above 1 + IMPROVE_EPS) among those the search builds: the
-    returned set first, then heavier sets before lighter ones, ties to the
-    smaller mask. k counts the positive weights, the vertices of the priced
-    subproblem; its master has k rows, so no more columns enter one basis.
     """
     w = [float(x) for x in weights]
     order = sorted((v for v in range(g.n) if w[v] > 0.0), key=lambda v: (-w[v], v))
@@ -67,7 +77,6 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
     depth = len(branch)
     best_w = 0.0
     best_mask = 0
-    improving: list[tuple[float, int]] = []  # (-weight, mask): sorts heavier first
 
     def weight_of(mask: int) -> float:
         """The set's weight, summed in increasing vertex order."""
@@ -90,17 +99,11 @@ def exact_mwis(g: Graph, weights, columns: list[int] | None = None) -> int:
             return
         bit, w_v, closed = branch[pos]
         removed = closed & cand
-        with_v = cur_w + w_v
-        if with_v > 1.0 + IMPROVE_EPS:
-            improving.append((-with_v, cur_mask | bit))
-        descend(pos + 1, cand & ~removed, with_v, cur_mask | bit, rem - weight_of(removed))
+        descend(pos + 1, cand & ~removed, cur_w + w_v, cur_mask | bit, rem - weight_of(removed))
         descend(pos + 1, cand & ~bit, cur_w, cur_mask, rem - w_v)
 
     cand0 = mask_of(order)
     descend(0, cand0, 0.0, 0, weight_of(cand0))
-    if columns is not None:
-        ranked = heapq.nsmallest(len(order), improving, key=lambda c: (c[1] != best_mask, c))
-        columns.extend(mask for _, mask in ranked)
     return best_mask
 
 
@@ -190,7 +193,7 @@ class PricingEngine:
         is a column does it draw again, on a register of the induced subgraph,
         and it stores every independent set the draw returns. The emulated
         sampler draws nothing on more than MAX_QUBITS vertices: the pass then
-        returns no columns, and the exact pricer answers the round. Every
+        returns no columns, and the classical pricers answer the round. Every
         returned column is a root mask, independent, maximal within
         `positive`, with reduced cost below -1e-6 and absent from the pool,
         re-checked here no matter what the sampler produced.
@@ -205,7 +208,7 @@ class PricingEngine:
         if columns:
             return columns, PricingStats(iteration, n_sub, 0, 0, len(columns), n_maximal)
         if self.config.kind == "emulated_qaa" and n_sub > MAX_QUBITS:
-            return [], PricingStats(iteration, n_sub, 0, 0, 0, 0)  # left to the exact pricer
+            return [], PricingStats(iteration, n_sub, 0, 0, 0, 0)  # left to the classical pricers
 
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]

@@ -11,6 +11,7 @@ from qcbp.bnp import (
     Coloring,
     SolverConfig,
     branch,
+    cover_search,
     maximal_sets_containing,
     node_lb,
     node_score,
@@ -142,6 +143,65 @@ class TestBranch:
             assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)
 
 
+class TestCoverSearch:
+    @staticmethod
+    def check(g: Graph, residual: int, cover, k: int) -> None:
+        if cover is None:
+            return
+        assert 0 < len(cover) <= k
+        Coloring(classes=cover).validate(g, residual)
+
+    def test_none_or_a_coloring_with_at_most_k_classes(self):
+        rng = np.random.default_rng(93)
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+            columns = [1 << v for v in range(n)]
+            for _ in range(int(rng.integers(0, 12))):
+                mask = 0
+                for v in rng.permutation(n):
+                    if not g.adj[v] & mask and rng.random() < 0.7:
+                        mask |= 1 << int(v)
+                columns.append(mask)
+            residual = int(rng.integers(1, 1 << n))
+            k = int(rng.integers(1, 5))
+            cover = cover_search(residual, columns, k)
+            self.check(g, residual, cover, k)
+            found += cover is not None
+        assert found > 20
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_finds_a_planted_cover(self, k):
+        # k color classes of 5 vertices each, edges only between classes, and
+        # decoy independent sets that cut across the classes.
+        rng = np.random.default_rng(94 + k)
+        n = 5 * k
+        color = rng.permutation(np.arange(n) % k)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if color[u] != color[v] and rng.random() < 0.5])
+        classes = [mask_of(np.flatnonzero(color == c).tolist()) for c in range(k)]
+        decoys = []
+        for _ in range(30):
+            mask = 0
+            for v in rng.permutation(n):
+                if not g.adj[v] & mask:
+                    mask |= 1 << int(v)
+            decoys.append(mask)
+        columns = [1 << v for v in range(n)] + decoys + classes
+        cover = cover_search(g.full_mask, columns, k)
+        assert cover is not None
+        self.check(g, g.full_mask, cover, k)
+
+    def test_gives_up_at_the_step_cap(self, monkeypatch):
+        # Three disjoint classes need three branchings.
+        g = Graph.from_edges(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+        columns = [1 << v for v in range(6)] + [0b000011, 0b001100, 0b110000]
+        assert cover_search(g.full_mask, columns, 3) == (0b000011, 0b001100, 0b110000)
+        monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", 2)
+        assert cover_search(g.full_mask, columns, 3) is None
+
+
 class TestNodeBounds:
     # a node's bound before its LP is solved: depth plus the residual's spectral bound
     def test_rmp_term_ceiling(self):
@@ -257,6 +317,16 @@ class TestSolve:
         assert res.proven_optimal
         assert res.chi_hat == exact_chromatic_number(g) == 4
 
+    def test_no_proof_above_the_chromatic_number_on_gnp(self):
+        rng = np.random.default_rng(95)
+        for _ in range(40):
+            g = random_graph(20, 0.3, rng)
+            res = solve_qcbp(g, engine=exact_engine())
+            res.coloring.validate(g, g.full_mask)
+            chi = exact_chromatic_number(g)
+            assert res.chi_hat >= chi
+            assert not res.proven_optimal or res.chi_hat == chi
+
     @pytest.mark.parametrize("seed, k", [(1, 61), (203, 68)])
     def test_gnp_instance_certifies_every_node(self, seed, k):
         # Drawn as the gnp_exact benchmark draws them. With one exact column
@@ -309,8 +379,8 @@ class TestSolve:
         for name, pick in (("spectral_lb", lambda a: 0), ("run_hcg", lambda a: a[1]),
                            ("primal_heuristic", lambda a: a[1]), ("node_score", lambda a: 0)):
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
-        # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 1, instance 4
-        rng = np.random.default_rng([1, 20, 4])
+        # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 1, instance 31
+        rng = np.random.default_rng([1, 20, 31])  # explores 5 nodes, leaves 6 open
         g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
         res = solve_qcbp(g, engine=exact_engine())
         s = res.stats
@@ -334,7 +404,7 @@ class TestSolve:
             return real_exact_mwis(*args)
 
         monkeypatch.setattr(qcbp.hcg, "exact_mwis", counting)
-        rng = np.random.default_rng([1, 20, 2])  # explores 7 nodes
+        rng = np.random.default_rng([1, 20, 111])  # explores 3 nodes after the two C5 solves
         gnp = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=50, seed=0))
         for g in (cycle(5), cycle(5), gnp):
@@ -358,7 +428,7 @@ class TestSolve:
                             recording(qcbp.bnp.primal_heuristic, lambda a: a[1]))
         monkeypatch.setattr(qcbp.bnp, "branch",
                             recording(qcbp.bnp.branch, lambda a: a[1].residual_root))
-        rng = np.random.default_rng([1, 20, 4])
+        rng = np.random.default_rng([1, 20, 44])  # explores 4 nodes
         g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
         res = solve_qcbp(g, engine=exact_engine())
         assert len(seen) > res.stats.nodes_explored > 1
@@ -382,6 +452,27 @@ class TestSolve:
         res.coloring.validate(g, g.full_mask)
         assert res.chi_hat == exact_chromatic_number(g)
         assert res.stats.shots_total > 0
+
+    def test_small_rounds_draw_nothing(self, monkeypatch):
+        # Rounds of at most CLASSICAL_PRICING_MAX dual-positive vertices go to
+        # the greedy pricer and write no pricing row.
+        sizes = []
+        real_greedy = qcbp.hcg.greedy_columns
+
+        def recording(root, positive, duals, pool):
+            sizes.append(positive.bit_count())
+            return real_greedy(root, positive, duals, pool)
+
+        monkeypatch.setattr(qcbp.hcg, "greedy_columns", recording)
+        g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
+        cfg = SamplerConfig(
+            kind="emulated_qaa", shots=120, seed=6,
+            embed=EmbedParams(iterations=800, restarts=2),
+            emulator=EmulatorConfig(dt=2e-3),
+        )
+        res = solve_qcbp(g, engine=PricingEngine(cfg))
+        assert min(sizes) <= qcbp.hcg.CLASSICAL_PRICING_MAX == 3
+        assert res.pricing_log and all(row.n_sub > 3 for row in res.pricing_log)
 
     def test_perturbed_instances_still_solve(self):
         rng = np.random.default_rng(86)

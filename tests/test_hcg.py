@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qcbp.hcg
 from qcbp.bnp import SolverConfig
 from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
@@ -102,6 +103,21 @@ class TestCertificates:
             assert res.exact_calls >= 1
 
 
+@pytest.fixture
+def greedy_answers(monkeypatch):
+    """Counts the rounds the greedy pricer answered, so no exact call ran."""
+    answered = [0]
+    real_greedy = qcbp.hcg.greedy_columns
+
+    def counting(*args):
+        found = real_greedy(*args)
+        answered[0] += bool(found)
+        return found
+
+    monkeypatch.setattr(qcbp.hcg, "greedy_columns", counting)
+    return answered
+
+
 class TestAccounting:
     def test_shots_match_log(self):
         rng = np.random.default_rng(73)
@@ -114,11 +130,12 @@ class TestAccounting:
                    or row.shots == row.distinct_bitstrings == 0 for row in res.pricing_log)
         assert 1 <= len(res.pricing_log) <= res.iterations
 
-    def test_exact_pricer_mode_uses_no_shots(self):
+    def test_exact_pricer_mode_uses_no_shots(self, greedy_answers):
         g = random_graph(8, 0.4, np.random.default_rng(74))
         res = run_root(g, exact_engine())
         assert res.pricing_log == []
-        assert res.exact_calls == res.iterations
+        assert greedy_answers[0] > 0
+        assert res.exact_calls == res.iterations - greedy_answers[0]
 
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
@@ -126,7 +143,7 @@ class TestAccounting:
         res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert not res.certified or res.iterations <= 1
 
-    def test_capped_bound_stays_below_the_lp(self):
+    def test_capped_bound_stays_below_the_lp(self, greedy_answers):
         # An unfinished master's objective is an upper bound on the LP; the
         # capped run must report a lower one (Farley's).
         rng = np.random.default_rng(76)
@@ -134,23 +151,24 @@ class TestAccounting:
         for cap in (1, 2):
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
+                greedy_answers[0] = 0
                 res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), exact_engine(), cap)
                 assert res.lp_bound <= full_lp_value(g) + 1e-9
                 if not res.certified:
                     capped += 1
                     # the bound's own exact MWIS call is counted
-                    assert res.exact_calls == res.iterations + 1
+                    assert res.exact_calls == res.iterations - greedy_answers[0] + 1
         assert capped > 0
 
-    def test_one_exact_round_adds_several_columns(self):
-        # Round 1 prices the singleton basis (every dual 1). The search meets
-        # {0,1}, {0,1,2} and the full set, then prunes the rest by its bound;
-        # all three enter, heaviest first.
+    def test_greedy_answers_the_first_round(self):
+        # Round 1 prices the singleton basis (every dual 1). The greedy grows
+        # the full set from every vertex, so it enters once and no exact call
+        # runs but the capped run's bound call.
         g = Graph.from_edges(4, [])
         pool = ColumnPool.with_singletons(g)
         res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
-        assert res.iterations == 1
-        assert list(pool) == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b0111, 0b0011]
+        assert res.iterations == 1 and res.exact_calls == 1
+        assert list(pool) == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
 
     def test_caps_below_one_rejected(self):
         with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):

@@ -14,6 +14,7 @@ from qcbp.pricing import (
     PricingStats,
     SamplerConfig,
     exact_mwis,
+    greedy_columns,
     reduced_cost,
 )
 from qcbp.rmp import ColumnPool
@@ -76,34 +77,48 @@ class TestExactMwis:
             assert g.is_independent(got)
             assert sum(w[v] for v in iter_bits(got)) == pytest.approx(value, abs=1e-9)
 
-    def test_columns_are_the_heaviest_improving_sets_best_first(self):
+    def test_best_set_matches_enumeration_on_tied_weights(self):
         # Quarter weights sum exactly, so equal-weight sets are common and the
         # mask tie-break is exercised.
         rng = np.random.default_rng(64)
-        several = 0
         for k in range(200):
             n = int(rng.integers(2, 13))
             g = random_graph(n, rng.uniform(0.1, 0.9), rng)
             w = rng.integers(-2, 6, size=n) / 4.0 if k % 2 else rng.uniform(-0.3, 1.3, size=n)
-            improving = {}
-            for s in range(1 << n):
-                weight = sum(float(w[v]) for v in iter_bits(s))
-                if g.is_independent(s) and weight > 1.0 + IMPROVE_EPS:
-                    improving[s] = weight
-            columns: list[int] = []
-            best = exact_mwis(g, w, columns)
-            assert best == brute_mwis(g, w)[1]
-            assert len(columns) <= sum(1 for x in w if x > 0.0)
-            assert len(set(columns)) == len(columns)
-            assert all(m in improving for m in columns)
-            if improving:
-                assert columns[0] == best
-            else:
-                assert columns == []
-            rest = [(-improving[m], m) for m in columns[1:]]
-            assert rest == sorted(rest)
-            several += len(columns) > 1
-        assert several > 50
+            assert exact_mwis(g, w) == brute_mwis(g, w)[1]
+
+
+class TestGreedyColumns:
+    def test_matches_enumeration(self):
+        # Every set is independent, maximal within `positive`, improving, new
+        # and listed once; on at most 3 vertices every such set is listed.
+        rng = np.random.default_rng(66)
+        small = 0
+        for k in range(300):
+            n = int(rng.integers(1, 10))
+            g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+            positive = int(rng.integers(1, 1 << n))
+            w = rng.integers(1, 5, size=n) / 4.0 if k % 2 else rng.uniform(0.05, 1.0, size=n)
+            duals = np.where((positive >> np.arange(n)) & 1, w, 0.0)
+            subsets = [s for s in range(1, 1 << n) if s & ~positive == 0 and g.is_independent(s)]
+            pool = ColumnPool.with_singletons(g)
+            for s in subsets:
+                if rng.random() < 0.2:
+                    pool.add(s)
+            cols = greedy_columns(g, positive, duals, pool)
+            assert len(set(cols)) == len(cols)
+            for mask in cols:
+                assert mask & ~positive == 0 and g.is_independent(mask)
+                assert all(g.adj[v] & mask for v in iter_bits(positive & ~mask))
+                assert reduced_cost(mask, duals) < -IMPROVE_EPS
+                assert mask not in pool
+            if positive.bit_count() <= 3:
+                small += 1
+                assert set(cols) == {
+                    s for s in subsets
+                    if all(g.adj[v] & s for v in iter_bits(positive & ~s))
+                    and reduced_cost(s, duals) < -IMPROVE_EPS and s not in pool}
+        assert small > 50
 
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):
