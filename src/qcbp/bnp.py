@@ -1,13 +1,14 @@
 """Branch-and-bound around column generation: branching on maximal sets,
-bounding with master-LP and spectral lower bounds, and a greedy primal
-heuristic and a cover search that recombine a node's columns into colorings.
+bounding with master-LP and spectral lower bounds, and a primal heuristic
+that recombines a node's columns into colorings.
 
 A node's work comes back in the result of its column generation: the search
 adds up the pricing log and the exact pricer's calls from it, and hands its
 columns (the pool cut down to the residual, plus the sets priced at the node)
-to the primal heuristic and to branching. When the heuristic needs more than
-the node's bound allows, the cover search looks for a coloring at that bound
-among the same columns; it only offers incumbents, so proofs are unchanged.
+to the primal heuristic and to branching. The heuristic is a search over
+covers by those columns: its first descent is a greedy coloring, and while
+that needs more colors than the node's bound allows, it searches on for a
+coloring at that bound. It only offers incumbents, so proofs are unchanged.
 
 A node branches on its residual's highest-degree vertex v: one child fixes
 each maximal independent set that contains v, with the sets among the node's
@@ -36,7 +37,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .bounds import CEIL_TOL, spectral_lb
 from .graphs import Graph, iter_bits, require_positive
@@ -44,7 +45,7 @@ from .hcg import MAX_ITERATIONS, run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
 
-COVER_STEP_CAP = 2000  # branchings of one node's cover search before it gives up
+COVER_STEP_CAP = 2000  # branchings of the primal heuristic after its first descent
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,70 +113,56 @@ class SolverConfig:
         require_positive(self, "hcg_max_iterations")
 
 
-def primal_heuristic(g: Graph, residual: int, columns: Collection[int]) -> Coloring:
-    """Greedy coloring of the residual from the node's columns restricted to
-    it: repeatedly color the highest-degree uncolored vertex (degree within
-    the residual) with the column that still covers the most.
+def primal_heuristic(residual: int, columns: Iterable[int], k: int) -> Coloring:
+    """A coloring of `residual` by the columns cut down to it, overlaps going
+    to the first chosen: one with at most k classes if the search finds one.
 
-    Ties go to the lowest vertex index and the smallest set bitmask. The
-    singletons among the columns guarantee progress.
-    """
-    order = sorted(iter_bits(residual), key=lambda v: (-(g.adj[v] & residual).bit_count(), v))
-    uncolored = residual
-    classes: list[int] = []
-    while uncolored:
-        v = next(u for u in order if (uncolored >> u) & 1)
-        best: int | None = None
-        for mask in columns:
-            if not (mask >> v) & 1:
-                continue
-            surviving = mask & uncolored
-            if best is None or (surviving.bit_count(), -surviving) > (best.bit_count(), -best):
-                best = surviving
-        if best is None:
-            raise ValueError(f"pool is missing a set containing vertex {v}")
-        classes.append(best)
-        uncolored ^= best
-    return Coloring(classes=tuple(classes))
-
-
-def cover_search(residual: int, columns: Iterable[int], k: int) -> tuple[int, ...] | None:
-    """At most k disjoint classes covering `residual`: k of the columns cut
-    down to it, overlaps going to the first chosen; or None.
-
-    Only the cut columns that no other one contains are tried. The search
+    Only the cut columns that no other one contains are used. The search
     branches on the uncovered vertex with the fewest covering columns (lowest
     index on ties), trying the columns that cover the most first (then smaller
-    masks) while the rest, none wider than the widest, can still cover what
-    is left. It gives up after COVER_STEP_CAP branchings."""
+    masks). Its first descent is a greedy coloring, kept whatever its size.
+    After it, a column is tried only while the rest, none wider than the
+    widest, could still cover what is left within k classes, and the search
+    stops at the first such cover or after COVER_STEP_CAP more branchings.
+    The singletons among the columns guarantee a coloring.
+    """
     cut = sorted({m & residual for m in columns} - {0}, key=lambda m: (-m.bit_count(), m))
-    covering: dict[int, list[int]] = {v: [] for v in iter_bits(residual)}
+    covering: dict[int, list[int]] = {1 << v: [] for v in iter_bits(residual)}  # by vertex bit
     for m in cut:  # a superset of m sorts before it, so it is already listed
-        if not any(o & m == m for o in covering[(m & -m).bit_length() - 1]):
+        for o in covering[m & -m]:
+            if o & m == m:
+                break
+        else:
             for v in iter_bits(m):
-                covering[v].append(m)
-    order = sorted(covering, key=lambda u: (len(covering[u]), u))
+                covering[1 << v].append(m)
+    order = sorted(covering, key=lambda b: (len(covering[b]), b))
+    if order and not covering[order[0]]:
+        raise ValueError(f"no column contains vertex {order[0].bit_length() - 1}")
     widest = cut[0].bit_count() if cut else 0
+    best: tuple[int, ...] = ()
     steps = 0
 
-    def search(uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        nonlocal steps
+    def search(uncovered: int, chosen: tuple[int, ...]) -> bool:
+        """Whether the search stops here: at a cover within k, or at the cap."""
+        nonlocal best, steps
         if uncovered == 0:
-            return chosen
-        if steps == COVER_STEP_CAP:
-            return None
-        steps += 1
-        v = next(u for u in order if (uncovered >> u) & 1)
+            best = chosen  # the first descent's, or one within k
+            return len(chosen) <= k
+        if best:
+            if steps == COVER_STEP_CAP:
+                return True
+            steps += 1
+        b = next(b for b in order if uncovered & b)
         room = (k - len(chosen) - 1) * widest  # what the columns after this one can cover
-        for m in sorted(covering[v], key=lambda m: (-(m & uncovered).bit_count(), m)):
-            if (uncovered & ~m).bit_count() > room:
-                break  # and so for every later, narrower column
-            found = search(uncovered & ~m, chosen + (m & uncovered,))
-            if found is not None:
-                return found
-        return None
+        for left, m in sorted(((uncovered & ~m).bit_count(), m) for m in covering[b]):
+            if best and left > room:
+                break  # and so for every later column, which leaves as much or more
+            if search(uncovered & ~m, chosen + (m & uncovered,)):
+                return True
+        return False
 
-    return search(residual, ())
+    search(residual, ())
+    return Coloring(classes=best)
 
 
 def node_lb(depth: int, lp_bound: float, lb: int) -> int:
@@ -247,7 +234,7 @@ def solve_qcbp(
     engine: PricingEngine | None = None,
     clock=time.perf_counter,
 ) -> SolveResult:
-    """Full solve: certified column generation at every explored node, greedy
+    """Full solve: certified column generation at every explored node,
     incumbents from each node's columns, best-score-first search with bound
     pruning.
 
@@ -310,12 +297,11 @@ def solve_qcbp(
         stats.exact_pricer_calls += hcg_res.exact_calls
         stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
-        local = primal_heuristic(g, node.residual_root, hcg_res.columns)
+        # a coloring in k = node.lb - depth classes would beat the incumbent; at
+        # node.lb >= ub none can, and k = the residual's size ends the first descent
+        k = node.lb - node.depth if node.lb < ub else node.residual_root.bit_count()
+        local = primal_heuristic(node.residual_root, hcg_res.columns, k)
         try_incumbent(node.fixed_classes + local.classes)
-        if node.lb < ub:  # a cover by k = node.lb - depth columns would beat the incumbent
-            cover = cover_search(node.residual_root, hcg_res.columns, node.lb - node.depth)
-            if cover is not None:
-                try_incumbent(node.fixed_classes + cover)
         if node.depth == 0:
             root_lb, lp_root = node.lb, hcg_res.lp_bound
             if ub < root_lb:

@@ -7,13 +7,14 @@ embed the dual-positive subproblem on a register, run the adiabatic pulse and
 sample bitstrings; it remembers every independent one. The register is the
 only place where the subproblem's vertices are renumbered: drawn bitstrings
 are expanded to root masks once, and everything else is priced in root
-numbering against the root-indexed duals. Either way each independent set is
-extended to a maximal set within the dual-positive mask and kept if it is then
-improving and new. A recalled round logs no shots, and so does a round whose
-subproblem is too big to emulate, which draws nothing. The embed seed comes
-from the subproblem's vertex set and the evolution is deterministic, so a
-revisited subgraph gets the same final state again without a cache. Behind
-the sampler, a greedy pricer grows one maximal set from each dual-positive
+numbering against the root-indexed duals. Either way the independent sets
+seed the greedy pricer, `greedy_columns`, which grows each to a maximal set
+within the dual-positive mask in falling dual order and keeps it if it is
+then improving and new. A recalled round logs no shots, and so does a round
+whose subproblem is too big to emulate, which draws nothing. The embed seed
+comes from the subproblem's vertex set and the evolution is deterministic, so
+a revisited subgraph gets the same final state again without a cache. Behind
+the sampler, the same greedy grows one maximal set from each dual-positive
 vertex, and a branch-and-bound MWIS, the exact safeguard, certifies
 termination or returns the heaviest set.
 """
@@ -21,6 +22,7 @@ termination or returns the heaviest set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -45,16 +47,19 @@ def reduced_cost(mask: int, duals: np.ndarray) -> float:
     return 1.0 - sum(float(duals[v]) for v in iter_bits(mask))
 
 
-def greedy_columns(g: Graph, positive: int, duals: np.ndarray, pool: ColumnPool) -> list[int]:
+def greedy_columns(
+    g: Graph, positive: int, duals: np.ndarray, pool: ColumnPool, seeds: Iterable[int] | None = None
+) -> list[int]:
     """The distinct improving sets outside the pool among the maximal sets
-    within `positive` grown from each of its vertices s, in falling dual order
-    (lower index on ties), by adding vertices in that order. On at most 3
-    vertices this reaches every maximal set, so an empty answer means none
-    improves."""
+    within `positive` grown from each seed (an independent set within
+    `positive`) by adding the vertices of `positive` in falling dual order
+    (lower index on ties). Each added dual is positive, so growing only
+    lowers the reduced cost. The seeds default to the single vertices of
+    `positive` in that order; on at most 3 vertices those reach every maximal
+    set, so an empty answer means none improves."""
     order = sorted(iter_bits(positive), key=lambda v: (-float(duals[v]), v))
     grown: dict[int, None] = {}
-    for s in order:
-        mask = 1 << s
+    for mask in (1 << v for v in order) if seeds is None else seeds:
         for v in order:
             if not g.adj[v] & mask:
                 mask |= 1 << v
@@ -116,7 +121,7 @@ class PricingStats:
     shots: int
     distinct_bitstrings: int
     improving: int
-    maximal: int  # columns that some candidate already was before the extension
+    maximal: int  # columns that are among the seeds, maximal before growing
 
 
 @dataclass(frozen=True)
@@ -204,8 +209,9 @@ class PricingEngine:
             return [], PricingStats(iteration, 0, 0, 0, 0, 0)
         n_sub = positive.bit_count()
         recalled = dict.fromkeys(mask & positive for mask in pool.samples)
-        columns, n_maximal = self._columns(root, positive, duals, pool, recalled)
+        columns = greedy_columns(root, positive, duals, pool, recalled)
         if columns:
+            n_maximal = sum(m in recalled for m in columns)
             return columns, PricingStats(iteration, n_sub, 0, 0, len(columns), n_maximal)
         if self.config.kind == "emulated_qaa" and n_sub > MAX_QUBITS:
             return [], PricingStats(iteration, n_sub, 0, 0, 0, 0)  # left to the classical pricers
@@ -213,35 +219,15 @@ class PricingEngine:
         sub = root.induced_subgraph(positive)
         w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
         drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
-        pool.samples.update((mask, None) for mask in drawn if root.is_independent(mask))
-        columns, n_maximal = self._columns(root, positive, duals, pool, drawn)
+        independent = dict.fromkeys(mask for mask in drawn if root.is_independent(mask))
+        pool.samples.update(independent)
+        columns = greedy_columns(root, positive, duals, pool, independent)
         stats = PricingStats(
             iteration=iteration,
             n_sub=n_sub,
             shots=self.config.shots,
             distinct_bitstrings=len(drawn),
             improving=len(columns),
-            maximal=n_maximal,
+            maximal=sum(m in independent for m in columns),
         )
         return columns, stats
-
-    def _columns(
-        self, root: Graph, positive: int, duals: np.ndarray, pool: ColumnPool, candidates
-    ) -> tuple[list[int], int]:
-        """The candidates (root masks within `positive`) that are independent
-        and, once extended in vertex order to a maximal set within `positive`
-        (which only lowers the reduced cost: each added dual is positive),
-        improving and new; and how many of those some candidate reached maximal
-        as drawn."""
-        maximal: dict[int, bool] = {}  # column -> some candidate was that column as drawn
-        for drawn in candidates:
-            if not root.is_independent(drawn):
-                continue
-            mask = drawn
-            for v in iter_bits(positive & ~drawn):
-                if not root.adj[v] & mask:
-                    mask |= 1 << v
-            if reduced_cost(mask, duals) >= -IMPROVE_EPS or mask in pool:
-                continue
-            maximal[mask] = maximal.get(mask, False) or mask == drawn
-        return list(maximal), sum(maximal.values())

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,6 @@ from qcbp.bnp import (
     Coloring,
     SolverConfig,
     branch,
-    cover_search,
     maximal_sets_containing,
     node_lb,
     node_score,
@@ -31,17 +33,17 @@ from builders import complete, cycle, exact_engine, path3, random_graph, stochas
 
 class TestPrimalHeuristic:
     def test_triangle_with_singletons(self):
-        coloring = primal_heuristic(complete(3), 0b111, [1, 2, 4])
+        coloring = primal_heuristic(0b111, [1, 2, 4], 1)
         assert coloring.colors_used == 3
 
     def test_path3_uses_endpoint_pair(self):
-        coloring = primal_heuristic(path3(), 0b111, [1, 2, 4, mask_of([0, 2])])
+        coloring = primal_heuristic(0b111, [1, 2, 4, mask_of([0, 2])], 1)
         assert coloring.colors_used == 2
-        assert coloring.classes == (mask_of([1]), mask_of([0, 2]))
+        assert mask_of([0, 2]) in coloring.classes
 
     def test_edgeless_with_full_set(self):
         g = Graph.from_edges(4, [])
-        coloring = primal_heuristic(g, g.full_mask, [1, 2, 4, 8, g.full_mask])
+        coloring = primal_heuristic(g.full_mask, [1, 2, 4, 8, g.full_mask], 1)
         assert coloring.colors_used == 1
 
     def test_coloring_always_feasible(self):
@@ -50,7 +52,7 @@ class TestPrimalHeuristic:
             g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
             pool = [1 << v for v in range(g.n)]
             pool += [s for s in range(1, 1 << g.n) if g.is_independent(s) and rng.random() < 0.1]
-            coloring = primal_heuristic(g, g.full_mask, pool)
+            coloring = primal_heuristic(g.full_mask, pool, int(rng.integers(1, 5)))
             coloring.validate(g, g.full_mask)
 
     def test_residual_coloring_matches_the_induced_graph_heuristic(self):
@@ -60,12 +62,80 @@ class TestPrimalHeuristic:
             residual = int(rng.integers(1, 1 << g.n))
             pool = [1 << v for v in range(g.n)]
             pool += [s for s in range(1, 1 << g.n) if g.is_independent(s) and rng.random() < 0.1]
-            coloring = primal_heuristic(g, residual, pool)
+            k = int(rng.integers(1, 5))
+            coloring = primal_heuristic(residual, pool, k)
             coloring.validate(g, residual)
             sub = g.induced_subgraph(residual)
-            local = primal_heuristic(sub, sub.full_mask, {restrict_mask(m, residual) for m in pool} - {0})
+            local = primal_heuristic(sub.full_mask, {restrict_mask(m, residual) for m in pool} - {0}, k)
             assert coloring.colors_used == local.colors_used
             assert coloring.classes == tuple(expand_mask(c, residual) for c in local.classes)
+
+    def test_within_k_exactly_when_the_columns_allow(self, monkeypatch):
+        # Against the fewest columns that cover the residual, by brute force,
+        # with the step cap out of reach: never below that, and within k
+        # exactly when k columns can cover the residual. (Beyond k the first
+        # descent is kept, which may use more than the fewest.)
+        monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", 10**9)
+        rng = np.random.default_rng(93)
+        within = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+            columns = [1 << v for v in range(n)]
+            for _ in range(int(rng.integers(0, 12))):
+                mask = 0
+                for v in rng.permutation(n):
+                    if not g.adj[v] & mask and rng.random() < 0.7:
+                        mask |= 1 << int(v)
+                columns.append(mask)
+            residual = int(rng.integers(1, 1 << n))
+            k = int(rng.integers(1, 5))
+            cut = sorted({m & residual for m in columns} - {0})
+            opt = next(r for r in range(1, n + 1) for combo in itertools.combinations(cut, r)
+                       if functools.reduce(operator.or_, combo) == residual)
+            coloring = primal_heuristic(residual, columns, k)
+            coloring.validate(g, residual)
+            assert opt <= coloring.colors_used
+            assert (coloring.colors_used <= k) == (opt <= k)
+            within += opt <= k
+        assert 50 < within < 250
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_finds_a_planted_cover(self, k):
+        # k color classes of 5 vertices each, edges only between classes, and
+        # decoy independent sets that cut across the classes.
+        rng = np.random.default_rng(94 + k)
+        n = 5 * k
+        color = rng.permutation(np.arange(n) % k)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if color[u] != color[v] and rng.random() < 0.5])
+        classes = [mask_of(np.flatnonzero(color == c).tolist()) for c in range(k)]
+        decoys = []
+        for _ in range(30):
+            mask = 0
+            for v in rng.permutation(n):
+                if not g.adj[v] & mask:
+                    mask |= 1 << int(v)
+            decoys.append(mask)
+        columns = [1 << v for v in range(n)] + decoys + classes
+        coloring = primal_heuristic(g.full_mask, columns, k)
+        coloring.validate(g, g.full_mask)
+        assert coloring.colors_used <= k
+
+    def test_step_cap_still_gives_a_coloring(self, monkeypatch):
+        # The first descent takes the widest column, {0, 2, 5, 8}, and needs 4
+        # classes; the planted 3-cover {0, 2, 7}, {4, 5, 6}, {1, 3, 8} takes
+        # more than one branching after it.
+        g = Graph.from_edges(9, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 5), (1, 6), (1, 7), (2, 3),
+                                 (2, 4), (2, 6), (3, 5), (4, 8), (5, 7), (6, 7), (6, 8), (7, 8)])
+        columns = [1 << v for v in range(9)] + [
+            mask_of(c) for c in ([1, 3, 4], [3, 4, 6], [3, 4, 7], [0, 2, 5, 8],
+                                 [0, 2, 7], [4, 5, 6], [1, 3, 8])]
+        assert primal_heuristic(g.full_mask, columns, 3).colors_used == 3
+        monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", 1)
+        coloring = primal_heuristic(g.full_mask, columns, 3)
+        coloring.validate(g, g.full_mask)
+        assert coloring.colors_used == 4
 
 
 class TestColoring:
@@ -141,65 +211,6 @@ class TestBranch:
             children = branch(g, BBNode(residual_root=residual, depth=0, fixed_classes=()), [])
             assert sorted(restrict_mask(c.fixed_classes[-1], residual) for c in children) == brute
             assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)
-
-
-class TestCoverSearch:
-    @staticmethod
-    def check(g: Graph, residual: int, cover, k: int) -> None:
-        if cover is None:
-            return
-        assert 0 < len(cover) <= k
-        Coloring(classes=cover).validate(g, residual)
-
-    def test_none_or_a_coloring_with_at_most_k_classes(self):
-        rng = np.random.default_rng(93)
-        found = 0
-        for _ in range(200):
-            n = int(rng.integers(1, 11))
-            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
-            columns = [1 << v for v in range(n)]
-            for _ in range(int(rng.integers(0, 12))):
-                mask = 0
-                for v in rng.permutation(n):
-                    if not g.adj[v] & mask and rng.random() < 0.7:
-                        mask |= 1 << int(v)
-                columns.append(mask)
-            residual = int(rng.integers(1, 1 << n))
-            k = int(rng.integers(1, 5))
-            cover = cover_search(residual, columns, k)
-            self.check(g, residual, cover, k)
-            found += cover is not None
-        assert found > 20
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_finds_a_planted_cover(self, k):
-        # k color classes of 5 vertices each, edges only between classes, and
-        # decoy independent sets that cut across the classes.
-        rng = np.random.default_rng(94 + k)
-        n = 5 * k
-        color = rng.permutation(np.arange(n) % k)
-        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                 if color[u] != color[v] and rng.random() < 0.5])
-        classes = [mask_of(np.flatnonzero(color == c).tolist()) for c in range(k)]
-        decoys = []
-        for _ in range(30):
-            mask = 0
-            for v in rng.permutation(n):
-                if not g.adj[v] & mask:
-                    mask |= 1 << int(v)
-            decoys.append(mask)
-        columns = [1 << v for v in range(n)] + decoys + classes
-        cover = cover_search(g.full_mask, columns, k)
-        assert cover is not None
-        self.check(g, g.full_mask, cover, k)
-
-    def test_gives_up_at_the_step_cap(self, monkeypatch):
-        # Three disjoint classes need three branchings.
-        g = Graph.from_edges(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
-        columns = [1 << v for v in range(6)] + [0b000011, 0b001100, 0b110000]
-        assert cover_search(g.full_mask, columns, 3) == (0b000011, 0b001100, 0b110000)
-        monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", 2)
-        assert cover_search(g.full_mask, columns, 3) is None
 
 
 class TestNodeBounds:
@@ -377,7 +388,7 @@ class TestSolve:
             return wrapped
 
         for name, pick in (("spectral_lb", lambda a: 0), ("run_hcg", lambda a: a[1]),
-                           ("primal_heuristic", lambda a: a[1]), ("node_score", lambda a: 0)):
+                           ("primal_heuristic", lambda a: a[0]), ("node_score", lambda a: 0)):
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
         # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 1, instance 31
         rng = np.random.default_rng([1, 20, 31])  # explores 5 nodes, leaves 6 open
@@ -418,16 +429,16 @@ class TestSolve:
         # Both get the node's master columns: inside its residual, no repeats.
         seen: list[tuple[int, list[int]]] = []
 
-        def recording(fn, residual_of):
+        def recording(fn, residual_of, columns_of):
             def wrapped(*args):
-                seen.append((residual_of(args), list(args[2])))
+                seen.append((residual_of(args), list(columns_of(args))))
                 return fn(*args)
             return wrapped
 
         monkeypatch.setattr(qcbp.bnp, "primal_heuristic",
-                            recording(qcbp.bnp.primal_heuristic, lambda a: a[1]))
+                            recording(qcbp.bnp.primal_heuristic, lambda a: a[0], lambda a: a[1]))
         monkeypatch.setattr(qcbp.bnp, "branch",
-                            recording(qcbp.bnp.branch, lambda a: a[1].residual_root))
+                            recording(qcbp.bnp.branch, lambda a: a[1].residual_root, lambda a: a[2]))
         rng = np.random.default_rng([1, 20, 44])  # explores 4 nodes
         g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
         res = solve_qcbp(g, engine=exact_engine())

@@ -92,8 +92,9 @@ class TestGreedyColumns:
     def test_matches_enumeration(self):
         # Every set is independent, maximal within `positive`, improving, new
         # and listed once; on at most 3 vertices every such set is listed.
+        # Grown from given seeds, every set also contains one of them.
         rng = np.random.default_rng(66)
-        small = 0
+        small = seeded = 0
         for k in range(300):
             n = int(rng.integers(1, 10))
             g = random_graph(n, rng.uniform(0.1, 0.9), rng)
@@ -118,7 +119,17 @@ class TestGreedyColumns:
                     s for s in subsets
                     if all(g.adj[v] & s for v in iter_bits(positive & ~s))
                     and reduced_cost(s, duals) < -IMPROVE_EPS and s not in pool}
-        assert small > 50
+            # Seeded: every set grows from one of the given independent sets.
+            seeds = [s for s in subsets if rng.random() < 0.3]
+            cols = greedy_columns(g, positive, duals, pool, seeds)
+            assert len(set(cols)) == len(cols)
+            for mask in cols:
+                assert any(s & mask == s for s in seeds) and g.is_independent(mask)
+                assert all(g.adj[v] & mask for v in iter_bits(positive & ~mask))
+                assert reduced_cost(mask, duals) < -IMPROVE_EPS
+                assert mask not in pool
+            seeded += len(cols)
+        assert small > 50 and seeded > 50
 
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):
