@@ -4,12 +4,12 @@ Each round solves the restricted master, restricts the subproblem to vertices
 with positive duals, and asks the sampler for improving columns when more
 than CLASSICAL_PRICING_MAX remain (a smaller round logs no row). The sampler's
 sets become columns through the greedy pricer, `greedy_columns`, which grows
-each to a maximal set. If the sampler has none, the same greedy grows one
-from each dual-positive vertex, and only then does the exact MWIS safeguard
-run, which certifies that no improving column exists or supplies the
-heaviest set.
+each to a maximal set. If the sampler has none, the same greedy grows maximal
+sets from the classes of a greedy coloring of the dual-positive vertices and
+from each such vertex, and only then does the exact MWIS safeguard run,
+which certifies that no improving column exists or supplies the heaviest set.
 Columns are only appended within a run, so each re-solve restarts from the
-last optimal basis.
+last optimal basis and carries its simplex tableau on.
 
 A run that has not certified after `max_iterations` pricing rounds stops
 capped; the search passes `SolverConfig.hcg_max_iterations`, whose default is

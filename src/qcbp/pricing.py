@@ -14,9 +14,10 @@ then improving and new. A recalled round logs no shots, and so does a round
 whose subproblem is too big to emulate, which draws nothing. The embed seed
 comes from the subproblem's vertex set and the evolution is deterministic, so
 a revisited subgraph gets the same final state again without a cache. Behind
-the sampler, the same greedy grows one maximal set from each dual-positive
-vertex, and a branch-and-bound MWIS, the exact safeguard, certifies
-termination or returns the heaviest set.
+the sampler, the same greedy grows a maximal set from each class of a greedy
+coloring of the dual-positive vertices, so one round can offer columns that
+partition them, and from each of those vertices; a branch-and-bound MWIS,
+the exact safeguard, certifies termination or returns the heaviest set.
 """
 
 from __future__ import annotations
@@ -54,12 +55,21 @@ def greedy_columns(
     within `positive` grown from each seed (an independent set within
     `positive`) by adding the vertices of `positive` in falling dual order
     (lower index on ties). Each added dual is positive, so growing only
-    lowers the reduced cost. The seeds default to the single vertices of
-    `positive` in that order; on at most 3 vertices those reach every maximal
-    set, so an empty answer means none improves."""
+    lowers the reduced cost. The seeds default to the classes of the greedy
+    coloring of `positive` in that order, which together partition it, then
+    its single vertices in that order; on at most 3 vertices the single
+    vertices reach every maximal set, so an empty answer means none improves."""
     order = sorted(iter_bits(positive), key=lambda v: (-float(duals[v]), v))
+    if seeds is None:
+        classes: list[int] = []
+        for v in order:
+            i = next((i for i, c in enumerate(classes) if not g.adj[v] & c), len(classes))
+            if i == len(classes):
+                classes.append(0)
+            classes[i] |= 1 << v
+        seeds = classes + [1 << v for v in order]
     grown: dict[int, None] = {}
-    for mask in (1 << v for v in order) if seeds is None else seeds:
+    for mask in seeds:
         for v in order:
             if not g.adj[v] & mask:
                 mask |= 1 << v

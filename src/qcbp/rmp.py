@@ -4,14 +4,19 @@ The model is min sum(lambda) subject to one equality row per vertex of the
 subproblem's root-graph mask `keep`, in increasing order (each vertex covered
 exactly once), and lambda >= 0. Columns are independent sets, given as root
 masks and cut down to `keep`; duals come back one per root vertex, 0 outside
-`keep`. The model keeps its 0/1 constraint matrix and the last optimal
-basis. One writer turns masks into matrix columns, a batch at a time in one
-array operation: the singletons and the pool when the model is built, then
-each round's priced columns. The first solve starts from the singleton
-columns, which are always present, so no phase-1 is needed. Later solves
-restart from the previous optimal basis: columns are only ever appended, so
-that basis stays primal feasible. Duals come straight from the optimal basis,
-whose inverse each pivot updates rather than recomputes.
+`keep`. The model keeps its 0/1 constraint matrix, the last optimal basis
+and that basis's simplex tableau. One writer turns masks into matrix columns,
+a batch at a time in one array operation: the singletons and the pool when
+the model is built, then each round's priced columns. The first solve starts
+from the singleton columns, which are always present, so no phase-1 is
+needed. Later solves restart from the previous optimal basis and its
+tableau: columns are only ever appended, so that basis stays primal
+feasible, and each new column's tableau column is the basis inverse, read
+off the singletons' columns, times the new column. A pivot is one rank-one
+update of the tableau, which is rebuilt from a fresh inverse every
+REFACTOR_PIVOTS pivots, counted across solves. The primal values and the
+duals are read off the tableau, and the exit checks recompute every
+condition from the constraint matrix.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ OPT_TOL = 1e-7
 PIVOT_TOL = 1e-10
 DEGENERATE_PIVOT_LIMIT = 500
 MAX_PIVOTS = 20_000
-# Each eta update carries the inverse's rounding error forward, and can grow it
-# on an ill-conditioned basis, so the inverse is rebuilt from the basis columns
-# this often. On G(20, 0.3) masters the drift stays near 1e-14 after 40 updates,
-# far under the exit checks' tolerances (1e-9 feasibility, 1e-7 duality), and a
-# warm solve takes about 10 pivots, so the rebuild seldom runs there.
+# Each rank-one update carries the tableau's rounding error forward, and can
+# grow it on an ill-conditioned basis, so the tableau is rebuilt from a fresh
+# inverse of the basis columns this often. Over the 1144 master solves of 150
+# G(20, 0.3) solves, the tableau at a solve's end differs from a fresh factor
+# of its basis by at most 1.6e-12, far under the exit checks' tolerances (1e-9
+# feasibility, 1e-7 duality). The count carries across a model's solves, so a
+# warm solve of a few pivots takes no inverse.
 REFACTOR_PIVOTS = 16
 
 
@@ -81,13 +88,18 @@ class ColumnPool:
 class RmpModel:
     """Column pool of the subproblem on `keep`, as root masks cut down to it,
     with its constraint matrix (one column per mask, one row per vertex of
-    `keep`) and the last optimal basis (None until the first solve)."""
+    `keep`), the last optimal basis (None until the first solve) and its
+    tableau: row 0 holds 1 - objective and the reduced costs, the rows below
+    the basic values and the basis inverse times each column."""
 
     graph: Graph
     keep: int
     masks: list[int] = field(default_factory=list)
     _a: np.ndarray = field(init=False, repr=False)
     _basis: np.ndarray | None = field(default=None, init=False)
+    _units: np.ndarray = field(init=False, repr=False)  # the singleton column of each row
+    _tableau: np.ndarray = field(init=False, repr=False)
+    _pivots: int = field(default=0, init=False, repr=False)  # since the tableau's last refactor
 
     def __post_init__(self) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
@@ -136,36 +148,31 @@ def init_rmp(g: Graph, keep: int | None = None, pool: Iterable[int] = ()) -> Rmp
     return model
 
 
-def _revised_simplex(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize 1'x subject to a x = 1, x >= 0 from a feasible starting basis.
+def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray, pivots: int) -> int:
+    """Minimize 1'x subject to a x = 1, x >= 0 from a feasible basis and its
+    tableau, both updated in place; returns `pivots`, the pivots since the
+    tableau was last refactored, counted on.
 
     Dantzig pricing with a switch to Bland's rule after a run of degenerate
-    pivots, which guarantees termination. Costs and right-hand side are all
-    ones, so the basis inverse gives the primal values (its row sums), the
-    duals (its column sums) and the entering direction. The inverse is taken
-    once and then carried across each pivot by a rank-one eta update, with a
-    fresh inverse every REFACTOR_PIVOTS pivots. `basis` (column indices, one
-    per row) is updated in place; among tied leaving rows, the one whose
-    basic column has the smallest index leaves.
+    pivots, which guarantees termination. Among tied leaving rows, the one
+    whose basic column has the smallest index leaves. A pivot is one rank-one
+    update of the tableau, and every REFACTOR_PIVOTS pivots it is rebuilt from
+    `a` instead.
     """
     degenerate = 0
     bland = False
-    inv = _basis_inverse(a, basis)
-    for pivot in range(1, MAX_PIVOTS + 1):
-        x_b = inv.sum(axis=1)
-        y = inv.sum(axis=0)
-        reduced = 1.0 - y @ a
-        reduced[basis] = 0.0
+    reduced, x_b, body = tableau[0, 1:], tableau[1:, 0], tableau[1:, 1:]  # views
+    for _ in range(MAX_PIVOTS):
         if bland:
             improving = (reduced < -OPT_TOL).nonzero()[0]
             if improving.size == 0:
-                return x_b, y
+                return pivots
             enter = int(improving[0])
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -OPT_TOL:
-                return x_b, y
-        direction = inv @ a[:, enter]
+                return pivots
+        direction = body[:, enter]
         positive = (direction > PIVOT_TOL).nonzero()[0]
         if positive.size == 0:
             raise RmpError("unbounded direction in a bounded LP (numerical failure)")
@@ -180,41 +187,59 @@ def _revised_simplex(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.n
         else:
             degenerate = 0
         basis[leave] = enter
-        if pivot % REFACTOR_PIVOTS == 0:
-            inv = _basis_inverse(a, basis)
+        pivots += 1
+        if pivots == REFACTOR_PIVOTS:
+            tableau[:] = _factor(a, basis)
+            pivots = 0
         else:
-            # The new inverse is E @ inv for the eta matrix E that maps
-            # `direction` to the unit vector of row `leave`.
-            pivot_row = inv[leave] / direction[leave]
-            inv -= direction[:, None] * pivot_row
-            inv[leave] = pivot_row
+            column = tableau[:, 1 + enter].copy()
+            pivot_row = tableau[1 + leave] / column[1 + leave]
+            tableau -= column[:, None] * pivot_row
+            tableau[1 + leave] = pivot_row
     raise RmpError("simplex pivot limit reached")
 
 
-def _basis_inverse(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _columns(inv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Tableau columns of the matrix columns `a` under the basis inverse `inv`:
+    the reduced cost 1 - 1'inv a_j (every cost, and the basic ones, is 1)
+    over inv a_j."""
+    body = inv @ a
+    return np.vstack([1.0 - body.sum(axis=0), body])
+
+
+def _factor(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The tableau of `basis`, from a fresh inverse of its columns."""
     try:
-        return np.linalg.inv(a[:, basis])
+        inv = np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError as exc:
         raise RmpError("singular basis") from exc
+    return _columns(inv, np.hstack([np.ones((len(basis), 1)), a]))
 
 
 def solve_rmp(model: RmpModel) -> RmpSolution:
     """Optimal basic solution and duals of the current model, from the last
-    optimal basis or, on the first solve, from the singleton basis.
+    optimal basis and its tableau or, on the first solve, from the singleton
+    basis.
 
     Feasibility, strong duality, and pool dual-feasibility are re-checked on
     the way out; violations raise RmpError rather than being patched.
     """
+    a = model._a
     if model._basis is None:
         singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
         if len(singleton_pos) < model.keep.bit_count():
             raise RmpError("model is missing singleton columns (infeasible start)")
-        basis = np.array([singleton_pos[1 << v] for v in iter_bits(model.keep)], dtype=np.intp)
-    else:
-        basis = model._basis.copy()
-
-    a = model._a
-    x_b, y = _revised_simplex(a, basis)
+        model._units = np.array([singleton_pos[1 << v] for v in iter_bits(model.keep)], dtype=np.intp)
+        model._basis = model._units.copy()
+        model._tableau = _factor(a, model._basis)
+    elif model._tableau.shape[1] <= a.shape[1]:
+        # The unit columns' tableau columns are the basis inverse.
+        t = model._tableau
+        model._tableau = np.hstack([t, _columns(t[1:, 1 + model._units], a[:, t.shape[1] - 1:])])
+    basis, tableau = model._basis, model._tableau
+    model._pivots = _simplex(a, tableau, basis, model._pivots)
+    x_b = tableau[1:, 0]
+    y = 1.0 - tableau[0, 1 + model._units]
 
     lam = np.zeros(a.shape[1])
     lam[basis] = x_b
@@ -231,7 +256,6 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     slack = (y @ a - 1.0).max()
     if slack > OPT_TOL:
         raise RmpError(f"dual infeasibility {slack:.3e} over the pool")
-    model._basis = basis
     duals = np.zeros(model.graph.n)
     duals[list(iter_bits(model.keep))] = y
     return RmpSolution(lam=lam, duals=duals, objective=objective)

@@ -28,7 +28,7 @@ from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_o
 from qcbp.hcg import HcgResult
 from qcbp.pricing import PricingEngine, SamplerConfig
 
-from builders import complete, cycle, exact_engine, path3, random_graph, stochastic_engine
+from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
 
 
 class TestPrimalHeuristic:
@@ -101,26 +101,35 @@ class TestPrimalHeuristic:
         assert 50 < within < 250
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_finds_a_planted_cover(self, k):
+    def test_finds_a_planted_cover(self, k, monkeypatch):
         # k color classes of 5 vertices each, edges only between classes, and
-        # decoy independent sets that cut across the classes.
+        # decoy independent sets that cut across the classes. On some of the
+        # instances the first descent (all that a step cap of 0 leaves) takes
+        # decoys and misses a k-cover, so the search after it must find one.
         rng = np.random.default_rng(94 + k)
-        n = 5 * k
-        color = rng.permutation(np.arange(n) % k)
-        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                 if color[u] != color[v] and rng.random() < 0.5])
-        classes = [mask_of(np.flatnonzero(color == c).tolist()) for c in range(k)]
-        decoys = []
-        for _ in range(30):
-            mask = 0
-            for v in rng.permutation(n):
-                if not g.adj[v] & mask:
-                    mask |= 1 << int(v)
-            decoys.append(mask)
-        columns = [1 << v for v in range(n)] + decoys + classes
-        coloring = primal_heuristic(g.full_mask, columns, k)
-        coloring.validate(g, g.full_mask)
-        assert coloring.colors_used <= k
+        cap = qcbp.bnp.COVER_STEP_CAP
+        missed = 0
+        for _ in range(12):
+            n = 5 * k
+            color = rng.permutation(np.arange(n) % k)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if color[u] != color[v] and rng.random() < 0.5])
+            classes = [mask_of(np.flatnonzero(color == c).tolist()) for c in range(k)]
+            decoys = []
+            for _ in range(30):
+                mask = 0
+                for v in rng.permutation(n):
+                    if not g.adj[v] & mask:
+                        mask |= 1 << int(v)
+                decoys.append(mask)
+            columns = [1 << v for v in range(n)] + decoys + classes
+            monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", 0)
+            missed += primal_heuristic(g.full_mask, columns, k).colors_used > k
+            monkeypatch.setattr(qcbp.bnp, "COVER_STEP_CAP", cap)
+            coloring = primal_heuristic(g.full_mask, columns, k)
+            coloring.validate(g, g.full_mask)
+            assert coloring.colors_used <= k
+        assert missed >= 3
 
     def test_step_cap_still_gives_a_coloring(self, monkeypatch):
         # The first descent takes the widest column, {0, 2, 5, 8}, and needs 4
@@ -328,6 +337,18 @@ class TestSolve:
         assert res.proven_optimal
         assert res.chi_hat == exact_chromatic_number(g) == 4
 
+    def test_myciel4_is_proven_at_five_by_branching(self):
+        # Above the DSATUR oracle's size, so chi = 5 comes from the Mycielski
+        # construction; the root LP (3.245) leaves a gap that only the search
+        # closes.
+        g = myciel(4)
+        assert (g.n, g.edge_count) == (23, 71)
+        res = solve_qcbp(g, engine=exact_engine())
+        res.coloring.validate(g, g.full_mask)
+        assert res.proven_optimal and res.chi_hat == 5
+        assert abs(res.lp_root - 3.2448) < 1e-4 and res.root_lb == 4
+        assert res.stats.nodes_explored == 17
+
     def test_no_proof_above_the_chromatic_number_on_gnp(self):
         rng = np.random.default_rng(95)
         for _ in range(40):
@@ -390,10 +411,9 @@ class TestSolve:
         for name, pick in (("spectral_lb", lambda a: 0), ("run_hcg", lambda a: a[1]),
                            ("primal_heuristic", lambda a: a[0]), ("node_score", lambda a: 0)):
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
-        # G(20, 0.3) drawn as the gnp_exact benchmark draws seed 1, instance 31
-        rng = np.random.default_rng([1, 20, 31])  # explores 5 nodes, leaves 6 open
-        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
-        res = solve_qcbp(g, engine=exact_engine())
+        # myciel4 has a root gap (LP 3.245, chromatic number 5); the budget
+        # stops the search after 5 explored nodes with 35 still open
+        res = solve_qcbp(myciel(4), SolverConfig(node_budget=40), engine=exact_engine())
         s = res.stats
         names = [name for name, _ in events]
         assert names.count("run_hcg") == names.count("primal_heuristic") == s.nodes_explored > 1
@@ -439,9 +459,7 @@ class TestSolve:
                             recording(qcbp.bnp.primal_heuristic, lambda a: a[0], lambda a: a[1]))
         monkeypatch.setattr(qcbp.bnp, "branch",
                             recording(qcbp.bnp.branch, lambda a: a[1].residual_root, lambda a: a[2]))
-        rng = np.random.default_rng([1, 20, 44])  # explores 4 nodes
-        g = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
-        res = solve_qcbp(g, engine=exact_engine())
+        res = solve_qcbp(myciel(4), engine=exact_engine())  # explores 17 nodes
         assert len(seen) > res.stats.nodes_explored > 1
         for residual, columns in seen:
             assert all(0 < m and m & ~residual == 0 for m in columns)

@@ -131,6 +131,47 @@ class TestGreedyColumns:
             seeded += len(cols)
         assert small > 50 and seeded > 50
 
+    def test_unseeded_output_includes_the_coloring_classes(self):
+        # The first-fit coloring of `positive` in falling dual order (lower
+        # index on ties), built here one vertex at a time: its classes
+        # partition `positive`, and each one grown to a maximal set that is
+        # improving and new is returned.
+        rng = np.random.default_rng(67)
+        offered = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+            positive = int(rng.integers(1, 1 << n))
+            duals = np.where((positive >> np.arange(n)) & 1, rng.uniform(0.05, 1.0, size=n), 0.0)
+            pool = ColumnPool.with_singletons(g)
+            order = sorted(iter_bits(positive), key=lambda v: (-duals[v], v))
+            classes: list[int] = []
+            for v in order:
+                fits = [i for i, c in enumerate(classes) if not any(g.has_edge(v, u) for u in iter_bits(c))]
+                if fits:
+                    classes[fits[0]] |= 1 << v
+                else:
+                    classes.append(1 << v)
+            assert sum(classes) == positive
+            grown = []
+            for c in classes:
+                for v in order:
+                    if g.is_independent(c | 1 << v):
+                        c |= 1 << v
+                grown.append(c)
+            for c in grown[: int(rng.integers(0, len(grown) + 1))]:
+                pool.add(c)
+            cols = greedy_columns(g, positive, duals, pool)
+            assert len(set(cols)) == len(cols)
+            for mask in cols:
+                assert mask & ~positive == 0 and g.is_independent(mask)
+                assert all(g.adj[v] & mask for v in iter_bits(positive & ~mask))
+                assert mask not in pool
+            improving = {c for c in grown if reduced_cost(c, duals) < -IMPROVE_EPS and c not in pool}
+            assert improving <= set(cols)
+            offered += len(improving)
+        assert offered > 100
+
 
 def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: ColumnPool):
     cols, stats = engine.sample_columns(g, g.full_mask, duals, pool)

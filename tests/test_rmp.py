@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
-from qcbp.rmp import RmpError, _revised_simplex, init_rmp, solve_rmp
+from qcbp.rmp import REFACTOR_PIVOTS, RmpError, _factor, _simplex, init_rmp, solve_rmp
 
 from builders import path3, random_graph
 
@@ -39,6 +39,15 @@ def lp_oracle(g: Graph, masks: list[int]) -> float:
     res = linprog(np.ones(len(masks)), A_eq=a, b_eq=np.ones(g.n), bounds=(0, None), method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+@pytest.fixture
+def inversions(monkeypatch) -> list[int]:
+    """Grows by one at each np.linalg.inv call."""
+    calls: list[int] = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(1) or real_inv(m))
+    return calls
 
 
 class TestModelConstruction:
@@ -182,13 +191,11 @@ class TestSolve:
                 cold.add(warm.masks)
                 assert abs(got - solve_rmp(cold).objective) < 1e-9
 
-    def test_eta_updated_inverse_matches_highs_and_a_cold_solve(self, monkeypatch):
+    def test_rank_one_updates_match_highs_and_a_cold_solve(self, inversions):
         # A cold solve over every independent set of a 12-vertex graph runs
-        # about 10-25 pivots, so some of these cross a fresh inverse after
-        # REFACTOR_PIVOTS eta updates; all the other pivots are eta updates.
-        inversions = []
-        real_inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: inversions.append(1) or real_inv(m))
+        # about 10-25 pivots, so some of these refactor the tableau after
+        # REFACTOR_PIVOTS rank-one updates, besides the factor at the start;
+        # all the other pivots are rank-one updates.
         rng = np.random.default_rng(34)
         refactored = 0
         for _ in range(12):
@@ -207,6 +214,59 @@ class TestSolve:
             assert sorted(warm.masks) == sorted(cold.masks)
             assert abs(solve_rmp(warm).objective - objective) < 1e-9
         assert refactored > 0
+
+    def test_tableau_carried_over_many_rounds_does_not_drift(self, inversions):
+        # One model re-solved over rounds of a few new columns each, as column
+        # generation does, crossing several refactors: every round matches
+        # HiGHS and a cold solve, and the carried tableau matches a fresh
+        # factor of its basis. Smaller sets come first, so that later rounds
+        # keep improving the master and pivoting.
+        rng = np.random.default_rng(37)
+        for _ in range(4):
+            g = random_graph(12, rng.uniform(0.15, 0.4), rng)
+            extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
+            rng.shuffle(extra)
+            extra.sort(key=int.bit_count)
+            model = init_rmp(g)
+            solve_rmp(model)
+            refactors = 0
+            for batch in np.array_split(np.array(extra, dtype=object), 40):
+                model.add(list(batch))
+                inversions.clear()
+                got = solve_rmp(model).objective
+                refactors += len(inversions)
+                cold = init_rmp(g)
+                cold.add(model.masks)
+                assert abs(got - solve_rmp(cold).objective) < 1e-9
+                assert abs(got - lp_oracle(g, model.masks)) < 1e-9
+            assert refactors >= 3
+            assert np.abs(model._tableau - _factor(model._a, model._basis)).max() < 1e-9
+
+    def test_warm_resolve_between_refactors_inverts_nothing(self, inversions):
+        # A re-solve that pivots fewer times than a refactor is due in only
+        # updates the carried tableau: no basis inverse is taken.
+        rng = np.random.default_rng(38)
+        quiet = 0
+        for _ in range(10):
+            g = random_graph(10, rng.uniform(0.2, 0.5), rng)
+            extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
+            rng.shuffle(extra)
+            model = init_rmp(g)
+            solve_rmp(model)
+            for batch in np.array_split(np.array(extra, dtype=object), 10):
+                before = model._pivots
+                inversions.clear()
+                model.add(list(batch))
+                solve_rmp(model)
+                assert 0 <= model._pivots < REFACTOR_PIVOTS
+                # Short of REFACTOR_PIVOTS pivots, the count grows unless a
+                # refactor reset it.
+                if model._pivots > before:
+                    assert not inversions
+                    quiet += 1
+                else:
+                    assert model._pivots == before or inversions
+        assert quiet > 30
 
     def test_matrix_holds_one_column_per_mask(self):
         g = Graph.from_edges(10, [])
@@ -232,9 +292,13 @@ class TestSolve:
         # equal ratios in both rows, and row 1 leaves because its column is 0.
         a = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
         basis = np.array([1, 0], dtype=np.intp)
-        x_b, y = _revised_simplex(a, basis)
+        tableau = _factor(a, basis)
+        assert _simplex(a, tableau, basis, 0) == 1
         assert basis.tolist() == [1, 2]
-        assert np.allclose(x_b, [0.0, 1.0]) and np.allclose(y, [1.0, 0.0])
+        # the primal values, then the duals off the unit columns 1 and 0
+        assert np.allclose(tableau[1:, 0], [0.0, 1.0])
+        assert np.allclose(1.0 - tableau[0, [2, 1]], [1.0, 0.0])
+        assert np.allclose(tableau, _factor(a, basis))
 
 
 class TestSubproblemMaster:

@@ -12,13 +12,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from qcbp.bnp import solve_qcbp
-from qcbp.graphs import Graph, random_ud_graph
+from qcbp.graphs import random_ud_graph
 from qcbp.pricing import PricingEngine
 
-from builders import exact_engine
+from builders import exact_engine, myciel
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
@@ -41,14 +39,13 @@ def test_every_target_resolves(monkeypatch):
 
 
 def test_every_target_fires(monkeypatch):
-    # An emulated solve reaches the sampler's layers; an exact solve of a
-    # G(20, 0.3) that explores 5 nodes reaches branching.
+    # An emulated solve reaches the sampler's layers; an exact solve of
+    # myciel4, whose root LP (3.245) is below its chromatic number 5, reaches
+    # branching.
     spans = load_spans(monkeypatch)
-    rng = np.random.default_rng([1, 20, 31])
-    gnp = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
     tracer = spans.Tracer()
     with tracer:
         solve_qcbp(random_ud_graph(8, 3)[0], engine=PricingEngine())
-        assert solve_qcbp(gnp, engine=exact_engine()).stats.nodes_explored == 5
+        assert solve_qcbp(myciel(4), engine=exact_engine()).stats.nodes_explored == 17
     fired = {span.name for span in tracer.spans}
     assert fired >= {name for _, _, name, _ in spans.TARGETS}
