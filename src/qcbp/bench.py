@@ -114,16 +114,38 @@ def to_csv_row(record: object) -> str:
 
 
 def parse_row(cls: type, line: str) -> object:
-    """One record of dataclass `cls` from a CSV row in `csv_header(cls)` order."""
-    return cls(*(_coerce(f.type, v) for f, v in zip(fields(cls), line.split(","), strict=True)))
+    """One record of dataclass `cls` from a CSV row in `csv_header(cls)` order;
+    a value that does not parse raises a ValueError naming its column."""
+    values = []
+    for f, value in zip(fields(cls), line.split(","), strict=True):
+        try:
+            values.append(_coerce(f.type, value))
+        except ValueError as exc:
+            raise ValueError(f"column {f.name!r}: {exc}") from None
+    return cls(*values)
+
+
+def parse_rows(header: str, text: str, parse) -> list:
+    """`parse` of each row of CSV text headed by `header`. A row whose field
+    count is not the header's, or that `parse` rejects, raises a ValueError
+    naming its file line (the header is line 1)."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"malformed CSV header, expected {header!r}")
+    parsed = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            if line.count(",") != header.count(","):
+                raise ValueError(f"expected {header.count(',') + 1} fields, found {line.count(',') + 1}")
+            parsed.append(parse(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return parsed
 
 
 def parse_csv(cls: type, text: str) -> list:
     """Records of dataclass `cls` from CSV text headed by `csv_header(cls)`."""
-    lines = text.splitlines()
-    if not lines or lines[0] != csv_header(cls):
-        raise ValueError(f"malformed {cls.__name__} CSV header")
-    return [parse_row(cls, line) for line in lines[1:]]
+    return parse_rows(csv_header(cls), text, lambda line: parse_row(cls, line))
 
 
 def make_run_config(settings: dict[str, str]) -> RunConfig:

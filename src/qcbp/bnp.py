@@ -236,21 +236,8 @@ def solve_qcbp(
 ) -> SolveResult:
     """Full solve: certified column generation at every explored node,
     incumbents from each node's columns, best-score-first search with bound
-    pruning.
-
-    A child is queued with its parent's bound and a score, the parent's
-    heuristic color count (after its column generation) times the child's
-    residual edge count. It is bounded when popped: the spectral bounds of its
-    residual can prune it before column generation runs, and the primal
-    heuristic runs once for each node explored.
-
-    The root is the first node of the search. A residual is explored at the
-    least depth it is reached at: a child is dropped when its residual is
-    already queued at a depth at most its own, and a queued node is pruned
-    when popped if its residual has since been queued at a lesser depth. A
-    node reached by a shallower path is explored again even when its residual
-    was explored before, so an exhausted search is a proof.
-    """
+    pruning. The module docstring gives the rules for queueing, bounding and
+    revisiting a residual."""
     config = config or SolverConfig()
     engine = engine or PricingEngine()
     t_start = clock()

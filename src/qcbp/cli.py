@@ -15,6 +15,8 @@ from .bench import (
     make_run_config,
     parse_config_file,
     parse_csv,
+    parse_row,
+    parse_rows,
     pricing_log_csv,
     pricing_log_rows,
     run_benchmark,
@@ -23,6 +25,7 @@ from .bench import (
 )
 from .chromatic import exact_chromatic_number
 from .graphs import parse_dimacs
+from .pricing import PricingStats
 
 _CONFIG_FLAGS = [f.name for f in fields(RunConfig)]
 
@@ -93,10 +96,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     records = parse_csv(BenchRecord, Path(args.records).read_text())
     pricing_rows: list[str] = []
     if args.pricing_log:
-        lines = Path(args.pricing_log).read_text().splitlines()
-        if not lines or lines[0] != PRICING_HEADER:
-            raise ValueError("malformed pricing log header")
-        pricing_rows = lines[1:]
+        text = Path(args.pricing_log).read_text()
+        parse_rows(PRICING_HEADER, text, lambda row: parse_row(PricingStats, row.partition(",")[2]))
+        pricing_rows = text.splitlines()[1:]
     print(summarize(records, pricing_rows), end="")
     return 0
 

@@ -9,7 +9,8 @@ the diagonal is a sum of one-atom terms, so it factors over blocks of qubits
 and commutes with the interaction part; `evolve` folds it into the rotation.
 A step is then one matmul per block of qubits, by exp(-i theta sum X)
 exp(i phi sum n) on that block, and one multiply by the interaction phase.
-Every factor is unitary, so the norm is conserved to rounding.
+Every factor is unitary, so the norm is conserved to rounding. `evolve`
+returns the final amplitudes as a plain array, and `sample` draws from them.
 
 The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS), the
 step cap MAX_STEPS and the pulse's RAMP_FRACTION are constants. EmulatorConfig
@@ -83,27 +84,10 @@ class PulseSchedule:
         if abs(self.omega[0][1]) > 1e-12 or abs(self.omega[-1][1]) > 1e-12:
             raise ValueError("omega must start and end at zero")
 
-    def omega_at(self, t: float) -> float:
-        ts, vs = zip(*self.omega)
-        return float(np.interp(t, ts, vs))
-
-    def delta_at(self, t: float) -> float:
-        ts, vs = zip(*self.delta)
-        return float(np.interp(t, ts, vs))
-
     def at_midpoints(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Omega and delta at the midpoints of `steps` equal steps."""
         t = (np.arange(steps) + 0.5) * (self.duration / steps)
         return np.interp(t, *zip(*self.omega)), np.interp(t, *zip(*self.delta))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    amplitudes: np.ndarray
-    n: int
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def blockade_radius(report: EmbeddingReport) -> float:
@@ -167,8 +151,9 @@ def step_blocks(m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return powers[:, np.bitwise_count(states[:, None] ^ states)] * phases[:, None, :]
 
 
-def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVector:
-    """Evolve |0...0> under the register Hamiltonian for the full pulse.
+def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> np.ndarray:
+    """The amplitudes of |0...0> evolved under the register Hamiltonian for the
+    full pulse, one per basis index (bit i = atom i).
 
     Step k multiplies by the interaction phase left from step k - 1, then
     applies one `step_blocks` matrix per block of qubits (low bits first):
@@ -207,13 +192,14 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> StateVec
         psi = psi.reshape(size)
     end = np.exp(0.5j * h * deltas[-1] * np.arange(n + 1))[np.bitwise_count(np.arange(size))]
     psi *= inter_half * end
-    return StateVector(amplitudes=psi, n=n)
+    return psi
 
 
-def sample(psi: StateVector, shots: int, seed: int) -> dict[int, int]:
-    """Multinomial draw of bitstrings from the measurement distribution:
-    counts keyed by basis index (bit i = atom i), zero counts left out."""
-    p = psi.probabilities()
+def sample(amplitudes: np.ndarray, shots: int, seed: int) -> dict[int, int]:
+    """Multinomial draw of bitstrings from the measurement distribution of
+    `amplitudes`: counts keyed by basis index (bit i = atom i), zero counts
+    left out."""
+    p = np.abs(amplitudes) ** 2
     p = p / p.sum()
     raw = np.random.default_rng(seed).multinomial(shots, p)
     return {int(i): int(c) for i, c in enumerate(raw) if c}

@@ -110,15 +110,6 @@ class Graph:
             rest ^= low
         return True
 
-    def is_maximal_independent(self, s: int) -> bool:
-        """True iff s is independent and every outside vertex has a neighbor in s."""
-        if not self.is_independent(s):
-            return False
-        for v in iter_bits(self.full_mask ^ s):
-            if not self.adj[v] & s:
-                return False
-        return True
-
     def induced_subgraph(self, keep: int) -> "Graph":
         """Induced subgraph on the kept vertices, renumbered in increasing order
         (vertex v becomes its rank in keep, as in restrict_mask)."""

@@ -1,13 +1,10 @@
 """Hybrid column generation: alternate master solves with sampler pricing.
 
-Each round solves the restricted master, restricts the subproblem to vertices
-with positive duals, and asks the sampler for improving columns when more
-than CLASSICAL_PRICING_MAX remain (a smaller round logs no row). The sampler's
-sets become columns through the greedy pricer, `greedy_columns`, which grows
-each to a maximal set. If the sampler has none, the same greedy grows maximal
-sets from the classes of a greedy coloring of the dual-positive vertices and
-from each such vertex, and only then does the exact MWIS safeguard run,
-which certifies that no improving column exists or supplies the heaviest set.
+Each round solves the restricted master, takes its duals as Python floats
+once, and prices the vertices with positive duals (see `qcbp.pricing`): the
+sampler when more than CLASSICAL_PRICING_MAX remain (a smaller round logs no
+row), then the unseeded greedy, and only then the exact MWIS safeguard, which
+certifies that no improving column exists or supplies the heaviest set.
 Columns are only appended within a run, so each re-solve restarts from the
 last optimal basis and carries its simplex tableau on.
 
@@ -86,11 +83,11 @@ def run_hcg(
     heaviest = 0.0  # weight of the last exact pricer's set
 
     sol = solve_rmp(model)
+    duals = sol.duals.tolist()
     prev_obj = sol.objective
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        duals = sol.duals
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         if positive == 0:
             # Unreachable for a feasible master (the duals sum to the
@@ -99,7 +96,7 @@ def run_hcg(
             break
 
         found: list[int] = []
-        if engine.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
+        if engine.config.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
             found, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)
             log.append(stats)
         if not found:
@@ -107,7 +104,7 @@ def run_hcg(
         if not found:
             best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals])
             exact_calls += 1
-            heaviest = sum(float(duals[v]) for v in iter_bits(best))
+            heaviest = sum(duals[v] for v in iter_bits(best))
             if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
@@ -116,23 +113,23 @@ def run_hcg(
             pool.add(mask)
         model.add(found)
         sol = solve_rmp(model)
+        duals = sol.duals.tolist()
         if sol.objective > prev_obj + 1e-9:
             raise RuntimeError(
                 f"master objective increased {prev_obj} -> {sol.objective} after adding columns"
             )
         prev_obj = sol.objective
 
-    duals = sol.duals
     if certified:
         # The certifying call priced the duals at most DUAL_POS_EPS as 0, so
         # they add at most their sum to any set.
-        heaviest += sum(float(d) for d in duals if 0.0 < d <= DUAL_POS_EPS)
+        heaviest += sum(d for d in duals if 0.0 < d <= DUAL_POS_EPS)
     else:
-        heaviest = sum(float(duals[v]) for v in iter_bits(exact_mwis(root, duals)))
+        heaviest = sum(duals[v] for v in iter_bits(exact_mwis(root, duals)))
         exact_calls += 1
     # Farley: the clipped duals scaled by the heaviest independent set under
     # them are dual feasible, so this is a valid LP lower bound.
-    lp_bound = sum(max(float(d), 0.0) for d in duals) / max(1.0, heaviest)
+    lp_bound = sum(max(d, 0.0) for d in duals) / max(1.0, heaviest)
 
     return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations, certified=certified,
                      pricing_log=log, exact_calls=exact_calls, columns=model.masks)

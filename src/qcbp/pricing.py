@@ -1,29 +1,23 @@
 """Pricing for column generation: find independent sets whose dual weight beats 1.
 
-The sampler path first prices the solve's sample memory: every independent
-set the sampler has drawn in this solve, kept on the solve's `ColumnPool` and
-cut down to the dual-positive mask. Only when none of those improves does it
-embed the dual-positive subproblem on a register, run the adiabatic pulse and
-sample bitstrings; it remembers every independent one. The register is the
-only place where the subproblem's vertices are renumbered: drawn bitstrings
-are expanded to root masks once, and everything else is priced in root
-numbering against the root-indexed duals. Either way the independent sets
-seed the greedy pricer, `greedy_columns`, which grows each to a maximal set
-within the dual-positive mask in falling dual order and keeps it if it is
-then improving and new. A recalled round logs no shots, and so does a round
-whose subproblem is too big to emulate, which draws nothing. The embed seed
-comes from the subproblem's vertex set and the evolution is deterministic, so
-a revisited subgraph gets the same final state again without a cache. Behind
-the sampler, the same greedy grows a maximal set from each class of a greedy
-coloring of the dual-positive vertices, so one round can offer columns that
-partition them, and from each of those vertices; a branch-and-bound MWIS,
-the exact safeguard, certifies termination or returns the heaviest set.
+The greedy pricer, `greedy_columns`, grows each seed to a maximal set within
+the dual-positive mask in falling dual order and keeps it if it is then
+improving and new. The sampler pass, `PricingEngine.sample_columns`, seeds it
+with the solve's sample memory and draws on an emulated register only when
+that finds nothing; it has one exit and logs one `PricingStats` row. The
+embed seed comes from the subproblem's vertex set and the evolution is
+deterministic, so a revisited subgraph gets the same final state again
+without a cache. Unseeded, the greedy starts from the classes of a greedy
+coloring of the dual-positive vertices and from each of them; a
+branch-and-bound MWIS, the exact safeguard, certifies termination or returns
+the heaviest set. Everything is priced in root numbering against root-indexed
+duals, a list or an array; only the register renumbers vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,13 +37,14 @@ DUAL_POS_EPS = 1e-6
 COMPACT_REGISTER_RADIUS_UM = 6.0
 
 
-def reduced_cost(mask: int, duals: np.ndarray) -> float:
+def reduced_cost(mask: int, duals: Sequence[float]) -> float:
     """1 - sum of duals over the set; improving iff below -IMPROVE_EPS."""
-    return 1.0 - sum(float(duals[v]) for v in iter_bits(mask))
+    return 1.0 - sum(duals[v] for v in iter_bits(mask))
 
 
 def greedy_columns(
-    g: Graph, positive: int, duals: np.ndarray, pool: ColumnPool, seeds: Iterable[int] | None = None
+    g: Graph, positive: int, duals: Sequence[float], pool: ColumnPool,
+    seeds: Iterable[int] | None = None,
 ) -> list[int]:
     """The distinct improving sets outside the pool among the maximal sets
     within `positive` grown from each seed (an independent set within
@@ -59,7 +54,7 @@ def greedy_columns(
     coloring of `positive` in that order, which together partition it, then
     its single vertices in that order; on at most 3 vertices the single
     vertices reach every maximal set, so an empty answer means none improves."""
-    order = sorted(iter_bits(positive), key=lambda v: (-float(duals[v]), v))
+    order = sorted(iter_bits(positive), key=lambda v: (-duals[v], v))
     if seeds is None:
         classes: list[int] = []
         for v in order:
@@ -162,23 +157,19 @@ class PricingEngine:
         self.config = config or SamplerConfig()
         self._draws = 0
 
-    @property
-    def kind(self) -> str:
-        return self.config.kind
-
     def _next_seed(self) -> list[int]:
         self._draws += 1
         return [self.config.seed, self._draws]
 
-    def _draw_bitstrings(self, sub: Graph, key: int, weights: np.ndarray) -> dict[int, int]:
+    def _draw_bitstrings(self, sub: Graph, key: int, weights: list[float]) -> dict[int, int]:
         if self.config.kind == "emulated_qaa":
             reg = embed(sub, self.config.embed, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
             report = audit(sub, reg, self.config.embed.ud_radius)
             pulse = build_adiabatic_pulse(report, self.config.emulator)
-            state = evolve(reg, pulse, self.config.emulator)
+            amplitudes = evolve(reg, pulse, self.config.emulator)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
-            return sample(state, self.config.shots, seed)
+            return sample(amplitudes, self.config.shots, seed)
         # classical_stochastic: weighted random greedy maximal sets
         rng = np.random.default_rng(self._next_seed())
         counts: dict[int, int] = {}
@@ -196,48 +187,38 @@ class PricingEngine:
         self,
         root: Graph,
         positive: int,
-        duals: np.ndarray,
+        duals: Sequence[float],
         pool: ColumnPool,
         iteration: int = 0,
     ) -> tuple[list[int], PricingStats]:
         """Sampler pricing pass over the subproblem that `root` induces on the
         dual-positive mask `positive` (`duals` holds one value per root vertex).
 
-        The pass first recalls the pool's sample memory: every independent set
+        The pass first grows the pool's sample memory: every independent set
         this solve has drawn, cut down to `positive`. Only when none of those
-        is a column does it draw again, on a register of the induced subgraph,
-        and it stores every independent set the draw returns. The emulated
-        sampler draws nothing on more than MAX_QUBITS vertices: the pass then
-        returns no columns, and the classical pricers answer the round. Every
-        returned column is a root mask, independent, maximal within
-        `positive`, with reduced cost below -1e-6 and absent from the pool,
-        re-checked here no matter what the sampler produced.
+        gives a column does it draw again, on a register of the induced
+        subgraph; the independent sets the draw returns are stored and grown
+        in their place. The emulated sampler draws nothing on more than
+        MAX_QUBITS vertices: the pass then returns no columns, and the
+        classical pricers answer the round. A pass that draws nothing logs 0
+        shots and 0 distinct bitstrings. Every returned column is a root mask,
+        independent, maximal within `positive`, with reduced cost below -1e-6
+        and absent from the pool, re-checked here no matter what the sampler
+        produced.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
-        if positive == 0:
-            return [], PricingStats(iteration, 0, 0, 0, 0, 0)
         n_sub = positive.bit_count()
-        recalled = dict.fromkeys(mask & positive for mask in pool.samples)
-        columns = greedy_columns(root, positive, duals, pool, recalled)
-        if columns:
-            n_maximal = sum(m in recalled for m in columns)
-            return columns, PricingStats(iteration, n_sub, 0, 0, len(columns), n_maximal)
-        if self.config.kind == "emulated_qaa" and n_sub > MAX_QUBITS:
-            return [], PricingStats(iteration, n_sub, 0, 0, 0, 0)  # left to the classical pricers
-
-        sub = root.induced_subgraph(positive)
-        w = np.asarray(duals, dtype=float)[list(iter_bits(positive))]
-        drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
-        independent = dict.fromkeys(mask for mask in drawn if root.is_independent(mask))
-        pool.samples.update(independent)
-        columns = greedy_columns(root, positive, duals, pool, independent)
-        stats = PricingStats(
-            iteration=iteration,
-            n_sub=n_sub,
-            shots=self.config.shots,
-            distinct_bitstrings=len(drawn),
-            improving=len(columns),
-            maximal=sum(m in independent for m in columns),
-        )
-        return columns, stats
+        seeds = dict.fromkeys(mask & positive for mask in pool.samples)
+        columns = greedy_columns(root, positive, duals, pool, seeds)
+        shots = distinct = 0
+        if not columns and positive and (self.config.kind != "emulated_qaa" or n_sub <= MAX_QUBITS):
+            sub = root.induced_subgraph(positive)
+            w = [duals[v] for v in iter_bits(positive)]
+            drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
+            seeds = dict.fromkeys(mask for mask in drawn if root.is_independent(mask))
+            pool.samples.update(seeds)
+            columns = greedy_columns(root, positive, duals, pool, seeds)
+            shots, distinct = self.config.shots, len(drawn)
+        maximal = sum(m in seeds for m in columns)
+        return columns, PricingStats(iteration, n_sub, shots, distinct, len(columns), maximal)

@@ -64,9 +64,6 @@ class ColumnPool:
     def __contains__(self, mask: int) -> bool:
         return mask in self._masks
 
-    def __len__(self) -> int:
-        return len(self._masks)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._masks)
 
@@ -95,6 +92,7 @@ class RmpModel:
     graph: Graph
     keep: int
     masks: list[int] = field(default_factory=list)
+    _rows: list[int] = field(init=False, repr=False)  # the vertices of `keep`, increasing
     _a: np.ndarray = field(init=False, repr=False)
     _basis: np.ndarray | None = field(default=None, init=False)
     _units: np.ndarray = field(init=False, repr=False)  # the singleton column of each row
@@ -104,7 +102,8 @@ class RmpModel:
     def __post_init__(self) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
             raise ValueError(f"keep {self.keep:#x} is not a nonempty vertex mask of the graph")
-        self._a = np.zeros((self.keep.bit_count(), 0))
+        self._rows = list(iter_bits(self.keep))
+        self._a = np.zeros((len(self._rows), 0))
 
     def add(self, masks: Iterable[int]) -> int:
         """Append independent sets as columns, skipping duplicates; returns the
@@ -121,8 +120,7 @@ class RmpModel:
         the number appended."""
         held = set(self.masks)
         new = [m for m in dict.fromkeys(mask & self.keep for mask in masks) if m and m not in held]
-        rows = np.fromiter(iter_bits(self.keep), np.uint64)
-        columns = (np.array(new, np.uint64) >> rows[:, None]) & 1
+        columns = (np.array(new, np.uint64) >> np.array(self._rows, np.uint64)[:, None]) & 1
         self._a = np.concatenate([self._a, columns], axis=1, dtype=float)
         self.masks += new
         return len(new)
@@ -144,7 +142,7 @@ def init_rmp(g: Graph, keep: int | None = None, pool: Iterable[int] = ()) -> Rmp
     restrictions, so they are not checked again.
     """
     model = RmpModel(graph=g, keep=g.full_mask if keep is None else keep)
-    model._write(chain((1 << v for v in iter_bits(model.keep)), pool))
+    model._write(chain((1 << v for v in model._rows), pool))
     return model
 
 
@@ -227,9 +225,9 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     a = model._a
     if model._basis is None:
         singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
-        if len(singleton_pos) < model.keep.bit_count():
+        if len(singleton_pos) < len(model._rows):
             raise RmpError("model is missing singleton columns (infeasible start)")
-        model._units = np.array([singleton_pos[1 << v] for v in iter_bits(model.keep)], dtype=np.intp)
+        model._units = np.array([singleton_pos[1 << v] for v in model._rows], dtype=np.intp)
         model._basis = model._units.copy()
         model._tableau = _factor(a, model._basis)
     elif model._tableau.shape[1] <= a.shape[1]:
@@ -257,5 +255,5 @@ def solve_rmp(model: RmpModel) -> RmpSolution:
     if slack > OPT_TOL:
         raise RmpError(f"dual infeasibility {slack:.3e} over the pool")
     duals = np.zeros(model.graph.n)
-    duals[list(iter_bits(model.keep))] = y
+    duals[model._rows] = y
     return RmpSolution(lam=lam, duals=duals, objective=objective)

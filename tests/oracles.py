@@ -118,6 +118,11 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
+def is_maximal_independent(g, s: int) -> bool:
+    """True iff s is independent in g and every outside vertex has a neighbor in s."""
+    return g.is_independent(s) and all(g.adj[v] & s for v in range(g.n) if not s >> v & 1)
+
+
 def independence_table(g) -> np.ndarray:
     """Boolean vector over all 2^n masks: True where the mask is independent.
 

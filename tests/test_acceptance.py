@@ -124,13 +124,13 @@ def test_criterion_5_emulator_fidelity():
         cases, regs, pulses = zip(*batch)
         refs = rk4_final_states(list(regs), list(pulses), cfg, step=1e-4)
         for case, reg, pulse, ref in zip(cases, regs, pulses, refs):
-            f = fidelity(evolve(reg, pulse, cfg).amplitudes, ref)
+            f = fidelity(evolve(reg, pulse, cfg), ref)
             worst = min(worst, f)
             assert f >= 1 - 1e-4, f"case {case}: fidelity {f}"
     drift_rng = np.random.default_rng(501)
     reg12 = random_register(drift_rng, 12, spread=18.0)
     pulse12 = build_adiabatic_pulse(audit(Graph.from_edges(12, []), reg12, 10.0), cfg)
-    drift = abs(np.linalg.norm(evolve(reg12, pulse12, cfg).amplitudes) - 1.0)
+    drift = abs(np.linalg.norm(evolve(reg12, pulse12, cfg)) - 1.0)
     assert drift < 1e-6, f"norm drift {drift}"
     report(f"ACCEPTANCE 5 PASS: 50 registers, worst fidelity {worst:.8f}; n=12 norm drift {drift:.1e}")
 
@@ -145,7 +145,7 @@ def test_criterion_6_blockade():
     worst = 0.0
     for frac in (0.61, 0.65, 0.7):
         pair = Register(positions=((0.0, 0.0), (frac * r_b, 0.0)))
-        p11 = evolve(pair, pulse, cfg).probabilities()[0b11]
+        p11 = abs(evolve(pair, pulse, cfg)[0b11]) ** 2
         worst = max(worst, p11)
         assert p11 < 0.05, f"P(|11>) = {p11} at {frac} r_b"
     report(f"ACCEPTANCE 6 PASS: P(|11>) <= {worst:.2e} for pairs within 0.7 r_b")

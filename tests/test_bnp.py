@@ -29,6 +29,7 @@ from qcbp.hcg import HcgResult
 from qcbp.pricing import PricingEngine, SamplerConfig
 
 from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
+from oracles import is_maximal_independent
 
 
 class TestPrimalHeuristic:
@@ -204,7 +205,7 @@ class TestBranch:
         rng = np.random.default_rng(89)
         for _ in range(150):
             g = random_graph(int(rng.integers(1, 11)), rng.uniform(0.0, 0.9), rng)
-            maximal = [s for s in range(1, 1 << g.n) if g.is_maximal_independent(s)]
+            maximal = [s for s in range(1, 1 << g.n) if is_maximal_independent(g, s)]
             for v in range(g.n):
                 assert sorted(maximal_sets_containing(g, v, g.full_mask)) == [
                     s for s in maximal if s >> v & 1]
@@ -216,7 +217,7 @@ class TestBranch:
             residual = int(rng.integers(1, 1 << g.n))
             res = g.induced_subgraph(residual)
             v = max(range(res.n), key=lambda u: (res.degree(u), -u))
-            brute = [s for s in range(1, 1 << res.n) if s >> v & 1 and res.is_maximal_independent(s)]
+            brute = [s for s in range(1, 1 << res.n) if s >> v & 1 and is_maximal_independent(res, s)]
             children = branch(g, BBNode(residual_root=residual, depth=0, fixed_classes=()), [])
             assert sorted(restrict_mask(c.fixed_classes[-1], residual) for c in children) == brute
             assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)

@@ -1,6 +1,7 @@
 import pytest
 
 import qcbp.cli
+from qcbp.bench import PRICING_HEADER, BenchRecord, csv_header
 from qcbp.cli import main
 from qcbp.graphs import Graph
 
@@ -160,3 +161,38 @@ class TestBenchReport:
                      "--sampler", "quantum"])
         assert code == 2
         assert "error: unknown sampler kind 'quantum'" in capsys.readouterr().err
+
+
+class TestMalformedRows:
+    """A malformed CSV row exits 2 naming its file line (the header is line 1),
+    the field counts, or the column whose value does not parse."""
+
+    RECORD = "x,5,true,2,3,0.5,false,100,4,2,1,2,12.5"
+    PRICING = "x,1,5,200,7,3,2"
+
+    @pytest.mark.parametrize("target, row, reason", [
+        ("records", RECORD.rpartition(",")[0], "line 3: expected 13 fields, found 12"),
+        ("records", RECORD + ",7", "line 3: expected 13 fields, found 14"),
+        ("records", RECORD.replace("true", "ture"),
+         "line 3: column 'is_ud': expected a boolean (true or false), got 'ture'"),
+        ("pricing_log", PRICING.rpartition(",")[0], "line 3: expected 7 fields, found 6"),
+        ("pricing_log", PRICING + ",1", "line 3: expected 7 fields, found 8"),
+        ("pricing_log", PRICING.replace("200", "many"), "line 3: column 'shots': invalid literal"),
+    ])
+    def test_report_names_the_line(self, tmp_path, capsys, target, row, reason):
+        files = {"records": [csv_header(BenchRecord), self.RECORD], "pricing_log": [PRICING_HEADER, self.PRICING]}
+        files[target].append(row)
+        for name, lines in files.items():
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        assert main(["report", "--records", str(tmp_path / "records.csv"),
+                     "--pricing-log", str(tmp_path / "pricing_log.csv")]) == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+
+    def test_bench_names_the_manifest_line(self, dataset, tmp_path, capsys):
+        manifest = dataset / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = lines[2].rpartition(",")[0]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["bench", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
+                     "--sampler", "exact_pricer"]) == 2
+        assert "error: line 3: expected 6 fields, found 5" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from qcbp.pricing import (
 from qcbp.rmp import ColumnPool
 
 from builders import complete, path3, random_graph
+from oracles import is_maximal_independent
 
 
 def brute_mwis(g: Graph, w) -> tuple[float, int]:
@@ -180,7 +181,7 @@ def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: Co
         assert g.is_independent(mask)
         assert reduced_cost(mask, duals) < -IMPROVE_EPS
         assert mask not in pool
-        assert g.is_maximal_independent(mask)
+        assert is_maximal_independent(g, mask)
     # a classical draw is maximal already, so the extension adds nothing
     assert stats.improving == stats.maximal == len(cols)
     assert stats.shots == engine.config.shots
@@ -240,7 +241,7 @@ class TestEmulatedSampler:
         assert cols and stats.maximal <= stats.improving == len(cols)
         for mask in cols:
             assert mask & ~sub_mask == 0  # root mask stays inside the subproblem
-            assert sub.is_maximal_independent(restrict_mask(mask, sub_mask))
+            assert is_maximal_independent(sub, restrict_mask(mask, sub_mask))
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
@@ -254,7 +255,7 @@ class TestEmulatedSampler:
         )
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
-        assert cols and all(g.is_maximal_independent(mask) for mask in cols)
+        assert cols and all(is_maximal_independent(g, mask) for mask in cols)
 
 
 class TestSampleMemory:
@@ -291,7 +292,7 @@ class TestSampleMemory:
         sub = g.induced_subgraph(positive)
         for mask in cols:
             assert mask & ~positive == 0
-            assert sub.is_maximal_independent(restrict_mask(mask, positive))
+            assert is_maximal_independent(sub, restrict_mask(mask, positive))
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool
 
@@ -331,7 +332,7 @@ class TestSampleMemory:
                 assert len(set(cols)) == len(cols) == stats.improving
                 for mask in cols:
                     assert mask & ~positive == 0
-                    assert sub.is_maximal_independent(restrict_mask(mask, positive))
+                    assert is_maximal_independent(sub, restrict_mask(mask, positive))
                     assert reduced_cost(mask, duals) < -IMPROVE_EPS
                     assert mask not in pool
                     pool.add(mask)
@@ -341,7 +342,7 @@ class TestSampleMemory:
                     drawn += 1
                 else:
                     recalled += 1
-                    not_maximal += sum(not sub.is_maximal_independent(restrict_mask(mask, positive))
+                    not_maximal += sum(not is_maximal_independent(sub, restrict_mask(mask, positive))
                                        for mask in memory if g.is_independent(mask))
                 positive = int(rng.integers(1, 1 << n)) | 0b11
         assert recalled > 50 and drawn > 50 and not_maximal > 20
@@ -357,6 +358,41 @@ class TestSampleMemory:
             assert log[0].shots == 20
             assert any(row.shots == 0 for row in log)
 
+
+class TestDualForms:
+    def test_list_and_array_duals_price_alike(self):
+        # The master's duals reach the pricers as a list of floats; the
+        # public pricers take an ndarray too and must answer the same.
+        rng = np.random.default_rng(69)
+        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=5)
+        drawn = recalled = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 12))
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+            masks = [g.full_mask] + [int(rng.integers(1, 1 << n)) for _ in range(3)]
+            arrays = [np.where((m >> np.arange(n)) & 1, rng.uniform(0.05, 1.0, size=n), 0.0) for m in masks]
+            pool = ColumnPool.with_singletons(g)
+            for positive, array in zip(masks, arrays):
+                mask = int(rng.integers(0, 1 << n))
+                assert reduced_cost(mask, array.tolist()) == reduced_cost(mask, array)
+                assert greedy_columns(g, positive, array.tolist(), pool) == greedy_columns(g, positive, array, pool)
+                assert exact_mwis(g, array.tolist()) == exact_mwis(g, array)
+            # Rounds of a column generation, pooling each round's columns and
+            # pricing another dual-positive mask, so some rounds are recalled.
+            rounds = []
+            for as_list in (True, False):
+                engine, pool = PricingEngine(cfg), ColumnPool.with_singletons(g)
+                rounds.append([])
+                for k, (positive, array) in enumerate(zip(masks, arrays)):
+                    duals = array.tolist() if as_list else array
+                    cols, stats = engine.sample_columns(g, positive, duals, pool, iteration=k)
+                    rounds[-1].append((cols, stats))
+                    for col in cols:
+                        pool.add(col)
+            assert rounds[0] == rounds[1]
+            drawn += sum(stats.shots > 0 for _, stats in rounds[0])
+            recalled += sum(stats.shots == 0 and stats.improving > 0 for _, stats in rounds[0])
+        assert drawn > 60 and recalled > 20
 
 class TestEmulationCap:
     @pytest.mark.parametrize("n, draws", [(MAX_QUBITS, True), (MAX_QUBITS + 1, False)])
