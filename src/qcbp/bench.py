@@ -231,7 +231,9 @@ class BenchRecord:
     nodes_generated: int
     nodes_explored: int
     nodes_pruned: int
-    ilp_calls: int
+    exact_calls: int
+    uncertified_nodes: int
+    unproven_reason: str
     wall_ms: float
 
 
@@ -285,7 +287,8 @@ def run_benchmark(
             nodes_generated=stats.nodes_generated,
             nodes_explored=stats.nodes_explored,
             nodes_pruned=stats.nodes_pruned,
-            ilp_calls=stats.exact_pricer_calls, wall_ms=stats.wall_seconds * 1e3,
+            exact_calls=stats.exact_pricer_calls, uncertified_nodes=stats.uncertified_nodes,
+            unproven_reason=stats.unproven_reason, wall_ms=stats.wall_seconds * 1e3,
         ))
         pricing_rows.extend(pricing_log_rows(inst.instance, res.pricing_log))
     if out_dir is not None:
@@ -347,7 +350,7 @@ def summarize(records: list[BenchRecord], pricing_rows: list[str]) -> str:
     for flag in (True, False):
         cells = []
         for n in ns:
-            grp = [r.ilp_calls for r in records if r.n == n and r.is_ud == flag]
+            grp = [r.exact_calls for r in records if r.n == n and r.is_ud == flag]
             cells.append(f"n={n}:{statistics.median(grp):.1f}" if grp else f"n={n}:-")
         lines.append(f"unit_disk={str(flag).lower():5s}  " + "  ".join(cells))
 

@@ -69,7 +69,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"instance: {args.graph}")
     print(f"sampler={config.sampler}")
     print(f"colors={res.chi_hat} proven_optimal={str(res.proven_optimal).lower()}")
-    print(f"shots={stats.shots_total} ilp_calls={stats.exact_pricer_calls} "
+    print(f"shots={stats.shots_total} exact_calls={stats.exact_pricer_calls} "
           f"nodes={stats.nodes_generated}/{stats.nodes_explored}/{stats.nodes_pruned} "
           f"(generated/explored/pruned) uncertified_nodes={stats.uncertified_nodes} "
           f"unproven_reason={stats.unproven_reason or '-'} "

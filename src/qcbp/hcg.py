@@ -3,19 +3,21 @@
 Each round solves the restricted master, takes its duals as Python floats
 once, and prices the vertices with positive duals (see `qcbp.pricing`): the
 sampler when more than CLASSICAL_PRICING_MAX remain (a smaller round logs no
-row), then the unseeded greedy, and only then the exact MWIS safeguard, which
-certifies that no improving column exists or supplies the heaviest set.
-Columns are only appended within a run, so each re-solve restarts from the
-last optimal basis and carries its simplex tableau on.
+row), then the unseeded greedy. When neither finds a column, a clique cover
+certifies that no improving column exists; only when the cover weighs more
+than 1 + IMPROVE_EPS does the exact MWIS safeguard run, which certifies the
+round or supplies the heaviest set. Columns are only appended within a run,
+so each re-solve restarts from the last optimal basis and carries its simplex
+tableau on.
 
 A run that has not certified after `max_iterations` pricing rounds stops
 capped; the search passes `SolverConfig.hcg_max_iterations`, whose default is
 MAX_ITERATIONS. Every run reports Farley's bound: the clipped duals' sum over
-the weight of the heaviest independent set under them. The master's objective
-is not a certified bound. A capped run's is an upper bound on the LP, and a
-certificate only shows that no set weighs more than 1 + IMPROVE_EPS. A
-certified run takes the weight from its certifying exact call; a capped run
-makes one more.
+an upper bound on the weight of every independent set under them. The
+master's objective is not a certified bound. A capped run's is an upper bound
+on the LP, and a certificate only shows that no set weighs more than
+1 + IMPROVE_EPS. A certified run takes that weight from its certificate, the
+cover's sum or the exact call's set; a capped run makes one more exact call.
 
 A subproblem is the root graph and the mask of its vertices, the search
 node's residual; the master, the exact pricer and the pool see no other
@@ -31,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, iter_bits, mask_of
-from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats, exact_mwis,
-                      greedy_columns)
+from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
+                      clique_cover_weight, exact_mwis, greedy_columns)
 from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
 
 MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
@@ -43,12 +45,13 @@ CLASSICAL_PRICING_MAX = 3  # dual-positive vertices the greedy prices alone: it 
 class HcgResult:
     """What one run did at its node.
 
-    `iterations` counts pricing rounds and `certified` says whether the exact
-    pricer closed the run; `pricing_log` has a row per sampler call and
-    `exact_calls` counts the exact pricer's calls, the capped run's bound call
-    included. `columns` are the master's masks: the pool cut down to the
-    node's residual and deduplicated, singletons first, then the columns
-    priced at this node.
+    `iterations` counts pricing rounds and `certified` says whether a clique
+    cover or the exact pricer closed the run; `pricing_log` has a row per
+    sampler call and `exact_calls` counts the exact pricer's calls, the capped
+    run's bound call included, so a certified run that reports none was
+    certified by the cover. `columns` are the master's masks: the pool cut
+    down to the node's residual and deduplicated, singletons first, then the
+    columns priced at this node.
     """
 
     rmp: RmpSolution
@@ -80,7 +83,7 @@ def run_hcg(
     log: list[PricingStats] = []
     exact_calls = 0
     certified = False
-    heaviest = 0.0  # weight of the last exact pricer's set
+    heaviest = 0.0  # the certificate's bound on every independent set's weight
 
     sol = solve_rmp(model)
     duals = sol.duals.tolist()
@@ -102,9 +105,12 @@ def run_hcg(
         if not found:
             found = greedy_columns(root, positive, duals, pool)
         if not found:
-            best = exact_mwis(root, [d if d > DUAL_POS_EPS else 0.0 for d in duals])
-            exact_calls += 1
-            heaviest = sum(duals[v] for v in iter_bits(best))
+            clipped = [d if d > DUAL_POS_EPS else 0.0 for d in duals]
+            heaviest = clique_cover_weight(root, clipped)
+            if heaviest > 1.0 + IMPROVE_EPS:
+                best = exact_mwis(root, clipped)
+                exact_calls += 1
+                heaviest = sum(duals[v] for v in iter_bits(best))
             if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
@@ -121,14 +127,14 @@ def run_hcg(
         prev_obj = sol.objective
 
     if certified:
-        # The certifying call priced the duals at most DUAL_POS_EPS as 0, so
+        # The certificate priced the duals at most DUAL_POS_EPS as 0, so
         # they add at most their sum to any set.
         heaviest += sum(d for d in duals if 0.0 < d <= DUAL_POS_EPS)
     else:
         heaviest = sum(duals[v] for v in iter_bits(exact_mwis(root, duals)))
         exact_calls += 1
-    # Farley: the clipped duals scaled by the heaviest independent set under
-    # them are dual feasible, so this is a valid LP lower bound.
+    # Farley: the clipped duals scaled down by a bound on every independent
+    # set's weight under them are dual feasible, so this is a valid LP lower bound.
     lp_bound = sum(max(d, 0.0) for d in duals) / max(1.0, heaviest)
 
     return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations, certified=certified,

@@ -8,10 +8,13 @@ that finds nothing; it has one exit and logs one `PricingStats` row. The
 embed seed comes from the subproblem's vertex set and the evolution is
 deterministic, so a revisited subgraph gets the same final state again
 without a cache. Unseeded, the greedy starts from the classes of a greedy
-coloring of the dual-positive vertices and from each of them; a
-branch-and-bound MWIS, the exact safeguard, certifies termination or returns
-the heaviest set. Everything is priced in root numbering against root-indexed
-duals, a list or an array; only the register renumbers vertices.
+coloring of the dual-positive vertices and from each of them. When no pricer
+finds a column, `clique_cover_weight` bounds every independent set's weight
+by a greedy clique cover, and a bound of at most 1 + IMPROVE_EPS certifies
+termination; only a looser cover leaves the round to a branch-and-bound MWIS,
+the exact safeguard, which certifies termination or returns the heaviest set.
+Everything is priced in root numbering against root-indexed duals, a list or
+an array; only the register renumbers vertices.
 """
 
 from __future__ import annotations
@@ -70,6 +73,23 @@ def greedy_columns(
                 mask |= 1 << v
         grown[mask] = None
     return [m for m in grown if m not in pool and reduced_cost(m, duals) < -IMPROVE_EPS]
+
+
+def clique_cover_weight(g: Graph, weights: Sequence[float]) -> float:
+    """An upper bound on the weight of every independent set: the vertices of
+    positive weight, taken in falling weight order (lower index on ties), each
+    join the first clique they are adjacent to in full, and the bound is the sum
+    of each clique's heaviest weight. An independent set meets a clique at most
+    once, so it weighs no more than that sum."""
+    cliques: list[int] = []
+    total = 0.0
+    for v in sorted((v for v in range(g.n) if weights[v] > 0.0), key=lambda v: (-weights[v], v)):
+        i = next((i for i, c in enumerate(cliques) if not c & ~g.adj[v]), len(cliques))
+        if i == len(cliques):
+            cliques.append(0)
+            total += weights[v]  # a clique's first vertex is its heaviest
+        cliques[i] |= 1 << v
+    return total
 
 
 def exact_mwis(g: Graph, weights) -> int:

@@ -239,7 +239,8 @@ class TestBenchmark:
         out = tmp_path / "out"
         run_benchmark(small_dataset, RunConfig(sampler="exact_pricer"), out_dir=out, clock=counter_clock())
         records_header = ("instance,n,is_ud,chi_exact,chi_hat,gap,proven,shots,"
-                          "nodes_generated,nodes_explored,nodes_pruned,ilp_calls,wall_ms")
+                          "nodes_generated,nodes_explored,nodes_pruned,exact_calls,uncertified_nodes,"
+                          "unproven_reason,wall_ms")
         manifest_header = "instance,n,is_ud,seed,graph_file,positions_file"
         pricing_header = "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
         assert (csv_header(BenchRecord), csv_header(InstanceRecord), PRICING_HEADER) == (
@@ -249,18 +250,19 @@ class TestBenchmark:
         assert (out / "pricing_log.csv").read_text() == pricing_header + "\n"
 
     def test_csv_round_trip(self):
-        record = BenchRecord("x", 5, True, 2, 3, 0.5, False, 100, 4, 2, 1, 2, 12.5)
-        assert to_csv_row(record) == "x,5,true,2,3,0.5,false,100,4,2,1,2,12.5"
-        parsed = parse_csv(BenchRecord, records_to_csv([record]))
-        assert parsed == [record]
+        unproven = BenchRecord("x", 5, True, 2, 3, 0.5, False, 100, 4, 2, 1, 2, 1, "budget", 12.5)
+        assert to_csv_row(unproven) == "x,5,true,2,3,0.5,false,100,4,2,1,2,1,budget,12.5"
+        proven = replace(unproven, proven=True, uncertified_nodes=0, unproven_reason="")
+        assert to_csv_row(proven) == "x,5,true,2,3,0.5,true,100,4,2,1,2,0,,12.5"
+        assert parse_csv(BenchRecord, records_to_csv([unproven, proven])) == [unproven, proven]
         with pytest.raises(ValueError):
-            parse_csv(BenchRecord, records_to_csv([record]).replace("12.5", "12.5,7"))
-        flipped = replace(record, is_ud=False, proven=True)
+            parse_csv(BenchRecord, records_to_csv([unproven]).replace("12.5", "12.5,7"))
+        flipped = replace(unproven, is_ud=False, proven=True)
         assert parse_row(BenchRecord, to_csv_row(flipped)) == flipped
 
     @pytest.mark.parametrize("value", ["ture", "", "2", "y", "TRUE", "1", "yes"])
     def test_unknown_csv_boolean_rejected(self, value):
-        row = f"x,5,{value},2,3,0.5,false,100,4,2,1,2,12.5"
+        row = f"x,5,{value},2,3,0.5,false,100,4,2,1,2,0,,12.5"
         with pytest.raises(ValueError, match=f"expected a boolean \\(true or false\\), got {value!r}"):
             parse_row(BenchRecord, row)
 

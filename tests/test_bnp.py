@@ -26,7 +26,7 @@ from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.hcg import HcgResult
-from qcbp.pricing import PricingEngine, SamplerConfig
+from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig
 
 from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
 from oracles import is_maximal_independent
@@ -427,23 +427,35 @@ class TestSolve:
 
     def test_solves_sharing_an_engine_report_their_own_work(self, monkeypatch):
         # The engine's seed stream carries on across solves, but each solve's
-        # shots and exact-pricer calls are its own.
-        exact_calls = []
-        real_exact_mwis = qcbp.hcg.exact_mwis
+        # shots and exact-pricer calls are its own. An exact call runs for
+        # each clique cover too loose to certify its round, as C5's is at its
+        # final duals (0.5 each, a cover of 1.5).
+        exact_calls, loose_covers = [], []
+        real_exact_mwis, real_cover = qcbp.hcg.exact_mwis, qcbp.hcg.clique_cover_weight
 
         def counting(*args):
             exact_calls.append(args)
             return real_exact_mwis(*args)
 
+        def cover_counting(*args):
+            weight = real_cover(*args)
+            if weight > 1.0 + IMPROVE_EPS:
+                loose_covers.append(args)
+            return weight
+
         monkeypatch.setattr(qcbp.hcg, "exact_mwis", counting)
+        monkeypatch.setattr(qcbp.hcg, "clique_cover_weight", cover_counting)
         rng = np.random.default_rng([1, 20, 111])  # explores 3 nodes after the two C5 solves
         gnp = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=50, seed=0))
         for g in (cycle(5), cycle(5), gnp):
             exact_calls.clear()
+            loose_covers.clear()
             res = solve_qcbp(g, engine=engine)
             assert res.stats.shots_total == sum(row.shots for row in res.pricing_log) > 0
-            assert res.stats.exact_pricer_calls == len(exact_calls) > 0
+            assert res.stats.exact_pricer_calls == len(exact_calls) == len(loose_covers)
+            if g.n == 5:
+                assert exact_calls
         assert res.stats.nodes_explored > 1
 
     def test_heuristic_and_branching_read_the_node_columns(self, monkeypatch):

@@ -77,6 +77,7 @@ class TestSolve:
         assert main(["solve", str(graph), "--node-budget", "1", "--sampler", "exact_pricer"]) == 0
         out = capsys.readouterr().out
         assert "proven_optimal=false" in out and "unproven_reason=budget" in out
+        assert "exact_calls=" in out and "ilp_calls" not in out
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
@@ -167,12 +168,12 @@ class TestMalformedRows:
     """A malformed CSV row exits 2 naming its file line (the header is line 1),
     the field counts, or the column whose value does not parse."""
 
-    RECORD = "x,5,true,2,3,0.5,false,100,4,2,1,2,12.5"
+    RECORD = "x,5,true,2,3,0.5,false,100,4,2,1,2,0,,12.5"
     PRICING = "x,1,5,200,7,3,2"
 
     @pytest.mark.parametrize("target, row, reason", [
-        ("records", RECORD.rpartition(",")[0], "line 3: expected 13 fields, found 12"),
-        ("records", RECORD + ",7", "line 3: expected 13 fields, found 14"),
+        ("records", RECORD.rpartition(",")[0], "line 3: expected 15 fields, found 14"),
+        ("records", RECORD + ",7", "line 3: expected 15 fields, found 16"),
         ("records", RECORD.replace("true", "ture"),
          "line 3: column 'is_ud': expected a boolean (true or false), got 'ture'"),
         ("pricing_log", PRICING.rpartition(",")[0], "line 3: expected 7 fields, found 6"),

@@ -8,10 +8,10 @@ from qcbp.embedding import EmbedParams
 from qcbp.emulator import EmulatorConfig
 from qcbp.graphs import Graph, expand_mask, iter_bits, random_ud_graph
 from qcbp.hcg import run_hcg
-from qcbp.pricing import PricingEngine, SamplerConfig
+from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig
 from qcbp.rmp import ColumnPool
 
-from builders import exact_engine, random_graph, stochastic_engine
+from builders import complete, cycle, exact_engine, random_graph, stochastic_engine
 
 
 def full_lp_value(g: Graph) -> float:
@@ -29,6 +29,37 @@ def full_lp_value(g: Graph) -> float:
 def run_root(g: Graph, engine: PricingEngine, pool: ColumnPool | None = None):
     pool = ColumnPool.with_singletons(g) if pool is None else pool
     return run_hcg(g, g.full_mask, pool, engine)
+
+
+@pytest.fixture
+def covers(monkeypatch):
+    """Counts the clique covers that certified a round ("tight") and those
+    that weighed above 1 + IMPROVE_EPS and so sent it to the exact pricer
+    ("loose")."""
+    counts = {"tight": 0, "loose": 0}
+    real_cover = qcbp.hcg.clique_cover_weight
+
+    def counting(*args):
+        weight = real_cover(*args)
+        counts["loose" if weight > 1.0 + IMPROVE_EPS else "tight"] += 1
+        return weight
+
+    monkeypatch.setattr(qcbp.hcg, "clique_cover_weight", counting)
+    return counts
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The weights of every exact pricer call the run made."""
+    calls = []
+    real_exact_mwis = qcbp.hcg.exact_mwis
+
+    def counting(g, weights):
+        calls.append(weights)
+        return real_exact_mwis(g, weights)
+
+    monkeypatch.setattr(qcbp.hcg, "exact_mwis", counting)
+    return calls
 
 
 class TestSmallGraphs:
@@ -52,10 +83,11 @@ class TestSmallGraphs:
         assert res.certified
         assert res.lp_bound == pytest.approx(2.0, abs=1e-9)
 
-    def test_single_vertex(self):
+    def test_single_vertex(self, exact_calls):
+        # the clique cover {0} weighs 1 and certifies the first round
         res = run_root(Graph.from_edges(1, []), exact_engine())
         assert res.certified and res.lp_bound == pytest.approx(1.0)
-        assert res.exact_calls >= 1
+        assert res.exact_calls == len(exact_calls) == 0
 
 
 class TestCertificates:
@@ -94,13 +126,45 @@ class TestCertificates:
             )
             assert best <= 1 + 1e-6
 
-    def test_exact_calls_on_certificate(self):
+    def test_exact_calls_on_certificate(self, covers):
+        # An exact call runs only when the clique cover is too loose to
+        # certify; on an odd hole it always is at the final duals.
         rng = np.random.default_rng(72)
-        for _ in range(10):
-            g = random_graph(7, 0.5, rng)
+        graphs = [(random_graph(7, 0.5, rng), False) for _ in range(10)] + [(cycle(5), True), (cycle(7), True)]
+        for g, odd_hole in graphs:
+            covers.update(tight=0, loose=0)
             res = run_root(g, stochastic_engine(int(rng.integers(1 << 20))))
             assert res.certified
-            assert res.exact_calls >= 1
+            assert res.exact_calls == covers["loose"]
+            if odd_hole:
+                assert res.exact_calls >= 1 and covers["tight"] == 0
+
+    def test_clique_certifies_by_the_cover(self, exact_calls):
+        res = run_root(complete(4), exact_engine())
+        assert res.certified and res.lp_bound == pytest.approx(4.0, abs=1e-9)
+        assert res.exact_calls == len(exact_calls) == 0
+
+    def test_odd_hole_reaches_the_exact_pricer(self, exact_calls):
+        # At C5's final duals (0.5 each) the cover weighs 1.5, so only the
+        # exact pricer can certify
+        res = run_root(cycle(5), exact_engine())
+        assert res.certified and res.lp_bound == pytest.approx(2.5, abs=1e-9)
+        assert res.exact_calls == len(exact_calls) >= 1
+
+    def test_cover_certified_bound_stays_within_the_lp(self, covers):
+        rng = np.random.default_rng(78)
+        by_cover = 0
+        for engine_maker in (exact_engine, stochastic_engine):
+            for _ in range(15):
+                g = random_graph(int(rng.integers(1, 12)), rng.uniform(0.1, 0.8), rng)
+                covers.update(tight=0, loose=0)
+                res = run_root(g, engine_maker())
+                assert res.certified
+                if covers["tight"]:
+                    by_cover += 1
+                    lp = full_lp_value(g)
+                    assert lp - 1e-6 <= res.lp_bound <= lp + 1e-9
+        assert by_cover > 0
 
 
 @pytest.fixture
@@ -130,12 +194,15 @@ class TestAccounting:
                    or row.shots == row.distinct_bitstrings == 0 for row in res.pricing_log)
         assert 1 <= len(res.pricing_log) <= res.iterations
 
-    def test_exact_pricer_mode_uses_no_shots(self, greedy_answers):
+    def test_exact_pricer_mode_uses_no_shots(self, greedy_answers, covers):
+        # Every round the greedy leaves goes to the clique cover; only the
+        # loose covers reach the exact pricer.
         g = random_graph(8, 0.4, np.random.default_rng(74))
         res = run_root(g, exact_engine())
         assert res.pricing_log == []
         assert greedy_answers[0] > 0
-        assert res.exact_calls == res.iterations - greedy_answers[0]
+        assert covers["tight"] + covers["loose"] == res.iterations - greedy_answers[0]
+        assert res.exact_calls == covers["loose"]
 
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
@@ -207,7 +274,7 @@ class TestSubproblemIndexing:
 
 
 class TestEmulatedEndToEnd:
-    def test_ud_instance_certifies(self):
+    def test_ud_instance_certifies(self, covers):
         g, _ = random_ud_graph(6, seed=12, radius=10, box=22)
         cfg = SamplerConfig(
             kind="emulated_qaa", shots=120, seed=4,
@@ -217,5 +284,5 @@ class TestEmulatedEndToEnd:
         res = run_root(g, PricingEngine(cfg))
         assert res.certified
         assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
-        assert res.exact_calls >= 1
+        assert res.exact_calls == covers["loose"]
         assert sum(row.shots for row in res.pricing_log) > 0

@@ -13,14 +13,15 @@ from qcbp.pricing import (
     PricingEngine,
     PricingStats,
     SamplerConfig,
+    clique_cover_weight,
     exact_mwis,
     greedy_columns,
     reduced_cost,
 )
 from qcbp.rmp import ColumnPool
 
-from builders import complete, path3, random_graph
-from oracles import is_maximal_independent
+from builders import complete, cycle, path3, random_graph
+from oracles import brute_mwis_value, is_maximal_independent
 
 
 def brute_mwis(g: Graph, w) -> tuple[float, int]:
@@ -87,6 +88,29 @@ class TestExactMwis:
             g = random_graph(n, rng.uniform(0.1, 0.9), rng)
             w = rng.integers(-2, 6, size=n) / 4.0 if k % 2 else rng.uniform(-0.3, 1.3, size=n)
             assert exact_mwis(g, w) == brute_mwis(g, w)[1]
+
+
+class TestCliqueCover:
+    def test_bounds_the_heaviest_set(self):
+        rng = np.random.default_rng(66)
+        for k in range(150):
+            n = int(rng.integers(1, 13))
+            g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+            w = rng.uniform(0.0, 1.2, size=n)
+            w[rng.random(n) < 0.2] = 0.0
+            if k % 3 == 0:
+                w = np.round(w * 4) / 4  # ties between weights
+            cover = clique_cover_weight(g, w.tolist())
+            assert brute_mwis_value(g, w) - 1e-12 <= cover <= w.sum() + 1e-12
+
+    def test_exact_on_cliques_and_edgeless_graphs(self):
+        assert clique_cover_weight(complete(4), [0.2, 0.9, 0.0, 0.5]) == 0.9
+        assert clique_cover_weight(Graph.from_edges(3, []), [0.5, 0.0, 0.25]) == 0.75
+
+    def test_odd_hole_is_loose(self):
+        # C5's cliques are its edges: three of them cover it, and its
+        # heaviest independent sets are pairs
+        assert clique_cover_weight(cycle(5), [0.5] * 5) == 1.5
 
 
 class TestGreedyColumns:
