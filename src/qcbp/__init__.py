@@ -13,7 +13,7 @@ from .emulator import EmulatorConfig, PulseSchedule, build_adiabatic_pulse, evol
 from .graphs import Graph, parse_dimacs, random_ud_graph
 from .hcg import run_hcg
 from .pricing import PricingEngine, SamplerConfig, exact_mwis
-from .rmp import ColumnPool, init_rmp, solve_rmp
+from .rmp import ColumnPool, RmpModel, solve_rmp
 
 __all__ = [
     "ColumnPool",
@@ -23,6 +23,7 @@ __all__ = [
     "PricingEngine",
     "PulseSchedule",
     "Register",
+    "RmpModel",
     "RunConfig",
     "SamplerConfig",
     "SolverConfig",
@@ -33,7 +34,6 @@ __all__ = [
     "exact_chromatic_number",
     "exact_mwis",
     "generate_dataset",
-    "init_rmp",
     "parse_dimacs",
     "random_ud_graph",
     "run_benchmark",

@@ -246,13 +246,9 @@ def solve_instance(g: Graph, config: RunConfig, engine_seed: int, clock=time.per
     return solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
 
 
-def pricing_log_rows(instance: str, log: list[PricingStats]) -> list[str]:
-    """A solve's pricing log as `PRICING_HEADER` rows."""
-    return [f"{instance},{to_csv_row(row)}" for row in log]
-
-
-def pricing_log_csv(rows: list[str]) -> str:
-    return "\n".join([PRICING_HEADER, *rows]) + "\n"
+def pricing_log_csv(log: list[tuple[str, PricingStats]]) -> str:
+    """Pricing-log rows, each tagged with its instance, as `PRICING_HEADER` CSV."""
+    return "\n".join([PRICING_HEADER, *(f"{instance},{to_csv_row(row)}" for instance, row in log)]) + "\n"
 
 
 def run_benchmark(
@@ -260,8 +256,9 @@ def run_benchmark(
     config: RunConfig,
     out_dir: str | Path | None = None,
     clock=time.perf_counter,
-) -> tuple[list[BenchRecord], list[str]]:
-    """Solve every manifest instance; returns records and pricing-log rows.
+) -> tuple[list[BenchRecord], list[tuple[str, PricingStats]]]:
+    """Solve every manifest instance; returns the records and the pricing-log
+    rows, each with its instance's name.
 
     With a deterministic clock and fixed seeds the CSV outputs are
     byte-identical across runs (single worker).
@@ -269,7 +266,7 @@ def run_benchmark(
     dataset = Path(dataset_dir)
     manifest = parse_csv(InstanceRecord, (dataset / "manifest.csv").read_text())
     records: list[BenchRecord] = []
-    pricing_rows: list[str] = []
+    pricing: list[tuple[str, PricingStats]] = []
     for idx, inst in enumerate(manifest):
         g = parse_dimacs((dataset / inst.graph_file).read_text())
         chi_exact, _ = exact_coloring(g)
@@ -290,14 +287,14 @@ def run_benchmark(
             exact_calls=stats.exact_pricer_calls, uncertified_nodes=stats.uncertified_nodes,
             unproven_reason=stats.unproven_reason, wall_ms=stats.wall_seconds * 1e3,
         ))
-        pricing_rows.extend(pricing_log_rows(inst.instance, res.pricing_log))
+        pricing.extend((inst.instance, row) for row in res.pricing_log)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "records.csv").write_text(records_to_csv(records))
-        (out / "pricing_log.csv").write_text(pricing_log_csv(pricing_rows))
-        (out / "summary.txt").write_text(summarize(records, pricing_rows))
-    return records, pricing_rows
+        (out / "pricing_log.csv").write_text(pricing_log_csv(pricing))
+        (out / "summary.txt").write_text(summarize(records, [row for _, row in pricing]))
+    return records, pricing
 
 
 def records_to_csv(records: list, cls: type = BenchRecord) -> str:
@@ -308,7 +305,7 @@ def _rate(records: list[BenchRecord]) -> float:
     return sum(r.chi_hat == r.chi_exact for r in records) / len(records)
 
 
-def summarize(records: list[BenchRecord], pricing_rows: list[str]) -> str:
+def summarize(records: list[BenchRecord], pricing: list[PricingStats]) -> str:
     """Aggregate tables: optimality by UD flag, gap by n, shot and node
     distributions, median exact-pricer calls, and sampler quality by n_sub."""
     if not records:
@@ -355,8 +352,7 @@ def summarize(records: list[BenchRecord], pricing_rows: list[str]) -> str:
         lines.append(f"unit_disk={str(flag).lower():5s}  " + "  ".join(cells))
 
     by_sub: dict[int, list[PricingStats]] = {}
-    for row in pricing_rows:
-        stats = parse_row(PricingStats, row.partition(",")[2])  # after the instance column
+    for stats in pricing:
         if stats.shots:  # a round answered from the sample memory drew nothing to rate
             by_sub.setdefault(stats.n_sub, []).append(stats)
     if by_sub:

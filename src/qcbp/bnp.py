@@ -4,11 +4,12 @@ that recombines a node's columns into colorings.
 
 A node's work comes back in the result of its column generation: the search
 adds up the pricing log and the exact pricer's calls from it, and hands its
-columns (the pool cut down to the residual, plus the sets priced at the node)
-to the primal heuristic and to branching. The heuristic is a search over
-covers by those columns: its first descent is a greedy coloring, and while
-that needs more colors than the node's bound allows, it searches on for a
-coloring at that bound. It only offers incumbents, so proofs are unchanged.
+columns (the residual's singletons, the pool cut down to the residual, and
+the sets priced at the node) to the primal heuristic and to branching. The
+heuristic is a search over covers by those columns: its first descent is a
+greedy coloring, and while that needs more colors than the node's bound
+allows, it searches on for a coloring at that bound. It only offers
+incumbents, so proofs are unchanged.
 
 A node branches on its residual's highest-degree vertex v: one child fixes
 each maximal independent set that contains v, with the sets among the node's
@@ -22,12 +23,13 @@ residual, and pruned on them before column generation runs; the primal
 heuristic runs once per explored node, after column generation.
 
 The root is a node like any other, and every node names its residual by its
-vertex mask in the root graph. Different branches can leave the same
-residual, and the shallower path to it needs fewer colors, so one dict keeps
-the least depth each residual was queued at: a child at that depth or deeper
-is dropped, a queued node that a shallower one has since replaced is pruned
-when popped, and a residual reached again by a shallower path is explored
-again even if it was explored before.
+vertex mask in the root graph; its depth is the number of classes it has
+fixed. Different branches can leave the same residual, and the shallower path
+to it needs fewer colors, so one dict keeps the least depth each residual was
+queued at: a child at that depth or deeper is dropped, a queued node that a
+shallower one has since replaced is pruned when popped, and a residual
+reached again by a shallower path is explored again even if it was explored
+before.
 """
 
 from __future__ import annotations
@@ -73,9 +75,12 @@ class Coloring:
 @dataclass
 class BBNode:
     residual_root: int  # the vertices still to color, in root indexing
-    depth: int
     fixed_classes: tuple[int, ...]
     lb: int = 1
+
+    @property
+    def depth(self) -> int:
+        return len(self.fixed_classes)
 
 
 @dataclass(slots=True)
@@ -99,7 +104,7 @@ class SolveResult:
     lp_root: float
     root_lb: int
     stats: SearchStats
-    pool: array  # typecode "Q": every column mask discovered, in discovery order
+    pool: array  # typecode "Q": every priced column mask, in discovery order
     pricing_log: list[PricingStats] = field(default_factory=list)
 
 
@@ -220,7 +225,6 @@ def branch(root_graph: Graph, node: BBNode, columns: Iterable[int]) -> list[BBNo
     return [
         BBNode(
             residual_root=residual & ~fixed,
-            depth=node.depth + 1,
             fixed_classes=node.fixed_classes + (fixed,),
             lb=node.lb,
         )
@@ -242,7 +246,7 @@ def solve_qcbp(
     engine = engine or PricingEngine()
     t_start = clock()
 
-    pool = ColumnPool.with_singletons(g)
+    pool = ColumnPool()
     pricing_log: list[PricingStats] = []
     stats = SearchStats()
     incumbent = Coloring(classes=())
@@ -266,7 +270,7 @@ def solve_qcbp(
             candidate.validate(g, g.full_mask)
             incumbent, ub = candidate, len(classes)
 
-    push(BBNode(residual_root=g.full_mask, depth=0, fixed_classes=()), g.n)  # alone, any score
+    push(BBNode(residual_root=g.full_mask, fixed_classes=()), g.n)  # alone, any score
     while heap and ub > root_lb and not budget_hit:
         _, _, node = heapq.heappop(heap)
         if node.depth > best_depth[node.residual_root] or node.lb >= ub:

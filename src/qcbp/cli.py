@@ -18,7 +18,6 @@ from .bench import (
     parse_row,
     parse_rows,
     pricing_log_csv,
-    pricing_log_rows,
     run_benchmark,
     solve_instance,
     summarize,
@@ -78,28 +77,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"chi_exact={exact_chromatic_number(g)}")
     if args.pricing_log:
         # the graph file's stem names the instance, so `qcbp report` reads the log
-        rows = pricing_log_rows(Path(args.graph).stem, res.pricing_log)
-        Path(args.pricing_log).write_text(pricing_log_csv(rows))
+        instance = Path(args.graph).stem
+        Path(args.pricing_log).write_text(pricing_log_csv([(instance, row) for row in res.pricing_log]))
         print(f"pricing log written to {args.pricing_log}")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    records, pricing_rows = run_benchmark(args.dataset, config, out_dir=args.out)
-    print(summarize(records, pricing_rows))
+    records, pricing = run_benchmark(args.dataset, config, out_dir=args.out)
+    print(summarize(records, [row for _, row in pricing]))
     print(f"records written to {Path(args.out) / 'records.csv'}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     records = parse_csv(BenchRecord, Path(args.records).read_text())
-    pricing_rows: list[str] = []
+    pricing: list[PricingStats] = []
     if args.pricing_log:
         text = Path(args.pricing_log).read_text()
-        parse_rows(PRICING_HEADER, text, lambda row: parse_row(PricingStats, row.partition(",")[2]))
-        pricing_rows = text.splitlines()[1:]
-    print(summarize(records, pricing_rows), end="")
+        # the stats follow the instance column
+        pricing = parse_rows(PRICING_HEADER, text, lambda row: parse_row(PricingStats, row.partition(",")[2]))
+    print(summarize(records, pricing), end="")
     return 0
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, iter_bits, mask_of
 from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
                       clique_cover_weight, exact_mwis, greedy_columns)
-from .rmp import ColumnPool, RmpSolution, init_rmp, solve_rmp
+from .rmp import ColumnPool, RmpModel, RmpSolution, solve_rmp
 
 MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
 CLASSICAL_PRICING_MAX = 3  # dual-positive vertices the greedy prices alone: it lists every maximal set
@@ -49,9 +49,9 @@ class HcgResult:
     cover or the exact pricer closed the run; `pricing_log` has a row per
     sampler call and `exact_calls` counts the exact pricer's calls, the capped
     run's bound call included, so a certified run that reports none was
-    certified by the cover. `columns` are the master's masks: the pool cut
-    down to the node's residual and deduplicated, singletons first, then the
-    columns priced at this node.
+    certified by the cover. `columns` are the master's masks: the residual's
+    singletons, then the pool cut down to the residual and deduplicated, then
+    the columns priced at this node.
     """
 
     rmp: RmpSolution
@@ -78,7 +78,7 @@ def run_hcg(
     New columns go into the shared pool as found. The result reports the
     run's own work and the master's columns; the engine keeps no tally.
     """
-    model = init_rmp(root, keep, pool)
+    model = RmpModel(root, keep, pool)
 
     log: list[PricingStats] = []
     exact_calls = 0
@@ -92,12 +92,6 @@ def run_hcg(
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
-        if positive == 0:
-            # Unreachable for a feasible master (the duals sum to the
-            # objective, which is at least 1), kept as a safe exit.
-            certified, heaviest = True, 0.0
-            break
-
         found: list[int] = []
         if engine.config.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
             found, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)

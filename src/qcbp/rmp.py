@@ -4,24 +4,24 @@ The model is min sum(lambda) subject to one equality row per vertex of the
 subproblem's root-graph mask `keep`, in increasing order (each vertex covered
 exactly once), and lambda >= 0. Columns are independent sets, given as root
 masks and cut down to `keep`; duals come back one per root vertex, 0 outside
-`keep`. The model keeps its 0/1 constraint matrix, the last optimal basis
-and that basis's simplex tableau. One writer turns masks into matrix columns,
-a batch at a time in one array operation: the singletons and the pool when
-the model is built, then each round's priced columns. The first solve starts
-from the singleton columns, which are always present, so no phase-1 is
-needed. Later solves restart from the previous optimal basis and its
-tableau: columns are only ever appended, so that basis stays primal
-feasible, and each new column's tableau column is the basis inverse, read
-off the singletons' columns, times the new column. A pivot is one rank-one
-update of the tableau, which is rebuilt from a fresh inverse every
-REFACTOR_PIVOTS pivots, counted across solves. The primal values and the
-duals are read off the tableau, and the exit checks recompute every
+`keep`. The model keeps its 0/1 constraint matrix, its basis and that
+basis's simplex tableau. One writer turns masks into matrix columns, a batch
+at a time in one array operation: the singletons of `keep` as columns
+0..r-1 and the pool when the model is built, then each round's priced
+columns. The model starts at the singleton basis, the identity, so its first
+tableau takes no inverse and no phase-1. Every solve restarts from the
+current basis and its tableau: columns are only ever appended, so that basis
+stays primal feasible, and each new column's tableau column is the basis
+inverse, read off the singletons' columns, times the new column. A pivot is
+one rank-one update of the tableau, which is rebuilt from a fresh inverse
+every REFACTOR_PIVOTS pivots, counted across solves. The primal values and
+the duals are read off the tableau, and the exit checks recompute every
 condition from the constraint matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -73,37 +73,39 @@ class ColumnPool:
         self._masks[mask] = None
         return True
 
-    @classmethod
-    def with_singletons(cls, g: Graph) -> "ColumnPool":
-        pool = cls()
-        for v in range(g.n):
-            pool.add(1 << v)
-        return pool
-
 
 @dataclass
 class RmpModel:
-    """Column pool of the subproblem on `keep`, as root masks cut down to it,
-    with its constraint matrix (one column per mask, one row per vertex of
-    `keep`), the last optimal basis (None until the first solve) and its
-    tableau: row 0 holds 1 - objective and the reduced costs, the rows below
-    the basic values and the basis inverse times each column."""
+    """Columns of the subproblem on `keep`, as root masks cut down to it: the
+    singletons of `keep` in row order (always feasible), then the pooled
+    masks. Zero and repeated restrictions are dropped, and first occurrences
+    keep their pool order; pooled masks are independent sets, and so are
+    their restrictions, so they are not checked again. The model holds its
+    constraint matrix (one column per mask, one row per vertex of `keep`),
+    its basis (the singletons until the first solve, then the last optimal
+    one) and that basis's tableau: row 0 holds 1 - objective and the reduced
+    costs, the rows below the basic values and the basis inverse times each
+    column."""
 
     graph: Graph
     keep: int
-    masks: list[int] = field(default_factory=list)
+    pool: InitVar[Iterable[int]] = ()
+    masks: list[int] = field(default_factory=list, init=False)
     _rows: list[int] = field(init=False, repr=False)  # the vertices of `keep`, increasing
     _a: np.ndarray = field(init=False, repr=False)
-    _basis: np.ndarray | None = field(default=None, init=False)
-    _units: np.ndarray = field(init=False, repr=False)  # the singleton column of each row
+    _basis: np.ndarray = field(init=False)
     _tableau: np.ndarray = field(init=False, repr=False)
     _pivots: int = field(default=0, init=False, repr=False)  # since the tableau's last refactor
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pool: Iterable[int]) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
             raise ValueError(f"keep {self.keep:#x} is not a nonempty vertex mask of the graph")
         self._rows = list(iter_bits(self.keep))
-        self._a = np.zeros((len(self._rows), 0))
+        r = len(self._rows)
+        self._a = np.zeros((r, 0))
+        self._write(chain((1 << v for v in self._rows), pool))
+        self._basis = np.arange(r)
+        self._tableau = _columns(np.eye(r), np.hstack([np.ones((r, 1)), self._a]))
 
     def add(self, masks: Iterable[int]) -> int:
         """Append independent sets as columns, skipping duplicates; returns the
@@ -131,19 +133,6 @@ class RmpSolution:
     lam: np.ndarray       # one value per model column, >= 0
     duals: np.ndarray     # one value per root vertex, 0 outside the model's `keep`
     objective: float
-
-
-def init_rmp(g: Graph, keep: int | None = None, pool: Iterable[int] = ()) -> RmpModel:
-    """Model of the subproblem on `keep` (all of g by default): its singleton
-    columns (always feasible), then the pooled masks cut down to `keep`.
-
-    Zero and repeated restrictions are dropped, and first occurrences keep
-    their pool order. Pooled masks are independent sets, and so are their
-    restrictions, so they are not checked again.
-    """
-    model = RmpModel(graph=g, keep=g.full_mask if keep is None else keep)
-    model._write(chain((1 << v for v in model._rows), pool))
-    return model
 
 
 def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray, pivots: int) -> int:
@@ -215,29 +204,23 @@ def _factor(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def solve_rmp(model: RmpModel) -> RmpSolution:
-    """Optimal basic solution and duals of the current model, from the last
-    optimal basis and its tableau or, on the first solve, from the singleton
-    basis.
+    """Optimal basic solution and duals of the current model, from its basis
+    and tableau.
 
     Feasibility, strong duality, and pool dual-feasibility are re-checked on
     the way out; violations raise RmpError rather than being patched.
     """
-    a = model._a
-    if model._basis is None:
-        singleton_pos = {mask: j for j, mask in enumerate(model.masks) if mask.bit_count() == 1}
-        if len(singleton_pos) < len(model._rows):
-            raise RmpError("model is missing singleton columns (infeasible start)")
-        model._units = np.array([singleton_pos[1 << v] for v in model._rows], dtype=np.intp)
-        model._basis = model._units.copy()
-        model._tableau = _factor(a, model._basis)
-    elif model._tableau.shape[1] <= a.shape[1]:
-        # The unit columns' tableau columns are the basis inverse.
+    a, r = model._a, len(model._rows)
+    if model._tableau.shape[1] <= a.shape[1]:
+        # The singletons' tableau columns are the basis inverse. Read through
+        # an index array, it comes out in Fortran order, and matmul's rounding
+        # follows the operand's memory order.
         t = model._tableau
-        model._tableau = np.hstack([t, _columns(t[1:, 1 + model._units], a[:, t.shape[1] - 1:])])
+        model._tableau = np.hstack([t, _columns(t[1:, 1 + np.arange(r)], a[:, t.shape[1] - 1:])])
     basis, tableau = model._basis, model._tableau
     model._pivots = _simplex(a, tableau, basis, model._pivots)
     x_b = tableau[1:, 0]
-    y = 1.0 - tableau[0, 1 + model._units]
+    y = 1.0 - tableau[0, 1:1 + r]
 
     lam = np.zeros(a.shape[1])
     lam[basis] = x_b

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from qcbp.bench import RunConfig, generate_dataset, records_to_csv, run_benchmark
+from qcbp.bench import RunConfig, generate_dataset, pricing_log_csv, records_to_csv, run_benchmark
 from qcbp.bnp import solve_qcbp
 from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
@@ -21,7 +21,7 @@ from qcbp.embedding import Register, audit
 from qcbp.emulator import EmulatorConfig, build_adiabatic_pulse, evolve
 from qcbp.graphs import Graph, iter_bits, random_ud_graph
 from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig, exact_mwis, reduced_cost
-from qcbp.rmp import ColumnPool, init_rmp, solve_rmp
+from qcbp.rmp import ColumnPool, RmpModel, solve_rmp
 
 from oracles import brute_mwis_value, fidelity, random_register, rk4_final_states
 
@@ -155,7 +155,7 @@ def test_criterion_7_lp_correctness():
     rng = np.random.default_rng(700)
     for _ in range(100):
         g = random_graph(int(rng.integers(2, 10)), rng.uniform(0.1, 0.8), rng)
-        model = init_rmp(g)
+        model = RmpModel(g, g.full_mask)
         extra = [s for s in all_independent_sets(g) if s.bit_count() > 1 and rng.random() < 0.35]
         model.add(extra)
         sol = solve_rmp(model)
@@ -169,7 +169,7 @@ def test_criterion_7_lp_correctness():
         n = int(rng.integers(4, 13))
         g = random_graph(n, rng.uniform(0.2, 0.7), rng)
         masks = all_independent_sets(g)
-        model = init_rmp(g)
+        model = RmpModel(g, g.full_mask)
         model.add([s for s in masks if s.bit_count() > 1])
         sol = solve_rmp(model)
         a = np.zeros((g.n, len(model.masks)))
@@ -193,7 +193,7 @@ def test_criterion_8_pricing_soundness():
         n = int(rng.integers(2, 11))
         g = random_graph(n, rng.uniform(0.1, 0.8), rng)
         duals = rng.uniform(0.0, 1.4, size=n)
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
         for mask in cols:
@@ -207,7 +207,7 @@ def test_criterion_8_pricing_soundness():
     for i in range(40):
         g, _ = random_ud_graph(int(rng.integers(3, 7)), seed=int(rng.integers(1 << 30)), radius=10, box=22)
         duals = rng.uniform(0.2, 1.2, size=g.n)
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         engine = PricingEngine(em_cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
         for mask in cols:
@@ -253,6 +253,6 @@ def test_criterion_10_determinism(tmp_path):
         config = RunConfig(sampler="emulated_qaa", shots=60, seed=77,
                            embed_iterations=600, embed_restarts=2, dt=2e-3)
         records, pricing_rows = run_benchmark(dataset, config, clock=clock)
-        outputs.append((records_to_csv(records), "\n".join(pricing_rows)))
+        outputs.append((records_to_csv(records), pricing_log_csv(pricing_rows)))
     assert outputs[0] == outputs[1], "benchmark CSV not byte-identical across runs"
     report("ACCEPTANCE 10 PASS: fixed seeds reproduce byte-identical benchmark CSV")

@@ -271,7 +271,7 @@ class TestBenchmark:
             small_dataset, RunConfig(sampler="classical_stochastic", shots=25, seed=4),
             clock=counter_clock(),
         )
-        text = summarize(records, pricing)
+        text = summarize(records, [row for _, row in pricing])
         assert "optimality rate" in text
         assert "mean relative gap" in text
         assert "exact-pricer calls" in text
@@ -284,16 +284,14 @@ class TestBenchmark:
         distinct: dict[int, int] = {}
         improving: dict[int, int] = {}
         recalled = 0
-        for row in pricing:
-            cells = dict(zip(PRICING_HEADER.split(","), row.split(","), strict=True))
-            n_sub = int(cells["n_sub"])
-            if cells["shots"] == "0":  # answered from the sample memory: no draw to rate
+        for _, row in pricing:
+            if row.shots == 0:  # answered from the sample memory: no draw to rate
                 recalled += 1
                 continue
-            distinct[n_sub] = distinct.get(n_sub, 0) + int(cells["distinct_bitstrings"])
-            improving[n_sub] = improving.get(n_sub, 0) + int(cells["improving"])
+            distinct[row.n_sub] = distinct.get(row.n_sub, 0) + row.distinct_bitstrings
+            improving[row.n_sub] = improving.get(row.n_sub, 0) + row.improving
         assert recalled > 0
-        table = summarize(records, pricing).split("== sampler quality by subproblem size")[1]
+        table = summarize(records, [row for _, row in pricing]).split("== sampler quality by subproblem size")[1]
         shown = {int(n): (float(i), int(d)) for n, i, d in
                  re.findall(r"n_sub=\s*(\d+)\s+improving=(\S+) .*\(distinct=(\d+)\)", table)}
         assert len(shown) > 1

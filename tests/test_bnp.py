@@ -166,7 +166,7 @@ class TestBranch:
     def test_triangle_children(self):
         # Every vertex has degree 2, so v = 0, whose only maximal set is {0}.
         g = complete(3)
-        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
+        node = BBNode(residual_root=g.full_mask, fixed_classes=())
         children = branch(g, node, [1, 2, 4])
         assert [c.fixed_classes for c in children] == [(1,)]
         assert children[0].residual_root == mask_of([1, 2])
@@ -175,14 +175,14 @@ class TestBranch:
     def test_path3_only_maximal_columns_branch(self):
         # v = 1 (degree 2); the pooled {0, 2} holds no v, so no child fixes it.
         g = path3()
-        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
+        node = BBNode(residual_root=g.full_mask, fixed_classes=())
         children = branch(g, node, [mask_of([0, 2]), 2, 1, 4])
         assert [c.residual_root for c in children] == [mask_of([0, 2])]
 
     def test_no_maximal_candidates(self):
         # The pool holds no maximal set; branching does not depend on it.
         g = Graph.from_edges(4, [])
-        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
+        node = BBNode(residual_root=g.full_mask, fixed_classes=())
         children = branch(g, node, [1, 2, 4, 8])
         assert [c.fixed_classes for c in children] == [(g.full_mask,)]
         assert children[0].residual_root == 0
@@ -190,12 +190,12 @@ class TestBranch:
     def test_pooled_sets_first_then_size_then_mask(self):
         # Path 0-1-2-3-4-5: v = 1, non-neighbours 3-4-5 give {1,3,5} and {1,4}.
         g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
-        node = BBNode(residual_root=g.full_mask, depth=0, fixed_classes=())
+        node = BBNode(residual_root=g.full_mask, fixed_classes=())
         assert [c.fixed_classes[-1] for c in branch(g, node, [1 << v for v in range(6)])] == [
             mask_of([1, 3, 5]), mask_of([1, 4])]
         # Residual 0-1-2-3-4 gives {1,3} and {1,4}; a pooled column counts
         # through its restriction to the residual.
-        node = BBNode(residual_root=mask_of(range(5)), depth=1, fixed_classes=(1 << 5,))
+        node = BBNode(residual_root=mask_of(range(5)), fixed_classes=(1 << 5,))
         assert [c.fixed_classes[-1] for c in branch(g, node, [])] == [
             mask_of([1, 3]), mask_of([1, 4])]
         assert [c.fixed_classes[-1] for c in branch(g, node, [mask_of([1, 4, 5])])] == [
@@ -218,7 +218,7 @@ class TestBranch:
             res = g.induced_subgraph(residual)
             v = max(range(res.n), key=lambda u: (res.degree(u), -u))
             brute = [s for s in range(1, 1 << res.n) if s >> v & 1 and is_maximal_independent(res, s)]
-            children = branch(g, BBNode(residual_root=residual, depth=0, fixed_classes=()), [])
+            children = branch(g, BBNode(residual_root=residual, fixed_classes=()), [])
             assert sorted(restrict_mask(c.fixed_classes[-1], residual) for c in children) == brute
             assert all(c.residual_root == residual & ~c.fixed_classes[-1] for c in children)
 
@@ -382,7 +382,7 @@ class TestSolve:
         g = random_graph(10, 0.4, np.random.default_rng(89))
         res = solve_qcbp(g, engine=exact_engine())
         assert res.pool.typecode == "Q" and res.pool.itemsize == 8
-        assert list(res.pool[:g.n]) == [1 << v for v in range(g.n)]
+        assert res.pool and not any(m.bit_count() == 1 for m in res.pool)
         assert len(set(res.pool)) == len(res.pool)
         assert all(g.is_independent(m) for m in res.pool)
 

@@ -27,7 +27,7 @@ def full_lp_value(g: Graph) -> float:
 
 
 def run_root(g: Graph, engine: PricingEngine, pool: ColumnPool | None = None):
-    pool = ColumnPool.with_singletons(g) if pool is None else pool
+    pool = ColumnPool() if pool is None else pool
     return run_hcg(g, g.full_mask, pool, engine)
 
 
@@ -65,7 +65,7 @@ def exact_calls(monkeypatch):
 class TestSmallGraphs:
     def test_edgeless_terminates_at_one(self):
         g = Graph.from_edges(4, [])
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         res = run_root(g, exact_engine(), pool)
         assert res.certified
         assert res.lp_bound == pytest.approx(1.0, abs=1e-9)
@@ -206,7 +206,7 @@ class TestAccounting:
 
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert not res.certified or res.iterations <= 1
 
@@ -219,7 +219,7 @@ class TestAccounting:
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
                 greedy_answers[0] = 0
-                res = run_hcg(g, g.full_mask, ColumnPool.with_singletons(g), exact_engine(), cap)
+                res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine(), cap)
                 assert res.lp_bound <= full_lp_value(g) + 1e-9
                 if not res.certified:
                     capped += 1
@@ -232,10 +232,10 @@ class TestAccounting:
         # the full set from every vertex, so it enters once and no exact call
         # runs but the capped run's bound call.
         g = Graph.from_edges(4, [])
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert res.iterations == 1 and res.exact_calls == 1
-        assert list(pool) == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
+        assert list(pool) == [0b1111]
 
     def test_caps_below_one_rejected(self):
         with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):
@@ -246,7 +246,7 @@ class TestSubproblemIndexing:
     def test_columns_translate_to_root(self):
         g, _ = random_ud_graph(9, seed=11, radius=10, box=30)
         keep = 0b101110110
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         res = run_hcg(g, keep, pool, exact_engine())
         assert res.certified
         priced = [mask for mask in pool if mask.bit_count() > 1]
@@ -263,7 +263,7 @@ class TestSubproblemIndexing:
             g = random_graph(int(rng.integers(4, 11)), rng.uniform(0.2, 0.7), rng)
             keep = (int(rng.integers(1, 1 << g.n)) & ~1) or 1 << (g.n - 1)
             sub = g.induced_subgraph(keep)
-            pool, local_pool = ColumnPool.with_singletons(g), ColumnPool.with_singletons(sub)
+            pool, local_pool = ColumnPool(), ColumnPool()
             res = run_hcg(g, keep, pool, make_engine())
             local = run_hcg(sub, sub.full_mask, local_pool, make_engine())
             assert (res.lp_bound, res.iterations, res.certified, res.exact_calls) == (

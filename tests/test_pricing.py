@@ -127,7 +127,7 @@ class TestGreedyColumns:
             w = rng.integers(1, 5, size=n) / 4.0 if k % 2 else rng.uniform(0.05, 1.0, size=n)
             duals = np.where((positive >> np.arange(n)) & 1, w, 0.0)
             subsets = [s for s in range(1, 1 << n) if s & ~positive == 0 and g.is_independent(s)]
-            pool = ColumnPool.with_singletons(g)
+            pool = ColumnPool()
             for s in subsets:
                 if rng.random() < 0.2:
                     pool.add(s)
@@ -168,7 +168,7 @@ class TestGreedyColumns:
             g = random_graph(n, rng.uniform(0.1, 0.7), rng)
             positive = int(rng.integers(1, 1 << n))
             duals = np.where((positive >> np.arange(n)) & 1, rng.uniform(0.05, 1.0, size=n), 0.0)
-            pool = ColumnPool.with_singletons(g)
+            pool = ColumnPool()
             order = sorted(iter_bits(positive), key=lambda v: (-duals[v], v))
             classes: list[int] = []
             for v in order:
@@ -220,7 +220,7 @@ class TestClassicalSampler:
             n = int(rng.integers(2, 11))
             g = random_graph(n, rng.uniform(0.1, 0.8), rng)
             duals = rng.uniform(0.01, 1.5, size=n)
-            pool = ColumnPool.with_singletons(g)
+            pool = ColumnPool()
             soundness_check(PricingEngine(cfg), g, duals, pool)
 
     def test_deterministic(self):
@@ -229,14 +229,14 @@ class TestClassicalSampler:
         out = []
         for _ in range(2):
             engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=3))
-            cols, _ = engine.sample_columns(g, g.full_mask, duals, ColumnPool.with_singletons(g))
+            cols, _ = engine.sample_columns(g, g.full_mask, duals, ColumnPool())
             out.append(cols)
         assert out[0] == out[1]
 
     def test_shot_accounting(self):
         g = random_graph(6, 0.4, np.random.default_rng(63))
         engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=25, seed=0))
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         cols, first = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), pool)
         for mask in cols:  # as run_hcg pools them, so none is recalled
             pool.add(mask)
@@ -258,7 +258,7 @@ class TestEmulatedSampler:
         sub_mask = mask_of([0, 2, 3, 4, 6])
         sub = g.induced_subgraph(sub_mask)
         duals = np.full(g.n, 0.9)
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         engine = PricingEngine(self.FAST)
         cols, stats = engine.sample_columns(g, sub_mask, duals, pool)
         assert stats.shots == 100
@@ -278,7 +278,7 @@ class TestEmulatedSampler:
             embed=EmbedParams(iterations=800, restarts=2), emulator=EmulatorConfig(dt=2e-3),
         )
         engine = PricingEngine(cfg)
-        cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool.with_singletons(g))
+        cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), ColumnPool())
         assert cols and all(is_maximal_independent(g, mask) for mask in cols)
 
 
@@ -293,7 +293,7 @@ class TestSampleMemory:
 
         monkeypatch.setattr(qcbp.pricing, "evolve", counting)
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         engine = PricingEngine(TestEmulatedSampler.FAST)
         # At duals of 0.45 only sets of 3 or more improve; the drawn pairs are
         # remembered all the same.
@@ -326,7 +326,7 @@ class TestSampleMemory:
         # extends to {2, 4}; the remembered {2, 4} is that column as drawn.
         # Either order logs one column, and it counts as maximal.
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         remembered = [mask_of([0, 4]), mask_of([2, 4])]
         pool.samples.update((remembered[i], None) for i in order)
         positive = mask_of([1, 2, 3, 4, 5, 6])
@@ -346,7 +346,7 @@ class TestSampleMemory:
         for _ in range(40):
             n = int(rng.integers(4, 11))
             g = random_graph(n, rng.uniform(0.1, 0.6), rng)
-            engine, pool = PricingEngine(cfg), ColumnPool.with_singletons(g)
+            engine, pool = PricingEngine(cfg), ColumnPool()
             positive = g.full_mask
             for _ in range(4):
                 duals = np.where([(positive >> v) & 1 for v in range(n)], rng.uniform(0.3, 1.0, n), 0.0)
@@ -395,7 +395,7 @@ class TestDualForms:
             g = random_graph(n, rng.uniform(0.1, 0.7), rng)
             masks = [g.full_mask] + [int(rng.integers(1, 1 << n)) for _ in range(3)]
             arrays = [np.where((m >> np.arange(n)) & 1, rng.uniform(0.05, 1.0, size=n), 0.0) for m in masks]
-            pool = ColumnPool.with_singletons(g)
+            pool = ColumnPool()
             for positive, array in zip(masks, arrays):
                 mask = int(rng.integers(0, 1 << n))
                 assert reduced_cost(mask, array.tolist()) == reduced_cost(mask, array)
@@ -405,7 +405,7 @@ class TestDualForms:
             # pricing another dual-positive mask, so some rounds are recalled.
             rounds = []
             for as_list in (True, False):
-                engine, pool = PricingEngine(cfg), ColumnPool.with_singletons(g)
+                engine, pool = PricingEngine(cfg), ColumnPool()
                 rounds.append([])
                 for k, (positive, array) in enumerate(zip(masks, arrays)):
                     duals = array.tolist() if as_list else array
@@ -429,7 +429,7 @@ class TestEmulationCap:
 
         monkeypatch.setattr(qcbp.pricing, "embed", embed)
         g = random_graph(n, 0.3, np.random.default_rng(n))
-        pool = ColumnPool.with_singletons(g)
+        pool = ColumnPool()
         engine = PricingEngine()
         if draws:
             with pytest.raises(Drew):
@@ -459,4 +459,4 @@ class TestConfig:
     def test_exact_kind_has_no_sampling_path(self):
         engine = PricingEngine(SamplerConfig(kind="exact_pricer"))
         with pytest.raises(ValueError, match="exact_pricer"):
-            engine.sample_columns(path3(), path3().full_mask, np.ones(3), ColumnPool.with_singletons(path3()))
+            engine.sample_columns(path3(), path3().full_mask, np.ones(3), ColumnPool())

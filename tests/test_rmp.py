@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
-from qcbp.rmp import REFACTOR_PIVOTS, RmpError, _factor, _simplex, init_rmp, solve_rmp
+from qcbp.rmp import REFACTOR_PIVOTS, RmpModel, _factor, _simplex, solve_rmp
 
 from builders import path3, random_graph
 
@@ -52,31 +52,31 @@ def inversions(monkeypatch) -> list[int]:
 
 class TestModelConstruction:
     def test_init_path3_singletons(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         assert model.masks == [1, 2, 4]
 
     def test_init_k1(self):
-        model = init_rmp(Graph.from_edges(1, []))
+        model = RmpModel(Graph.from_edges(1, []), 1)
         assert model.masks == [1]
 
     def test_initial_model_objective_is_n(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         sol = solve_rmp(model)
         assert abs(sol.objective - 3) < 1e-9
         assert np.allclose(sol.duals, 1.0, atol=1e-9)
 
     def test_add_column(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         assert model.add([mask_of([0, 2])]) == 1
         assert len(model.masks) == 4
 
     def test_duplicate_skipped(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         model.add([mask_of([0, 2])])
         assert model.add([mask_of([0, 2])]) == 0
 
     def test_dependent_set_rejected(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         with pytest.raises(ValueError, match="independent"):
             model.add([mask_of([0, 1])])
 
@@ -100,7 +100,7 @@ class TestModelConstruction:
             if rng.random() < 0.5:
                 pool = [1 << v for v in range(g.n)] + pool
             split = int(rng.integers(0, len(pool) + 1))
-            model = init_rmp(g, keep, pool[:split])
+            model = RmpModel(g, keep, pool[:split])
             added = model.add(pool[split:])
 
             rows = list(iter_bits(keep))
@@ -121,7 +121,7 @@ class TestModelConstruction:
 
 class TestSolve:
     def test_path3_with_endpoint_pair(self):
-        model = init_rmp(path3())
+        model = RmpModel(path3(), 0b111)
         model.add([mask_of([0, 2])])
         sol = solve_rmp(model)
         assert abs(sol.objective - 2.0) < 1e-9
@@ -130,7 +130,7 @@ class TestSolve:
 
     def test_edgeless_with_full_set(self):
         g = Graph.from_edges(4, [])
-        model = init_rmp(g)
+        model = RmpModel(g, g.full_mask)
         model.add([g.full_mask])
         sol = solve_rmp(model)
         assert abs(sol.objective - 1.0) < 1e-9
@@ -139,7 +139,7 @@ class TestSolve:
         rng = np.random.default_rng(30)
         for _ in range(20):
             g = random_graph(7, 0.4, rng)
-            model = init_rmp(g)
+            model = RmpModel(g, g.full_mask)
             prev = solve_rmp(model).objective
             for s in all_independent_sets(g):
                 if s.bit_count() > 1 and rng.random() < 0.3:
@@ -152,7 +152,7 @@ class TestSolve:
         rng = np.random.default_rng(31)
         for _ in range(100):
             g = random_graph(int(rng.integers(2, 9)), rng.uniform(0.1, 0.8), rng)
-            model = init_rmp(g)
+            model = RmpModel(g, g.full_mask)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1 and rng.random() < 0.4]
             model.add(extra)
             sol = solve_rmp(model)
@@ -169,7 +169,7 @@ class TestSolve:
         rng = np.random.default_rng(32)
         for _ in range(25):
             g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
-            model = init_rmp(g)
+            model = RmpModel(g, g.full_mask)
             model.add([s for s in all_independent_sets(g) if s.bit_count() > 1])
             sol = solve_rmp(model)
             assert abs(sol.objective - lp_oracle(g, model.masks)) < 1e-6
@@ -182,32 +182,32 @@ class TestSolve:
             g = random_graph(int(rng.integers(2, 11)), rng.uniform(0.1, 0.8), rng)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
             rng.shuffle(extra)
-            warm = init_rmp(g)
+            warm = RmpModel(g, g.full_mask)
             solve_rmp(warm)
             for batch in np.array_split(np.array(extra, dtype=object), 4):
                 warm.add(list(batch))
                 got = solve_rmp(warm).objective
-                cold = init_rmp(g)
+                cold = RmpModel(g, g.full_mask)
                 cold.add(warm.masks)
                 assert abs(got - solve_rmp(cold).objective) < 1e-9
 
     def test_rank_one_updates_match_highs_and_a_cold_solve(self, inversions):
         # A cold solve over every independent set of a 12-vertex graph runs
         # about 10-25 pivots, so some of these refactor the tableau after
-        # REFACTOR_PIVOTS rank-one updates, besides the factor at the start;
-        # all the other pivots are rank-one updates.
+        # REFACTOR_PIVOTS rank-one updates; the singleton start takes no
+        # inverse, and all the other pivots are rank-one updates.
         rng = np.random.default_rng(34)
         refactored = 0
         for _ in range(12):
             g = random_graph(12, rng.uniform(0.15, 0.5), rng)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
-            cold = init_rmp(g)
+            cold = RmpModel(g, g.full_mask)
             cold.add(extra)
             inversions.clear()
             objective = solve_rmp(cold).objective
-            refactored += len(inversions) > 1
+            refactored += len(inversions) > 0
             assert abs(objective - lp_oracle(g, cold.masks)) < 1e-6
-            warm = init_rmp(g)
+            warm = RmpModel(g, g.full_mask)
             warm.add(extra[::2])
             solve_rmp(warm)
             warm.add(extra)
@@ -227,7 +227,7 @@ class TestSolve:
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
             rng.shuffle(extra)
             extra.sort(key=int.bit_count)
-            model = init_rmp(g)
+            model = RmpModel(g, g.full_mask)
             solve_rmp(model)
             refactors = 0
             for batch in np.array_split(np.array(extra, dtype=object), 40):
@@ -235,7 +235,7 @@ class TestSolve:
                 inversions.clear()
                 got = solve_rmp(model).objective
                 refactors += len(inversions)
-                cold = init_rmp(g)
+                cold = RmpModel(g, g.full_mask)
                 cold.add(model.masks)
                 assert abs(got - solve_rmp(cold).objective) < 1e-9
                 assert abs(got - lp_oracle(g, model.masks)) < 1e-9
@@ -251,7 +251,7 @@ class TestSolve:
             g = random_graph(10, rng.uniform(0.2, 0.5), rng)
             extra = [s for s in all_independent_sets(g) if s.bit_count() > 1]
             rng.shuffle(extra)
-            model = init_rmp(g)
+            model = RmpModel(g, g.full_mask)
             solve_rmp(model)
             for batch in np.array_split(np.array(extra, dtype=object), 10):
                 before = model._pivots
@@ -270,7 +270,7 @@ class TestSolve:
 
     def test_matrix_holds_one_column_per_mask(self):
         g = Graph.from_edges(10, [])
-        model = init_rmp(g)
+        model = RmpModel(g, g.full_mask)
         assert model.add([s for s in range(1, 1 << g.n) if s.bit_count() == 2]) == 45
         assert len(model.masks) == 10 + 45
         assert model._a.shape == (10, 55)
@@ -279,13 +279,17 @@ class TestSolve:
     @pytest.mark.parametrize("keep", [0, 0b1000])
     def test_keep_outside_the_graph_rejected(self, keep):
         with pytest.raises(ValueError, match="not a nonempty vertex mask"):
-            init_rmp(path3(), keep)
+            RmpModel(path3(), keep)
 
-    def test_missing_singletons_detected(self):
-        model = init_rmp(path3())
-        model.masks.pop(0)
-        with pytest.raises(RmpError, match="singleton"):
-            solve_rmp(model)
+    def test_singletons_alone_solve_at_the_size_of_keep(self):
+        # A model built with no pool holds its singletons and starts from them.
+        g = random_graph(9, 0.4, np.random.default_rng(39))
+        keep = 0b110110110
+        model = RmpModel(g, keep)
+        assert model.masks == [1 << v for v in iter_bits(keep)]
+        sol = solve_rmp(model)
+        assert sol.objective == keep.bit_count()
+        assert sol.duals.tolist() == [float(keep >> v & 1) for v in range(g.n)]
 
     def test_leaving_row_tie_goes_to_the_smallest_basis_index(self):
         # Row 0 holds column 1 and row 1 holds column 0; column 2 enters with
@@ -312,9 +316,10 @@ class TestSubproblemMaster:
             keep = int(rng.integers(1, 1 << g.n)) & ~1
             keep = keep or 1 << (g.n - 1)
             columns = [s for s in all_independent_sets(g) if rng.random() < 0.3]
-            model = init_rmp(g, keep)
+            model = RmpModel(g, keep)
             model.add(columns)
-            local = init_rmp(g.induced_subgraph(keep))
+            sub = g.induced_subgraph(keep)
+            local = RmpModel(sub, sub.full_mask)
             local.add([restrict_mask(s, keep) for s in columns])
             assert [restrict_mask(m, keep) for m in model.masks] == local.masks
             sol, local_sol = solve_rmp(model), solve_rmp(local)
