@@ -100,8 +100,12 @@ def _coerce(ftype: str, value: str) -> object:
 
 
 def _format(value: object) -> str:
+    """A CSV field; a string that would split its row or its line (as
+    `parse_rows` splits them) raises a ValueError naming it."""
     if isinstance(value, bool):
         return str(value).lower()
+    if isinstance(value, str) and ("," in value or "".join(value.splitlines()) != value):
+        raise ValueError(f"CSV value {value!r} holds a comma or a line break")
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -190,6 +194,8 @@ def generate_dataset(
     """
     if per_n < 1:
         raise ValueError(f"per_n must be >= 1, got {per_n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 <= ud_fraction <= 1:
         raise ValueError(f"ud_fraction must lie in [0, 1], got {ud_fraction!r}")
     if len(set(ns)) != len(ns):
@@ -248,7 +254,8 @@ def solve_instance(g: Graph, config: RunConfig, engine_seed: int, clock=time.per
 
 def pricing_log_csv(log: list[tuple[str, PricingStats]]) -> str:
     """Pricing-log rows, each tagged with its instance, as `PRICING_HEADER` CSV."""
-    return "\n".join([PRICING_HEADER, *(f"{instance},{to_csv_row(row)}" for instance, row in log)]) + "\n"
+    rows = (f"{_format(instance)},{to_csv_row(row)}" for instance, row in log)
+    return "\n".join([PRICING_HEADER, *rows]) + "\n"
 
 
 def run_benchmark(

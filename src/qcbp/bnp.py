@@ -327,6 +327,6 @@ def solve_qcbp(
         lp_root=lp_root,
         root_lb=root_lb,
         stats=stats,
-        pool=array("Q", list(pool)),  # from a list the array is sized exactly
+        pool=array("Q", pool.columns),
         pricing_log=pricing_log,
     )

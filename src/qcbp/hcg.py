@@ -75,10 +75,12 @@ def run_hcg(
 
     Every column, pooled or new, is a root-graph mask; the master cuts each
     one down to `keep` and holds its own singletons, so it stays feasible.
-    New columns go into the shared pool as found. The result reports the
-    run's own work and the master's columns; the engine keeps no tally.
+    Priced columns are appended to `pool.columns` unchecked: each lies within
+    `keep` and improves, so it is not in the master, which holds every pooled
+    column within `keep`. The result reports the run's own work and the
+    master's columns; the engine keeps no tally.
     """
-    model = RmpModel(root, keep, pool)
+    model = RmpModel(root, keep, pool.columns)
 
     log: list[PricingStats] = []
     exact_calls = 0
@@ -94,10 +96,10 @@ def run_hcg(
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         found: list[int] = []
         if engine.config.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
-            found, stats = engine.sample_columns(root, positive, duals, pool, iteration=iteration)
+            found, stats = engine.sample_columns(root, positive, duals, pool.samples, iteration=iteration)
             log.append(stats)
         if not found:
-            found = greedy_columns(root, positive, duals, pool)
+            found = greedy_columns(root, positive, duals)
         if not found:
             clipped = [d if d > DUAL_POS_EPS else 0.0 for d in duals]
             heaviest = clique_cover_weight(root, clipped)
@@ -109,8 +111,7 @@ def run_hcg(
                 certified = True
                 break
             found = [best]
-        for mask in found:
-            pool.add(mask)
+        pool.columns += found
         model.add(found)
         sol = solve_rmp(model)
         duals = sol.duals.tolist()

@@ -2,9 +2,11 @@
 
 The greedy pricer, `greedy_columns`, grows each seed to a maximal set within
 the dual-positive mask in falling dual order and keeps it if it is then
-improving and new. The sampler pass, `PricingEngine.sample_columns`, seeds it
-with the solve's sample memory and draws on an emulated register only when
-that finds nothing; it has one exit and logs one `PricingStats` row. The
+improving. An improving set is new, since a solved master prices every
+column it holds above -1e-7, so no pricer sees the master or the pool. The
+sampler pass, `PricingEngine.sample_columns`, seeds the greedy with the
+solve's sample memory and draws on an emulated register only when that
+finds nothing; it has one exit and logs one `PricingStats` row. The
 embed seed comes from the subproblem's vertex set and the evolution is
 deterministic, so a revisited subgraph gets the same final state again
 without a cache. Unseeded, the greedy starts from the classes of a greedy
@@ -27,11 +29,11 @@ import numpy as np
 from .embedding import EmbedParams, audit, embed
 from .emulator import MAX_QUBITS, EmulatorConfig, build_adiabatic_pulse, evolve, sample
 from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
-from .rmp import ColumnPool
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
 # every column already in the model satisfies dual feasibility to that tolerance,
-# so nothing already priced in can come back looking improving.
+# so nothing already priced in can come back looking improving, and no pricer
+# checks for it.
 IMPROVE_EPS = 1e-6
 DUAL_POS_EPS = 1e-6
 # Pricing registers are laid out against a tighter unit-disk radius than the
@@ -46,17 +48,16 @@ def reduced_cost(mask: int, duals: Sequence[float]) -> float:
 
 
 def greedy_columns(
-    g: Graph, positive: int, duals: Sequence[float], pool: ColumnPool,
-    seeds: Iterable[int] | None = None,
+    g: Graph, positive: int, duals: Sequence[float], seeds: Iterable[int] | None = None,
 ) -> list[int]:
-    """The distinct improving sets outside the pool among the maximal sets
-    within `positive` grown from each seed (an independent set within
-    `positive`) by adding the vertices of `positive` in falling dual order
-    (lower index on ties). Each added dual is positive, so growing only
-    lowers the reduced cost. The seeds default to the classes of the greedy
-    coloring of `positive` in that order, which together partition it, then
-    its single vertices in that order; on at most 3 vertices the single
-    vertices reach every maximal set, so an empty answer means none improves."""
+    """The distinct improving sets among the maximal sets within `positive`
+    grown from each seed (an independent set within `positive`) by adding
+    the vertices of `positive` in falling dual order (lower index on ties).
+    Each added dual is positive, so growing only lowers the reduced cost.
+    The seeds default to the classes of the greedy coloring of `positive` in
+    that order, which together partition it, then its single vertices in that
+    order; on at most 3 vertices the single vertices reach every maximal set,
+    so an empty answer means none improves."""
     order = sorted(iter_bits(positive), key=lambda v: (-duals[v], v))
     if seeds is None:
         classes: list[int] = []
@@ -72,7 +73,7 @@ def greedy_columns(
             if not g.adj[v] & mask:
                 mask |= 1 << v
         grown[mask] = None
-    return [m for m in grown if m not in pool and reduced_cost(m, duals) < -IMPROVE_EPS]
+    return [m for m in grown if reduced_cost(m, duals) < -IMPROVE_EPS]
 
 
 def clique_cover_weight(g: Graph, weights: Sequence[float]) -> float:
@@ -163,6 +164,8 @@ class SamplerConfig:
         if self.kind not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         require_positive(self, "shots")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class PricingEngine:
@@ -208,37 +211,37 @@ class PricingEngine:
         root: Graph,
         positive: int,
         duals: Sequence[float],
-        pool: ColumnPool,
+        samples: dict[int, None],
         iteration: int = 0,
     ) -> tuple[list[int], PricingStats]:
         """Sampler pricing pass over the subproblem that `root` induces on the
         dual-positive mask `positive` (`duals` holds one value per root vertex).
 
-        The pass first grows the pool's sample memory: every independent set
-        this solve has drawn, cut down to `positive`. Only when none of those
-        gives a column does it draw again, on a register of the induced
-        subgraph; the independent sets the draw returns are stored and grown
-        in their place. The emulated sampler draws nothing on more than
-        MAX_QUBITS vertices: the pass then returns no columns, and the
-        classical pricers answer the round. A pass that draws nothing logs 0
+        The pass first grows the solve's sample memory, `samples`: every
+        independent set this solve has drawn, cut down to `positive`. Only
+        when none of those gives a column does it draw again, on a register of
+        the induced subgraph; the independent sets the draw returns are stored
+        in `samples` and grown in their place. The emulated sampler draws
+        nothing on more than MAX_QUBITS vertices: the pass then returns no
+        columns, and the classical pricers answer the round. A pass that draws nothing logs 0
         shots and 0 distinct bitstrings. Every returned column is a root mask,
-        independent, maximal within `positive`, with reduced cost below -1e-6
-        and absent from the pool, re-checked here no matter what the sampler
-        produced.
+        independent and maximal within `positive`, with reduced cost below
+        -1e-6, re-checked here no matter what the sampler produced; so it is
+        new to the master that gave the duals.
         """
         if self.config.kind == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
         n_sub = positive.bit_count()
-        seeds = dict.fromkeys(mask & positive for mask in pool.samples)
-        columns = greedy_columns(root, positive, duals, pool, seeds)
+        seeds = dict.fromkeys(mask & positive for mask in samples)
+        columns = greedy_columns(root, positive, duals, seeds)
         shots = distinct = 0
         if not columns and positive and (self.config.kind != "emulated_qaa" or n_sub <= MAX_QUBITS):
             sub = root.induced_subgraph(positive)
             w = [duals[v] for v in iter_bits(positive)]
             drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
             seeds = dict.fromkeys(mask for mask in drawn if root.is_independent(mask))
-            pool.samples.update(seeds)
-            columns = greedy_columns(root, positive, duals, pool, seeds)
+            samples.update(seeds)
+            columns = greedy_columns(root, positive, duals, seeds)
             shots, distinct = self.config.shots, len(drawn)
         maximal = sum(m in seeds for m in columns)
         return columns, PricingStats(iteration, n_sub, shots, distinct, len(columns), maximal)

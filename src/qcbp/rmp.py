@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -48,30 +48,16 @@ class RmpError(RuntimeError):
     """Numerical failure inside the simplex; never patched silently."""
 
 
+@dataclass
 class ColumnPool:
-    """Insertion-ordered, duplicate-free set of root-graph column masks.
+    """A solve's priced columns, as root masks in discovery order, and its
+    sample memory: every independent set the sampler has drawn in the solve,
+    in first-seen order, whether or not it became a column. Nothing here
+    checks for repeats. A priced column is improving, and no column the
+    master holds is (see `solve_rmp`), so a priced column is new."""
 
-    A solve's pool also carries its sample memory, `samples`: every
-    independent set the sampler has drawn in this solve, as a root mask in
-    first-seen order, whether or not it became a column. Iteration and
-    membership cover the columns only.
-    """
-
-    def __init__(self) -> None:
-        self._masks: dict[int, None] = {}
-        self.samples: dict[int, None] = {}
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._masks
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._masks)
-
-    def add(self, mask: int) -> bool:
-        if mask in self._masks or mask == 0:
-            return False
-        self._masks[mask] = None
-        return True
+    columns: list[int] = field(default_factory=list)
+    samples: dict[int, None] = field(default_factory=dict)
 
 
 @dataclass

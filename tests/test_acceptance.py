@@ -195,11 +195,11 @@ def test_criterion_8_pricing_soundness():
         duals = rng.uniform(0.0, 1.4, size=n)
         pool = ColumnPool()
         engine = PricingEngine(cfg)
-        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
+        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool.samples)
         for mask in cols:
             assert g.is_independent(mask)
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
-            assert mask not in pool
+            assert mask not in pool.columns
         emitted += len(cols)
         cases += 1
     # the same filter path through the emulated sampler
@@ -209,11 +209,11 @@ def test_criterion_8_pricing_soundness():
         duals = rng.uniform(0.2, 1.2, size=g.n)
         pool = ColumnPool()
         engine = PricingEngine(em_cfg)
-        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool)
+        cols, _ = engine.sample_columns(g, g.full_mask, duals, pool.samples)
         for mask in cols:
             assert g.is_independent(mask)
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
-            assert mask not in pool
+            assert mask not in pool.columns
         emitted += len(cols)
     mismatches = 0
     for _ in range(200):

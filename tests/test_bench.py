@@ -17,6 +17,7 @@ from qcbp.bench import (
     parse_config_file,
     parse_csv,
     parse_row,
+    pricing_log_csv,
     records_to_csv,
     run_benchmark,
     summarize,
@@ -25,7 +26,7 @@ from qcbp.bench import (
 from qcbp.bnp import SolverConfig
 from qcbp.embedding import EmbedParams
 from qcbp.graphs import parse_dimacs, pairwise_distances
-from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, SamplerConfig
+from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, PricingStats, SamplerConfig
 
 
 def leaves(config, prefix: str = "") -> dict[str, object]:
@@ -259,6 +260,15 @@ class TestBenchmark:
             parse_csv(BenchRecord, records_to_csv([unproven]).replace("12.5", "12.5,7"))
         flipped = replace(unproven, is_ud=False, proven=True)
         assert parse_row(BenchRecord, to_csv_row(flipped)) == flipped
+
+    @pytest.mark.parametrize("name", ["c5,x", "a\nb", "a\r", "a\x0bb", "a\u2028b"])
+    def test_string_that_would_split_a_row_rejected(self, name):
+        # `parse_rows` splits rows at commas and lines as `str.splitlines` does
+        with pytest.raises(ValueError, match="holds a comma or a line break"):
+            to_csv_row(replace(BenchRecord("x", 5, True, 2, 3, 0.5, True, 100, 4, 2, 1, 2, 0, "", 1.0),
+                               instance=name))
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            pricing_log_csv([(name, PricingStats(1, 5, 10, 3, 1, 1))])
 
     @pytest.mark.parametrize("value", ["ture", "", "2", "y", "TRUE", "1", "yes"])
     def test_unknown_csv_boolean_rejected(self, value):

@@ -8,6 +8,7 @@ import pytest
 
 import qcbp.bnp
 import qcbp.hcg
+import qcbp.rmp
 
 from qcbp.bnp import (
     BBNode,
@@ -379,12 +380,23 @@ class TestSolve:
         assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
 
     def test_pool_is_a_packed_array_of_distinct_masks(self):
-        g = random_graph(10, 0.4, np.random.default_rng(89))
-        res = solve_qcbp(g, engine=exact_engine())
-        assert res.pool.typecode == "Q" and res.pool.itemsize == 8
-        assert res.pool and not any(m.bit_count() == 1 for m in res.pool)
-        assert len(set(res.pool)) == len(res.pool)
-        assert all(g.is_independent(m) for m in res.pool)
+        # Nothing checks a priced column against the pool: it is improving by
+        # more than IMPROVE_EPS, and a solved master prices every column it
+        # holds at -OPT_TOL or above, so it is new. myciel4 branches, so its
+        # pool feeds masters below the root.
+        assert IMPROVE_EPS > qcbp.rmp.OPT_TOL
+        cases = [
+            (random_graph(10, 0.4, np.random.default_rng(89)), exact_engine()),
+            (myciel(4), stochastic_engine()),
+            (random_ud_graph(8, 3)[0], PricingEngine()),
+        ]
+        for g, engine in cases:
+            res = solve_qcbp(g, engine=engine)
+            assert res.pool.typecode == "Q" and res.pool.itemsize == 8
+            assert res.pool and not any(m.bit_count() == 1 for m in res.pool)
+            assert len(set(res.pool)) == len(res.pool)
+            assert all(g.is_independent(m) for m in res.pool)
+        assert res.pricing_log and res.stats.shots_total > 0  # the emulated sampler drew
 
     def test_unproven_reason(self):
         # Groetzsch graph: chi 4 above its LP bound 2.9, so the root must branch
@@ -501,9 +513,9 @@ class TestSolve:
         sizes = []
         real_greedy = qcbp.hcg.greedy_columns
 
-        def recording(root, positive, duals, pool):
+        def recording(root, positive, duals):
             sizes.append(positive.bit_count())
-            return real_greedy(root, positive, duals, pool)
+            return real_greedy(root, positive, duals)
 
         monkeypatch.setattr(qcbp.hcg, "greedy_columns", recording)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)

@@ -37,6 +37,7 @@ class TestGen:
         ("--ns", "5,5", "ns must not repeat a size"),
         ("--ns", "0", "n must be >= 1"),
         ("--box", "0", "box must be positive"),
+        ("--seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, flag, value, reason):
         assert main(["gen", "--out", str(tmp_path / "out"), flag, value]) == 2
@@ -107,6 +108,22 @@ class TestSolve:
         assert main(["solve", str(graph), "--register-radius", value]) == 2
         assert "ud_radius must be positive and finite" in capsys.readouterr().err
 
+    def test_negative_seed_errors(self, tmp_path, capsys):
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        assert main(["solve", str(graph), "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_instance_name_that_would_split_the_pricing_log_errors(self, tmp_path, capsys):
+        # `report` splits each row at its commas, so the stem "c5,x" would
+        # read as two fields; the solve writes no log instead
+        graph, log = tmp_path / "c5,x.dimacs", tmp_path / "pricing.csv"
+        graph.write_text(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]).to_dimacs())
+        assert main(["solve", str(graph), "--sampler", "classical_stochastic",
+                     "--pricing-log", str(log)]) == 2
+        assert "error: CSV value 'c5,x' holds a comma or a line break" in capsys.readouterr().err
+        assert not log.exists()
+
     def test_bad_number_names_its_flag(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
@@ -156,6 +173,13 @@ class TestBenchReport:
         capsys.readouterr()
         assert main(["report", "--records", str(out / "records.csv"), "--pricing-log", str(log)]) == 0
         assert "sampler quality by subproblem size" in capsys.readouterr().out
+
+    def test_negative_seed_errors(self, dataset, tmp_path, capsys):
+        code = main(["bench", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
+                     "--seed", "-3", "--sampler", "exact_pricer"])
+        assert code == 2
+        assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_sampler_errors(self, dataset, tmp_path, capsys):
         code = main(["bench", "--dataset", str(dataset), "--out", str(tmp_path / "o"),

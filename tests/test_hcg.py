@@ -69,7 +69,7 @@ class TestSmallGraphs:
         res = run_root(g, exact_engine(), pool)
         assert res.certified
         assert res.lp_bound == pytest.approx(1.0, abs=1e-9)
-        assert g.full_mask in pool
+        assert g.full_mask in pool.columns
 
     def test_triangle_stays_at_three(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -235,7 +235,7 @@ class TestAccounting:
         pool = ColumnPool()
         res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
         assert res.iterations == 1 and res.exact_calls == 1
-        assert list(pool) == [0b1111]
+        assert pool.columns == [0b1111]
 
     def test_caps_below_one_rejected(self):
         with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):
@@ -249,7 +249,7 @@ class TestSubproblemIndexing:
         pool = ColumnPool()
         res = run_hcg(g, keep, pool, exact_engine())
         assert res.certified
-        priced = [mask for mask in pool if mask.bit_count() > 1]
+        priced = [mask for mask in pool.columns if mask.bit_count() > 1]
         assert priced
         for mask in priced:
             assert mask & ~keep == 0
@@ -269,7 +269,7 @@ class TestSubproblemIndexing:
             assert (res.lp_bound, res.iterations, res.certified, res.exact_calls) == (
                 local.lp_bound, local.iterations, local.certified, local.exact_calls)
             assert res.pricing_log == local.pricing_log
-            assert [m for m in pool if m & keep == m] == [expand_mask(m, keep) for m in local_pool]
+            assert [m for m in pool.columns if m & keep == m] == [expand_mask(m, keep) for m in local_pool.columns]
             assert res.columns == [expand_mask(m, keep) for m in local.columns]
 
 
