@@ -5,28 +5,25 @@ step samples independent sets from an emulated neutral-atom adiabatic
 evolution, safeguarded by an exact classical pricer.
 """
 
-from .bench import RunConfig, generate_dataset, run_benchmark
-from .bnp import SolverConfig, solve_qcbp
+from .bench import generate_dataset, run_benchmark
+from .bnp import solve_qcbp
 from .chromatic import exact_chromatic_number
-from .embedding import EmbedParams, Register, audit, embed
-from .emulator import EmulatorConfig, PulseSchedule, build_adiabatic_pulse, evolve, sample
+from .config import RunConfig
+from .embedding import Register, audit, embed
+from .emulator import PulseSchedule, build_adiabatic_pulse, evolve, sample
 from .graphs import Graph, parse_dimacs, random_ud_graph
 from .hcg import run_hcg
-from .pricing import PricingEngine, SamplerConfig, exact_mwis
+from .pricing import PricingEngine, exact_mwis
 from .rmp import ColumnPool, RmpModel, solve_rmp
 
 __all__ = [
     "ColumnPool",
-    "EmbedParams",
-    "EmulatorConfig",
     "Graph",
     "PricingEngine",
     "PulseSchedule",
     "Register",
     "RmpModel",
     "RunConfig",
-    "SamplerConfig",
-    "SolverConfig",
     "audit",
     "build_adiabatic_pulse",
     "embed",

@@ -16,56 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnp import SolveResult, SolverConfig, solve_qcbp
+from .bnp import SolveResult, solve_qcbp
 from .chromatic import exact_coloring
-from .embedding import EmbedParams
-from .emulator import EmulatorConfig
+from .config import RunConfig
 from .graphs import Graph, flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
-from .pricing import COMPACT_REGISTER_RADIUS_UM, PricingEngine, PricingStats, SamplerConfig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    sampler: str = "emulated_qaa"
-    shots: int = SamplerConfig.shots
-    seed: int = 0
-    node_budget: int = SolverConfig.node_budget
-    hcg_max_iterations: int = SolverConfig.hcg_max_iterations
-    dt: float = EmulatorConfig.dt
-    c6: float = EmulatorConfig.c6
-    duration: float = EmulatorConfig.duration
-    delta_start: float = EmulatorConfig.delta_start
-    delta_end: float = EmulatorConfig.delta_end
-    register_radius: float = COMPACT_REGISTER_RADIUS_UM
-    embed_iterations: int = EmbedParams.iterations
-    embed_restarts: int = EmbedParams.restarts
-
-    def __post_init__(self) -> None:
-        # the configs built from these fields check their own ranges
-        self.sampler_config()
-        self.solver_config()
-
-    def sampler_config(self, seed: int | None = None) -> SamplerConfig:
-        return SamplerConfig(
-            kind=self.sampler,
-            shots=self.shots,
-            seed=self.seed if seed is None else seed,
-            emulator=EmulatorConfig(
-                c6=self.c6,
-                dt=self.dt,
-                duration=self.duration,
-                delta_start=self.delta_start,
-                delta_end=self.delta_end,
-            ),
-            embed=EmbedParams(
-                ud_radius=self.register_radius,
-                iterations=self.embed_iterations,
-                restarts=self.embed_restarts,
-            ),
-        )
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(node_budget=self.node_budget, hcg_max_iterations=self.hcg_max_iterations)
+from .pricing import PricingEngine, PricingStats
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -249,7 +204,7 @@ PRICING_HEADER = "instance," + csv_header(PricingStats)
 def solve_instance(g: Graph, config: RunConfig, engine_seed: int, clock=time.perf_counter) -> SolveResult:
     """Solve one instance with a fresh engine whose seed stream starts at `engine_seed`."""
     engine = PricingEngine(config.sampler_config(seed=engine_seed))
-    return solve_qcbp(g, config.solver_config(), engine=engine, clock=clock)
+    return solve_qcbp(g, config, engine=engine, clock=clock)
 
 
 def pricing_log_csv(log: list[tuple[str, PricingStats]]) -> str:

@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bounds import CEIL_TOL, spectral_lb
-from .graphs import Graph, iter_bits, require_positive
-from .hcg import MAX_ITERATIONS, run_hcg
+from .config import RunConfig
+from .graphs import Graph, iter_bits
+from .hcg import run_hcg
 from .pricing import PricingEngine, PricingStats
 from .rmp import ColumnPool
 
@@ -106,16 +107,6 @@ class SolveResult:
     stats: SearchStats
     pool: array  # typecode "Q": every priced column mask, in discovery order
     pricing_log: list[PricingStats] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    node_budget: int = 1000
-    hcg_max_iterations: int = MAX_ITERATIONS
-
-    def __post_init__(self) -> None:
-        require_positive(self, "node_budget")
-        require_positive(self, "hcg_max_iterations")
 
 
 def primal_heuristic(residual: int, columns: Iterable[int], k: int) -> Coloring:
@@ -234,7 +225,7 @@ def branch(root_graph: Graph, node: BBNode, columns: Iterable[int]) -> list[BBNo
 
 def solve_qcbp(
     g: Graph,
-    config: SolverConfig | None = None,
+    config: RunConfig | None = None,
     engine: PricingEngine | None = None,
     clock=time.perf_counter,
 ) -> SolveResult:
@@ -242,8 +233,8 @@ def solve_qcbp(
     incumbents from each node's columns, best-score-first search with bound
     pruning. The module docstring gives the rules for queueing, bounding and
     revisiting a residual."""
-    config = config or SolverConfig()
-    engine = engine or PricingEngine()
+    config = config or RunConfig()
+    engine = engine or PricingEngine(config)
     t_start = clock()
 
     pool = ColumnPool()

@@ -11,6 +11,7 @@ from .bench import (
     PRICING_HEADER,
     BenchRecord,
     RunConfig,
+    _format,
     generate_dataset,
     make_run_config,
     parse_config_file,
@@ -63,6 +64,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _build_config(args)
     g = parse_dimacs(Path(args.graph).read_text())
+    # the output options fail here, not after the solve: the oracle's vertex
+    # cap, and a graph file stem (the log's instance name) that would split a row
+    chi_exact = exact_chromatic_number(g) if args.chi_exact else None
+    instance = _format(Path(args.graph).stem) if args.pricing_log else None
     res = solve_instance(g, config, engine_seed=config.seed)
     stats = res.stats
     print(f"instance: {args.graph}")
@@ -74,10 +79,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"unproven_reason={stats.unproven_reason or '-'} "
           f"wall_ms={stats.wall_seconds * 1e3:.1f}")
     if args.chi_exact:
-        print(f"chi_exact={exact_chromatic_number(g)}")
+        print(f"chi_exact={chi_exact}")
     if args.pricing_log:
-        # the graph file's stem names the instance, so `qcbp report` reads the log
-        instance = Path(args.graph).stem
         Path(args.pricing_log).write_text(pricing_log_csv([(instance, row) for row in res.pricing_log]))
         print(f"pricing log written to {args.pricing_log}")
     return 0

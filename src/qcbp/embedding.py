@@ -5,7 +5,7 @@ minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
 hardware minimum spacing, and points outside the register disk. The hardware
 limits, the loss weights, the descent schedule (first step, its decay,
-momentum) and the stall rule are module constants; EmbedParams holds the
+momentum) and the stall rule are module constants; `RunConfig` sets the
 unit-disk radius, the iteration budget and the restart count. The restarts
 descend as one batch. It stops once a restart reaches zero loss (an exact
 layout), or once the batch's best loss has fallen by less than STALL_DROP over
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, pairwise_distances, require_positive
+from .config import RunConfig
+from .graphs import Graph, pairwise_distances
 
 MIN_SPACING_UM = 4.0
 REGISTER_RADIUS_UM = 50.0
-UD_RADIUS_UM = 10.0
 # Loss weights of the edge, non-edge, spacing and register-disk hinges.
 W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
 # Descent schedule: the first move per atom (um), its decay per iteration, and
@@ -85,20 +85,7 @@ class EmbeddingReport:
     r_min_gap: float | None                     # min distance over target non-edges (R_min)
 
 
-@dataclass(frozen=True)
-class EmbedParams:
-    ud_radius: float = UD_RADIUS_UM
-    iterations: int = 3000
-    restarts: int = 5
-
-    def __post_init__(self) -> None:
-        require_positive(self, "iterations")
-        require_positive(self, "restarts")
-        if not 0 < self.ud_radius < math.inf:
-            raise ValueError(f"ud_radius must be positive and finite, got {self.ud_radius!r}")
-
-
-def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> EmbeddingReport:
+def audit(g: Graph, reg: Register, ud_radius: float) -> EmbeddingReport:
     """Compare the target graph with the unit-disk graph the register encodes."""
     if reg.n != g.n:
         raise ValueError(f"register has {reg.n} atoms for a {g.n}-vertex graph")
@@ -128,11 +115,11 @@ def audit(g: Graph, reg: Register, ud_radius: float = UD_RADIUS_UM) -> Embedding
     )
 
 
-def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
+def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
     """All restarts as one (R, n, 2) batch; restart r starts from
     default_rng([seed, r]). Stops at the first iteration where some restart has
     zero loss, whose layout is then exact, at the first stalled check of the
-    batch's best loss (see STALL_WINDOW), or after `params.iterations`."""
+    batch's best loss (see STALL_WINDOW), or after `config.embed_iterations`."""
     n = g.n
     edge_mask = np.zeros((n, n), dtype=bool)
     for u, v in g.edges():
@@ -142,17 +129,17 @@ def _descend(g: Graph, params: EmbedParams, seed: int) -> np.ndarray:
     eye = np.eye(n, dtype=bool)
 
     init_radius = max(6.0, 2.5 * math.sqrt(n))
-    rngs = [np.random.default_rng([seed, r]) for r in range(params.restarts)]
+    rngs = [np.random.default_rng([seed, r]) for r in range(config.embed_restarts)]
     pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
     step = STEP_UM
     checked_loss = math.inf
-    for it in range(params.iterations):
+    for it in range(config.embed_iterations):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
         dist[:, eye] = 1.0
-        too_far = np.maximum(dist - params.ud_radius, 0.0) * edge_mask
-        too_near = np.maximum(params.ud_radius - dist, 0.0) * nonedge_mask
+        too_far = np.maximum(dist - config.register_radius, 0.0) * edge_mask
+        too_near = np.maximum(config.register_radius - dist, 0.0) * nonedge_mask
         pair_close = np.maximum(MIN_SPACING_UM - dist, 0.0)
         pair_close[:, eye] = 0.0
         # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
@@ -202,30 +189,30 @@ def _project(pos: np.ndarray) -> np.ndarray:
     return pos * scale
 
 
-def embed(g: Graph, params: EmbedParams | None = None, seed: int = 0) -> Register:
+def embed(g: Graph, config: RunConfig | None = None, seed: int = 0) -> Register:
     """Best register over the configured restarts.
 
     The restarts descend as one batch that ends as soon as one of them reaches
-    zero loss or the batch's best loss stalls, so `params.iterations` is only
-    a cap.
+    zero loss or the batch's best loss stalls, so `config.embed_iterations`
+    is only a cap.
     Restarts are ranked by audited edge discrepancies: fewest missing+extra
     first, then fewest extra (extra edges only shrink the sampled family,
     which keeps pricing sound), then restart order.
     """
-    params = params or EmbedParams()
+    config = config or RunConfig()
     best: tuple[tuple[int, int, int], Register] | None = None
     last_error: EmbeddingError | None = None
-    for restart, raw in enumerate(_descend(g, params, seed)):
+    for restart, raw in enumerate(_descend(g, config, seed)):
         try:
             pos = _project(raw)
             reg = Register(positions=tuple((float(x), float(y)) for x, y in pos))
         except EmbeddingError as exc:
             last_error = exc
             continue
-        rep = audit(g, reg, params.ud_radius)
+        rep = audit(g, reg, config.register_radius)
         key = (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges), restart)
         if best is None or key < best[0]:
             best = (key, reg)
     if best is None:
-        raise EmbeddingError(f"all {params.restarts} restarts infeasible: {last_error}")
+        raise EmbeddingError(f"all {config.embed_restarts} restarts infeasible: {last_error}")
     return best[1]

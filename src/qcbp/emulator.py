@@ -12,10 +12,10 @@ exp(i phi sum n) on that block, and one multiply by the interaction phase.
 Every factor is unitary, so the norm is conserved to rounding. `evolve`
 returns the final amplitudes as a plain array, and `sample` draws from them.
 
-The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS), the
-step cap MAX_STEPS and the pulse's RAMP_FRACTION are constants. EmulatorConfig
-holds only what a run may set: C6, the time step, the pulse duration and the
-detuning sweep's ends.
+The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS) and
+the pulse's RAMP_FRACTION are constants. The run's `RunConfig` sets C6, the
+time step, the pulse duration and the detuning sweep's ends, and it caps
+the pulse at MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -25,45 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .embedding import EmbeddingReport, Register
 from .graphs import pairwise_distances
 
 OMEGA_MAX = 4.0 * math.pi  # rad/us; the peak Rabi frequency never exceeds it
 MAX_QUBITS = 20  # largest register `evolve` accepts: 2^20 amplitudes, 16 MB
 RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again falls
-# Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
-# of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
-DEFAULT_C6 = 877_455.0
 BLOCK_QUBITS = 4  # widest qubit block of evolve's step matrices; 4 and 5 measure alike
 # Steps whose block matrices evolve builds at once: 0.26 MB at 4 qubits. A
 # 2-atom evolve (900 steps) takes 2.6 ms at 64, 2.9 at 32 and 2.3 with all
 # steps at once, where the matrices would grow with the step count.
 STEP_CHUNK = 64
-MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~40 B a step at any register size
-
-
-@dataclass(frozen=True)
-class EmulatorConfig:
-    c6: float = DEFAULT_C6
-    # us; 900 steps. Infidelity against RK4: <= 1.1e-6 (RK4 at 1e-4 us) on criterion
-    # 5's registers (n <= 4, 6-12 um spread), up to 3.3e-5 (RK4 at 2e-5 us) on the
-    # compact 6 um registers of random_ud_graph(6, seed, box=25). TVD <= 3.1e-3 vs 1e-3.
-    dt: float = 1 / 300
-    duration: float = 3.0     # us
-    delta_start: float = -15.0
-    delta_end: float = 15.0
-
-    def __post_init__(self) -> None:
-        for name in ("c6", "dt", "duration", "delta_start", "delta_end"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value <= 0 and name in ("c6", "dt", "duration"):
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        steps = round(self.duration / self.dt)
-        if steps > MAX_STEPS:
-            raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
-                             f"tables would take about {steps * 40 / 1e9:.2g} GB")
 
 
 @dataclass(frozen=True)
@@ -106,7 +79,7 @@ def blockade_radius(report: EmbeddingReport) -> float:
     raise ValueError("report covers no atom pair; cannot size the pulse")
 
 
-def build_adiabatic_pulse(report: EmbeddingReport, cfg: EmulatorConfig) -> PulseSchedule:
+def build_adiabatic_pulse(report: EmbeddingReport, cfg: RunConfig) -> PulseSchedule:
     """Trapezoidal Rabi drive capped by the blockade condition, linear detuning sweep.
 
     The peak Rabi frequency is min(C6 / r_b^6, OMEGA_MAX) for blockade radius
@@ -151,7 +124,7 @@ def step_blocks(m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return powers[:, np.bitwise_count(states[:, None] ^ states)] * phases[:, None, :]
 
 
-def evolve(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> np.ndarray:
+def evolve(reg: Register, pulse: PulseSchedule, cfg: RunConfig) -> np.ndarray:
     """The amplitudes of |0...0> evolved under the register Hamiltonian for the
     full pulse, one per basis index (bit i = atom i).
 

@@ -11,7 +11,7 @@ so each re-solve restarts from the last optimal basis and carries its simplex
 tableau on.
 
 A run that has not certified after `max_iterations` pricing rounds stops
-capped; the search passes `SolverConfig.hcg_max_iterations`, whose default is
+capped; the search passes `RunConfig.hcg_max_iterations`, whose default is
 MAX_ITERATIONS. Every run reports Farley's bound: the clipped duals' sum over
 an upper bound on the weight of every independent set under them. The
 master's objective is not a certified bound. A capped run's is an upper bound
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import MAX_ITERATIONS
 from .graphs import Graph, iter_bits, mask_of
 from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
                       clique_cover_weight, exact_mwis, greedy_columns)
-from .rmp import ColumnPool, RmpModel, RmpSolution, solve_rmp
+from .rmp import ColumnPool, RmpModel, solve_rmp
 
-MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
 CLASSICAL_PRICING_MAX = 3  # dual-positive vertices the greedy prices alone: it lists every maximal set
 
 
@@ -54,7 +54,6 @@ class HcgResult:
     the columns priced at this node.
     """
 
-    rmp: RmpSolution
     lp_bound: float
     iterations: int
     certified: bool
@@ -95,7 +94,7 @@ def run_hcg(
         iterations = iteration
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         found: list[int] = []
-        if engine.config.kind != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
+        if engine.config.sampler != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
             found, stats = engine.sample_columns(root, positive, duals, pool.samples, iteration=iteration)
             log.append(stats)
         if not found:
@@ -132,5 +131,5 @@ def run_hcg(
     # set's weight under them are dual feasible, so this is a valid LP lower bound.
     lp_bound = sum(max(d, 0.0) for d in duals) / max(1.0, heaviest)
 
-    return HcgResult(rmp=sol, lp_bound=lp_bound, iterations=iterations, certified=certified,
+    return HcgResult(lp_bound=lp_bound, iterations=iterations, certified=certified,
                      pricing_log=log, exact_calls=exact_calls, columns=model.masks)

@@ -21,14 +21,15 @@ an array; only the register renumbers vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbedParams, audit, embed
-from .emulator import MAX_QUBITS, EmulatorConfig, build_adiabatic_pulse, evolve, sample
-from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
+from .config import RunConfig
+from .embedding import audit, embed
+from .emulator import MAX_QUBITS, build_adiabatic_pulse, evolve, sample
+from .graphs import Graph, expand_mask, iter_bits, mask_of
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
 # every column already in the model satisfies dual feasibility to that tolerance,
@@ -36,10 +37,6 @@ from .graphs import Graph, expand_mask, iter_bits, mask_of, require_positive
 # checks for it.
 IMPROVE_EPS = 1e-6
 DUAL_POS_EPS = 1e-6
-# Pricing registers are laid out against a tighter unit-disk radius than the
-# 10 um hardware maximum, so every target edge sits deep inside the blockade
-# (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
-COMPACT_REGISTER_RADIUS_UM = 6.0
 
 
 def reduced_cost(mask: int, duals: Sequence[float]) -> float:
@@ -150,34 +147,16 @@ class PricingStats:
     maximal: int  # columns that are among the seeds, maximal before growing
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    kind: str = "emulated_qaa"  # emulated_qaa | classical_stochastic | exact_pricer
-    shots: int = 200
-    seed: int = 0
-    emulator: EmulatorConfig = field(default_factory=EmulatorConfig)
-    embed: EmbedParams = field(
-        default_factory=lambda: EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM)
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        require_positive(self, "shots")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
 class PricingEngine:
-    """Holds the sampler configuration and the seed stream of its draws.
+    """Holds the run's configuration and the seed stream of its draws.
 
     Each draw takes the next seed of the stream, which carries on across
     solves that share the engine. The engine keeps no tallies: a sampling
     pass reports its shots in its `PricingStats` row.
     """
 
-    def __init__(self, config: SamplerConfig | None = None) -> None:
-        self.config = config or SamplerConfig()
+    def __init__(self, config: RunConfig | None = None) -> None:
+        self.config = config or RunConfig()
         self._draws = 0
 
     def _next_seed(self) -> list[int]:
@@ -185,12 +164,12 @@ class PricingEngine:
         return [self.config.seed, self._draws]
 
     def _draw_bitstrings(self, sub: Graph, key: int, weights: list[float]) -> dict[int, int]:
-        if self.config.kind == "emulated_qaa":
-            reg = embed(sub, self.config.embed, seed=int(np.random.default_rng(
+        if self.config.sampler == "emulated_qaa":
+            reg = embed(sub, self.config, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
-            report = audit(sub, reg, self.config.embed.ud_radius)
-            pulse = build_adiabatic_pulse(report, self.config.emulator)
-            amplitudes = evolve(reg, pulse, self.config.emulator)
+            report = audit(sub, reg, self.config.register_radius)
+            pulse = build_adiabatic_pulse(report, self.config)
+            amplitudes = evolve(reg, pulse, self.config)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
             return sample(amplitudes, self.config.shots, seed)
         # classical_stochastic: weighted random greedy maximal sets
@@ -229,13 +208,13 @@ class PricingEngine:
         -1e-6, re-checked here no matter what the sampler produced; so it is
         new to the master that gave the duals.
         """
-        if self.config.kind == "exact_pricer":
+        if self.config.sampler == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
         n_sub = positive.bit_count()
         seeds = dict.fromkeys(mask & positive for mask in samples)
         columns = greedy_columns(root, positive, duals, seeds)
         shots = distinct = 0
-        if not columns and positive and (self.config.kind != "emulated_qaa" or n_sub <= MAX_QUBITS):
+        if not columns and positive and (self.config.sampler != "emulated_qaa" or n_sub <= MAX_QUBITS):
             sub = root.induced_subgraph(positive)
             w = [duals[v] for v in iter_bits(positive)]
             drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]

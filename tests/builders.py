@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from qcbp.graphs import Graph, iter_bits
-from qcbp.pricing import PricingEngine, SamplerConfig
+from qcbp.config import RunConfig
+from qcbp.pricing import PricingEngine
 
 
 def path3() -> Graph:
@@ -40,8 +41,8 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def exact_engine() -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="exact_pricer"))
+    return PricingEngine(RunConfig(sampler="exact_pricer"))
 
 
 def stochastic_engine(seed: int = 0) -> PricingEngine:
-    return PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=seed))
+    return PricingEngine(RunConfig(sampler="classical_stochastic", shots=40, seed=seed))

@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from qcbp.embedding import Register
-from qcbp.emulator import EmulatorConfig, PulseSchedule, interaction_diagonal
+from qcbp.config import RunConfig
+from qcbp.emulator import PulseSchedule, interaction_diagonal
 
 
 def dense_x_operator(n: int) -> np.ndarray:
@@ -23,7 +24,7 @@ def dense_x_operator(n: int) -> np.ndarray:
 RK4_STEP = 1e-4  # us; fixed, so a coarser emulator dt never coarsens its reference
 
 
-def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, step: float = RK4_STEP) -> np.ndarray:
+def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: RunConfig, step: float = RK4_STEP) -> np.ndarray:
     """Classic fixed-step RK4 integration of the Schrodinger equation.
 
     Steps at `step` (rounded to divide the duration), not at cfg.dt; cfg
@@ -34,7 +35,7 @@ def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig, st
 
 
 def rk4_final_states(
-    regs: list[Register], pulses: list[PulseSchedule], cfg: EmulatorConfig, step: float = RK4_STEP,
+    regs: list[Register], pulses: list[PulseSchedule], cfg: RunConfig, step: float = RK4_STEP,
 ) -> np.ndarray:
     """`rk4_final_state` for registers of one size whose pulses share a
     duration, integrated side by side: row b is register b's final state."""
@@ -72,7 +73,7 @@ def rk4_final_states(
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: EmulatorConfig) -> np.ndarray:
+def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: RunConfig) -> np.ndarray:
     """The emulator's Strang steps with the X rotation applied qubit pair by
     qubit pair: one kron(u2, u2) matmul per pair, and u2 on an odd last qubit.
 

@@ -18,9 +18,9 @@ from qcbp.bnp import solve_qcbp
 from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.embedding import Register, audit
-from qcbp.emulator import EmulatorConfig, build_adiabatic_pulse, evolve
+from qcbp.emulator import build_adiabatic_pulse, evolve
 from qcbp.graphs import Graph, iter_bits, random_ud_graph
-from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig, exact_mwis, reduced_cost
+from qcbp.pricing import IMPROVE_EPS, PricingEngine, exact_mwis, reduced_cost
 from qcbp.rmp import ColumnPool, RmpModel, solve_rmp
 
 from oracles import brute_mwis_value, fidelity, random_register, rk4_final_states
@@ -91,7 +91,7 @@ def test_criterion_4_exact_pricing_proves_everything():
     for n in (8, 9, 10):
         for i in range(7):
             g, _ = random_ud_graph(n, seed=int(rng.integers(1 << 30)), radius=10, box=40)
-            engine = PricingEngine(SamplerConfig(kind="exact_pricer"))
+            engine = PricingEngine(RunConfig(sampler="exact_pricer"))
             t0 = time.perf_counter()
             res = solve_qcbp(g, engine=engine)
             wall = time.perf_counter() - t0
@@ -104,7 +104,7 @@ def test_criterion_4_exact_pricing_proves_everything():
 
 def test_criterion_5_emulator_fidelity():
     rng = np.random.default_rng(500)
-    cfg = EmulatorConfig()
+    cfg = RunConfig()
     by_size: dict[int, list] = {}  # n -> (case, register, pulse) per case
     for case in range(50):
         n = int(rng.integers(1, 5))
@@ -136,7 +136,7 @@ def test_criterion_5_emulator_fidelity():
 
 
 def test_criterion_6_blockade():
-    cfg = EmulatorConfig()
+    cfg = RunConfig()
     g = Graph.from_edges(3, [(0, 1)])
     y = math.sqrt(8.7**2 - 2.5**2)
     rep = audit(g, Register(positions=((0.0, 0.0), (5.0, 0.0), (2.5, y))), 10.0)
@@ -188,7 +188,7 @@ def test_criterion_8_pricing_soundness():
     rng = np.random.default_rng(800)
     cases = 0
     emitted = 0
-    cfg = SamplerConfig(kind="classical_stochastic", shots=12, seed=0)
+    cfg = RunConfig(sampler="classical_stochastic", shots=12, seed=0)
     while cases < 10_000:
         n = int(rng.integers(2, 11))
         g = random_graph(n, rng.uniform(0.1, 0.8), rng)
@@ -203,7 +203,7 @@ def test_criterion_8_pricing_soundness():
         emitted += len(cols)
         cases += 1
     # the same filter path through the emulated sampler
-    em_cfg = SamplerConfig(kind="emulated_qaa", shots=60, seed=1)
+    em_cfg = RunConfig(sampler="emulated_qaa", shots=60, seed=1)
     for i in range(40):
         g, _ = random_ud_graph(int(rng.integers(3, 7)), seed=int(rng.integers(1 << 30)), radius=10, box=22)
         duals = rng.uniform(0.2, 1.2, size=g.n)

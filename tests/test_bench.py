@@ -1,11 +1,12 @@
 import itertools
 import math
 import re
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+import qcbp.pricing
 from qcbp.bench import (
     PRICING_HEADER,
     BenchRecord,
@@ -23,28 +24,24 @@ from qcbp.bench import (
     summarize,
     to_csv_row,
 )
-from qcbp.bnp import SolverConfig
-from qcbp.embedding import EmbedParams
 from qcbp.graphs import parse_dimacs, pairwise_distances
-from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM, PricingStats, SamplerConfig
+from qcbp.pricing import PricingEngine, PricingStats
 
-
-def leaves(config, prefix: str = "") -> dict[str, object]:
-    """Every non-dataclass field of a nested config, keyed by its dotted path."""
-    out: dict[str, object] = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            out.update(leaves(value, f"{prefix}{f.name}."))
-        else:
-            out[prefix + f.name] = value
-    return out
+from builders import cycle
 
 
 def read_positions(path) -> np.ndarray:
     """The x, y columns of a positions CSV, after checking its header line."""
     assert path.read_text().splitlines()[0] == "vertex,x_um,y_um"
     return np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+
+
+# One out-of-range value per RunConfig field.
+BAD_VALUES = {
+    "sampler": "hardware", "shots": 0, "seed": -1, "node_budget": 0, "hcg_max_iterations": 0,
+    "dt": 0.0, "c6": math.nan, "duration": -1.0, "delta_start": math.inf, "delta_end": math.nan,
+    "register_radius": 0.0, "embed_iterations": 0, "embed_restarts": -1,
+}
 
 
 def counter_clock():
@@ -59,27 +56,39 @@ class TestRunConfig:
         assert cfg.shots == 200 and cfg.duration == 3.0
         assert cfg.delta_start == -15.0 and cfg.delta_end == 15.0
 
-    def test_defaults_come_from_the_owning_classes(self):
-        cfg = RunConfig()
-        assert cfg.sampler_config() == SamplerConfig(
-            embed=EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM))
-        assert cfg.solver_config() == SolverConfig()
+    def test_every_field_has_a_checked_range(self):
+        assert BAD_VALUES.keys() == {f.name for f in fields(RunConfig)}
 
-    def test_every_nested_field_is_reachable(self):
-        # A config field that no RunConfig field sets is a library-only knob;
-        # a new one fails here until it is listed.
-        moved = {
-            "sampler": "classical_stochastic", "shots": 7, "seed": 3,
-            "node_budget": 9, "hcg_max_iterations": 4, "dt": 2e-3, "c6": 5e5, "duration": 2.0,
-            "delta_start": -10.0, "delta_end": 12.0, "register_radius": 7.0,
-            "embed_iterations": 100, "embed_restarts": 2,
-        }
-        assert moved.keys() == {f.name for f in fields(RunConfig)}
-        default, cfg = RunConfig(), RunConfig(**moved)
-        assert all(getattr(cfg, k) != getattr(default, k) for k in moved)
-        before = leaves(default.sampler_config()) | leaves(default.solver_config())
-        after = leaves(cfg.sampler_config()) | leaves(cfg.solver_config())
-        assert [name for name in before if after[name] == before[name]] == []
+    @pytest.mark.parametrize("name", list(BAD_VALUES))
+    def test_range_error_names_its_field(self, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            RunConfig(**{name: BAD_VALUES[name]})
+
+    def test_sampler_and_solver_config_are_the_config(self):
+        cfg = RunConfig(shots=7)
+        assert cfg.sampler_config() is cfg and cfg.solver_config() is cfg
+        assert cfg.sampler_config(seed=5) == replace(cfg, seed=5)
+
+    def test_every_layer_reads_the_engines_config(self, monkeypatch):
+        # A layer that fell back to RunConfig() would lay out, pulse or evolve
+        # at settings the run did not ask for.
+        received: dict[str, list] = {}
+
+        def recording(name, real):
+            def record(*args, **kwargs):
+                received.setdefault(name, []).extend([*args, *kwargs.values()])
+                return real(*args, **kwargs)
+            return record
+
+        for name in ("embed", "audit", "build_adiabatic_pulse", "evolve"):
+            monkeypatch.setattr(qcbp.pricing, name, recording(name, getattr(qcbp.pricing, name)))
+        cfg = RunConfig(shots=7, seed=3, dt=2e-3, c6=5e5, duration=2.0, delta_start=-10.0,
+                        delta_end=12.0, register_radius=7.0, embed_iterations=300, embed_restarts=2)
+        _, stats = PricingEngine(cfg).sample_columns(cycle(5), 0b11111, [0.5] * 5, {})
+        assert stats.shots == 7
+        for name in ("embed", "build_adiabatic_pulse", "evolve"):
+            assert any(arg is cfg for arg in received[name]), name
+        assert 7.0 in received["audit"]
 
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
     def test_fields_cannot_be_assigned(self, name):

@@ -13,7 +13,6 @@ import qcbp.rmp
 from qcbp.bnp import (
     BBNode,
     Coloring,
-    SolverConfig,
     branch,
     maximal_sets_containing,
     node_lb,
@@ -23,11 +22,10 @@ from qcbp.bnp import (
 )
 from qcbp.bounds import SpectralBounds, spectral_lb
 from qcbp.chromatic import exact_chromatic_number
-from qcbp.embedding import EmbedParams
-from qcbp.emulator import EmulatorConfig
+from qcbp.config import RunConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.hcg import HcgResult
-from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig
+from qcbp.pricing import IMPROVE_EPS, PricingEngine
 
 from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
 from oracles import is_maximal_independent
@@ -300,7 +298,7 @@ class TestSolve:
         rng = np.random.default_rng(85)
         for _ in range(20):
             g = random_graph(10, 0.45, rng)
-            res = solve_qcbp(g, SolverConfig(node_budget=2), engine=exact_engine())
+            res = solve_qcbp(g, RunConfig(node_budget=2), engine=exact_engine())
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g)
@@ -310,9 +308,9 @@ class TestSolve:
         rng = np.random.default_rng(87)
         for k in range(30):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
             # a root bound above chi would raise here: the heuristic beats it
-            res = solve_qcbp(g, SolverConfig(hcg_max_iterations=cap), engine=engine)
+            res = solve_qcbp(g, RunConfig(hcg_max_iterations=cap), engine=engine)
             assert res.root_lb <= exact_chromatic_number(g)
 
     @pytest.mark.parametrize("cap", [1, 2])
@@ -323,8 +321,8 @@ class TestSolve:
         rng = np.random.default_rng(2)
         for k in range(150):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=5, seed=k))
-            res = solve_qcbp(g, SolverConfig(hcg_max_iterations=cap), engine=engine)
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
+            res = solve_qcbp(g, RunConfig(hcg_max_iterations=cap), engine=engine)
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g), f"instance {k}"
@@ -376,7 +374,7 @@ class TestSolve:
 
     def test_capped_runs_are_counted_uncertified(self):
         g = random_graph(9, 0.4, np.random.default_rng(88))
-        res = solve_qcbp(g, SolverConfig(hcg_max_iterations=1), engine=exact_engine())
+        res = solve_qcbp(g, RunConfig(hcg_max_iterations=1), engine=exact_engine())
         assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
 
     def test_pool_is_a_packed_array_of_distinct_masks(self):
@@ -404,7 +402,7 @@ class TestSolve:
         edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
         edges += [(10, 5 + i) for i in range(5)]
         g = Graph.from_edges(11, edges)
-        res = solve_qcbp(g, SolverConfig(node_budget=1), engine=exact_engine())
+        res = solve_qcbp(g, RunConfig(node_budget=1), engine=exact_engine())
         assert not res.proven_optimal and res.stats.unproven_reason == "budget"
         res = solve_qcbp(g, engine=exact_engine())
         assert res.proven_optimal and res.chi_hat == 4 and res.stats.unproven_reason == ""
@@ -426,7 +424,7 @@ class TestSolve:
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
         # myciel4 has a root gap (LP 3.245, chromatic number 5); the budget
         # stops the search after 5 explored nodes with 35 still open
-        res = solve_qcbp(myciel(4), SolverConfig(node_budget=40), engine=exact_engine())
+        res = solve_qcbp(myciel(4), RunConfig(node_budget=40), engine=exact_engine())
         s = res.stats
         names = [name for name, _ in events]
         assert names.count("run_hcg") == names.count("primal_heuristic") == s.nodes_explored > 1
@@ -459,7 +457,7 @@ class TestSolve:
         monkeypatch.setattr(qcbp.hcg, "clique_cover_weight", cover_counting)
         rng = np.random.default_rng([1, 20, 111])  # explores 3 nodes after the two C5 solves
         gnp = Graph.from_edges(20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3])
-        engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=50, seed=0))
+        engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=50, seed=0))
         for g in (cycle(5), cycle(5), gnp):
             exact_calls.clear()
             loose_covers.clear()
@@ -493,14 +491,20 @@ class TestSolve:
 
     def test_node_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="node_budget"):
-            SolverConfig(node_budget=0)
+            RunConfig(node_budget=0)
+
+    def test_engine_defaults_to_one_built_from_the_config(self):
+        g = myciel(3)
+        res = solve_qcbp(g, RunConfig(sampler="classical_stochastic", shots=5, seed=2))
+        assert res.pricing_log and {row.shots for row in res.pricing_log} <= {0, 5}
+        engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=2))
+        assert res.pool == solve_qcbp(g, engine=engine).pool
 
     def test_emulated_sampler_end_to_end(self):
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = SamplerConfig(
-            kind="emulated_qaa", shots=120, seed=6,
-            embed=EmbedParams(iterations=800, restarts=2),
-            emulator=EmulatorConfig(dt=2e-3),
+        cfg = RunConfig(
+            sampler="emulated_qaa", shots=120, seed=6,
+            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
         )
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         res.coloring.validate(g, g.full_mask)
@@ -519,10 +523,9 @@ class TestSolve:
 
         monkeypatch.setattr(qcbp.hcg, "greedy_columns", recording)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = SamplerConfig(
-            kind="emulated_qaa", shots=120, seed=6,
-            embed=EmbedParams(iterations=800, restarts=2),
-            emulator=EmulatorConfig(dt=2e-3),
+        cfg = RunConfig(
+            sampler="emulated_qaa", shots=120, seed=6,
+            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
         )
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         assert min(sizes) <= qcbp.hcg.CLASSICAL_PRICING_MAX == 3
@@ -584,7 +587,7 @@ class TestWeakBoundSearch:
 
         def no_pricing(root, keep, pool, engine, max_iterations):
             explored.append(keep)
-            return HcgResult(rmp=None, lp_bound=0.0, iterations=0, certified=False,
+            return HcgResult(lp_bound=0.0, iterations=0, certified=False,
                              columns=[1 << v for v in iter_bits(keep)])
 
         order = np.random.default_rng(0)

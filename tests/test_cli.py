@@ -93,20 +93,20 @@ class TestSolve:
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
         assert main(["solve", str(graph), "--hcg-max-iterations", "0"]) == 2
-        assert "max_iterations must be >= 1" in capsys.readouterr().err
+        assert "error: hcg_max_iterations must be >= 1" in capsys.readouterr().err
 
     def test_zero_embed_restarts_errors(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
         assert main(["solve", str(graph), "--embed-restarts", "0"]) == 2
-        assert "restarts must be >= 1" in capsys.readouterr().err
+        assert "error: embed_restarts must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
     def test_bad_register_radius_errors(self, tmp_path, capsys, value):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
         assert main(["solve", str(graph), "--register-radius", value]) == 2
-        assert "ud_radius must be positive and finite" in capsys.readouterr().err
+        assert "error: register_radius must be" in capsys.readouterr().err
 
     def test_negative_seed_errors(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
@@ -121,8 +121,27 @@ class TestSolve:
         graph.write_text(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]).to_dimacs())
         assert main(["solve", str(graph), "--sampler", "classical_stochastic",
                      "--pricing-log", str(log)]) == 2
-        assert "error: CSV value 'c5,x' holds a comma or a line break" in capsys.readouterr().err
-        assert not log.exists()
+        captured = capsys.readouterr()
+        assert "error: CSV value 'c5,x' holds a comma or a line break" in captured.err
+        assert captured.out == "" and not log.exists()
+
+    def test_instance_name_is_checked_before_a_solve_that_logs_no_row(self, tmp_path, capsys):
+        # the exact pricer writes no pricing row, so the name is checked up front
+        graph, log = tmp_path / "c5,x.dimacs", tmp_path / "pricing.csv"
+        graph.write_text(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]).to_dimacs())
+        assert main(["solve", str(graph), "--sampler", "exact_pricer", "--pricing-log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert "error: CSV value 'c5,x' holds a comma or a line break" in captured.err
+        assert captured.out == "" and not log.exists()
+
+    def test_chi_exact_above_the_oracle_cap_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qcbp.cli, "solve_instance", lambda *args, **kwargs: pytest.fail("solved"))
+        graph = tmp_path / "e21.dimacs"
+        graph.write_text(Graph.from_edges(21, []).to_dimacs())
+        assert main(["solve", str(graph), "--sampler", "exact_pricer", "--chi-exact"]) == 2
+        captured = capsys.readouterr()
+        assert "error: exact oracle capped at 20 vertices, got 21" in captured.err
+        assert captured.out == ""
 
     def test_bad_number_names_its_flag(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"

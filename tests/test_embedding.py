@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qcbp.config import RunConfig
 from qcbp.embedding import (
-    EmbedParams,
     EmbeddingError,
     Register,
     _descend,
@@ -13,12 +13,11 @@ from qcbp.embedding import (
     embed,
 )
 from qcbp.graphs import Graph, pairwise_distances, random_ud_graph
-from qcbp.pricing import COMPACT_REGISTER_RADIUS_UM
 
 from builders import complete
 
 
-FAST = EmbedParams(iterations=600, restarts=2)
+FAST = RunConfig(register_radius=10.0, embed_iterations=600, embed_restarts=2)
 
 
 def register_from(pos) -> Register:
@@ -130,7 +129,7 @@ class TestEmbed:
         hits = 0
         for seed in range(4):
             g, _ = random_ud_graph(6, seed=seed, radius=10, box=22)
-            reg = embed(g, EmbedParams(iterations=1500, restarts=3), seed=seed)
+            reg = embed(g, RunConfig(register_radius=10.0, embed_iterations=1500, embed_restarts=3), seed=seed)
             if audit(g, reg, 10.0).is_exact_ud:
                 hits += 1
         assert hits >= 3
@@ -142,21 +141,21 @@ class TestEmbed:
         for i in range(28):
             n = 6 + i % 7
             g, _ = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=40)
-            reg = embed(g, seed=int(rng.integers(1e6)))
+            reg = embed(g, RunConfig(register_radius=10.0), seed=int(rng.integers(1e6)))
             assert audit(g, reg, 10.0).is_exact_ud, (n, i)
 
     def test_star_gets_fewest_discrepancies_among_restarts(self):
         # K_{1,7} is no unit-disk graph: at most five points within the radius
         # of a hub can be pairwise farther apart than the radius.
         star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
-        params = EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM)
-        reg = embed(star, params, seed=3)
-        assert reg == embed(star, params, seed=3)
+        config = RunConfig()
+        reg = embed(star, config, seed=3)
+        assert reg == embed(star, config, seed=3)
         keys = []
-        for raw in _descend(star, params, 3):
-            rep = audit(star, register_from(_project(raw)), params.ud_radius)
+        for raw in _descend(star, config, 3):
+            rep = audit(star, register_from(_project(raw)), config.register_radius)
             keys.append((len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)))
-        rep = audit(star, reg, params.ud_radius)
+        rep = audit(star, reg, config.register_radius)
         assert (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)) == min(keys)
         assert min(keys)[0] > 0
 
@@ -165,29 +164,32 @@ class TestEmbed:
         # pairwise distances over 6 um within 6 um of the hub. The best loss
         # stalls long before 3000 iterations, so a larger cap changes nothing.
         star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
-        capped = EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM, iterations=3000)
-        loose = EmbedParams(ud_radius=COMPACT_REGISTER_RADIUS_UM, iterations=20000)
+        capped = RunConfig(embed_iterations=3000)
+        loose = RunConfig(embed_iterations=20000)
         reg = embed(star, capped, seed=3)
-        assert not audit(star, reg, capped.ud_radius).is_exact_ud
+        assert not audit(star, reg, capped.register_radius).is_exact_ud
         assert reg == embed(star, loose, seed=3)
 
 
 class TestEmbedParams:
+    """The layout's settings in `RunConfig`: `embed_iterations`,
+    `embed_restarts` and `register_radius`."""
+
     @pytest.mark.parametrize("name", ["iterations", "restarts"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_count_below_one_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            EmbedParams(**{name: value})
+        with pytest.raises(ValueError, match=f"embed_{name} must be >= 1"):
+            RunConfig(**{f"embed_{name}": value})
 
-    @pytest.mark.parametrize("name", ["ud_radius"])
-    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
-    def test_lengths_and_step_must_be_positive_and_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            EmbedParams(**{name: value})
+    @pytest.mark.parametrize("value, reason", [
+        (0.0, "positive"), (-5.0, "positive"), (math.nan, "finite"), (math.inf, "finite")])
+    def test_radius_must_be_positive_and_finite(self, value, reason):
+        with pytest.raises(ValueError, match=f"register_radius must be {reason}"):
+            RunConfig(register_radius=value)
 
     def test_range_edges_accepted(self):
         # One restart of one iteration still lays out a register that
         # `Register` accepts, at any positive radius.
         for radius in (1e-3, 1e3):
-            params = EmbedParams(ud_radius=radius, iterations=1, restarts=1)
-            assert embed(complete(4), params).n == 4
+            config = RunConfig(register_radius=radius, embed_iterations=1, embed_restarts=1)
+            assert embed(complete(4), config).n == 4

