@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -428,6 +430,13 @@ class TestConfig:
         # numpy's seed streams take no negative entry, so it is refused here
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["sampler", "seed", "shots"], ids=["kind", "seed", "shots"])
+    def test_fields_cannot_be_assigned(self, name):
+        # the engine's sampler kind, seed and shot count are fixed once it is built
+        cfg = PricingEngine(RunConfig()).config
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
     def test_exact_kind_has_no_sampling_path(self):
         engine = PricingEngine(RunConfig(sampler="exact_pricer"))
