@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bnp import SolveResult, solve_qcbp
+from .bnp import solve_qcbp
 from .chromatic import exact_coloring
 from .config import RunConfig
-from .graphs import Graph, flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
+from .graphs import flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
 from .pricing import PricingEngine, PricingStats
 
 
@@ -201,12 +201,6 @@ class BenchRecord:
 PRICING_HEADER = "instance," + csv_header(PricingStats)
 
 
-def solve_instance(g: Graph, config: RunConfig, engine_seed: int, clock=time.perf_counter) -> SolveResult:
-    """Solve one instance with a fresh engine whose seed stream starts at `engine_seed`."""
-    engine = PricingEngine(config.sampler_config(seed=engine_seed))
-    return solve_qcbp(g, config, engine=engine, clock=clock)
-
-
 def pricing_log_csv(log: list[tuple[str, PricingStats]]) -> str:
     """Pricing-log rows, each tagged with its instance, as `PRICING_HEADER` CSV."""
     rows = (f"{_format(instance)},{to_csv_row(row)}" for instance, row in log)
@@ -229,11 +223,12 @@ def run_benchmark(
     manifest = parse_csv(InstanceRecord, (dataset / "manifest.csv").read_text())
     records: list[BenchRecord] = []
     pricing: list[tuple[str, PricingStats]] = []
-    for idx, inst in enumerate(manifest):
-        g = parse_dimacs((dataset / inst.graph_file).read_text())
-        chi_exact, _ = exact_coloring(g)
+    graphs = [parse_dimacs((dataset / inst.graph_file).read_text()) for inst in manifest]
+    chis = [exact_coloring(g)[0] for g in graphs]  # the oracle's vertex cap fails before any solve
+    for idx, (inst, g, chi_exact) in enumerate(zip(manifest, graphs, chis)):
+        # a fresh engine per instance, its seed stream keyed by the instance index
         engine_seed = int(np.random.default_rng([config.seed, idx]).integers(1 << 31))
-        res = solve_instance(g, config, engine_seed, clock=clock)
+        res = solve_qcbp(g, engine=PricingEngine(replace(config, seed=engine_seed)), clock=clock)
         res.coloring.validate(g, g.full_mask)
         chi_hat, stats = res.coloring.colors_used, res.stats
         if chi_hat < chi_exact:

@@ -38,7 +38,7 @@ import heapq
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .bounds import CEIL_TOL, spectral_lb
@@ -232,9 +232,18 @@ def solve_qcbp(
     """Full solve: certified column generation at every explored node,
     incumbents from each node's columns, best-score-first search with bound
     pruning. The module docstring gives the rules for queueing, bounding and
-    revisiting a residual."""
-    config = config or RunConfig()
+    revisiting a residual.
+
+    Every setting comes from `engine.config`; without an engine one is built
+    from `config`. A `config` given beside an engine must equal its config in
+    every field but `seed`, since the engine's seed stream is its own."""
     engine = engine or PricingEngine(config)
+    if config is not None:
+        differ = [f.name for f in fields(RunConfig)
+                  if f.name != "seed" and getattr(config, f.name) != getattr(engine.config, f.name)]
+        if differ:
+            raise ValueError(f"config differs from engine.config in {', '.join(differ)}")
+    config = engine.config
     t_start = clock()
 
     pool = ColumnPool()
@@ -274,7 +283,7 @@ def solve_qcbp(
             continue
         stats.nodes_explored += 1
 
-        hcg_res = run_hcg(g, node.residual_root, pool, engine, config.hcg_max_iterations)
+        hcg_res = run_hcg(g, node.residual_root, pool, engine)
         pricing_log.extend(hcg_res.pricing_log)
         stats.exact_pricer_calls += hcg_res.exact_calls
         stats.uncertified_nodes += not hcg_res.certified

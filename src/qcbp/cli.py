@@ -20,9 +20,9 @@ from .bench import (
     parse_rows,
     pricing_log_csv,
     run_benchmark,
-    solve_instance,
     summarize,
 )
+from .bnp import solve_qcbp
 from .chromatic import exact_chromatic_number
 from .graphs import parse_dimacs
 from .pricing import PricingStats
@@ -68,7 +68,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # cap, and a graph file stem (the log's instance name) that would split a row
     chi_exact = exact_chromatic_number(g) if args.chi_exact else None
     instance = _format(Path(args.graph).stem) if args.pricing_log else None
-    res = solve_instance(g, config, engine_seed=config.seed)
+    res = solve_qcbp(g, config)
     stats = res.stats
     print(f"instance: {args.graph}")
     print(f"sampler={config.sampler}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .graphs import require_positive
-
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
@@ -48,7 +46,8 @@ class RunConfig:
         if self.sampler not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
             raise ValueError(f"unknown sampler kind {self.sampler!r}")
         for name in ("shots", "node_budget", "hcg_max_iterations", "embed_iterations", "embed_restarts"):
-            require_positive(self, name)
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("dt", "c6", "duration", "delta_start", "delta_end", "register_radius"):
@@ -62,8 +61,8 @@ class RunConfig:
             raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
                              f"tables would take about {steps * 40 / 1e9:.2g} GB")
 
-    # `bench.solve_instance` and the benchmark harness seed each solve's engine
-    # through `sampler_config`; the harness also passes `solver_config()`.
+    # The benchmark harness seeds each solve's engine through `sampler_config`
+    # and passes `solver_config()` beside it, which differs only in its seed.
     def sampler_config(self, seed: int | None = None) -> RunConfig:
         """This config, with `seed` as its sampler seed when one is given."""
         return self if seed is None else replace(self, seed=seed)

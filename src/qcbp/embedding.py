@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .graphs import Graph, pairwise_distances
+from .graphs import MIN_SPACING_UM, Graph, pairwise_distances
 
-MIN_SPACING_UM = 4.0
 REGISTER_RADIUS_UM = 50.0
 # Loss weights of the edge, non-edge, spacing and register-disk hinges.
 W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
@@ -189,7 +188,7 @@ def _project(pos: np.ndarray) -> np.ndarray:
     return pos * scale
 
 
-def embed(g: Graph, config: RunConfig | None = None, seed: int = 0) -> Register:
+def embed(g: Graph, config: RunConfig, seed: int = 0) -> Register:
     """Best register over the configured restarts.
 
     The restarts descend as one batch that ends as soon as one of them reaches
@@ -199,7 +198,6 @@ def embed(g: Graph, config: RunConfig | None = None, seed: int = 0) -> Register:
     first, then fewest extra (extra edges only shrink the sampled family,
     which keeps pricing sound), then restart order.
     """
-    config = config or RunConfig()
     best: tuple[tuple[int, int, int], Register] | None = None
     last_error: EmbeddingError | None = None
     for restart, raw in enumerate(_descend(g, config, seed)):

@@ -18,12 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MAX_VERTICES = 64
-
-
-def require_positive(config, name: str) -> None:
-    """Reject a count below 1 when the config that holds it is built."""
-    if getattr(config, name) < 1:
-        raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+MIN_SPACING_UM = 4.0  # the hardware's least atom spacing: instance points and registers keep it
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -176,9 +171,8 @@ def random_ud_graph(
     seed: int,
     radius: float = 10.0,
     box: float = 40.0,
-    min_spacing: float = 4.0,
 ) -> tuple[Graph, np.ndarray]:
-    """Sample n points uniformly in a box (rejection sampling for >= min_spacing)
+    """Sample n points uniformly in a box (rejection sampling for >= MIN_SPACING_UM)
     and return the unit-disk graph at the given radius plus the positions.
     """
     if n < 1:
@@ -194,7 +188,7 @@ def random_ud_graph(
         for _ in range(n):
             for _ in range(400):
                 p = rng.uniform(0.0, box, size=2)
-                if all(float(np.hypot(*(p - q))) >= min_spacing for q in pts):
+                if all(float(np.hypot(*(p - q))) >= MIN_SPACING_UM for q in pts):
                     pts.append(p)
                     break
             else:
@@ -210,11 +204,11 @@ def random_ud_graph(
                 if dist[u, v] <= radius
             ]
             return Graph.from_edges(n, edges), positions
-    raise RuntimeError(f"could not place {n} points with spacing {min_spacing} in a {box}x{box} box")
+    raise RuntimeError(f"could not place {n} points with spacing {MIN_SPACING_UM} in a {box}x{box} box")
 
 
-def flip_random_pairs(g: Graph, seed: int, max_flips: int = 3) -> Graph:
-    """Toggle the adjacency of k random vertex pairs, k uniform in {1..max_flips}
+def flip_random_pairs(g: Graph, seed: int) -> Graph:
+    """Toggle the adjacency of k random vertex pairs, k uniform in {1, 2, 3}
     and capped at the n(n-1)/2 pairs there are.
 
     Used to derive non-unit-disk instances from unit-disk ones. Graphs with a
@@ -223,7 +217,7 @@ def flip_random_pairs(g: Graph, seed: int, max_flips: int = 3) -> Graph:
     if g.n < 2:
         return g
     rng = np.random.default_rng(seed)
-    k = min(int(rng.integers(1, max_flips + 1)), g.n * (g.n - 1) // 2)
+    k = min(int(rng.integers(1, 4)), g.n * (g.n - 1) // 2)
     edges = set(g.edges())
     flipped: set[tuple[int, int]] = set()
     while len(flipped) < k:

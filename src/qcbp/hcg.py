@@ -10,10 +10,9 @@ round or supplies the heaviest set. Columns are only appended within a run,
 so each re-solve restarts from the last optimal basis and carries its simplex
 tableau on.
 
-A run that has not certified after `max_iterations` pricing rounds stops
-capped; the search passes `RunConfig.hcg_max_iterations`, whose default is
-MAX_ITERATIONS. Every run reports Farley's bound: the clipped duals' sum over
-an upper bound on the weight of every independent set under them. The
+A run that has not certified after its engine's `hcg_max_iterations` pricing
+rounds stops capped. Every run reports Farley's bound: the clipped duals' sum
+over an upper bound on the weight of every independent set under them. The
 master's objective is not a certified bound. A capped run's is an upper bound
 on the LP, and a certificate only shows that no set weighs more than
 1 + IMPROVE_EPS. A certified run takes that weight from its certificate, the
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import MAX_ITERATIONS
 from .graphs import Graph, iter_bits, mask_of
 from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
                       clique_cover_weight, exact_mwis, greedy_columns)
@@ -67,10 +65,9 @@ def run_hcg(
     keep: int,
     pool: ColumnPool,
     engine: PricingEngine,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> HcgResult:
     """Column generation on the subproblem that `root` induces on `keep`,
-    until certified or after `max_iterations` pricing rounds.
+    until certified or after `engine.config.hcg_max_iterations` pricing rounds.
 
     Every column, pooled or new, is a root-graph mask; the master cuts each
     one down to `keep` and holds its own singletons, so it stays feasible.
@@ -90,7 +87,7 @@ def run_hcg(
     duals = sol.duals.tolist()
     prev_obj = sol.objective
     iterations = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, engine.config.hcg_max_iterations + 1):
         iterations = iteration
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         found: list[int] = []

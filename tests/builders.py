@@ -40,8 +40,8 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def exact_engine() -> PricingEngine:
-    return PricingEngine(RunConfig(sampler="exact_pricer"))
+def exact_engine(**options) -> PricingEngine:
+    return PricingEngine(RunConfig(sampler="exact_pricer", **options))
 
 
 def stochastic_engine(seed: int = 0) -> PricingEngine:

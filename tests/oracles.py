@@ -124,6 +124,11 @@ def is_maximal_independent(g, s: int) -> bool:
     return g.is_independent(s) and all(g.adj[v] & s for v in range(g.n) if not s >> v & 1)
 
 
+def all_independent_sets(g) -> list[int]:
+    """Every nonempty independent set of g, as masks in increasing order."""
+    return [s for s in range(1, 1 << g.n) if g.is_independent(s)]
+
+
 def independence_table(g) -> np.ndarray:
     """Boolean vector over all 2^n masks: True where the mask is independent.
 

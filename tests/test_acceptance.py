@@ -23,20 +23,12 @@ from qcbp.graphs import Graph, iter_bits, random_ud_graph
 from qcbp.pricing import IMPROVE_EPS, PricingEngine, exact_mwis, reduced_cost
 from qcbp.rmp import ColumnPool, RmpModel, solve_rmp
 
-from oracles import brute_mwis_value, fidelity, random_register, rk4_final_states
+from builders import random_graph
+from oracles import all_independent_sets, brute_mwis_value, fidelity, random_register, rk4_final_states
 
 SWEEP_SEED = 11
 
 pytestmark = pytest.mark.slow
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
-def all_independent_sets(g: Graph) -> list[int]:
-    return [s for s in range(1, 1 << g.n) if g.is_independent(s)]
 
 
 def report(line: str) -> None:

@@ -24,7 +24,7 @@ from qcbp.bounds import SpectralBounds, spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.config import RunConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
-from qcbp.hcg import HcgResult
+from qcbp.hcg import HcgResult, run_hcg
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 
 from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
@@ -298,7 +298,7 @@ class TestSolve:
         rng = np.random.default_rng(85)
         for _ in range(20):
             g = random_graph(10, 0.45, rng)
-            res = solve_qcbp(g, RunConfig(node_budget=2), engine=exact_engine())
+            res = solve_qcbp(g, engine=exact_engine(node_budget=2))
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g)
@@ -308,9 +308,10 @@ class TestSolve:
         rng = np.random.default_rng(87)
         for k in range(30):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k,
+                                             hcg_max_iterations=cap))
             # a root bound above chi would raise here: the heuristic beats it
-            res = solve_qcbp(g, RunConfig(hcg_max_iterations=cap), engine=engine)
+            res = solve_qcbp(g, engine=engine)
             assert res.root_lb <= exact_chromatic_number(g)
 
     @pytest.mark.parametrize("cap", [1, 2])
@@ -321,8 +322,9 @@ class TestSolve:
         rng = np.random.default_rng(2)
         for k in range(150):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
-            res = solve_qcbp(g, RunConfig(hcg_max_iterations=cap), engine=engine)
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k,
+                                             hcg_max_iterations=cap))
+            res = solve_qcbp(g, engine=engine)
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
                 assert res.chi_hat == exact_chromatic_number(g), f"instance {k}"
@@ -374,7 +376,7 @@ class TestSolve:
 
     def test_capped_runs_are_counted_uncertified(self):
         g = random_graph(9, 0.4, np.random.default_rng(88))
-        res = solve_qcbp(g, RunConfig(hcg_max_iterations=1), engine=exact_engine())
+        res = solve_qcbp(g, engine=exact_engine(hcg_max_iterations=1))
         assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
 
     def test_pool_is_a_packed_array_of_distinct_masks(self):
@@ -402,7 +404,7 @@ class TestSolve:
         edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
         edges += [(10, 5 + i) for i in range(5)]
         g = Graph.from_edges(11, edges)
-        res = solve_qcbp(g, RunConfig(node_budget=1), engine=exact_engine())
+        res = solve_qcbp(g, engine=exact_engine(node_budget=1))
         assert not res.proven_optimal and res.stats.unproven_reason == "budget"
         res = solve_qcbp(g, engine=exact_engine())
         assert res.proven_optimal and res.chi_hat == 4 and res.stats.unproven_reason == ""
@@ -424,7 +426,7 @@ class TestSolve:
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
         # myciel4 has a root gap (LP 3.245, chromatic number 5); the budget
         # stops the search after 5 explored nodes with 35 still open
-        res = solve_qcbp(myciel(4), RunConfig(node_budget=40), engine=exact_engine())
+        res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=40))
         s = res.stats
         names = [name for name, _ in events]
         assert names.count("run_hcg") == names.count("primal_heuristic") == s.nodes_explored > 1
@@ -499,6 +501,31 @@ class TestSolve:
         assert res.pricing_log and {row.shots for row in res.pricing_log} <= {0, 5}
         engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=2))
         assert res.pool == solve_qcbp(g, engine=engine).pool
+
+    def test_search_and_column_generation_read_the_engines_config(self, monkeypatch):
+        # myciel4 needs 118 nodes to prove; the engine's budget stops it at 2
+        res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=2))
+        assert res.stats.nodes_generated == 2 and res.stats.unproven_reason == "budget"
+        runs = []
+
+        def recording(*args):
+            runs.append(run_hcg(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(qcbp.bnp, "run_hcg", recording)
+        res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=5, hcg_max_iterations=1))
+        assert runs and all(run.iterations == 1 for run in runs)
+        assert res.stats.uncertified_nodes > 0
+
+    def test_config_beside_an_engine_must_match_it_but_for_the_seed(self):
+        with pytest.raises(ValueError, match=r"in sampler$"):
+            solve_qcbp(cycle(5), RunConfig(sampler="exact_pricer"), engine=PricingEngine())
+        with pytest.raises(ValueError, match=r"in shots, node_budget$"):
+            solve_qcbp(cycle(5), RunConfig(sampler="exact_pricer", shots=7, node_budget=2),
+                       engine=exact_engine())
+        # the benchmark harness passes a seed-0 config beside a seeded engine
+        res = solve_qcbp(cycle(5), RunConfig(sampler="exact_pricer"), engine=exact_engine(seed=9))
+        assert res.proven_optimal and res.chi_hat == 3
 
     def test_emulated_sampler_end_to_end(self):
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
@@ -585,7 +612,7 @@ class TestWeakBoundSearch:
         # random search order reaches one residual by a deeper path first.
         explored = []
 
-        def no_pricing(root, keep, pool, engine, max_iterations):
+        def no_pricing(root, keep, pool, engine):
             explored.append(keep)
             return HcgResult(lp_bound=0.0, iterations=0, certified=False,
                              columns=[1 << v for v in iter_bits(keep)])

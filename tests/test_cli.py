@@ -1,5 +1,6 @@
 import pytest
 
+import qcbp.bench
 import qcbp.cli
 from qcbp.bench import PRICING_HEADER, BenchRecord, csv_header
 from qcbp.cli import main
@@ -135,7 +136,7 @@ class TestSolve:
         assert captured.out == "" and not log.exists()
 
     def test_chi_exact_above_the_oracle_cap_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(qcbp.cli, "solve_instance", lambda *args, **kwargs: pytest.fail("solved"))
+        monkeypatch.setattr(qcbp.cli, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
         graph = tmp_path / "e21.dimacs"
         graph.write_text(Graph.from_edges(21, []).to_dimacs())
         assert main(["solve", str(graph), "--sampler", "exact_pricer", "--chi-exact"]) == 2
@@ -205,6 +206,16 @@ class TestBenchReport:
                      "--sampler", "quantum"])
         assert code == 2
         assert "error: unknown sampler kind 'quantum'" in capsys.readouterr().err
+
+    def test_instance_above_the_oracle_cap_errors_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--ns", "8,21", "--per-n", "2"]) == 0
+        monkeypatch.setattr(qcbp.bench, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
+        code = main(["bench", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                     "--sampler", "exact_pricer"])
+        assert code == 2
+        assert "error: exact oracle capped at 20 vertices, got 21" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedRows:

@@ -219,7 +219,7 @@ class TestAccounting:
     def test_iteration_cap_flags_uncertified(self):
         g = random_graph(9, 0.35, np.random.default_rng(75))
         pool = ColumnPool()
-        res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
+        res = run_hcg(g, g.full_mask, pool, exact_engine(hcg_max_iterations=1))
         assert not res.certified or res.iterations <= 1
 
     def test_capped_bound_stays_below_the_lp(self, greedy_answers):
@@ -231,7 +231,7 @@ class TestAccounting:
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
                 greedy_answers[0] = 0
-                res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine(), cap)
+                res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine(hcg_max_iterations=cap))
                 assert res.lp_bound <= full_lp_value(g) + 1e-9
                 if not res.certified:
                     capped += 1
@@ -245,7 +245,7 @@ class TestAccounting:
         # runs but the capped run's bound call.
         g = Graph.from_edges(4, [])
         pool = ColumnPool()
-        res = run_hcg(g, g.full_mask, pool, exact_engine(), 1)
+        res = run_hcg(g, g.full_mask, pool, exact_engine(hcg_max_iterations=1))
         assert res.iterations == 1 and res.exact_calls == 1
         assert pool.columns == [0b1111]
 

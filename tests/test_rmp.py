@@ -6,6 +6,7 @@ from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
 from qcbp.rmp import REFACTOR_PIVOTS, RmpModel, _factor, _simplex, solve_rmp
 
 from builders import path3, random_graph
+from oracles import all_independent_sets
 
 
 def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> int:
@@ -15,10 +16,6 @@ def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> i
         if not g.adj[v] & s:
             s |= 1 << v
     return s
-
-
-def all_independent_sets(g: Graph) -> list[int]:
-    return [s for s in range(1, 1 << g.n) if g.is_independent(s)]
 
 
 def first_restrictions(masks: list[int], keep: int) -> list[int]:
