@@ -7,8 +7,7 @@ row), then the unseeded greedy. When neither finds a column, a clique cover
 certifies that no improving column exists; only when the cover weighs more
 than 1 + IMPROVE_EPS does the exact MWIS safeguard run, which certifies the
 round or supplies the heaviest set. Columns are only appended within a run,
-so each re-solve restarts from the last optimal basis and carries its simplex
-tableau on.
+so each re-solve restarts from the last optimal basis.
 
 A run that has not certified after its engine's `hcg_max_iterations` pricing
 rounds stops capped. Every run reports Farley's bound: the clipped duals' sum

@@ -4,19 +4,18 @@ The model is min sum(lambda) subject to one equality row per vertex of the
 subproblem's root-graph mask `keep`, in increasing order (each vertex covered
 exactly once), and lambda >= 0. Columns are independent sets, given as root
 masks and cut down to `keep`; duals come back one per root vertex, 0 outside
-`keep`. The model keeps its 0/1 constraint matrix, its basis and that
-basis's simplex tableau. One writer turns masks into matrix columns, a batch
-at a time in one array operation: the singletons of `keep` as columns
-0..r-1 and the pool when the model is built, then each round's priced
-columns. The model starts at the singleton basis, the identity, so its first
-tableau takes no inverse and no phase-1. Every solve restarts from the
-current basis and its tableau: columns are only ever appended, so that basis
-stays primal feasible, and each new column's tableau column is the basis
-inverse, read off the singletons' columns, times the new column. A pivot is
-one rank-one update of the tableau, which is rebuilt from a fresh inverse
-every REFACTOR_PIVOTS pivots, counted across solves. The primal values and
-the duals are read off the tableau, and the exit checks recompute every
-condition from the constraint matrix.
+`keep`. The model keeps only its 0/1 constraint matrix and its basis. One
+writer turns masks into matrix columns, a batch at a time in one array
+operation: the singletons of `keep` as columns 0..r-1 and the pool when the
+model is built, then each round's priced columns. The model starts at the
+singleton basis, the identity, which is primal feasible, so no solve needs a
+phase-1. Every solve starts from the current basis: columns are only ever
+appended, so that basis stays primal feasible, and its tableau is built from
+a fresh inverse of its columns. A pivot is one rank-one update of the
+tableau, which is rebuilt from a fresh inverse every REFACTOR_PIVOTS pivots
+of the solve. So a solve's result depends on its columns and starting basis
+alone. The primal values and the duals are read off the tableau, and the
+exit checks recompute every condition from the constraint matrix.
 """
 
 from __future__ import annotations
@@ -36,11 +35,10 @@ DEGENERATE_PIVOT_LIMIT = 500
 MAX_PIVOTS = 20_000
 # Each rank-one update carries the tableau's rounding error forward, and can
 # grow it on an ill-conditioned basis, so the tableau is rebuilt from a fresh
-# inverse of the basis columns this often. Over the 1144 master solves of 150
-# G(20, 0.3) solves, the tableau at a solve's end differs from a fresh factor
-# of its basis by at most 1.6e-12, far under the exit checks' tolerances (1e-9
-# feasibility, 1e-7 duality). The count carries across a model's solves, so a
-# warm solve of a few pivots takes no inverse.
+# inverse of the basis columns this often within a solve. Over the 1137 master
+# solves of 150 G(20, 0.3) solves, the tableau at a solve's end differs from a
+# fresh factor of its basis by at most 2.5e-13, far under the exit checks'
+# tolerances (1e-9 feasibility, 1e-7 duality).
 REFACTOR_PIVOTS = 16
 
 
@@ -80,8 +78,6 @@ class RmpModel:
     _rows: list[int] = field(init=False, repr=False)  # the vertices of `keep`, increasing
     _a: np.ndarray = field(init=False, repr=False)
     _basis: np.ndarray = field(init=False)
-    _tableau: np.ndarray = field(init=False, repr=False)
-    _pivots: int = field(default=0, init=False, repr=False)  # since the tableau's last refactor
 
     def __post_init__(self, pool: Iterable[int]) -> None:
         if not 0 < self.keep <= self.graph.full_mask:
@@ -91,7 +87,6 @@ class RmpModel:
         self._a = np.zeros((r, 0))
         self._write(chain((1 << v for v in self._rows), pool))
         self._basis = np.arange(r)
-        self._tableau = _columns(np.eye(r), np.hstack([np.ones((r, 1)), self._a]))
 
     def add(self, masks: Iterable[int]) -> int:
         """Append independent sets as columns, skipping duplicates; returns the
@@ -121,30 +116,29 @@ class RmpSolution:
     objective: float
 
 
-def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray, pivots: int) -> int:
+def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> None:
     """Minimize 1'x subject to a x = 1, x >= 0 from a feasible basis and its
-    tableau, both updated in place; returns `pivots`, the pivots since the
-    tableau was last refactored, counted on.
+    tableau, both updated in place.
 
     Dantzig pricing with a switch to Bland's rule after a run of degenerate
     pivots, which guarantees termination. Among tied leaving rows, the one
     whose basic column has the smallest index leaves. A pivot is one rank-one
-    update of the tableau, and every REFACTOR_PIVOTS pivots it is rebuilt from
-    `a` instead.
+    update of the tableau, and every REFACTOR_PIVOTS pivots of the call it is
+    rebuilt from `a` instead.
     """
     degenerate = 0
     bland = False
     reduced, x_b, body = tableau[0, 1:], tableau[1:, 0], tableau[1:, 1:]  # views
-    for _ in range(MAX_PIVOTS):
+    for pivots in range(1, MAX_PIVOTS + 1):
         if bland:
             improving = (reduced < -OPT_TOL).nonzero()[0]
             if improving.size == 0:
-                return pivots
+                return
             enter = int(improving[0])
         else:
             enter = int(reduced.argmin())
             if reduced[enter] >= -OPT_TOL:
-                return pivots
+                return
         direction = body[:, enter]
         positive = (direction > PIVOT_TOL).nonzero()[0]
         if positive.size == 0:
@@ -160,10 +154,8 @@ def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray, pivots: int)
         else:
             degenerate = 0
         basis[leave] = enter
-        pivots += 1
-        if pivots == REFACTOR_PIVOTS:
+        if pivots % REFACTOR_PIVOTS == 0:
             tableau[:] = _factor(a, basis)
-            pivots = 0
         else:
             column = tableau[:, 1 + enter].copy()
             pivot_row = tableau[1 + leave] / column[1 + leave]
@@ -172,39 +164,27 @@ def _simplex(a: np.ndarray, tableau: np.ndarray, basis: np.ndarray, pivots: int)
     raise RmpError("simplex pivot limit reached")
 
 
-def _columns(inv: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Tableau columns of the matrix columns `a` under the basis inverse `inv`:
-    the reduced cost 1 - 1'inv a_j (every cost, and the basic ones, is 1)
-    over inv a_j."""
-    body = inv @ a
-    return np.vstack([1.0 - body.sum(axis=0), body])
-
-
 def _factor(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The tableau of `basis`, from a fresh inverse of its columns."""
+    """The tableau of `basis`, from a fresh inverse of its columns: row 0 holds
+    1 - objective and the reduced costs 1 - 1'inv a_j (every cost, and the
+    basic ones, is 1), the rows below the basic values and inv a_j."""
     try:
         inv = np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError as exc:
         raise RmpError("singular basis") from exc
-    return _columns(inv, np.hstack([np.ones((len(basis), 1)), a]))
+    body = inv @ np.hstack([np.ones((len(basis), 1)), a])
+    return np.vstack([1.0 - body.sum(axis=0), body])
 
 
 def solve_rmp(model: RmpModel) -> RmpSolution:
-    """Optimal basic solution and duals of the current model, from its basis
-    and tableau.
+    """Optimal basic solution and duals of the current model, from its basis.
 
     Feasibility, strong duality, and pool dual-feasibility are re-checked on
     the way out; violations raise RmpError rather than being patched.
     """
-    a, r = model._a, len(model._rows)
-    if model._tableau.shape[1] <= a.shape[1]:
-        # The singletons' tableau columns are the basis inverse. Read through
-        # an index array, it comes out in Fortran order, and matmul's rounding
-        # follows the operand's memory order.
-        t = model._tableau
-        model._tableau = np.hstack([t, _columns(t[1:, 1 + np.arange(r)], a[:, t.shape[1] - 1:])])
-    basis, tableau = model._basis, model._tableau
-    model._pivots = _simplex(a, tableau, basis, model._pivots)
+    a, r, basis = model._a, len(model._rows), model._basis
+    tableau = _factor(a, basis)
+    _simplex(a, tableau, basis)
     x_b = tableau[1:, 0]
     y = 1.0 - tableau[0, 1:1 + r]
 
