@@ -4,14 +4,17 @@ Every instance is solved by `solve_qcbp`; the paper's HCG baseline (root
 column generation plus the primal heuristic) is the same run with
 `node_budget = 1`. Every record also carries the exact chromatic number from
 the reference backtracking oracle, so optimality rates and gaps come straight
-off the CSV, whose columns are the fields of `BenchRecord`.
+off the CSV, whose columns are the fields of `BenchRecord`. Every CSV the
+package writes or reads is a table of one record dataclass (`InstanceRecord`,
+`BenchRecord`, `PricingRow`), written by `records_to_csv` and read back by
+`parse_csv`.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +59,7 @@ def _coerce(ftype: str, value: str) -> object:
 
 def _format(value: object) -> str:
     """A CSV field; a string that would split its row or its line (as
-    `parse_rows` splits them) raises a ValueError naming it."""
+    `parse_csv` splits them) raises a ValueError naming it."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, str) and ("," in value or "".join(value.splitlines()) != value):
@@ -64,47 +67,36 @@ def _format(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def csv_header(cls: type) -> str:
-    return ",".join(f.name for f in fields(cls))
-
-
-def to_csv_row(record: object) -> str:
-    return ",".join(_format(getattr(record, f.name)) for f in fields(record))
-
-
-def parse_row(cls: type, line: str) -> object:
-    """One record of dataclass `cls` from a CSV row in `csv_header(cls)` order;
-    a value that does not parse raises a ValueError naming its column."""
-    values = []
-    for f, value in zip(fields(cls), line.split(","), strict=True):
-        try:
-            values.append(_coerce(f.type, value))
-        except ValueError as exc:
-            raise ValueError(f"column {f.name!r}: {exc}") from None
-    return cls(*values)
-
-
-def parse_rows(header: str, text: str, parse) -> list:
-    """`parse` of each row of CSV text headed by `header`. A row whose field
-    count is not the header's, or that `parse` rejects, raises a ValueError
-    naming its file line (the header is line 1)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        raise ValueError(f"malformed CSV header, expected {header!r}")
-    parsed = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            if line.count(",") != header.count(","):
-                raise ValueError(f"expected {header.count(',') + 1} fields, found {line.count(',') + 1}")
-            parsed.append(parse(line))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return parsed
+def records_to_csv(records: list, cls: type) -> str:
+    """CSV text headed by the field names of dataclass `cls`, one row per record."""
+    names = [f.name for f in fields(cls)]
+    rows = (",".join(_format(getattr(record, name)) for name in names) for record in records)
+    return "\n".join([",".join(names), *rows]) + "\n"
 
 
 def parse_csv(cls: type, text: str) -> list:
-    """Records of dataclass `cls` from CSV text headed by `csv_header(cls)`."""
-    return parse_rows(csv_header(cls), text, lambda line: parse_row(cls, line))
+    """Records of dataclass `cls` from CSV text headed by its field names, as
+    `records_to_csv` writes it. A row whose field count is not the header's,
+    or a value that does not parse by its field type, raises a ValueError
+    naming its file line (the header is line 1) and the value's column."""
+    cols = fields(cls)
+    header = ",".join(f.name for f in cols)
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"malformed CSV header, expected {header!r}")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(cols):
+            raise ValueError(f"line {lineno}: expected {len(cols)} fields, found {len(values)}")
+        parsed = []
+        for f, value in zip(cols, values):
+            try:
+                parsed.append(_coerce(f.type, value))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: column {f.name!r}: {exc}") from None
+        records.append(cls(*parsed))
+    return records
 
 
 def make_run_config(settings: dict[str, str]) -> RunConfig:
@@ -198,13 +190,14 @@ class BenchRecord:
     wall_ms: float
 
 
-PRICING_HEADER = "instance," + csv_header(PricingStats)
+# A pricing-log row: the instance's name, then the fields of its `PricingStats`.
+PricingRow = make_dataclass(
+    "PricingRow", [("instance", "str"), *((f.name, f.type) for f in fields(PricingStats))], frozen=True)
 
 
-def pricing_log_csv(log: list[tuple[str, PricingStats]]) -> str:
-    """Pricing-log rows, each tagged with its instance, as `PRICING_HEADER` CSV."""
-    rows = (f"{_format(instance)},{to_csv_row(row)}" for instance, row in log)
-    return "\n".join([PRICING_HEADER, *rows]) + "\n"
+def pricing_rows(instance: str, log: list[PricingStats]) -> list[PricingRow]:
+    """A solve's pricing log as `PricingRow`s of `instance`."""
+    return [PricingRow(instance, *astuple(stats)) for stats in log]
 
 
 def run_benchmark(
@@ -212,9 +205,9 @@ def run_benchmark(
     config: RunConfig,
     out_dir: str | Path | None = None,
     clock=time.perf_counter,
-) -> tuple[list[BenchRecord], list[tuple[str, PricingStats]]]:
+) -> tuple[list[BenchRecord], list[PricingRow]]:
     """Solve every manifest instance; returns the records and the pricing-log
-    rows, each with its instance's name.
+    rows (`PricingRow`s).
 
     With a deterministic clock and fixed seeds the CSV outputs are
     byte-identical across runs (single worker).
@@ -222,7 +215,7 @@ def run_benchmark(
     dataset = Path(dataset_dir)
     manifest = parse_csv(InstanceRecord, (dataset / "manifest.csv").read_text())
     records: list[BenchRecord] = []
-    pricing: list[tuple[str, PricingStats]] = []
+    pricing: list[PricingRow] = []
     graphs = [parse_dimacs((dataset / inst.graph_file).read_text()) for inst in manifest]
     chis = [exact_coloring(g)[0] for g in graphs]  # the oracle's vertex cap fails before any solve
     for idx, (inst, g, chi_exact) in enumerate(zip(manifest, graphs, chis)):
@@ -244,25 +237,21 @@ def run_benchmark(
             exact_calls=stats.exact_pricer_calls, uncertified_nodes=stats.uncertified_nodes,
             unproven_reason=stats.unproven_reason, wall_ms=stats.wall_seconds * 1e3,
         ))
-        pricing.extend((inst.instance, row) for row in res.pricing_log)
+        pricing += pricing_rows(inst.instance, res.pricing_log)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "records.csv").write_text(records_to_csv(records))
-        (out / "pricing_log.csv").write_text(pricing_log_csv(pricing))
-        (out / "summary.txt").write_text(summarize(records, [row for _, row in pricing]))
+        (out / "records.csv").write_text(records_to_csv(records, BenchRecord))
+        (out / "pricing_log.csv").write_text(records_to_csv(pricing, PricingRow))
+        (out / "summary.txt").write_text(summarize(records, pricing))
     return records, pricing
-
-
-def records_to_csv(records: list, cls: type = BenchRecord) -> str:
-    return "\n".join([csv_header(cls), *map(to_csv_row, records)]) + "\n"
 
 
 def _rate(records: list[BenchRecord]) -> float:
     return sum(r.chi_hat == r.chi_exact for r in records) / len(records)
 
 
-def summarize(records: list[BenchRecord], pricing: list[PricingStats]) -> str:
+def summarize(records: list[BenchRecord], pricing: list[PricingRow]) -> str:
     """Aggregate tables: optimality by UD flag, gap by n, shot and node
     distributions, median exact-pricer calls, and sampler quality by n_sub."""
     if not records:
@@ -308,7 +297,7 @@ def summarize(records: list[BenchRecord], pricing: list[PricingStats]) -> str:
             cells.append(f"n={n}:{statistics.median(grp):.1f}" if grp else f"n={n}:-")
         lines.append(f"unit_disk={str(flag).lower():5s}  " + "  ".join(cells))
 
-    by_sub: dict[int, list[PricingStats]] = {}
+    by_sub: dict[int, list[PricingRow]] = {}
     for stats in pricing:
         if stats.shots:  # a round answered from the sample memory drew nothing to rate
             by_sub.setdefault(stats.n_sub, []).append(stats)

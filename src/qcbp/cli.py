@@ -8,24 +8,22 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
-    PRICING_HEADER,
     BenchRecord,
+    PricingRow,
     RunConfig,
     _format,
     generate_dataset,
     make_run_config,
     parse_config_file,
     parse_csv,
-    parse_row,
-    parse_rows,
-    pricing_log_csv,
+    pricing_rows,
+    records_to_csv,
     run_benchmark,
     summarize,
 )
 from .bnp import solve_qcbp
 from .chromatic import exact_chromatic_number
 from .graphs import parse_dimacs
-from .pricing import PricingStats
 
 _CONFIG_FLAGS = [f.name for f in fields(RunConfig)]
 
@@ -81,7 +79,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.chi_exact:
         print(f"chi_exact={chi_exact}")
     if args.pricing_log:
-        Path(args.pricing_log).write_text(pricing_log_csv([(instance, row) for row in res.pricing_log]))
+        Path(args.pricing_log).write_text(records_to_csv(pricing_rows(instance, res.pricing_log), PricingRow))
         print(f"pricing log written to {args.pricing_log}")
     return 0
 
@@ -89,18 +87,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _build_config(args)
     records, pricing = run_benchmark(args.dataset, config, out_dir=args.out)
-    print(summarize(records, [row for _, row in pricing]))
+    print(summarize(records, pricing))
     print(f"records written to {Path(args.out) / 'records.csv'}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     records = parse_csv(BenchRecord, Path(args.records).read_text())
-    pricing: list[PricingStats] = []
-    if args.pricing_log:
-        text = Path(args.pricing_log).read_text()
-        # the stats follow the instance column
-        pricing = parse_rows(PRICING_HEADER, text, lambda row: parse_row(PricingStats, row.partition(",")[2]))
+    pricing = parse_csv(PricingRow, Path(args.pricing_log).read_text()) if args.pricing_log else []
     print(summarize(records, pricing), end="")
     return 0
 

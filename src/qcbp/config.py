@@ -3,14 +3,15 @@
 Its fields are the CLI flags and the config-file keys, and they are the only
 values a run may set; device limits, the pulse ramp, the layout's loss
 weights and descent schedule are module constants of the layers that use
-them. Every range is checked when the config is built, and each message
-names its field.
+them. Every type and range is checked when the config is built, and each
+message names its field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
@@ -45,6 +46,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.sampler not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
             raise ValueError(f"unknown sampler kind {self.sampler!r}")
+        # each number by its field type (numpy's pass); a bool is an Integral, but no field is a flag
+        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type][0])):
+                raise ValueError(f"{f.name} must be {kinds[f.type][1]}, got {value!r}")
         for name in ("shots", "node_budget", "hcg_max_iterations", "embed_iterations", "embed_restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -65,11 +65,9 @@ class RmpModel:
     masks. Zero and repeated restrictions are dropped, and first occurrences
     keep their pool order; pooled masks are independent sets, and so are
     their restrictions, so they are not checked again. The model holds its
-    constraint matrix (one column per mask, one row per vertex of `keep`),
-    its basis (the singletons until the first solve, then the last optimal
-    one) and that basis's tableau: row 0 holds 1 - objective and the reduced
-    costs, the rows below the basic values and the basis inverse times each
-    column."""
+    constraint matrix (one column per mask, one row per vertex of `keep`)
+    and its basis (the singletons until the first solve, then the last
+    optimal one); each solve factors its tableau afresh from that basis."""
 
     graph: Graph
     keep: int

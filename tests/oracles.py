@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from qcbp.embedding import Register
 from qcbp.config import RunConfig
 from qcbp.emulator import PulseSchedule, interaction_diagonal
+from qcbp.graphs import iter_bits
 
 
 def dense_x_operator(n: int) -> np.ndarray:
@@ -143,14 +145,28 @@ def independence_table(g) -> np.ndarray:
     return ok
 
 
-def brute_mwis_value(g, weights) -> float:
-    """Exhaustive maximum-weight independent set value."""
+def brute_mwis(g, weights) -> tuple[float, int]:
+    """Exhaustive maximum-weight independent set: its value, and the smallest
+    mask within 1e-12 of it (the empty set when no weight is positive)."""
     ok = independence_table(g)
     masks = np.arange(1 << g.n, dtype=np.int64)
     values = np.zeros(1 << g.n)
     for v in range(g.n):
         values += np.asarray(weights, dtype=float)[v] * ((masks >> v) & 1)
-    return float(values[ok].max())
+    best = values[ok].max()
+    return float(best), int(np.flatnonzero(ok & (values >= best - 1e-12))[0])
+
+
+def lp_oracle(g, masks: list[int]) -> float:
+    """The set-partitioning LP over `masks` (cover every vertex exactly once,
+    at cost 1 a column), solved by HiGHS."""
+    a = np.zeros((g.n, len(masks)))
+    for j, mask in enumerate(masks):
+        for v in iter_bits(mask):
+            a[v, j] = 1.0
+    res = linprog(np.ones(len(masks)), A_eq=a, b_eq=np.ones(g.n), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
 
 
 def random_register(rng: np.random.Generator, n: int, spread: float = 14.0) -> Register:

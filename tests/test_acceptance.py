@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from qcbp.bench import RunConfig, generate_dataset, pricing_log_csv, records_to_csv, run_benchmark
+from qcbp.bench import BenchRecord, PricingRow, RunConfig, generate_dataset, records_to_csv, run_benchmark
 from qcbp.bnp import solve_qcbp
 from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
@@ -24,7 +23,7 @@ from qcbp.pricing import IMPROVE_EPS, PricingEngine, exact_mwis, reduced_cost
 from qcbp.rmp import ColumnPool, RmpModel, solve_rmp
 
 from builders import random_graph
-from oracles import all_independent_sets, brute_mwis_value, fidelity, random_register, rk4_final_states
+from oracles import all_independent_sets, brute_mwis, fidelity, lp_oracle, random_register, rk4_final_states
 
 SWEEP_SEED = 11
 
@@ -164,14 +163,7 @@ def test_criterion_7_lp_correctness():
         model = RmpModel(g, g.full_mask)
         model.add([s for s in masks if s.bit_count() > 1])
         sol = solve_rmp(model)
-        a = np.zeros((g.n, len(model.masks)))
-        for j, mask in enumerate(model.masks):
-            for v in iter_bits(mask):
-                a[v, j] = 1.0
-        res = linprog(np.ones(len(model.masks)), A_eq=a, b_eq=np.ones(g.n),
-                      bounds=(0, None), method="highs")
-        assert res.status == 0
-        assert abs(sol.objective - res.fun) < 1e-6
+        assert abs(sol.objective - lp_oracle(g, model.masks)) < 1e-6
     report("ACCEPTANCE 7 PASS: 100 RMPs at 1e-7 duality / 1e-9 feasibility; "
            "15 full-pool LPs match HiGHS within 1e-6")
 
@@ -214,7 +206,7 @@ def test_criterion_8_pricing_soundness():
         w = rng.uniform(-0.3, 1.3, size=n)
         got = exact_mwis(g, w)
         value = sum(float(w[v]) for v in iter_bits(got))
-        if abs(value - brute_mwis_value(g, w)) > 1e-9 or not g.is_independent(got):
+        if abs(value - brute_mwis(g, w)[0]) > 1e-9 or not g.is_independent(got):
             mismatches += 1
     assert mismatches == 0
     report(f"ACCEPTANCE 8 PASS: 10040 pricing calls sound ({emitted} columns emitted); "
@@ -245,6 +237,6 @@ def test_criterion_10_determinism(tmp_path):
         config = RunConfig(sampler="emulated_qaa", shots=60, seed=77,
                            embed_iterations=600, embed_restarts=2, dt=2e-3)
         records, pricing_rows = run_benchmark(dataset, config, clock=clock)
-        outputs.append((records_to_csv(records), pricing_log_csv(pricing_rows)))
+        outputs.append((records_to_csv(records, BenchRecord), records_to_csv(pricing_rows, PricingRow)))
     assert outputs[0] == outputs[1], "benchmark CSV not byte-identical across runs"
     report("ACCEPTANCE 10 PASS: fixed seeds reproduce byte-identical benchmark CSV")

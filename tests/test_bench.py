@@ -8,21 +8,18 @@ import pytest
 
 import qcbp.pricing
 from qcbp.bench import (
-    PRICING_HEADER,
     BenchRecord,
     InstanceRecord,
+    PricingRow,
     RunConfig,
-    csv_header,
     generate_dataset,
     make_run_config,
     parse_config_file,
     parse_csv,
-    parse_row,
-    pricing_log_csv,
+    pricing_rows,
     records_to_csv,
     run_benchmark,
     summarize,
-    to_csv_row,
 )
 from qcbp.graphs import parse_dimacs, pairwise_distances
 from qcbp.pricing import PricingEngine, PricingStats
@@ -63,6 +60,22 @@ class TestRunConfig:
     def test_range_error_names_its_field(self, name):
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             RunConfig(**{name: BAD_VALUES[name]})
+
+    @pytest.mark.parametrize("name, value", [
+        ("shots", 2.5), ("embed_restarts", 2.5), ("hcg_max_iterations", 2.5), ("seed", 1.5),
+        ("node_budget", 1.5), ("embed_iterations", "300"), ("shots", True), ("seed", np.float64(2.0)),
+        ("dt", "0.1"), ("c6", True), ("duration", None), ("delta_start", 1j), ("register_radius", "6"),
+    ])
+    def test_wrong_type_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|real number), got "):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("shots", np.int64(7)), ("seed", np.uint8(3)), ("node_budget", np.int32(5)),
+        ("dt", 1), ("c6", np.float32(9e5)), ("delta_end", np.int64(12)), ("register_radius", 7),
+    ])
+    def test_numpy_integers_and_ints_for_float_fields_accepted(self, name, value):
+        assert getattr(RunConfig(**{name: value}), name) == value
 
     def test_sampler_and_solver_config_are_the_config(self):
         cfg = RunConfig(shots=7)
@@ -242,7 +255,7 @@ class TestBenchmark:
         cfg = RunConfig(sampler="classical_stochastic", shots=25, seed=3)
         rec_a, rows_a = run_benchmark(small_dataset, cfg, clock=counter_clock())
         rec_b, rows_b = run_benchmark(small_dataset, cfg, clock=counter_clock())
-        assert records_to_csv(rec_a) == records_to_csv(rec_b)
+        assert records_to_csv(rec_a, BenchRecord) == records_to_csv(rec_b, BenchRecord)
         assert rows_a == rows_b
 
     def test_csv_headers_pinned(self, small_dataset, tmp_path):
@@ -253,44 +266,53 @@ class TestBenchmark:
                           "unproven_reason,wall_ms")
         manifest_header = "instance,n,is_ud,seed,graph_file,positions_file"
         pricing_header = "instance,iteration,n_sub,shots,distinct_bitstrings,improving,maximal"
-        assert (csv_header(BenchRecord), csv_header(InstanceRecord), PRICING_HEADER) == (
-            records_header, manifest_header, pricing_header)
+        assert tuple(records_to_csv([], cls) for cls in (BenchRecord, InstanceRecord, PricingRow)) == (
+            records_header + "\n", manifest_header + "\n", pricing_header + "\n")
         assert (out / "records.csv").read_text().splitlines()[0] == records_header
         assert (small_dataset / "manifest.csv").read_text().splitlines()[0] == manifest_header
         assert (out / "pricing_log.csv").read_text() == pricing_header + "\n"
 
     def test_csv_round_trip(self):
         unproven = BenchRecord("x", 5, True, 2, 3, 0.5, False, 100, 4, 2, 1, 2, 1, "budget", 12.5)
-        assert to_csv_row(unproven) == "x,5,true,2,3,0.5,false,100,4,2,1,2,1,budget,12.5"
         proven = replace(unproven, proven=True, uncertified_nodes=0, unproven_reason="")
-        assert to_csv_row(proven) == "x,5,true,2,3,0.5,true,100,4,2,1,2,0,,12.5"
-        assert parse_csv(BenchRecord, records_to_csv([unproven, proven])) == [unproven, proven]
+        assert records_to_csv([unproven, proven], BenchRecord).splitlines()[1:] == [
+            "x,5,true,2,3,0.5,false,100,4,2,1,2,1,budget,12.5", "x,5,true,2,3,0.5,true,100,4,2,1,2,0,,12.5"]
+        assert parse_csv(BenchRecord, records_to_csv([unproven, proven], BenchRecord)) == [unproven, proven]
         with pytest.raises(ValueError):
-            parse_csv(BenchRecord, records_to_csv([unproven]).replace("12.5", "12.5,7"))
+            parse_csv(BenchRecord, records_to_csv([unproven], BenchRecord).replace("12.5", "12.5,7"))
         flipped = replace(unproven, is_ud=False, proven=True)
-        assert parse_row(BenchRecord, to_csv_row(flipped)) == flipped
+        assert parse_csv(BenchRecord, records_to_csv([flipped], BenchRecord)) == [flipped]
+
+    def test_pricing_rows_round_trip(self, small_dataset):
+        _, rows = run_benchmark(small_dataset, RunConfig(sampler="classical_stochastic", shots=25, seed=4),
+                                clock=counter_clock())
+        assert rows and all(isinstance(row, PricingRow) for row in rows)
+        assert parse_csv(PricingRow, records_to_csv(rows, PricingRow)) == rows
+
+    def test_pricing_row_is_the_instance_then_the_stats(self):
+        assert tuple(f.name for f in fields(PricingRow)) == ("instance", *(f.name for f in fields(PricingStats)))
+        assert pricing_rows("x", [PricingStats(1, 5, 10, 3, 1, 1)]) == [PricingRow("x", 1, 5, 10, 3, 1, 1)]
 
     @pytest.mark.parametrize("name", ["c5,x", "a\nb", "a\r", "a\x0bb", "a\u2028b"])
     def test_string_that_would_split_a_row_rejected(self, name):
-        # `parse_rows` splits rows at commas and lines as `str.splitlines` does
+        # `parse_csv` splits rows at commas and lines as `str.splitlines` does
         with pytest.raises(ValueError, match="holds a comma or a line break"):
-            to_csv_row(replace(BenchRecord("x", 5, True, 2, 3, 0.5, True, 100, 4, 2, 1, 2, 0, "", 1.0),
-                               instance=name))
+            records_to_csv([BenchRecord(name, 5, True, 2, 3, 0.5, True, 100, 4, 2, 1, 2, 0, "", 1.0)], BenchRecord)
         with pytest.raises(ValueError, match=re.escape(repr(name))):
-            pricing_log_csv([(name, PricingStats(1, 5, 10, 3, 1, 1))])
+            records_to_csv(pricing_rows(name, [PricingStats(1, 5, 10, 3, 1, 1)]), PricingRow)
 
     @pytest.mark.parametrize("value", ["ture", "", "2", "y", "TRUE", "1", "yes"])
     def test_unknown_csv_boolean_rejected(self, value):
         row = f"x,5,{value},2,3,0.5,false,100,4,2,1,2,0,,12.5"
         with pytest.raises(ValueError, match=f"expected a boolean \\(true or false\\), got {value!r}"):
-            parse_row(BenchRecord, row)
+            parse_csv(BenchRecord, records_to_csv([], BenchRecord) + row + "\n")
 
     def test_summary_sections(self, small_dataset):
         records, pricing = run_benchmark(
             small_dataset, RunConfig(sampler="classical_stochastic", shots=25, seed=4),
             clock=counter_clock(),
         )
-        text = summarize(records, [row for _, row in pricing])
+        text = summarize(records, pricing)
         assert "optimality rate" in text
         assert "mean relative gap" in text
         assert "exact-pricer calls" in text
@@ -303,14 +325,14 @@ class TestBenchmark:
         distinct: dict[int, int] = {}
         improving: dict[int, int] = {}
         recalled = 0
-        for _, row in pricing:
+        for row in pricing:
             if row.shots == 0:  # answered from the sample memory: no draw to rate
                 recalled += 1
                 continue
             distinct[row.n_sub] = distinct.get(row.n_sub, 0) + row.distinct_bitstrings
             improving[row.n_sub] = improving.get(row.n_sub, 0) + row.improving
         assert recalled > 0
-        table = summarize(records, [row for _, row in pricing]).split("== sampler quality by subproblem size")[1]
+        table = summarize(records, pricing).split("== sampler quality by subproblem size")[1]
         shown = {int(n): (float(i), int(d)) for n, i, d in
                  re.findall(r"n_sub=\s*(\d+)\s+improving=(\S+) .*\(distinct=(\d+)\)", table)}
         assert len(shown) > 1

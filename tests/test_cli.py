@@ -2,7 +2,7 @@ import pytest
 
 import qcbp.bench
 import qcbp.cli
-from qcbp.bench import PRICING_HEADER, BenchRecord, csv_header
+from qcbp.bench import BenchRecord, PricingRow, records_to_csv
 from qcbp.cli import main
 from qcbp.graphs import Graph
 
@@ -235,10 +235,10 @@ class TestMalformedRows:
         ("pricing_log", PRICING.replace("200", "many"), "line 3: column 'shots': invalid literal"),
     ])
     def test_report_names_the_line(self, tmp_path, capsys, target, row, reason):
-        files = {"records": [csv_header(BenchRecord), self.RECORD], "pricing_log": [PRICING_HEADER, self.PRICING]}
-        files[target].append(row)
-        for name, lines in files.items():
-            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        files = {"records": (BenchRecord, [self.RECORD]), "pricing_log": (PricingRow, [self.PRICING])}
+        files[target][1].append(row)
+        for name, (cls, rows) in files.items():
+            (tmp_path / f"{name}.csv").write_text(records_to_csv([], cls) + "".join(r + "\n" for r in rows))
         assert main(["report", "--records", str(tmp_path / "records.csv"),
                      "--pricing-log", str(tmp_path / "pricing_log.csv")]) == 2
         assert f"error: {reason}" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import qcbp.hcg
 from qcbp.config import RunConfig
@@ -10,18 +9,7 @@ from qcbp.pricing import IMPROVE_EPS, PricingEngine
 from qcbp.rmp import ColumnPool
 
 from builders import complete, cycle, exact_engine, random_graph, stochastic_engine
-
-
-def full_lp_value(g: Graph) -> float:
-    """LP over every independent set, solved by HiGHS."""
-    masks = [s for s in range(1, 1 << g.n) if g.is_independent(s)]
-    a = np.zeros((g.n, len(masks)))
-    for j, mask in enumerate(masks):
-        for v in iter_bits(mask):
-            a[v, j] = 1.0
-    res = linprog(np.ones(len(masks)), A_eq=a, b_eq=np.ones(g.n), bounds=(0, None), method="highs")
-    assert res.status == 0
-    return float(res.fun)
+from oracles import all_independent_sets, lp_oracle
 
 
 def run_root(g: Graph, engine: PricingEngine, pool: ColumnPool | None = None):
@@ -111,7 +99,7 @@ class TestCertificates:
                 g = random_graph(n, rng.uniform(0.15, 0.7), rng)
                 res = run_root(g, engine_maker())
                 assert res.certified
-                assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
+                assert res.lp_bound == pytest.approx(lp_oracle(g, all_independent_sets(g)), abs=1e-6)
 
     def test_certified_bound_is_farleys_and_never_above_the_full_lp(self, masters):
         # The pricer certifies max weight <= 1 + 1e-6 only, so the master's
@@ -122,7 +110,7 @@ class TestCertificates:
                 g = random_graph(int(rng.integers(1, 13)), rng.uniform(0.1, 0.8), rng)
                 res = run_root(g, engine_maker())
                 assert res.certified
-                lp = full_lp_value(g)
+                lp = lp_oracle(g, all_independent_sets(g))
                 assert lp - 1e-6 <= res.lp_bound <= lp + 1e-9
                 assert res.lp_bound <= masters[-1].objective + 1e-12
 
@@ -174,7 +162,7 @@ class TestCertificates:
                 assert res.certified
                 if covers["tight"]:
                     by_cover += 1
-                    lp = full_lp_value(g)
+                    lp = lp_oracle(g, all_independent_sets(g))
                     assert lp - 1e-6 <= res.lp_bound <= lp + 1e-9
         assert by_cover > 0
 
@@ -232,7 +220,7 @@ class TestAccounting:
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
                 greedy_answers[0] = 0
                 res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine(hcg_max_iterations=cap))
-                assert res.lp_bound <= full_lp_value(g) + 1e-9
+                assert res.lp_bound <= lp_oracle(g, all_independent_sets(g)) + 1e-9
                 if not res.certified:
                     capped += 1
                     # the bound's own exact MWIS call is counted
@@ -294,6 +282,6 @@ class TestEmulatedEndToEnd:
         )
         res = run_root(g, PricingEngine(cfg))
         assert res.certified
-        assert res.lp_bound == pytest.approx(full_lp_value(g), abs=1e-6)
+        assert res.lp_bound == pytest.approx(lp_oracle(g, all_independent_sets(g)), abs=1e-6)
         assert res.exact_calls == covers["loose"]
         assert sum(row.shots for row in res.pricing_log) > 0

@@ -20,19 +20,7 @@ from qcbp.pricing import (
 from qcbp.rmp import ColumnPool
 
 from builders import complete, cycle, path3, random_graph
-from oracles import brute_mwis_value, is_maximal_independent
-
-
-def brute_mwis(g: Graph, w) -> tuple[float, int]:
-    """Exhaustive maximum-weight independent set (value, smallest optimal mask)."""
-    best_v, best_m = 0.0, 0
-    for s in range(1 << g.n):
-        if not g.is_independent(s):
-            continue
-        val = sum(w[v] for v in iter_bits(s))
-        if val > best_v + 1e-12 or (abs(val - best_v) <= 1e-12 and s < best_m):
-            best_v, best_m = val, s
-    return best_v, best_m
+from oracles import brute_mwis, is_maximal_independent
 
 
 class TestReducedCost:
@@ -100,7 +88,7 @@ class TestCliqueCover:
             if k % 3 == 0:
                 w = np.round(w * 4) / 4  # ties between weights
             cover = clique_cover_weight(g, w.tolist())
-            assert brute_mwis_value(g, w) - 1e-12 <= cover <= w.sum() + 1e-12
+            assert brute_mwis(g, w)[0] - 1e-12 <= cover <= w.sum() + 1e-12
 
     def test_exact_on_cliques_and_edgeless_graphs(self):
         assert clique_cover_weight(complete(4), [0.2, 0.9, 0.0, 0.5]) == 0.9

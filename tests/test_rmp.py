@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
 from qcbp import rmp
 from qcbp.rmp import RmpModel, _factor, _simplex, solve_rmp
 
 from builders import path3, random_graph
-from oracles import all_independent_sets
+from oracles import all_independent_sets, lp_oracle
 
 
 def random_independent_set(g: Graph, within: int, rng: np.random.Generator) -> int:
@@ -26,17 +25,6 @@ def first_restrictions(masks: list[int], keep: int) -> list[int]:
         if s & keep and s & keep not in out:
             out.append(s & keep)
     return out
-
-
-def lp_oracle(g: Graph, masks: list[int]) -> float:
-    """Independent LP value via HiGHS."""
-    a = np.zeros((g.n, len(masks)))
-    for j, mask in enumerate(masks):
-        for v in iter_bits(mask):
-            a[v, j] = 1.0
-    res = linprog(np.ones(len(masks)), A_eq=a, b_eq=np.ones(g.n), bounds=(0, None), method="highs")
-    assert res.status == 0
-    return float(res.fun)
 
 
 @pytest.fixture
