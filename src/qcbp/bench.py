@@ -6,8 +6,8 @@ column generation plus the primal heuristic) is the same run with
 the reference backtracking oracle, so optimality rates and gaps come straight
 off the CSV, whose columns are the fields of `BenchRecord`. Every CSV the
 package writes or reads is a table of one record dataclass (`InstanceRecord`,
-`BenchRecord`, `PricingRow`), written by `records_to_csv` and read back by
-`parse_csv`.
+`PositionRecord`, `BenchRecord`, `PricingRow`), written by `records_to_csv`
+and read back by `parse_csv`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .bnp import solve_qcbp
 from .chromatic import exact_coloring
 from .config import RunConfig
-from .graphs import flip_random_pairs, parse_dimacs, positions_to_csv, random_ud_graph
+from .graphs import flip_random_pairs, parse_dimacs, random_ud_graph
 from .pricing import PricingEngine, PricingStats
 
 
@@ -123,6 +123,13 @@ class InstanceRecord:
     positions_file: str
 
 
+@dataclass(frozen=True)
+class PositionRecord:
+    vertex: int
+    x_um: float
+    y_um: float
+
+
 def generate_dataset(
     out_dir: str | Path,
     ns: tuple[int, ...] = (8, 9, 10, 11, 12),
@@ -161,7 +168,8 @@ def generate_dataset(
             graph_file = f"{name}.dimacs"
             positions_file = f"{name}_positions.csv"
             files[graph_file] = g.to_dimacs()
-            files[positions_file] = positions_to_csv(pos)
+            files[positions_file] = records_to_csv(
+                [PositionRecord(i, float(x), float(y)) for i, (x, y) in enumerate(pos)], PositionRecord)
             records.append(InstanceRecord(name, n, is_ud, inst_seed, graph_file, positions_file))
     files["manifest.csv"] = records_to_csv(records, InstanceRecord)
     out = Path(out_dir)

@@ -257,11 +257,10 @@ def solve_qcbp(
     budget_hit = False
 
     def push(node: BBNode, local_ub: int) -> None:
-        residual = node.residual_root
-        edges = sum((g.adj[v] & residual).bit_count() for v in iter_bits(residual)) // 2
-        best_depth[residual] = node.depth
+        best_depth[node.residual_root] = node.depth
         stats.nodes_generated += 1
-        heapq.heappush(heap, (-node_score(local_ub, edges), stats.nodes_generated, node))
+        score = node_score(local_ub, g.edges_within(node.residual_root))
+        heapq.heappush(heap, (-score, stats.nodes_generated, node))
 
     def try_incumbent(classes: tuple[int, ...]) -> None:
         nonlocal incumbent, ub
@@ -276,7 +275,7 @@ def solve_qcbp(
         if node.depth > best_depth[node.residual_root] or node.lb >= ub:
             stats.nodes_pruned += 1
             continue
-        spectral = spectral_lb(g.induced_subgraph(node.residual_root)).combined_lb
+        spectral = spectral_lb(g, node.residual_root).combined_lb
         node.lb = max(node.lb, node.depth + spectral)
         if node.lb >= ub:
             stats.nodes_pruned += 1

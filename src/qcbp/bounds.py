@@ -18,18 +18,6 @@ EIG_ZERO_TOL = 1e-8
 CEIL_TOL = 1e-6
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a
-
-
-def adjacency_spectrum(g: Graph) -> np.ndarray:
-    """Sorted eigenvalues of the 0/1 adjacency matrix."""
-    return np.linalg.eigvalsh(adjacency_matrix(g))
-
-
 @dataclass(frozen=True)
 class SpectralBounds:
     hoffman: float
@@ -38,13 +26,15 @@ class SpectralBounds:
     combined_lb: int
 
 
-def spectral_lb(g: Graph) -> SpectralBounds:
-    """Evaluate the three spectral bounds and their combined integer ceiling.
+def spectral_lb(g: Graph, keep: int | None = None) -> SpectralBounds:
+    """Evaluate the three spectral bounds of g's subgraph on `keep` (default:
+    every vertex) and their combined integer ceiling.
 
     Degenerate spectra (edgeless graphs, one-signed inertia) fall back to the
     trivial bound 1 so every field stays a valid lower bound.
     """
-    eig = adjacency_spectrum(g)
+    eig = np.linalg.eigvalsh(g.adjacency_matrix(keep))
+    n = len(eig)
     l_min, l_max = float(eig[0]), float(eig[-1])
 
     if l_min < -EIG_ZERO_TOL:
@@ -58,7 +48,7 @@ def spectral_lb(g: Graph) -> SpectralBounds:
     else:
         elphick_wocjan = 1.0
     if l_max > EIG_ZERO_TOL:
-        edwards_elphick = g.n / (g.n - l_max)
+        edwards_elphick = n / (n - l_max)
     else:
         edwards_elphick = 1.0
 

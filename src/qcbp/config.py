@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
@@ -59,6 +60,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("dt", "c6", "duration", "delta_start", "delta_end", "register_radius"):
             value = getattr(self, name)
+            if isinstance(value, int) and abs(value) > sys.float_info.max:  # math.isfinite would overflow
+                raise ValueError(f"{name} must be finite, got an integer of {value.bit_length()} bits")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0 and name not in ("delta_start", "delta_end"):

@@ -47,7 +47,7 @@ class EmbeddingError(RuntimeError):
 class Register:
     """Immutable 2D atom coordinates in micrometers.
 
-    Enforces the hardware constraints on construction: pairwise spacing of at
+    Enforces on construction: finite coordinates, pairwise spacing of at
     least 4 um and every atom within 50 um of the centroid.
     """
 
@@ -55,6 +55,9 @@ class Register:
 
     def __post_init__(self) -> None:
         pos = self.as_array()
+        for i, (x, y) in enumerate(pos.tolist()):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise EmbeddingError(f"atom {i} has a non-finite coordinate ({x!r}, {y!r})")
         if len(pos) >= 2:
             d = pairwise_distances(pos)
             np.fill_diagonal(d, np.inf)
@@ -88,29 +91,18 @@ def audit(g: Graph, reg: Register, ud_radius: float) -> EmbeddingReport:
     """Compare the target graph with the unit-disk graph the register encodes."""
     if reg.n != g.n:
         raise ValueError(f"register has {reg.n} atoms for a {g.n}-vertex graph")
-    dist = pairwise_distances(reg.as_array())
-    missing: list[tuple[int, int]] = []
-    extra: list[tuple[int, int]] = []
-    r_max: float | None = None
-    r_min_gap: float | None = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            d = float(dist[u, v])
-            within = d <= ud_radius
-            if g.has_edge(u, v):
-                r_max = d if r_max is None else max(r_max, d)
-                if not within:
-                    missing.append((u, v))
-            else:
-                r_min_gap = d if r_min_gap is None else min(r_min_gap, d)
-                if within:
-                    extra.append((u, v))
+    u, v = np.triu_indices(g.n, k=1)  # every pair u < v, in row order
+    d = pairwise_distances(reg.as_array())[u, v]
+    edge = g.adjacency_matrix()[u, v] > 0
+    within = d <= ud_radius
+    missing = tuple(zip(u[edge & ~within].tolist(), v[edge & ~within].tolist()))
+    extra = tuple(zip(u[~edge & within].tolist(), v[~edge & within].tolist()))
     return EmbeddingReport(
         is_exact_ud=not missing and not extra,
-        missing_edges=tuple(missing),
-        extra_edges=tuple(extra),
-        r_max=r_max,
-        r_min_gap=r_min_gap,
+        missing_edges=missing,
+        extra_edges=extra,
+        r_max=float(d[edge].max()) if edge.any() else None,
+        r_min_gap=float(d[~edge].min()) if not edge.all() else None,
     )
 
 
@@ -120,9 +112,7 @@ def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
     zero loss, whose layout is then exact, at the first stalled check of the
     batch's best loss (see STALL_WINDOW), or after `config.embed_iterations`."""
     n = g.n
-    edge_mask = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges():
-        edge_mask[u, v] = edge_mask[v, u] = True
+    edge_mask = g.adjacency_matrix() > 0
     nonedge_mask = ~edge_mask
     np.fill_diagonal(nonedge_mask, False)
     eye = np.eye(n, dtype=bool)

@@ -1,13 +1,13 @@
-"""Bitset graph core: independence tests, DIMACS I/O, unit-disk instance generation.
+"""Bitset graph core: per-mask primitives, DIMACS I/O, unit-disk instance generation.
 
 Vertices are integers 0..n-1 and every vertex set is a plain int bitmask,
 so n is capped at 64. Graphs are immutable after construction. A subgraph is
 named by the root-graph mask of the vertices it keeps, and the solver passes
 that mask around rather than a renumbered graph: columns, duals, the master's
-rows and the sampler's filter all stay in root numbering. Only the sampler's
-atom register and the adjacency spectrum number the kept vertices 0..k-1;
-they build an `induced_subgraph`, and `expand_mask` carries a drawn bitstring
-back to the root.
+rows, the spectrum and the sampler's filter all stay in root numbering, and
+each fact about a mask is computed in one place here. Only the sampler's atom
+register numbers the kept vertices 0..k-1; it builds an `induced_subgraph`,
+and `expand_mask` carries a drawn bitstring back to the root.
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_sum(mask: int, values) -> float:
+    """The sum of values[v] over the vertices v of mask, in increasing vertex order."""
+    total = 0.0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def restrict_mask(mask: int, keep: int) -> int:
     """Move each bit of mask that lies in keep to its rank in keep, dropping the rest."""
     out = 0
@@ -63,7 +73,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    edge_count: int
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -77,12 +86,15 @@ class Graph:
                 raise ValueError(f"self-loop on vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        m = sum(a.bit_count() for a in adj) // 2
-        return cls(n=n, adj=tuple(adj), edge_count=m)
+        return cls(n=n, adj=tuple(adj))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @property
+    def edge_count(self) -> int:
+        return self.edges_within(self.full_mask)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -92,8 +104,26 @@ class Graph:
             for v in iter_bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+    def edges_within(self, keep: int) -> int:
+        """The number of edges with both endpoints in keep."""
+        return sum((self.adj[v] & keep).bit_count() for v in iter_bits(keep)) // 2
+
+    def adjacency_matrix(self, keep: int | None = None) -> np.ndarray:
+        """The 0/1 float adjacency matrix of the subgraph on keep (default: every
+        vertex), rows and columns in increasing vertex order."""
+        keep = self.full_mask if keep is None else keep
+        if keep == 0:
+            raise ValueError("cannot build an adjacency matrix on an empty vertex set")
+        rows = np.array(list(iter_bits(keep)), np.uint64)
+        return ((np.array(self.adj, np.uint64)[rows, None] >> rows) & 1).astype(float)
+
+    def grow(self, mask: int, order: Iterable[int]) -> int:
+        """mask plus each vertex of order, taken in turn, that has no neighbour
+        in the set grown so far."""
+        for v in order:
+            if not self.adj[v] & mask:
+                mask |= 1 << v
+        return mask
 
     def is_independent(self, s: int) -> bool:
         """True iff no edge of the graph has both endpoints in s."""
@@ -111,7 +141,7 @@ class Graph:
         if keep == 0:
             raise ValueError("cannot induce a subgraph on an empty vertex set")
         adj = tuple(restrict_mask(self.adj[v], keep) for v in iter_bits(keep))
-        return Graph(n=len(adj), adj=adj, edge_count=sum(a.bit_count() for a in adj) // 2)
+        return Graph(n=len(adj), adj=adj)
 
     def to_dimacs(self) -> str:
         lines = [f"p edge {self.n} {self.edge_count}"]
@@ -234,9 +264,3 @@ def flip_random_pairs(g: Graph, seed: int) -> Graph:
         else:
             edges.add(pair)
     return Graph.from_edges(g.n, edges)
-
-
-def positions_to_csv(positions: np.ndarray) -> str:
-    lines = ["vertex,x_um,y_um"]
-    lines.extend(f"{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(positions))
-    return "\n".join(lines) + "\n"

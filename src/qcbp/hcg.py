@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits, mask_of, mask_sum
 from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
                       clique_cover_weight, exact_mwis, greedy_columns)
 from .rmp import ColumnPool, RmpModel, solve_rmp
@@ -101,7 +101,7 @@ def run_hcg(
             if heaviest > 1.0 + IMPROVE_EPS:
                 best = exact_mwis(root, clipped)
                 exact_calls += 1
-                heaviest = sum(duals[v] for v in iter_bits(best))
+                heaviest = mask_sum(best, duals)
             if heaviest <= 1.0 + IMPROVE_EPS:
                 certified = True
                 break
@@ -121,7 +121,7 @@ def run_hcg(
         # they add at most their sum to any set.
         heaviest += sum(d for d in duals if 0.0 < d <= DUAL_POS_EPS)
     else:
-        heaviest = sum(duals[v] for v in iter_bits(exact_mwis(root, duals)))
+        heaviest = mask_sum(exact_mwis(root, duals), duals)
         exact_calls += 1
     # Farley: the clipped duals scaled down by a bound on every independent
     # set's weight under them are dual feasible, so this is a valid LP lower bound.

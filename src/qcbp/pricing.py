@@ -29,7 +29,7 @@ import numpy as np
 from .config import RunConfig
 from .embedding import audit, embed
 from .emulator import MAX_QUBITS, build_adiabatic_pulse, evolve, sample
-from .graphs import Graph, expand_mask, iter_bits, mask_of
+from .graphs import Graph, expand_mask, iter_bits, mask_of, mask_sum
 
 # Must stay above the master's optimality tolerance (1e-7): at a solved master,
 # every column already in the model satisfies dual feasibility to that tolerance,
@@ -41,7 +41,7 @@ DUAL_POS_EPS = 1e-6
 
 def reduced_cost(mask: int, duals: Sequence[float]) -> float:
     """1 - sum of duals over the set; improving iff below -IMPROVE_EPS."""
-    return 1.0 - sum(duals[v] for v in iter_bits(mask))
+    return 1.0 - mask_sum(mask, duals)
 
 
 def greedy_columns(
@@ -64,12 +64,7 @@ def greedy_columns(
                 classes.append(0)
             classes[i] |= 1 << v
         seeds = classes + [1 << v for v in order]
-    grown: dict[int, None] = {}
-    for mask in seeds:
-        for v in order:
-            if not g.adj[v] & mask:
-                mask |= 1 << v
-        grown[mask] = None
+    grown = dict.fromkeys(g.grow(mask, order) for mask in seeds)
     return [m for m in grown if reduced_cost(m, duals) < -IMPROVE_EPS]
 
 
@@ -99,21 +94,11 @@ def exact_mwis(g: Graph, weights) -> int:
     """
     w = [float(x) for x in weights]
     order = sorted((v for v in range(g.n) if w[v] > 0.0), key=lambda v: (-w[v], v))
-    weight_of_bit = {1 << v: w[v] for v in order}
     # Per branching position: the vertex's bit, weight and closed neighbourhood.
     branch = [(1 << v, w[v], g.adj[v] | (1 << v)) for v in order]
     depth = len(branch)
     best_w = 0.0
     best_mask = 0
-
-    def weight_of(mask: int) -> float:
-        """The set's weight, summed in increasing vertex order."""
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += weight_of_bit[low]
-            mask ^= low
-        return total
 
     def descend(pos: int, cand: int, cur_w: float, cur_mask: int, rem: float) -> None:
         nonlocal best_w, best_mask
@@ -127,11 +112,11 @@ def exact_mwis(g: Graph, weights) -> int:
             return
         bit, w_v, closed = branch[pos]
         removed = closed & cand
-        descend(pos + 1, cand & ~removed, cur_w + w_v, cur_mask | bit, rem - weight_of(removed))
+        descend(pos + 1, cand & ~removed, cur_w + w_v, cur_mask | bit, rem - mask_sum(removed, w))
         descend(pos + 1, cand & ~bit, cur_w, cur_mask, rem - w_v)
 
     cand0 = mask_of(order)
-    descend(0, cand0, 0.0, 0, weight_of(cand0))
+    descend(0, cand0, 0.0, 0, mask_sum(cand0, w))
     return best_mask
 
 
@@ -178,10 +163,7 @@ class PricingEngine:
         w = np.maximum(np.asarray(weights, dtype=float), 1e-9)
         for _ in range(self.config.shots):
             keys = rng.random(sub.n) ** (1.0 / w)
-            chosen = 0
-            for v in sorted(range(sub.n), key=lambda i: -keys[i]):
-                if not sub.adj[v] & chosen:
-                    chosen |= 1 << v
+            chosen = sub.grow(0, sorted(range(sub.n), key=lambda i: -keys[i]))
             counts[chosen] = counts.get(chosen, 0) + 1
         return dict(sorted(counts.items()))
 

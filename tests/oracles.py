@@ -138,10 +138,8 @@ def independence_table(g) -> np.ndarray:
     """
     masks = np.arange(1 << g.n, dtype=np.int64)
     ok = np.ones(1 << g.n, dtype=bool)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                ok &= ~(((masks >> u) & (masks >> v)) & 1).astype(bool)
+    for u, v in g.edges():
+        ok &= ~(((masks >> u) & (masks >> v)) & 1).astype(bool)
     return ok
 
 

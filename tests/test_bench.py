@@ -10,6 +10,7 @@ import qcbp.pricing
 from qcbp.bench import (
     BenchRecord,
     InstanceRecord,
+    PositionRecord,
     PricingRow,
     RunConfig,
     generate_dataset,
@@ -28,9 +29,10 @@ from builders import cycle
 
 
 def read_positions(path) -> np.ndarray:
-    """The x, y columns of a positions CSV, after checking its header line."""
-    assert path.read_text().splitlines()[0] == "vertex,x_um,y_um"
-    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+    """The x, y columns of a positions CSV, rows in vertex order."""
+    records = parse_csv(PositionRecord, path.read_text())
+    assert [r.vertex for r in records] == list(range(len(records)))
+    return np.array([(r.x_um, r.y_um) for r in records])
 
 
 # One out-of-range value per RunConfig field.
@@ -68,6 +70,11 @@ class TestRunConfig:
     ])
     def test_wrong_type_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|real number), got "):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("dt", 10**400), ("c6", 10**400), ("delta_start", -10**400)])
+    def test_int_beyond_float_range_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got an integer of 1329 bits$"):
             RunConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
@@ -180,7 +187,7 @@ class TestDataset:
             g = parse_dimacs((tmp_path / rec.graph_file).read_text())
             dist = pairwise_distances(read_positions(tmp_path / rec.positions_file))
             matches = all(
-                g.has_edge(u, v) == (dist[u, v] <= 10)
+                bool(g.adj[u] >> v & 1) == (dist[u, v] <= 10)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
             )

@@ -411,8 +411,8 @@ class TestSolve:
 
     def test_children_are_bounded_when_popped(self, monkeypatch):
         # Bounds and the heuristic run for popped nodes only: spectral_lb
-        # before each run_hcg, primal_heuristic once after it on the same
-        # residual, and nothing for the children still queued at the end.
+        # before each run_hcg and primal_heuristic once after it, all three on
+        # the same residual, and nothing for the children still queued at the end.
         events: list[tuple[str, int]] = []
 
         def counting(name, fn, mask_of_args):
@@ -421,7 +421,7 @@ class TestSolve:
                 return fn(*args)
             return wrapped
 
-        for name, pick in (("spectral_lb", lambda a: 0), ("run_hcg", lambda a: a[1]),
+        for name, pick in (("spectral_lb", lambda a: a[1]), ("run_hcg", lambda a: a[1]),
                            ("primal_heuristic", lambda a: a[0]), ("node_score", lambda a: 0)):
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
         # myciel4 has a root gap (LP 3.245, chromatic number 5); the budget
@@ -432,7 +432,7 @@ class TestSolve:
         assert names.count("run_hcg") == names.count("primal_heuristic") == s.nodes_explored > 1
         for i, (name, mask) in enumerate(events):
             if name == "run_hcg":
-                assert names[i - 1] == "spectral_lb"
+                assert events[i - 1] == ("spectral_lb", mask)
                 assert events[i + 1] == ("primal_heuristic", mask)
         assert s.nodes_open > 0
         assert names.count("spectral_lb") <= names.count("node_score") - s.nodes_open
@@ -577,7 +577,7 @@ class TestWeakBoundSearch:
     def weak_bounds(self, monkeypatch):
         real_run_hcg = qcbp.bnp.run_hcg
         monkeypatch.setattr(qcbp.bnp, "run_hcg", lambda *args: replace(real_run_hcg(*args), lp_bound=0.0))
-        monkeypatch.setattr(qcbp.bnp, "spectral_lb", lambda g: SpectralBounds(1.0, 1.0, 1.0, 1))
+        monkeypatch.setattr(qcbp.bnp, "spectral_lb", lambda g, keep: SpectralBounds(1.0, 1.0, 1.0, 1))
         depths: dict[int, set[int]] = {}
         real_branch = qcbp.bnp.branch
 

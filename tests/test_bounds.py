@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from qcbp.bounds import adjacency_spectrum, spectral_lb
+from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.graphs import Graph
 
@@ -11,24 +12,24 @@ from builders import complete, cycle, random_graph
 
 class TestAdjacencySpectrum:
     def test_single_edge(self):
-        eig = adjacency_spectrum(Graph.from_edges(2, [(0, 1)]))
+        eig = np.linalg.eigvalsh(Graph.from_edges(2, [(0, 1)]).adjacency_matrix())
         assert np.allclose(eig, [-1.0, 1.0], atol=1e-10)
 
     def test_edgeless(self):
-        eig = adjacency_spectrum(Graph.from_edges(3, []))
+        eig = np.linalg.eigvalsh(Graph.from_edges(3, []).adjacency_matrix())
         assert np.allclose(eig, 0.0, atol=1e-12)
 
     def test_c5_closed_form(self):
         # Eigenvalues of a cycle are 2*cos(2*pi*k/n).
         expected = sorted(2 * math.cos(2 * math.pi * k / 5) for k in range(5))
-        eig = adjacency_spectrum(cycle(5))
+        eig = np.linalg.eigvalsh(cycle(5).adjacency_matrix())
         assert np.allclose(eig, expected, atol=1e-9)
 
     def test_trace_and_energy(self):
         rng = np.random.default_rng(10)
         for _ in range(25):
             g = random_graph(int(rng.integers(2, 13)), rng.uniform(0.1, 0.9), rng)
-            eig = adjacency_spectrum(g)
+            eig = np.linalg.eigvalsh(g.adjacency_matrix())
             assert abs(eig.sum()) < 1e-8
             assert abs((eig**2).sum() - 2 * g.edge_count) < 1e-6
 
@@ -72,3 +73,15 @@ class TestSpectralLb:
             b = spectral_lb(g)
             assert min(b.hoffman, b.elphick_wocjan, b.edwards_elphick) >= 1.0
             assert b.combined_lb >= 1
+
+    def test_keep_bounds_the_induced_subgraph_bitwise(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            g = random_graph(int(rng.integers(1, 13)), rng.uniform(0, 1), rng)
+            keep = int(rng.integers(1, 1 << g.n))
+            assert spectral_lb(g, keep) == spectral_lb(g.induced_subgraph(keep))
+        assert spectral_lb(cycle(5), cycle(5).full_mask) == spectral_lb(cycle(5))
+
+    def test_empty_keep_rejected(self):
+        with pytest.raises(ValueError, match="empty vertex set"):
+            spectral_lb(cycle(5), 0)

@@ -37,6 +37,16 @@ class TestRegister:
         reg = register_from([(0, 0), (5, 0)])
         assert reg.n == 2
 
+    @pytest.mark.parametrize("positions, atom", [
+        (((math.nan, 0.0), (0.0, 0.0)), 0),
+        (((0.0, 0.0), (0.0, math.inf)), 1),
+        (((0.0, 0.0), (-math.inf, 5.0)), 1),
+        (((math.nan, math.nan),), 0),
+    ])
+    def test_non_finite_coordinate_rejected(self, positions, atom):
+        with pytest.raises(EmbeddingError, match=rf"^atom {atom} has a non-finite coordinate"):
+            Register(positions=positions)
+
 
 class TestAudit:
     def test_worked_distance_bounds(self):
@@ -83,10 +93,32 @@ class TestAudit:
                 dist[u, v]
                 for u in range(n)
                 for v in range(u + 1, n)
-                if not g.has_edge(u, v)
+                if not g.adj[u] >> v & 1
             ]
             assert rep.r_max == (pytest.approx(max(edge_d)) if edge_d else None)
             assert rep.r_min_gap == (pytest.approx(min(nonedge_d)) if nonedge_d else None)
+
+    def test_report_matches_a_loop_over_every_pair(self):
+        # Pairs in (u, v) order with u < v as Python ints, and the distance
+        # bounds as the very floats the loop finds, on layouts that miss
+        # and add edges.
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            g, pos = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=25)
+            radius = float(rng.uniform(6.0, 14.0))
+            dist = pairwise_distances(pos)
+            pairs = [(u, v, float(dist[u, v]), bool(g.adj[u] >> v & 1))
+                     for u in range(n) for v in range(u + 1, n)]
+            rep = audit(g, register_from(pos), ud_radius=radius)
+            assert rep.missing_edges == tuple((u, v) for u, v, d, e in pairs if e and d > radius)
+            assert rep.extra_edges == tuple((u, v) for u, v, d, e in pairs if not e and d <= radius)
+            assert all(type(x) is int for pair in rep.missing_edges + rep.extra_edges for x in pair)
+            edge_d = [d for _, _, d, e in pairs if e]
+            nonedge_d = [d for _, _, d, e in pairs if not e]
+            assert rep.r_max == (max(edge_d) if edge_d else None)
+            assert rep.r_min_gap == (min(nonedge_d) if nonedge_d else None)
+            assert type(rep.r_max) in (float, type(None)) and type(rep.r_min_gap) in (float, type(None))
 
 
 class TestEmbed:

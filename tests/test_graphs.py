@@ -1,18 +1,18 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from qcbp.bench import PositionRecord, generate_dataset, parse_csv
 from qcbp.graphs import (
     Graph,
     expand_mask,
     flip_random_pairs,
     iter_bits,
     mask_of,
+    mask_sum,
     pairwise_distances,
     parse_dimacs,
-    positions_to_csv,
     random_ud_graph,
     restrict_mask,
 )
@@ -139,6 +139,56 @@ class TestInducedSubgraph:
             assert sub2 == direct
 
 
+def edge_matrix(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix, one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+class TestMaskPrimitives:
+    """Each per-mask primitive against the renumbered induced subgraph."""
+
+    @staticmethod
+    def graphs_and_masks(seed: int, count: int = 100):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g = random_graph(int(rng.integers(1, 13)), rng.uniform(0.0, 1.0), rng)
+            yield g, int(rng.integers(1, 1 << g.n))
+
+    def test_adjacency_matrix_is_the_induced_subgraphs(self):
+        for g, keep in self.graphs_and_masks(20):
+            assert np.array_equal(g.adjacency_matrix(keep), edge_matrix(g.induced_subgraph(keep)))
+        g = random_graph(64, 0.5, np.random.default_rng(21))
+        assert np.array_equal(g.adjacency_matrix(), edge_matrix(g))
+
+    def test_edges_within_counts_the_induced_subgraphs(self):
+        for g, keep in self.graphs_and_masks(22):
+            assert g.edges_within(keep) == g.induced_subgraph(keep).edge_count
+            assert g.edges_within(keep) == sum(1 for u, v in g.edges() if keep >> u & keep >> v & 1)
+
+    def test_empty_keep_rejected(self):
+        with pytest.raises(ValueError, match="empty vertex set"):
+            path3().adjacency_matrix(0)
+        assert path3().edges_within(0) == 0
+
+    def test_grow_adds_in_order_what_stays_independent(self):
+        for g, keep in self.graphs_and_masks(23):
+            order = list(iter_bits(keep))[::-1]
+            grown = g.grow(0, order)
+            assert g.is_independent(grown) and grown & ~keep == 0
+            assert all(grown >> v & 1 or g.adj[v] & grown for v in order)
+            assert grown >> order[0] & 1
+            assert g.grow(grown, order) == grown
+
+    def test_mask_sum_in_vertex_order(self):
+        values = [0.1 * v for v in range(12)]
+        for g, keep in self.graphs_and_masks(24):
+            assert mask_sum(keep, values) == sum(values[v] for v in iter_bits(keep))
+        assert mask_sum(0, values) == 0.0
+
+
 class TestRandomUdGraph:
     def test_single_vertex(self):
         g, pos = random_ud_graph(1, seed=0)
@@ -153,9 +203,7 @@ class TestRandomUdGraph:
     def test_edges_match_distance_threshold(self):
         g, pos = random_ud_graph(12, seed=7, radius=10, box=40)
         dist = pairwise_distances(pos)
-        for u in range(12):
-            for v in range(u + 1, 12):
-                assert g.has_edge(u, v) == (dist[u, v] <= 10)
+        assert np.array_equal(g.adjacency_matrix() > 0, (dist <= 10) & ~np.eye(12, dtype=bool))
 
     def test_min_spacing_respected(self):
         _, pos = random_ud_graph(15, seed=3, radius=10, box=40)
@@ -215,9 +263,9 @@ class TestMaskHelpers:
 
 
 class TestPositionsCsv:
-    def test_roundtrip(self):
-        _, pos = random_ud_graph(6, seed=4)
-        text = positions_to_csv(pos)
-        assert text.splitlines()[0] == "vertex,x_um,y_um"
-        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, usecols=(1, 2))
-        assert np.array_equal(back, pos)
+    def test_roundtrip(self, tmp_path):
+        (rec,) = generate_dataset(tmp_path, ns=(6,), per_n=1, seed=4)
+        _, pos = random_ud_graph(rec.n, rec.seed)
+        back = parse_csv(PositionRecord, (tmp_path / rec.positions_file).read_text())
+        assert [r.vertex for r in back] == list(range(6))
+        assert np.array_equal([(r.x_um, r.y_um) for r in back], pos)

@@ -152,7 +152,7 @@ class TestGreedyColumns:
             order = sorted(iter_bits(positive), key=lambda v: (-duals[v], v))
             classes: list[int] = []
             for v in order:
-                fits = [i for i, c in enumerate(classes) if not any(g.has_edge(v, u) for u in iter_bits(c))]
+                fits = [i for i, c in enumerate(classes) if not any(g.adj[v] >> u & 1 for u in iter_bits(c))]
                 if fits:
                     classes[fits[0]] |= 1 << v
                 else:
