@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 # Interaction coefficient in rad * um^6 / us, sized so that a blockade radius
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
-MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~40 B a step at any register size
+MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~32 B a step at any register size
 # Pricing registers are laid out against a tighter unit-disk radius than the
 # 10 um hardware maximum, so every target edge sits deep inside the blockade
 # (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
@@ -69,7 +69,7 @@ class RunConfig:
         steps = round(self.duration / self.dt)
         if steps > MAX_STEPS:
             raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
-                             f"tables would take about {steps * 40 / 1e9:.2g} GB")
+                             f"tables would take about {steps * 32 / 1e9:.2g} GB")
 
     # The benchmark harness seeds each solve's engine through `sampler_config`
     # and passes `solver_config()` beside it, which differs only in its seed.

@@ -4,13 +4,20 @@ The Hamiltonian is Omega(t) * sum_i X_i - delta(t) * sum_i n_i
 + sum_{i<j} (C6 / r_ij^6) n_i n_j, with basis index bit i holding the
 occupation of atom i. Time stepping is second-order Strang splitting with
 midpoint pulse values: half a diagonal phase, a global X rotation and the
-second diagonal half, with consecutive half-steps merged. The detuning part of
-the diagonal is a sum of one-atom terms, so it factors over blocks of qubits
-and commutes with the interaction part; `evolve` folds it into the rotation.
-A step is then one matmul per block of qubits, by exp(-i theta sum X)
-exp(i phi sum n) on that block, and one multiply by the interaction phase.
-Every factor is unitary, so the norm is conserved to rounding. `evolve`
-returns the final amplitudes as a plain array, and `sample` draws from them.
+second diagonal half, with consecutive half-steps merged.
+
+`evolve` steps in the frame P = diag(1, -i) of each atom, where the rotation
+exp(-i theta X) = P R(theta) P with the real R = [[cos, sin], [sin, -cos]].
+The two P's between consecutive steps merge with the detuning phase
+e^(i phi |x|) into one popcount phase (-e^(i phi))^|x|, applied beside the
+interaction phase; |0...0> needs no phase, and the last P folds into the
+final half-step. A step is then the interaction and popcount phases and
+one real matrix product per block of atoms on the float view of the state.
+The lowest block's product also spans the real/imaginary bit, so it carries
+that block's share of the popcount phase; the other atoms' share is one
+broadcast multiply. Every factor is unitary, so the norm is conserved to
+rounding. `evolve` returns the final amplitudes as a plain array, and
+`sample` draws from them.
 
 The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS) and
 the pulse's RAMP_FRACTION are constants. The run's `RunConfig` sets C6, the
@@ -20,6 +27,7 @@ the pulse at MAX_STEPS steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +40,14 @@ from .graphs import pairwise_distances
 OMEGA_MAX = 4.0 * math.pi  # rad/us; the peak Rabi frequency never exceeds it
 MAX_QUBITS = 20  # largest register `evolve` accepts: 2^20 amplitudes, 16 MB
 RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again falls
-BLOCK_QUBITS = 4  # widest qubit block of evolve's step matrices; 4 and 5 measure alike
-# Steps whose block matrices evolve builds at once: 0.26 MB at 4 qubits. A
-# 2-atom evolve (900 steps) takes 2.6 ms at 64, 2.9 at 32 and 2.3 with all
-# steps at once, where the matrices would grow with the step count.
+# Widest atom block of evolve's real step matrices. At 8-12 atoms 3 is 0-12%
+# faster than 4, whose lowest block's 32 x 32 matrices cost more to build than
+# they save; at 16-18 atoms 4 is 3-7% faster.
+BLOCK_QUBITS = 3
+# Steps whose tables evolve builds at once: their block matrices (3 KB a step
+# at 3-atom blocks) and the phases of the atoms above the lowest block, 16 B
+# a step per state of those atoms. Past 12 atoms a chunk holds fewer steps,
+# so that those phases stay within STEP_CHUNK x 2^9 of them (0.5 MB).
 STEP_CHUNK = 64
 
 
@@ -113,25 +125,66 @@ def interaction_diagonal(positions: np.ndarray, c6: float) -> np.ndarray:
     return diag
 
 
-def step_blocks(m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """exp(-i thetas[k] sum_i X_i) exp(i phis[k] sum_i n_i) on m qubits for every
-    k, shape (len(thetas), 2^m, 2^m): entry [x, y] is
-    cos^(m-h) (-i sin)^h e^(i phi |y|), h = popcount(x ^ y), gathered from powers."""
-    states, counts = np.arange(1 << m), np.arange(m + 1)
-    cos, sin = np.cos(thetas)[:, None], -1j * np.sin(thetas)[:, None]
-    powers = cos ** (m - counts) * sin ** counts
-    phases = np.exp(1j * phis[:, None] * counts)[:, np.bitwise_count(states)]
-    return powers[:, np.bitwise_count(states[:, None] ^ states)] * phases[:, None, :]
+def _signed_powers(m: int, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """cos^(m-h) sin^h for h = 0..m, then their negatives: one row per step."""
+    counts = np.arange(m + 1)
+    powers = cos[:, None] ** (m - counts) * sin[:, None] ** counts
+    return np.concatenate((powers, -powers), axis=1)
+
+
+@functools.cache
+def _rotation_index(m: int) -> np.ndarray:
+    """Where entry [x, y] of R^(x)m lies in a row of `_signed_powers`: it is
+    cos^(m-h) sin^h (-1)^|x & y| with h = |x ^ y|. Cached, so read-only."""
+    states = np.arange(1 << m)
+    distance = np.bitwise_count(states[:, None] ^ states).astype(np.intp)  # not uint8, which index arithmetic overflows
+    index = distance + (m + 1) * (np.bitwise_count(states[:, None] & states) & 1)
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def _carry_index(m: int) -> np.ndarray:
+    """Where entry [2x + r, 2y + s] of `carry_blocks` lies in a row of its
+    table: R^(x)m[x, y]'s signed power, then |x|, then G's entry [r, s].
+    Cached, so read-only."""
+    weight = np.bitwise_count(np.arange(1 << m))
+    index = ((_rotation_index(m)[:, None, :, None] * (m + 1) + weight[:, None, None, None]) * 4
+             + np.array([0, 2])[:, None, None] + np.array([0, 1]))
+    index = index.reshape(2 << m, 2 << m)
+    index.flags.writeable = False
+    return index
+
+
+def rotation_blocks(m: int, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """R^(x)m on m atoms for each step, R = [[cos, sin], [sin, -cos]]: shape
+    (len(cos), 2^m, 2^m), real and symmetric. With P = diag(1, -i) on each
+    atom, P^(x)m R^(x)m P^(x)m is the rotation exp(-i theta sum X)."""
+    return _signed_powers(m, cos, sin)[:, _rotation_index(m)]
+
+
+def carry_blocks(m: int, cos: np.ndarray, sin: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The lowest block's real matrices, shape (len(cos), 2^(m+1), 2^(m+1)),
+    indexed 2x + r over its m atoms' state x and the real (r = 0) or
+    imaginary (r = 1) part. A row vector times one applies e^(i beta |x|),
+    then R^(x)m: entry [2x + r, 2y + s] is R^(x)m[x, y] G[r, s], where
+    G = [[cos, sin], [-sin, cos]](beta |x|) acts on (real, imaginary) rows."""
+    angles = betas[:, None] * np.arange(m + 1)
+    c, s = np.cos(angles), np.sin(angles)
+    turns = np.stack((c, s, -s, c), axis=2)  # G(beta q), q = 0..m, row-major
+    table = _signed_powers(m, cos, sin)[:, :, None, None] * turns[:, None]
+    return table.reshape(len(cos), -1)[:, _carry_index(m)]
 
 
 def evolve(reg: Register, pulse: PulseSchedule, cfg: RunConfig) -> np.ndarray:
     """The amplitudes of |0...0> evolved under the register Hamiltonian for the
     full pulse, one per basis index (bit i = atom i).
 
-    Step k multiplies by the interaction phase left from step k - 1, then
-    applies one `step_blocks` matrix per block of qubits (low bits first):
-    step k's X rotation after the detuning phase left from step k - 1. The
-    matrices are built STEP_CHUNK steps at a time.
+    Step k multiplies by the interaction phase left from step k - 1 and by
+    the high atoms' share of the popcount phase, then applies one real matrix
+    per block of atoms to the float view of the state: `rotation_blocks` for
+    each block above the lowest, top block first, and `carry_blocks` for the
+    lowest. The tables are built STEP_CHUNK steps at a time.
     """
     n = reg.n
     if n > MAX_QUBITS:
@@ -140,32 +193,48 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: RunConfig) -> np.ndarray:
     h = pulse.duration / steps
     count = -(-n // BLOCK_QUBITS)
     sizes = [n // count + (b < n % count) for b in range(count)]  # low bits first
+    low, high = sizes[0], sizes[:0:-1]  # the blocks above the lowest, top first
+    chunk = min(STEP_CHUNK, max(1, (STEP_CHUNK << 9) >> (n - low)))
 
     size = 1 << n
     inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
     inter_full = inter_half * inter_half
-    omegas, deltas = pulse.at_midpoints(steps)
-    thetas = omegas * h
-    phis = 0.5 * h * np.concatenate((deltas[:1], deltas[:-1] + deltas[1:]))
+    thetas, deltas = pulse.at_midpoints(steps)
+    thetas *= h
+    # e^(i beta |x|) = (-e^(i phi))^|x|: step k's detuning phase phi, merged
+    # with the frame's P from step k - 1 and step k's own
+    betas = np.concatenate((deltas[:1], deltas[:-1] + deltas[1:]))
+    betas *= 0.5 * h
+    betas += math.pi
+    high_weight = np.bitwise_count(np.arange(1 << (n - low)))[:, None]
 
-    # The first half-step's interaction phase is 1 on |0...0>, so it is left
-    # out; its detuning phase is in step 0's matrices.
-    psi = np.zeros(size, dtype=np.complex128)
-    psi[0] = 1.0
-    for k in range(steps):
-        if k % STEP_CHUNK == 0:
-            chunk = slice(k, k + STEP_CHUNK)
-            mats = {m: step_blocks(m, thetas[chunk], phis[chunk]) for m in set(sizes)}
-        if k:
-            psi *= inter_full
-        # Each matmul takes the low m bits and writes them back as the high
-        # bits, so after the last block the bits are in order again.
-        for m in sizes:
-            psi = np.matmul(mats[m][k % STEP_CHUNK], psi.reshape(-1, 1 << m).T)
-        psi = psi.reshape(size)
-    end = np.exp(0.5j * h * deltas[-1] * np.arange(n + 1))[np.bitwise_count(np.arange(size))]
-    psi *= inter_half * end
-    return psi
+    # Each product reads the top bits of one buffer's float view and writes
+    # them as the bottom bits of the other's, so after the lowest block (its
+    # atoms and the real/imaginary bit) the bits are in order again.
+    buffers = np.zeros((2, size), dtype=np.complex128)
+    floats = buffers.view(np.float64)
+    products, src = [], 0
+    for bits in (*high, low + 1):
+        products.append((floats[src].reshape(1 << bits, -1).T, floats[1 - src].reshape(-1, 1 << bits)))
+        src = 1 - src
+    psi, out = buffers[0], buffers[src]  # a step reads `out` and writes its phased copy to `psi`
+    out[0] = 1.0
+    rows = psi.reshape(-1, 1 << low)  # one row per state of the high atoms
+    for start in range(0, steps, chunk):
+        part = slice(start, start + chunk)
+        cos, sin, beta = np.cos(thetas[part]), np.sin(thetas[part]), betas[part]
+        rotations = {m: rotation_blocks(m, cos, sin) for m in set(high)}
+        mats = [rotations[m] for m in high] + [carry_blocks(low, cos, sin, beta)]
+        phases = np.exp(1j * beta[:, None] * np.arange(n - low + 1))[:, high_weight]
+        # At step 0 both phases are 1 on |0...0>.
+        for phase, *step in zip(phases, *mats):
+            np.multiply(out, inter_full, out=psi)
+            np.multiply(rows, phase, out=rows)
+            for (a, b), mat in zip(products, step):
+                np.matmul(a, mat, out=b)
+    # the last half-step's phases, with the frame's last P = (-i)^|x|
+    end = np.exp(1j * (0.5 * h * deltas[-1] - 0.5 * math.pi) * np.arange(n + 1))[np.bitwise_count(np.arange(size))]
+    return out * inter_half * end
 
 
 def sample(amplitudes: np.ndarray, shots: int, seed: int) -> dict[int, int]:
@@ -175,4 +244,4 @@ def sample(amplitudes: np.ndarray, shots: int, seed: int) -> dict[int, int]:
     p = np.abs(amplitudes) ** 2
     p = p / p.sum()
     raw = np.random.default_rng(seed).multinomial(shots, p)
-    return {int(i): int(c) for i, c in enumerate(raw) if c}
+    return {int(i): int(raw[i]) for i in raw.nonzero()[0]}

@@ -14,10 +14,11 @@ from qcbp.emulator import (
     STEP_CHUNK,
     PulseSchedule,
     build_adiabatic_pulse,
+    carry_blocks,
     evolve,
     interaction_diagonal,
+    rotation_blocks,
     sample,
-    step_blocks,
 )
 from qcbp.graphs import Graph, pairwise_distances
 
@@ -129,21 +130,46 @@ def unit_disk_register(seed, n, radius=10.0):
     return reg, audit(g, reg, radius)
 
 
+def frame(m):
+    """The diagonal of P^(x)m, P = diag(1, -i): (-i)^|x| per basis state x."""
+    return (-1j) ** np.bitwise_count(np.arange(1 << m))
+
+
 class TestXRotation:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_blocks_match_dense_exponential(self, n):
-        """Each step matrix is exp(-i theta sum X) exp(i phi sum n) on n qubits."""
+        """Each real step matrix, conjugated by P^(x)n, is exp(-i theta sum X) on n qubits."""
         rng = np.random.default_rng(n)
         w, v = np.linalg.eigh(dense_x_operator(n))
-        occupation = np.array([bin(state).count("1") for state in range(1 << n)])
+        thetas = np.array([0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)])
+        mats = rotation_blocks(n, np.cos(thetas), np.sin(thetas))
+        assert mats.shape == (3, 1 << n, 1 << n) and mats.dtype == np.float64
+        p = frame(n)
+        for mat, theta in zip(mats, thetas):
+            dense = (v * np.exp(-1j * theta * w)) @ v.T
+            assert np.abs(p[:, None] * mat * p - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_lowest_block_is_the_real_form_of_its_complex_matrix(self, m):
+        """A row vector of (real, imaginary) pairs times the lowest block's
+        matrix is the complex R^(x)m e^(i beta |x|) applied to the amplitudes,
+        where R^(x)m = P^-1 exp(-i theta sum X) P^-1."""
+        rng = np.random.default_rng(10 + m)
+        w, v = np.linalg.eigh(dense_x_operator(m))
         angles = (0.0, math.pi / 2, float(rng.uniform(-math.pi, math.pi)))
-        thetas, phis = (np.array(grid).ravel() for grid in np.meshgrid(angles, angles))
-        mats = step_blocks(n, thetas, phis)
-        assert mats.shape == (9, 1 << n, 1 << n)
-        for mat, theta, phi in zip(mats, thetas, phis):
-            # the rotation times the diagonal exp(i phi sum n): column y takes its phase
-            dense = (v * np.exp(-1j * theta * w)) @ v.T * np.exp(1j * phi * occupation)
-            assert np.abs(mat - dense).max() <= 1e-12
+        thetas, betas = (np.array(grid).ravel() for grid in np.meshgrid(angles, angles))
+        mats = carry_blocks(m, np.cos(thetas), np.sin(thetas), betas)
+        assert mats.shape == (9, 2 << m, 2 << m) and mats.dtype == np.float64
+        occupation = np.bitwise_count(np.arange(1 << m))
+        p_inv = 1 / frame(m)
+        for mat, theta, beta in zip(mats, thetas, betas):
+            dense = p_inv[:, None] * ((v * np.exp(-1j * theta * w)) @ v.T) * (p_inv * np.exp(1j * beta * occupation))
+            # real unit vector x maps to row 2x, imaginary unit vector to row 2x + 1
+            assert np.abs(mat[0::2, 0::2] + 1j * mat[0::2, 1::2] - dense.T).max() <= 1e-12
+            assert np.abs(mat[1::2, 1::2] - 1j * mat[1::2, 0::2] - dense.T).max() <= 1e-12
+            amplitudes = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+            stepped = (amplitudes.view(np.float64) @ mat).view(np.complex128)
+            assert np.abs(stepped - dense @ amplitudes).max() <= 1e-12
 
 
 class TestInteractionDiagonal:
@@ -174,8 +200,9 @@ class TestInteractionDiagonal:
 class TestAgainstPairReference:
     """`evolve` against the same Strang steps rotated qubit pair by pair."""
 
-    # n = 2, 3: one block; 9: three of 3 qubits; 10, 11: 4- and 3-qubit blocks
-    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 11, 12])
+    # n = 2, 3: one block; 5: 3 + 2 qubits; 7: 3 + 2 + 2; 9, 12: all of 3;
+    # 13: 3 + 3 + 3 + 2 + 2, with chunks of STEP_CHUNK / 2 steps
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 10, 11, 12, 13])
     @pytest.mark.parametrize("half_rabi", [False, True])
     def test_amplitudes_and_samples(self, n, half_rabi):
         cfg = RunConfig()
@@ -203,6 +230,20 @@ class TestAgainstPairReference:
 
 
 class TestEvolve:
+    def test_tables_take_about_32_bytes_a_step(self):
+        """The per-step tables MAX_STEPS is sized by: a 2-atom evolve of a
+        long pulse peaks at about 32 B a step."""
+        cfg = RunConfig(dt=3.0 / 20_000)
+        reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(2, [(0, 1)]), reg, 10.0), cfg)
+        tracemalloc.start()
+        try:
+            evolve(reg, pulse, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * 20_000
+
     def test_single_atom_zero_drive_stays_ground(self):
         pulse = PulseSchedule(3.0, ((0.0, 0.0), (3.0, 0.0)), ((0.0, -15.0), (3.0, 15.0)))
         psi = evolve(Register(positions=((0.0, 0.0),)), pulse, RunConfig())
@@ -286,6 +327,19 @@ class TestEvolve:
 
 
 class TestSample:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counts_match_a_scan_of_every_state(self, seed):
+        """Keys, key order and int types as a comprehension over all 2^16 counts gives them."""
+        rng = np.random.default_rng(100 + seed)
+        amp = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+        psi = amp / np.linalg.norm(amp)
+        p = np.abs(psi) ** 2
+        raw = np.random.default_rng(seed).multinomial(200, p / p.sum())
+        scanned = {int(i): int(c) for i, c in enumerate(raw) if c}
+        out = sample(psi, 200, seed)
+        assert out == scanned and list(out) == list(scanned)
+        assert all(type(key) is int and type(count) is int for key, count in out.items())
+
     def test_point_mass(self):
         psi = np.array([1.0, 0, 0, 0], dtype=complex)
         out = sample(psi, shots=10, seed=0)
