@@ -24,12 +24,8 @@ heuristic runs once per explored node, after column generation.
 
 The root is a node like any other, and every node names its residual by its
 vertex mask in the root graph; its depth is the number of classes it has
-fixed. Different branches can leave the same residual, and the shallower path
-to it needs fewer colors, so one dict keeps the least depth each residual was
-queued at: a child at that depth or deeper is dropped, a queued node that a
-shallower one has since replaced is pruned when popped, and a residual
-reached again by a shallower path is explored again even if it was explored
-before.
+fixed. Different branches can leave the same residual, and each of them
+explores it: that costs work, never a proof.
 """
 
 from __future__ import annotations
@@ -231,8 +227,8 @@ def solve_qcbp(
 ) -> SolveResult:
     """Full solve: certified column generation at every explored node,
     incumbents from each node's columns, best-score-first search with bound
-    pruning. The module docstring gives the rules for queueing, bounding and
-    revisiting a residual.
+    pruning. The module docstring gives the rules for queueing and bounding
+    a node.
 
     Every setting comes from `engine.config`; without an engine one is built
     from `config`. A `config` given beside an engine must equal its config in
@@ -252,12 +248,10 @@ def solve_qcbp(
     incumbent = Coloring(classes=())
     ub = g.n + 1  # every coloring beats it, so the root's heuristic sets the incumbent
     root_lb, lp_root = 0, 0.0
-    best_depth: dict[int, int] = {}  # residual -> least depth it was queued at
     heap: list[tuple[float, int, BBNode]] = []
     budget_hit = False
 
     def push(node: BBNode, local_ub: int) -> None:
-        best_depth[node.residual_root] = node.depth
         stats.nodes_generated += 1
         score = node_score(local_ub, g.edges_within(node.residual_root))
         heapq.heappush(heap, (-score, stats.nodes_generated, node))
@@ -272,7 +266,7 @@ def solve_qcbp(
     push(BBNode(residual_root=g.full_mask, fixed_classes=()), g.n)  # alone, any score
     while heap and ub > root_lb and not budget_hit:
         _, _, node = heapq.heappop(heap)
-        if node.depth > best_depth[node.residual_root] or node.lb >= ub:
+        if node.lb >= ub:
             stats.nodes_pruned += 1
             continue
         spectral = spectral_lb(g, node.residual_root).combined_lb
@@ -300,23 +294,20 @@ def solve_qcbp(
         if node.lb >= ub:
             continue
         for child in branch(g, node, hcg_res.columns):
-            residual = child.residual_root
-            if residual == 0:
+            if child.residual_root == 0:
                 stats.nodes_generated += 1
                 stats.nodes_pruned += 1
                 try_incumbent(child.fixed_classes)
-            elif best_depth.get(residual, child.depth + 1) > child.depth:
-                if stats.nodes_generated >= config.node_budget:
-                    budget_hit = True
-                    break
+            elif stats.nodes_generated >= config.node_budget:
+                budget_hit = True
+                break
+            else:
                 push(child, local.colors_used)
 
     # the loop stops early only at the root bound or at the budget
     proven = not budget_hit or ub == root_lb
     stats.unproven_reason = "" if proven else "budget"
-    # a queued node whose residual was queued again shallower is pruned, not open
-    stats.nodes_open = sum(n.depth == best_depth[n.residual_root] for _, _, n in heap)
-    stats.nodes_pruned += len(heap) - stats.nodes_open
+    stats.nodes_open = len(heap)
     stats.shots_total = sum(row.shots for row in pricing_log)
     stats.wall_seconds = clock() - t_start
     return SolveResult(

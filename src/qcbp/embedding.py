@@ -47,13 +47,15 @@ class EmbeddingError(RuntimeError):
 class Register:
     """Immutable 2D atom coordinates in micrometers.
 
-    Enforces on construction: finite coordinates, pairwise spacing of at
-    least 4 um and every atom within 50 um of the centroid.
+    Enforces on construction: at least one atom, finite coordinates, pairwise
+    spacing of at least 4 um and every atom within 50 um of the centroid.
     """
 
     positions: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if not self.positions:
+            raise EmbeddingError("a register needs at least one atom")
         pos = self.as_array()
         for i, (x, y) in enumerate(pos.tolist()):
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -64,7 +66,7 @@ class Register:
             if d.min() < MIN_SPACING_UM - 1e-9:
                 raise EmbeddingError(f"atom spacing {d.min():.3f} um below {MIN_SPACING_UM} um")
         centroid = pos.mean(axis=0)
-        radius = np.sqrt(((pos - centroid) ** 2).sum(axis=1)).max() if len(pos) else 0.0
+        radius = np.sqrt(((pos - centroid) ** 2).sum(axis=1)).max()
         if radius > REGISTER_RADIUS_UM + 1e-9:
             raise EmbeddingError(f"atom {radius:.3f} um from centroid exceeds {REGISTER_RADIUS_UM} um")
 

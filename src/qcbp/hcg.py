@@ -21,9 +21,8 @@ A subproblem is the root graph and the mask of its vertices, the search
 node's residual; the master, the exact pricer and the pool see no other
 numbering. The dual-positive part of that mask is the sampler's seed key in
 `qcbp.pricing`. The search runs column generation once per explored node; it
-meets a mask again only when a shallower path reaches a residual that was
-already explored (the depth rule in `qcbp.bnp`), and that second run starts
-from every column the first one pooled.
+meets a mask again when two branches leave the same residual, and the later
+run starts from every column the earlier one pooled.
 """
 
 from __future__ import annotations

@@ -571,7 +571,9 @@ class TestSolve:
 class TestWeakBoundSearch:
     """With the LP bound reported as 0 and the spectral bound as 1, nodes are
     pruned only by depth + 1 >= ub, so the search goes deep and meets the same
-    residual along paths of different depths."""
+    residual along several paths. Each path explores it, and the search must
+    still end sound: a valid coloring, every node counted once, and a proof
+    only at the chromatic number."""
 
     @pytest.fixture
     def weak_bounds(self, monkeypatch):
@@ -609,7 +611,7 @@ class TestWeakBoundSearch:
 
     def test_shallower_path_explores_a_residual_again(self, weak_bounds, monkeypatch):
         # Pricing nothing leaves only singletons to the heuristic, and a seeded
-        # random search order reaches one residual by a deeper path first.
+        # random search order explores one residual along more than one path.
         explored = []
 
         def no_pricing(root, keep, pool, engine):

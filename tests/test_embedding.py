@@ -37,6 +37,10 @@ class TestRegister:
         reg = register_from([(0, 0), (5, 0)])
         assert reg.n == 2
 
+    def test_empty_rejected(self):
+        with pytest.raises(EmbeddingError, match="^a register needs at least one atom$"):
+            Register(positions=())
+
     @pytest.mark.parametrize("positions, atom", [
         (((math.nan, 0.0), (0.0, 0.0)), 0),
         (((0.0, 0.0), (0.0, math.inf)), 1),
