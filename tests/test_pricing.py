@@ -410,6 +410,15 @@ class TestEmulationCap:
 
 
 class TestConfig:
+    def test_bad_kind_rejected(self):
+        with pytest.raises(ValueError, match="sampler"):
+            RunConfig(sampler="quantum_hardware")
+
+    def test_negative_seed_rejected(self):
+        # numpy's seed streams take no negative entry, so it is refused here
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RunConfig(seed=-1)
+
     @pytest.mark.parametrize("name", ["sampler", "seed", "shots"], ids=["kind", "seed", "shots"])
     def test_fields_cannot_be_assigned(self, name):
         # the engine's sampler kind, seed and shot count are fixed once it is built
