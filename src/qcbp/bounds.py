@@ -31,7 +31,8 @@ def spectral_lb(g: Graph, keep: int | None = None) -> SpectralBounds:
     every vertex) and their combined integer ceiling.
 
     Degenerate spectra (edgeless graphs, one-signed inertia) fall back to the
-    trivial bound 1 so every field stays a valid lower bound.
+    trivial bound 1 so every field stays a valid lower bound; n/(n - l_max)
+    needs no fallback, since l_max <= n - 1 and l_max = 0 gives exactly 1.
     """
     eig = np.linalg.eigvalsh(g.adjacency_matrix(keep))
     n = len(eig)
@@ -47,10 +48,7 @@ def spectral_lb(g: Graph, keep: int | None = None) -> SpectralBounds:
         elphick_wocjan = 1.0 + max(n_pos / n_neg, n_neg / n_pos)
     else:
         elphick_wocjan = 1.0
-    if l_max > EIG_ZERO_TOL:
-        edwards_elphick = n / (n - l_max)
-    else:
-        edwards_elphick = 1.0
+    edwards_elphick = n / (n - l_max)
 
     combined = max(
         1,

@@ -40,14 +40,10 @@ def exact_coloring(g: Graph) -> tuple[int, list[int]]:
     """Exact chromatic number and one optimal color assignment (0-based)."""
     if g.n > ORACLE_VERTEX_CAP:
         raise ValueError(f"exact oracle capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
-    if g.edge_count == 0:
-        return 1, [0] * g.n
 
     best_assign = greedy_coloring(g)
     best = max(best_assign) + 1
-    clique_lb = greedy_clique(g).bit_count()
-    if best == clique_lb:
-        return best, best_assign
+    clique = greedy_clique(g)
 
     colors = [-1] * g.n
     neighbor_colors = [set() for _ in range(g.n)]
@@ -97,9 +93,10 @@ def exact_coloring(g: Graph) -> tuple[int, list[int]]:
             backtrack(colored + 1, used + 1)
             unassign(v, used, touched)
 
-    # Pre-color the greedy clique: its vertices need pairwise-distinct colors anyway.
+    # Pre-color the greedy clique: its vertices need pairwise-distinct colors
+    # anyway. When the greedy coloring uses no more colors, the search stops at once.
     colored = 0
-    for i, v in enumerate(iter_bits(greedy_clique(g))):
+    for i, v in enumerate(iter_bits(clique)):
         assign(v, i)
         colored += 1
     backtrack(colored, colored)

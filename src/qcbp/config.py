@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
 MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~32 B a step at any register size
+MAX_EMBED_RESTARTS = 1000  # the layout descent holds every restart at once, ~38 KB each at 20 atoms
 # Pricing registers are laid out against a tighter unit-disk radius than the
 # 10 um hardware maximum, so every target edge sits deep inside the blockade
 # (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
@@ -70,6 +71,9 @@ class RunConfig:
         if steps > MAX_STEPS:
             raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
                              f"tables would take about {steps * 32 / 1e9:.2g} GB")
+        if self.embed_restarts > MAX_EMBED_RESTARTS:
+            raise ValueError(f"embed_restarts is {self.embed_restarts}, above {MAX_EMBED_RESTARTS}: the layout "
+                             f"descent would hold about {self.embed_restarts * 38e3 / 1e9:.2g} GB at 20 atoms")
 
     # The benchmark harness seeds each solve's engine through `sampler_config`
     # and passes `solver_config()` beside it, which differs only in its seed.

@@ -60,11 +60,10 @@ class Register:
         for i, (x, y) in enumerate(pos.tolist()):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise EmbeddingError(f"atom {i} has a non-finite coordinate ({x!r}, {y!r})")
-        if len(pos) >= 2:
-            d = pairwise_distances(pos)
-            np.fill_diagonal(d, np.inf)
-            if d.min() < MIN_SPACING_UM - 1e-9:
-                raise EmbeddingError(f"atom spacing {d.min():.3f} um below {MIN_SPACING_UM} um")
+        d = pairwise_distances(pos)
+        np.fill_diagonal(d, np.inf)  # one atom leaves the least spacing at inf
+        if d.min() < MIN_SPACING_UM - 1e-9:
+            raise EmbeddingError(f"atom spacing {d.min():.3f} um below {MIN_SPACING_UM} um")
         centroid = pos.mean(axis=0)
         radius = np.sqrt(((pos - centroid) ** 2).sum(axis=1)).max()
         if radius > REGISTER_RADIUS_UM + 1e-9:
@@ -128,11 +127,11 @@ def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
     for it in range(config.embed_iterations):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
-        dist[:, eye] = 1.0
+        # An atom is MIN_SPACING_UM from itself, so every hinge is 0 on the diagonal.
+        dist[:, eye] = MIN_SPACING_UM
         too_far = np.maximum(dist - config.register_radius, 0.0) * edge_mask
         too_near = np.maximum(config.register_radius - dist, 0.0) * nonedge_mask
         pair_close = np.maximum(MIN_SPACING_UM - dist, 0.0)
-        pair_close[:, eye] = 0.0
         # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
         k = 2.0 * (W_EDGE * too_far - W_NONEDGE * too_near - W_SPACING * pair_close)
         grad = (k[..., None] * diff / dist[..., None]).sum(axis=2)

@@ -12,6 +12,7 @@ and `expand_mask` carries a drawn bitstring back to the root.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -207,10 +208,11 @@ def random_ud_graph(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not box > 0:
-        raise ValueError(f"box must be positive, got {box!r}")
+    # `<= float max` refuses NaN, inf and an int past the float range alike.
+    if not 0 < radius <= sys.float_info.max:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if not 0 < box <= sys.float_info.max:
+        raise ValueError(f"box must be positive and finite, got {box!r}")
     rng = np.random.default_rng(seed)
     for _ in range(50):
         pts: list[np.ndarray] = []
@@ -241,11 +243,9 @@ def flip_random_pairs(g: Graph, seed: int) -> Graph:
     """Toggle the adjacency of k random vertex pairs, k uniform in {1, 2, 3}
     and capped at the n(n-1)/2 pairs there are.
 
-    Used to derive non-unit-disk instances from unit-disk ones. Graphs with a
-    single vertex have no pairs and are returned unchanged.
+    Used to derive non-unit-disk instances from unit-disk ones. A graph with a
+    single vertex has no pairs, so an equal graph comes back.
     """
-    if g.n < 2:
-        return g
     rng = np.random.default_rng(seed)
     k = min(int(rng.integers(1, 4)), g.n * (g.n - 1) // 2)
     edges = set(g.edges())

@@ -84,9 +84,8 @@ def run_hcg(
     sol = solve_rmp(model)
     duals = sol.duals.tolist()
     prev_obj = sol.objective
-    iterations = 0
+    # RunConfig guarantees at least one round, so `iteration` is always bound.
     for iteration in range(1, engine.config.hcg_max_iterations + 1):
-        iterations = iteration
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         found: list[int] = []
         if engine.config.sampler != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:
@@ -126,5 +125,5 @@ def run_hcg(
     # set's weight under them are dual feasible, so this is a valid LP lower bound.
     lp_bound = sum(max(d, 0.0) for d in duals) / max(1.0, heaviest)
 
-    return HcgResult(lp_bound=lp_bound, iterations=iterations, certified=certified,
+    return HcgResult(lp_bound=lp_bound, iterations=iteration, certified=certified,
                      pricing_log=log, exact_calls=exact_calls, columns=model.masks)

@@ -148,7 +148,8 @@ class PricingEngine:
         self._draws += 1
         return [self.config.seed, self._draws]
 
-    def _draw_bitstrings(self, sub: Graph, key: int, weights: list[float]) -> dict[int, int]:
+    def _draw_bitstrings(self, sub: Graph, key: int, weights: list[float]) -> list[int]:
+        """The distinct bitstrings of one draw on `sub`, in increasing order."""
         if self.config.sampler == "emulated_qaa":
             reg = embed(sub, self.config, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
@@ -156,16 +157,16 @@ class PricingEngine:
             pulse = build_adiabatic_pulse(report, self.config)
             amplitudes = evolve(reg, pulse, self.config)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
-            return sample(amplitudes, self.config.shots, seed)
+            return list(sample(amplitudes, self.config.shots, seed))
         # classical_stochastic: weighted random greedy maximal sets
         rng = np.random.default_rng(self._next_seed())
-        counts: dict[int, int] = {}
+        drawn: set[int] = set()
         w = np.maximum(np.asarray(weights, dtype=float), 1e-9)
         for _ in range(self.config.shots):
             keys = rng.random(sub.n) ** (1.0 / w)
             chosen = sub.grow(0, sorted(range(sub.n), key=lambda i: -keys[i]))
-            counts[chosen] = counts.get(chosen, 0) + 1
-        return dict(sorted(counts.items()))
+            drawn.add(chosen)
+        return sorted(drawn)
 
     def sample_columns(
         self,

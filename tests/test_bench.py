@@ -210,6 +210,9 @@ class TestDataset:
         ({"radius": -1.0}, "radius must be positive"),
         ({"box": 1.0}, "could not place"),
         ({"box": 0.0}, "box must be positive"),
+        ({"box": math.inf}, "box must be positive"),
+        ({"radius": math.nan}, "radius must be positive"),
+        ({"box": 10**400}, "box must be positive"),
     ])
     def test_bad_instance_parameters_write_nothing(self, tmp_path, options, reason):
         with pytest.raises((ValueError, RuntimeError), match=reason):

@@ -49,6 +49,7 @@ class TestExactChromatic:
 
     def test_edgeless(self):
         assert exact_chromatic_number(Graph.from_edges(6, [])) == 1
+        assert exact_coloring(Graph.from_edges(6, [])) == (1, [0] * 6)
 
     def test_single_vertex(self):
         assert exact_chromatic_number(Graph.from_edges(1, [])) == 1

@@ -38,6 +38,8 @@ class TestGen:
         ("--ns", "5,5", "ns must not repeat a size"),
         ("--ns", "0", "n must be >= 1"),
         ("--box", "0", "box must be positive"),
+        ("--box", "inf", "box must be positive"),
+        ("--radius", "nan", "radius must be positive"),
         ("--seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, flag, value, reason):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcbp.config import RunConfig
+from qcbp.config import MAX_EMBED_RESTARTS, RunConfig
 from qcbp.embedding import (
     EmbeddingError,
     Register,
@@ -222,6 +222,11 @@ class TestEmbedParams:
     def test_radius_must_be_positive_and_finite(self, value, reason):
         with pytest.raises(ValueError, match=f"register_radius must be {reason}"):
             RunConfig(register_radius=value)
+
+    def test_restarts_above_bound_rejected(self):
+        # Only the config is built: no descent runs.
+        with pytest.raises(ValueError, match=f"embed_restarts is {MAX_EMBED_RESTARTS + 1}, above"):
+            RunConfig(embed_restarts=MAX_EMBED_RESTARTS + 1)
 
     def test_range_edges_accepted(self):
         # One restart of one iteration still lays out a register that

@@ -212,7 +212,7 @@ class TestRandomUdGraph:
         assert dist.min() >= 4.0
 
     @pytest.mark.parametrize("n", [1, 5])
-    @pytest.mark.parametrize("box", [0.0, -40.0, math.nan])
+    @pytest.mark.parametrize("box", [0.0, -40.0, math.nan, math.inf])
     def test_box_must_be_positive(self, n, box):
         with pytest.raises(ValueError, match="box must be positive"):
             random_ud_graph(n, seed=0, box=box)
@@ -236,6 +236,10 @@ class TestFlipRandomPairs:
         for g in (Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])):
             h = flip_random_pairs(g, seed=502002)
             assert h.edge_count == 1 - g.edge_count
+
+    def test_one_vertex_comes_back_equal(self):
+        g = Graph.from_edges(1, [])
+        assert flip_random_pairs(g, seed=3) == g
 
     def test_deterministic(self):
         g, _ = random_ud_graph(10, seed=1)
