@@ -6,8 +6,9 @@ named by the root-graph mask of the vertices it keeps, and the solver passes
 that mask around rather than a renumbered graph: columns, duals, the master's
 rows, the spectrum and the sampler's filter all stay in root numbering, and
 each fact about a mask is computed in one place here. Only the sampler's atom
-register numbers the kept vertices 0..k-1; it builds an `induced_subgraph`,
-and `expand_mask` carries a drawn bitstring back to the root.
+register numbers vertices 0..k-1; it builds an `induced_subgraph` on the
+mask's `linked` vertices, and `expand_mask` carries a drawn bitstring back to
+the root.
 """
 
 from __future__ import annotations
@@ -108,6 +109,11 @@ class Graph:
     def edges_within(self, keep: int) -> int:
         """The number of edges with both endpoints in keep."""
         return sum((self.adj[v] & keep).bit_count() for v in iter_bits(keep)) // 2
+
+    def linked(self, keep: int) -> int:
+        """The vertices of keep with a neighbour in keep; the rest of keep is
+        in every maximal independent set within keep."""
+        return sum(1 << v for v in iter_bits(keep) if self.adj[v] & keep)
 
     def adjacency_matrix(self, keep: int | None = None) -> np.ndarray:
         """The 0/1 float adjacency matrix of the subgraph on keep (default: every

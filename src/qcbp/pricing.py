@@ -5,12 +5,15 @@ the dual-positive mask in falling dual order and keeps it if it is then
 improving. An improving set is new, since a solved master prices every
 column it holds above -1e-7, so no pricer sees the master or the pool. The
 sampler pass, `PricingEngine.sample_columns`, seeds the greedy with the
-solve's sample memory and draws on an emulated register only when that
-finds nothing; it has one exit and logs one `PricingStats` row. The
-embed seed comes from the subproblem's vertex set and the evolution is
-deterministic, so a revisited subgraph gets the same final state again
-without a cache. Unseeded, the greedy starts from the classes of a greedy
-coloring of the dual-positive vertices and from each of them. When no pricer
+solve's sample memory and draws only when that finds nothing; it has one
+exit and logs one `PricingStats` row. A draw holds an atom only for each
+*linked* dual-positive vertex, one with a dual-positive neighbour: the others
+are in every maximal set within the mask, so they are added to every drawn
+set, and a mask with no edge draws nothing. The embed seed comes from the
+dual-positive mask and the evolution is deterministic, so a revisited
+subgraph gets the same final state again without a cache. Unseeded, the
+greedy starts from the classes of a greedy coloring of the dual-positive
+vertices and from each of them. When no pricer
 finds a column, `clique_cover_weight` bounds every independent set's weight
 by a greedy clique cover, and a bound of at most 1 + IMPROVE_EPS certifies
 termination; only a looser cover leaves the round to a branch-and-bound MWIS,
@@ -181,15 +184,19 @@ class PricingEngine:
 
         The pass first grows the solve's sample memory, `samples`: every
         independent set this solve has drawn, cut down to `positive`. Only
-        when none of those gives a column does it draw again, on a register of
-        the induced subgraph; the independent sets the draw returns are stored
-        in `samples` and grown in their place. The emulated sampler draws
-        nothing on more than MAX_QUBITS vertices: the pass then returns no
-        columns, and the classical pricers answer the round. A pass that draws nothing logs 0
-        shots and 0 distinct bitstrings. Every returned column is a root mask,
-        independent and maximal within `positive`, with reduced cost below
-        -1e-6, re-checked here no matter what the sampler produced; so it is
-        new to the master that gave the duals.
+        when none of those gives a column does it draw again, on the subgraph
+        induced by the `linked` vertices of `positive`; each drawn set gets
+        the rest of `positive`, and the independent ones are stored in
+        `samples` and grown in their place. Nothing is drawn on a mask with
+        no edge, whose one maximal set the unseeded greedy prices, nor by the
+        emulated sampler on more than MAX_QUBITS linked vertices (atoms): the
+        pass then returns no columns, and the classical pricers answer the
+        round. A pass that draws nothing logs 0 shots and 0 distinct
+        bitstrings; `n_sub` counts all of `positive` either way.
+        Every returned column is a root mask, independent and maximal within
+        `positive`, with reduced cost below -1e-6, re-checked here no matter
+        what the sampler produced; so it is new to the master that gave the
+        duals.
         """
         if self.config.sampler == "exact_pricer":
             raise ValueError("exact_pricer has no sampling path; call exact_mwis instead")
@@ -197,10 +204,12 @@ class PricingEngine:
         seeds = dict.fromkeys(mask & positive for mask in samples)
         columns = greedy_columns(root, positive, duals, seeds)
         shots = distinct = 0
-        if not columns and positive and (self.config.sampler != "emulated_qaa" or n_sub <= MAX_QUBITS):
-            sub = root.induced_subgraph(positive)
-            w = [duals[v] for v in iter_bits(positive)]
-            drawn = [expand_mask(local, positive) for local in self._draw_bitstrings(sub, positive, w)]
+        linked = root.linked(positive)
+        if not columns and linked and (self.config.sampler != "emulated_qaa" or linked.bit_count() <= MAX_QUBITS):
+            sub = root.induced_subgraph(linked)
+            w = [duals[v] for v in iter_bits(linked)]
+            drawn = [expand_mask(local, linked) | positive & ~linked
+                     for local in self._draw_bitstrings(sub, positive, w)]
             seeds = dict.fromkeys(mask for mask in drawn if root.is_independent(mask))
             samples.update(seeds)
             columns = greedy_columns(root, positive, duals, seeds)

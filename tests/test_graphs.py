@@ -182,6 +182,17 @@ class TestMaskPrimitives:
             assert grown >> order[0] & 1
             assert g.grow(grown, order) == grown
 
+    def test_linked_are_the_induced_subgraphs_non_isolated_vertices(self):
+        for g, keep in self.graphs_and_masks(25):
+            sub = g.induced_subgraph(keep)
+            linked = g.linked(keep)
+            assert linked == expand_mask(mask_of(v for v in range(sub.n) if sub.adj[v]), keep)
+            # the rest of keep is in every maximal independent set within it
+            order = list(iter_bits(keep))
+            assert g.grow(0, order) & ~linked == g.grow(0, order[::-1]) & ~linked == keep & ~linked
+        assert path3().linked(path3().full_mask) == path3().full_mask
+        assert path3().linked(mask_of([0, 2])) == 0 == path3().linked(0)
+
     def test_mask_sum_in_vertex_order(self):
         values = [0.1 * v for v in range(12)]
         for g, keep in self.graphs_and_masks(24):

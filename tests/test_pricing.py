@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import qcbp.pricing
 from qcbp.bnp import solve_qcbp
 from qcbp.config import RunConfig
 from qcbp.emulator import MAX_QUBITS
+from qcbp.hcg import run_hcg
 from qcbp.graphs import Graph, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.pricing import (
     IMPROVE_EPS,
@@ -185,7 +186,8 @@ def soundness_check(engine: PricingEngine, g: Graph, duals: np.ndarray, pool: Co
         assert is_maximal_independent(g, mask)
     # a classical draw is maximal already, so the extension adds nothing
     assert stats.improving == stats.maximal == len(cols)
-    assert stats.shots == engine.config.shots
+    # a mask with no edge draws nothing: its only maximal set needs no draw
+    assert stats.shots == (engine.config.shots if g.edge_count else 0)
     return cols
 
 
@@ -352,6 +354,77 @@ class TestSampleMemory:
             assert any(row.shots == 0 for row in log)
 
 
+class TestUnlinkedVertices:
+    """A dual-positive vertex with no dual-positive neighbour is in every
+    maximal set within the mask: it gets no atom, and every draw holds it."""
+
+    def test_register_holds_the_linked_vertices(self, monkeypatch):
+        graphs, registers = [], []
+        real_embed, real_evolve = qcbp.pricing.embed, qcbp.pricing.evolve
+
+        def embedding(sub, *args, **kwargs):
+            graphs.append(sub)
+            return real_embed(sub, *args, **kwargs)
+
+        def evolving(reg, *args):
+            registers.append(reg)
+            return real_evolve(reg, *args)
+
+        monkeypatch.setattr(qcbp.pricing, "embed", embedding)
+        monkeypatch.setattr(qcbp.pricing, "evolve", evolving)
+        # A 4-cycle, two isolated vertices, and vertex 6, whose only neighbour
+        # (vertex 7) is outside the mask.
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (6, 7)])
+        positive = mask_of(range(7))
+        duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.3, 0.0)
+        cols, stats = PricingEngine(TestEmulatedSampler.FAST).sample_columns(g, positive, duals, {})
+        assert g.linked(positive) == mask_of(range(4))
+        assert graphs == [g.induced_subgraph(mask_of(range(4)))] and len(registers[0].positions) == 4
+        assert (stats.n_sub, stats.shots) == (7, 100)
+        # at 0.3 a set improves only with four or more vertices: the two
+        # independent pairs of the cycle, with the three unlinked vertices
+        assert sorted(cols) == [mask_of([0, 2, 4, 5, 6]), mask_of([1, 3, 4, 5, 6])]
+
+    @pytest.mark.parametrize("sampler", ["classical_stochastic", "emulated_qaa"])
+    def test_every_draw_holds_the_unlinked_vertices(self, sampler):
+        rng = np.random.default_rng(70)
+        cfg = replace(TestEmulatedSampler.FAST, sampler=sampler, shots=30)
+        unlinked_draws = 0
+        for _ in range(12):
+            n = int(rng.integers(5, 9))
+            g = random_graph(n, rng.uniform(0.1, 0.5), rng)
+            engine, samples = PricingEngine(cfg), {}
+            for _ in range(3):
+                positive = int(rng.integers(1, 1 << n))
+                unlinked = positive & ~g.linked(positive)
+                duals = np.where([(positive >> v) & 1 for v in range(n)], rng.uniform(0.05, 0.4, n), 0.0)
+                before = set(samples)
+                cols, stats = engine.sample_columns(g, positive, duals, samples)
+                drawn = set(samples) - before
+                assert all(mask & unlinked == unlinked for mask in drawn)
+                assert all(mask & unlinked == unlinked for mask in cols)
+                unlinked_draws += bool(stats.shots and unlinked)
+        assert unlinked_draws > 5
+
+    @pytest.mark.parametrize("sampler", ["classical_stochastic", "emulated_qaa"])
+    def test_an_edgeless_mask_draws_nothing(self, monkeypatch, sampler):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edgeless mask reached the register")
+
+        monkeypatch.setattr(qcbp.pricing, "embed", refuse)
+        monkeypatch.setattr(qcbp.pricing, "evolve", refuse)
+        g = Graph.from_edges(5, [])
+        engine = PricingEngine(RunConfig(sampler=sampler, shots=30))
+        cols, stats = engine.sample_columns(g, g.full_mask, np.full(5, 0.9), {}, iteration=2)
+        assert (cols, stats) == ([], PricingStats(2, 5, 0, 0, 0, 0))
+        pool = ColumnPool()
+        res = run_hcg(g, g.full_mask, pool, engine)
+        # the greedy prices the whole mask; the later rounds' masks have no edge either
+        assert res.pricing_log[0] == PricingStats(1, 5, 0, 0, 0, 0)
+        assert all(row.shots == 0 for row in res.pricing_log)
+        assert pool.columns[0] == g.full_mask and res.certified and res.lp_bound == pytest.approx(1.0)
+
+
 class TestDualForms:
     def test_list_and_array_duals_price_alike(self):
         # The master's duals reach the pricers as a list of floats; the
@@ -385,8 +458,12 @@ class TestDualForms:
         assert drawn > 60 and recalled > 20
 
 class TestEmulationCap:
-    @pytest.mark.parametrize("n, draws", [(MAX_QUBITS, True), (MAX_QUBITS + 1, False)])
-    def test_no_draw_above_the_cap(self, monkeypatch, n, draws):
+    # The cap counts atoms, the linked vertices: one vertex with no edge
+    # brings MAX_QUBITS + 1 vertices under it.
+    @pytest.mark.parametrize("n, draws, isolated", [
+        (MAX_QUBITS, True, 0), (MAX_QUBITS + 1, False, 0), (MAX_QUBITS + 1, True, 1)],
+        ids=[f"{MAX_QUBITS}-True", f"{MAX_QUBITS + 1}-False", f"{MAX_QUBITS + 1}-one-unlinked-True"])
+    def test_no_draw_above_the_cap(self, monkeypatch, n, draws, isolated):
         class Drew(Exception):
             pass
 
@@ -394,7 +471,8 @@ class TestEmulationCap:
             raise Drew
 
         monkeypatch.setattr(qcbp.pricing, "embed", embed)
-        g = random_graph(n, 0.3, np.random.default_rng(n))
+        g = Graph.from_edges(n, random_graph(n - isolated, 0.3, np.random.default_rng(n)).edges())
+        assert g.linked(g.full_mask).bit_count() == n - isolated
         engine = PricingEngine()
         if draws:
             with pytest.raises(Drew):
