@@ -16,11 +16,11 @@ each maximal independent set that contains v, with the sets among the node's
 columns first. The children cover every coloring of the residual whatever
 the sampler returned, so an exhausted search is a proof.
 
-A child is cheap to queue: it keeps its parent's bound, and its score is
-the parent's heuristic color count times the child's residual edge count, the
-larger first. It is bounded when popped, by the spectral bounds of its
-residual, and pruned on them before column generation runs; the primal
-heuristic runs once per explored node, after column generation.
+The search is depth-first in branching order: a node's children go on a
+stack so that its first child is explored next. A child is cheap to push: it
+keeps its parent's bound, and it is bounded when popped, by the spectral
+bounds of its residual, and pruned on them before column generation runs; the
+primal heuristic runs once per explored node, after column generation.
 
 The root is a node like any other, and every node names its residual by its
 vertex mask in the root graph; its depth is the number of classes it has
@@ -30,7 +30,6 @@ explores it: that costs work, never a proof.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from array import array
@@ -60,6 +59,8 @@ class Coloring:
     def validate(self, g: Graph, cover: int) -> None:
         union = 0
         for cls in self.classes:
+            if not cls:
+                raise ValueError("color class is empty")
             if cls & union:
                 raise ValueError("color classes overlap")
             if not g.is_independent(cls):
@@ -164,10 +165,6 @@ def node_lb(depth: int, lp_bound: float, lb: int) -> int:
     return max(lb, depth + math.ceil(lp_bound - CEIL_TOL))
 
 
-def node_score(local_ub: int, residual_edge_count: int) -> float:
-    return float(local_ub * residual_edge_count)
-
-
 def maximal_sets_containing(g: Graph, v: int, keep: int) -> list[int]:
     """Every maximal independent set of g's subgraph on `keep` that contains v.
 
@@ -226,9 +223,9 @@ def solve_qcbp(
     clock=time.perf_counter,
 ) -> SolveResult:
     """Full solve: certified column generation at every explored node,
-    incumbents from each node's columns, best-score-first search with bound
-    pruning. The module docstring gives the rules for queueing and bounding
-    a node.
+    incumbents from each node's columns, depth-first search in branching
+    order with bound pruning. The module docstring gives the rules for
+    pushing and bounding a node.
 
     Every setting comes from `engine.config`; without an engine one is built
     from `config`. A `config` given beside an engine must equal its config in
@@ -244,17 +241,12 @@ def solve_qcbp(
 
     pool = ColumnPool()
     pricing_log: list[PricingStats] = []
-    stats = SearchStats()
+    stats = SearchStats(nodes_generated=1)  # the root
     incumbent = Coloring(classes=())
     ub = g.n + 1  # every coloring beats it, so the root's heuristic sets the incumbent
     root_lb, lp_root = 0, 0.0
-    heap: list[tuple[float, int, BBNode]] = []
+    stack = [BBNode(residual_root=g.full_mask, fixed_classes=())]
     budget_hit = False
-
-    def push(node: BBNode, local_ub: int) -> None:
-        stats.nodes_generated += 1
-        score = node_score(local_ub, g.edges_within(node.residual_root))
-        heapq.heappush(heap, (-score, stats.nodes_generated, node))
 
     def try_incumbent(classes: tuple[int, ...]) -> None:
         nonlocal incumbent, ub
@@ -263,9 +255,8 @@ def solve_qcbp(
             candidate.validate(g, g.full_mask)
             incumbent, ub = candidate, len(classes)
 
-    push(BBNode(residual_root=g.full_mask, fixed_classes=()), g.n)  # alone, any score
-    while heap and ub > root_lb and not budget_hit:
-        _, _, node = heapq.heappop(heap)
+    while stack and ub > root_lb and not budget_hit:
+        node = stack.pop()
         if node.lb >= ub:
             stats.nodes_pruned += 1
             continue
@@ -293,6 +284,7 @@ def solve_qcbp(
 
         if node.lb >= ub:
             continue
+        children: list[BBNode] = []
         for child in branch(g, node, hcg_res.columns):
             if child.residual_root == 0:
                 stats.nodes_generated += 1
@@ -302,12 +294,14 @@ def solve_qcbp(
                 budget_hit = True
                 break
             else:
-                push(child, local.colors_used)
+                stats.nodes_generated += 1
+                children.append(child)
+        stack.extend(reversed(children))  # the first child is popped next
 
     # the loop stops early only at the root bound or at the budget
     proven = not budget_hit or ub == root_lb
     stats.unproven_reason = "" if proven else "budget"
-    stats.nodes_open = len(heap)
+    stats.nodes_open = len(stack)
     stats.shots_total = sum(row.shots for row in pricing_log)
     stats.wall_seconds = clock() - t_start
     return SolveResult(

@@ -16,7 +16,6 @@ from qcbp.bnp import (
     branch,
     maximal_sets_containing,
     node_lb,
-    node_score,
     primal_heuristic,
     solve_qcbp,
 )
@@ -45,6 +44,11 @@ class TestPrimalHeuristic:
         g = Graph.from_edges(4, [])
         coloring = primal_heuristic(g.full_mask, [1, 2, 4, 8, g.full_mask], 1)
         assert coloring.colors_used == 1
+
+    def test_uncovered_vertex(self):
+        # no column cut to the residual {0, 1, 2} holds vertex 1
+        with pytest.raises(ValueError, match="no column contains vertex 1"):
+            primal_heuristic(0b111, [0b101, 0b1000], 3)
 
     def test_coloring_always_feasible(self):
         rng = np.random.default_rng(80)
@@ -160,8 +164,17 @@ class TestColoring:
         with pytest.raises(ValueError, match="cover"):
             Coloring(classes=(0b001,)).validate(path3(), 0b111)
 
+    def test_validate_empty_class(self):
+        # padding a coloring with empty classes would inflate its color count
+        with pytest.raises(ValueError, match="color class is empty"):
+            Coloring(classes=(0b101, 0b010, 0)).validate(path3(), 0b111)
+
 
 class TestBranch:
+    def test_empty_residual(self):
+        with pytest.raises(ValueError, match="cannot branch on an empty residual"):
+            branch(path3(), BBNode(residual_root=0, fixed_classes=(0b101, 0b010)), [])
+
     def test_triangle_children(self):
         # Every vertex has degree 2, so v = 0, whose only maximal set is {0}.
         g = complete(3)
@@ -233,9 +246,25 @@ class TestNodeBounds:
     def test_k4_bound(self):
         assert node_lb(0, 4.0, 0 + spectral_lb(complete(4)).combined_lb) == 4
 
-    def test_score(self):
-        assert node_score(3, 5) == 15.0
-        assert node_score(4, 0) == 0.0
+    def test_score(self, monkeypatch):
+        # The search is depth-first in branching order, so the node explored
+        # after the root is the root's first child in `branch` order.
+        explored, branchings = [], []
+        real_run_hcg, real_branch = qcbp.bnp.run_hcg, qcbp.bnp.branch
+
+        def recording_run_hcg(*args):
+            explored.append(args[1])
+            return real_run_hcg(*args)
+
+        def recording_branch(*args):
+            branchings.append(real_branch(*args))
+            return branchings[-1]
+
+        monkeypatch.setattr(qcbp.bnp, "run_hcg", recording_run_hcg)
+        monkeypatch.setattr(qcbp.bnp, "branch", recording_branch)
+        solve_qcbp(myciel(4), engine=exact_engine())
+        assert explored[0] == myciel(4).full_mask
+        assert explored[1] == branchings[0][0].residual_root
 
 
 class TestSolve:
@@ -412,7 +441,8 @@ class TestSolve:
     def test_children_are_bounded_when_popped(self, monkeypatch):
         # Bounds and the heuristic run for popped nodes only: spectral_lb
         # before each run_hcg and primal_heuristic once after it, all three on
-        # the same residual, and nothing for the children still queued at the end.
+        # the same residual, and nothing for the children still on the stack
+        # at the end.
         events: list[tuple[str, int]] = []
 
         def counting(name, fn, mask_of_args):
@@ -422,10 +452,10 @@ class TestSolve:
             return wrapped
 
         for name, pick in (("spectral_lb", lambda a: a[1]), ("run_hcg", lambda a: a[1]),
-                           ("primal_heuristic", lambda a: a[0]), ("node_score", lambda a: 0)):
+                           ("primal_heuristic", lambda a: a[0])):
             monkeypatch.setattr(qcbp.bnp, name, counting(name, getattr(qcbp.bnp, name), pick))
         # myciel4 has a root gap (LP 3.245, chromatic number 5); the budget
-        # stops the search after 5 explored nodes with 35 still open
+        # stops the search after 5 explored nodes, 18 pruned and 17 still open
         res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=40))
         s = res.stats
         names = [name for name, _ in events]
@@ -435,7 +465,7 @@ class TestSolve:
                 assert events[i - 1] == ("spectral_lb", mask)
                 assert events[i + 1] == ("primal_heuristic", mask)
         assert s.nodes_open > 0
-        assert names.count("spectral_lb") <= names.count("node_score") - s.nodes_open
+        assert names.count("spectral_lb") <= s.nodes_generated - s.nodes_open
 
     def test_solves_sharing_an_engine_report_their_own_work(self, monkeypatch):
         # The engine's seed stream carries on across solves, but each solve's
@@ -621,7 +651,9 @@ class TestWeakBoundSearch:
 
         order = np.random.default_rng(0)
         monkeypatch.setattr(qcbp.bnp, "run_hcg", no_pricing)
-        monkeypatch.setattr(qcbp.bnp, "node_score", lambda local_ub, edges: float(order.random()))
+        real_branch = qcbp.bnp.branch
+        monkeypatch.setattr(qcbp.bnp, "branch",
+                            lambda *args: sorted(real_branch(*args), key=lambda c: order.random()))
         g = Graph.from_edges(8, [
             (0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7),
             (2, 4), (2, 5), (2, 6), (3, 4), (4, 7), (5, 6), (5, 7)])

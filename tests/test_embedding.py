@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qcbp.embedding
 from qcbp.config import MAX_EMBED_RESTARTS, RunConfig
 from qcbp.embedding import (
     EmbeddingError,
@@ -77,6 +78,10 @@ class TestAudit:
         assert not rep.is_exact_ud
         assert rep.r_max == pytest.approx(12.0)
         assert rep.r_min_gap is None
+
+    def test_register_size_must_match_the_graph(self):
+        with pytest.raises(ValueError, match="register has 2 atoms for a 3-vertex graph"):
+            audit(complete(3), register_from([(0, 0), (5, 0)]), ud_radius=10)
 
     def test_extra_edge(self):
         g = Graph.from_edges(2, [])
@@ -205,6 +210,14 @@ class TestEmbed:
         reg = embed(star, capped, seed=3)
         assert not audit(star, reg, capped.register_radius).is_exact_ud
         assert reg == embed(star, loose, seed=3)
+
+    def test_every_restart_infeasible(self, monkeypatch):
+        def infeasible(pos):
+            raise EmbeddingError("coincident atoms cannot be separated by rescaling")
+
+        monkeypatch.setattr(qcbp.embedding, "_project", infeasible)
+        with pytest.raises(EmbeddingError, match="all 2 restarts infeasible: coincident atoms"):
+            embed(complete(3), FAST, seed=0)
 
 
 class TestEmbedParams:

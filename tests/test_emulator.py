@@ -75,6 +75,10 @@ class TestPulse:
         with pytest.raises(ValueError, match="zero"):
             PulseSchedule(3.0, ((0.0, 1.0), (3.0, 0.0)), ((0.0, -15.0), (3.0, 15.0)))
 
+    def test_breakpoints_must_reach_the_duration(self):
+        with pytest.raises(ValueError, match=r"delta breakpoints must cover \[0, duration\]"):
+            PulseSchedule(3.0, ((0.0, 0.0), (1.5, 1.0), (3.0, 0.0)), ((0.0, -15.0), (2.0, 15.0)))
+
     @pytest.mark.parametrize("duration, dt", [(3.0, 1e-3), (3.0, 2e-3), (1.7, 7e-4)])
     def test_midpoint_schedule_matches_scalar_lookups(self, duration, dt):
         cfg = RunConfig(duration=duration, dt=dt)

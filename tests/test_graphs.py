@@ -48,6 +48,38 @@ class TestParseDimacs:
         with pytest.raises(ValueError, match="header"):
             parse_dimacs("p vertex 2 0")
 
+    def test_duplicate_header(self):
+        with pytest.raises(ValueError, match="line 2: duplicate problem header"):
+            parse_dimacs("p edge 2 0\np edge 2 0")
+
+    def test_non_integer_header_count(self):
+        with pytest.raises(ValueError, match="line 1: malformed header 'p edge x 1'"):
+            parse_dimacs("p edge x 1")
+
+    def test_zero_vertices(self):
+        with pytest.raises(ValueError, match=r"vertex count 0 outside \[1, 64\]"):
+            parse_dimacs("p edge 0 0")
+
+    def test_too_many_vertices(self):
+        with pytest.raises(ValueError, match=r"vertex count 65 outside \[1, 64\]"):
+            parse_dimacs("p edge 65 0")
+
+    def test_edge_before_header(self):
+        with pytest.raises(ValueError, match="line 1: edge before problem header"):
+            parse_dimacs("e 1 2\np edge 2 1")
+
+    def test_edge_with_one_vertex(self):
+        with pytest.raises(ValueError, match="line 2: malformed edge line 'e 1'"):
+            parse_dimacs("p edge 2 1\ne 1")
+
+    def test_unrecognized_line(self):
+        with pytest.raises(ValueError, match="line 2: unrecognized line 'x 1 2'"):
+            parse_dimacs("p edge 2 1\nx 1 2")
+
+    def test_missing_header(self):
+        with pytest.raises(ValueError, match="missing problem header"):
+            parse_dimacs("c only a comment\n")
+
     def test_duplicate_edges_collapse(self):
         g = parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\ne 1 2")
         assert g.edge_count == 1
@@ -284,3 +316,7 @@ class TestPositionsCsv:
         back = parse_csv(PositionRecord, (tmp_path / rec.positions_file).read_text())
         assert [r.vertex for r in back] == list(range(6))
         assert np.array_equal([(r.x_um, r.y_um) for r in back], pos)
+
+    def test_wrong_header(self):
+        with pytest.raises(ValueError, match="malformed CSV header, expected 'vertex,x_um,y_um'"):
+            parse_csv(PositionRecord, "vertex,x,y\n0,1.0,2.0\n")

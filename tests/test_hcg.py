@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,23 @@ class TestSmallGraphs:
         res = run_root(Graph.from_edges(1, []), exact_engine())
         assert res.certified and res.lp_bound == pytest.approx(1.0)
         assert res.exact_calls == len(exact_calls) == 0
+
+
+    def test_rising_master_objective_raises(self, monkeypatch):
+        # the master's objective can only fall as columns are added
+        solutions = []
+        real_solve_rmp = qcbp.hcg.solve_rmp
+
+        def rising(model):
+            sol = real_solve_rmp(model)
+            if solutions:
+                sol = replace(sol, objective=solutions[0].objective + 1.0)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr(qcbp.hcg, "solve_rmp", rising)
+        with pytest.raises(RuntimeError, match="master objective increased 5.0 -> 6.0"):
+            run_root(cycle(5), exact_engine())
 
 
 class TestCertificates:

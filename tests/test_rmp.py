@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from qcbp.bnp import solve_qcbp
 from qcbp.graphs import Graph, iter_bits, mask_of, restrict_mask
 from qcbp import rmp
 from qcbp.rmp import RmpModel, _factor, _simplex, solve_rmp
 
-from builders import path3, random_graph
+from builders import exact_engine, path3, random_graph
 from oracles import all_independent_sets, lp_oracle
 
 
@@ -120,6 +121,26 @@ class TestSolve:
         model.add([g.full_mask])
         sol = solve_rmp(model)
         assert abs(sol.objective - 1.0) < 1e-9
+
+    def test_bland_rule_keeps_the_solves(self, monkeypatch):
+        # At a limit of 1 the first degenerate pivot of a call switches it to
+        # Bland's rule. Solves of G(20, 0.3) graphs, drawn as the gnp_exact
+        # benchmark draws them, keep their chi-hat, proof and root LP value.
+        graphs = []
+        for k in range(20):
+            rng = np.random.default_rng([1, 20, k])
+            graphs.append(Graph.from_edges(
+                20, [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3]))
+
+        def outcomes():
+            return [(r.chi_hat, r.proven_optimal, r.lp_root)
+                    for r in (solve_qcbp(g, engine=exact_engine()) for g in graphs)]
+
+        dantzig = outcomes()
+        monkeypatch.setattr(rmp, "DEGENERATE_PIVOT_LIMIT", 1)
+        bland = outcomes()
+        assert [o[:2] for o in bland] == [o[:2] for o in dantzig]
+        assert [o[2] for o in bland] == pytest.approx([o[2] for o in dantzig], abs=1e-9)
 
     def test_objective_never_increases_with_columns(self):
         rng = np.random.default_rng(30)
