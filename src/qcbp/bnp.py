@@ -1,6 +1,6 @@
 """Branch-and-bound around column generation: branching on maximal sets,
-bounding with master-LP and spectral lower bounds, and a primal heuristic
-that recombines a node's columns into colorings.
+bounding with the master LP and Hoffman's spectral bound, and a primal
+heuristic that recombines a node's columns into colorings.
 
 A node's work comes back in the result of its column generation: the search
 adds up the pricing log and the exact pricer's calls from it, and hands its
@@ -9,7 +9,8 @@ the sets priced at the node) to the primal heuristic and to branching. The
 heuristic is a search over covers by those columns: its first descent is a
 greedy coloring, and while that needs more colors than the node's bound
 allows, it searches on for a coloring at that bound. It only offers
-incumbents, so proofs are unchanged.
+incumbents, so proofs are unchanged, and it runs only at a node whose bound
+is below the incumbent, since no coloring of any other node could beat it.
 
 A node branches on its residual's highest-degree vertex v: one child fixes
 each maximal independent set that contains v, with the sets among the node's
@@ -19,8 +20,8 @@ the sampler returned, so an exhausted search is a proof.
 The search is depth-first in branching order: a node's children go on a
 stack so that its first child is explored next. A child is cheap to push: it
 keeps its parent's bound, and it is bounded when popped, by the spectral
-bounds of its residual, and pruned on them before column generation runs; the
-primal heuristic runs once per explored node, after column generation.
+bound of its residual, and pruned on it before column generation runs; the
+primal heuristic runs after column generation.
 
 The root is a node like any other, and every node names its residual by its
 vertex mask in the root graph; its depth is the number of classes it has
@@ -158,11 +159,11 @@ def primal_heuristic(residual: int, columns: Iterable[int], k: int) -> Coloring:
     return Coloring(classes=best)
 
 
-def node_lb(depth: int, lp_bound: float, lb: int) -> int:
-    """A node's bound once its master LP is solved: the colors fixed so far
-    plus the LP value's ceiling (the chromatic number is integral), never
-    below the bound `lb` the node already had."""
-    return max(lb, depth + math.ceil(lp_bound - CEIL_TOL))
+def node_lb(depth: int, bound: float, lb: int) -> int:
+    """A node's bound from a lower bound on its residual's chromatic number
+    (spectral or LP): the colors fixed so far plus the bound's ceiling, as the
+    number is integral; never below the bound `lb` the node already had."""
+    return max(lb, depth + math.ceil(bound - CEIL_TOL))
 
 
 def maximal_sets_containing(g: Graph, v: int, keep: int) -> list[int]:
@@ -260,8 +261,7 @@ def solve_qcbp(
         if node.lb >= ub:
             stats.nodes_pruned += 1
             continue
-        spectral = spectral_lb(g, node.residual_root).combined_lb
-        node.lb = max(node.lb, node.depth + spectral)
+        node.lb = node_lb(node.depth, spectral_lb(g, node.residual_root), node.lb)
         if node.lb >= ub:
             stats.nodes_pruned += 1
             continue
@@ -272,10 +272,9 @@ def solve_qcbp(
         stats.exact_pricer_calls += hcg_res.exact_calls
         stats.uncertified_nodes += not hcg_res.certified
         node.lb = node_lb(node.depth, hcg_res.lp_bound, node.lb)
-        # a coloring in k = node.lb - depth classes would beat the incumbent; at
-        # node.lb >= ub none can, and k = the residual's size ends the first descent
-        k = node.lb - node.depth if node.lb < ub else node.residual_root.bit_count()
-        local = primal_heuristic(node.residual_root, hcg_res.columns, k)
+        if node.lb >= ub:  # never the root, since ub starts above every bound
+            continue
+        local = primal_heuristic(node.residual_root, hcg_res.columns, node.lb - node.depth)
         try_incumbent(node.fixed_classes + local.classes)
         if node.depth == 0:
             root_lb, lp_root = node.lb, hcg_res.lp_bound

@@ -63,9 +63,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     config = _build_config(args)
     g = parse_dimacs(Path(args.graph).read_text())
     # the output options fail here, not after the solve: the oracle's vertex
-    # cap, and a graph file stem (the log's instance name) that would split a row
+    # cap, a graph file stem (the log's instance name) that would split a row,
+    # and a log path in a missing directory
     chi_exact = exact_chromatic_number(g) if args.chi_exact else None
     instance = _format(Path(args.graph).stem) if args.pricing_log else None
+    if args.pricing_log and not Path(args.pricing_log).parent.is_dir():
+        raise ValueError(f"no directory {Path(args.pricing_log).parent} for the pricing log")
     res = solve_qcbp(g, config)
     stats = res.stats
     print(f"instance: {args.graph}")

@@ -35,6 +35,17 @@ def myciel(k: int) -> Graph:
     return g
 
 
+def join(*parts: Graph) -> Graph:
+    """The parts side by side, each vertex linked to every vertex of the other
+    parts; a part's vertices follow those of the parts before it."""
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(offset + u, offset + v) for u in range(h.n) for v in iter_bits(h.adj[u]) if u < v]
+        edges += [(u, offset + v) for u in range(offset) for v in range(h.n)]
+        offset += h.n
+    return Graph.from_edges(offset, edges)
+
+
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

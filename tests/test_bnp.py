@@ -19,14 +19,14 @@ from qcbp.bnp import (
     primal_heuristic,
     solve_qcbp,
 )
-from qcbp.bounds import SpectralBounds, spectral_lb
+from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.config import RunConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
 from qcbp.hcg import HcgResult, run_hcg
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 
-from builders import complete, cycle, exact_engine, myciel, path3, random_graph, stochastic_engine
+from builders import complete, cycle, exact_engine, join, myciel, path3, random_graph, stochastic_engine
 from oracles import is_maximal_independent
 
 
@@ -236,15 +236,19 @@ class TestBranch:
 
 
 class TestNodeBounds:
-    # a node's bound before its LP is solved: depth plus the residual's spectral bound
+    # a node's bound before its LP is solved: depth plus the ceiling of the
+    # residual's spectral bound; then the LP value's ceiling, never lower
     def test_rmp_term_ceiling(self):
-        assert node_lb(0, 2.0, 0 + spectral_lb(path3()).combined_lb) == 2
+        spectral = node_lb(0, spectral_lb(path3()), 1)
+        assert spectral == 2 and node_lb(0, 2.0, spectral) == 2
 
     def test_depth_plus_edgeless(self):
-        assert node_lb(1, 1.0, 1 + spectral_lb(Graph.from_edges(3, [])).combined_lb) == 2
+        spectral = node_lb(1, spectral_lb(Graph.from_edges(3, [])), 1)
+        assert spectral == 2 and node_lb(1, 1.0, spectral) == 2
 
     def test_k4_bound(self):
-        assert node_lb(0, 4.0, 0 + spectral_lb(complete(4)).combined_lb) == 4
+        spectral = node_lb(0, spectral_lb(complete(4)), 1)
+        assert spectral == 4 and node_lb(0, 4.0, spectral) == 4
 
     def test_score(self, monkeypatch):
         # The search is depth-first in branching order, so the node explored
@@ -467,6 +471,71 @@ class TestSolve:
         assert s.nodes_open > 0
         assert names.count("spectral_lb") <= s.nodes_generated - s.nodes_open
 
+    def test_heuristic_runs_only_below_the_incumbent(self, monkeypatch):
+        # After a node's LP bound is set, the heuristic runs with k = node.lb -
+        # depth if node.lb is below the incumbent, and not at all otherwise,
+        # since no coloring of the node could then be accepted. The events
+        # replay the incumbent: each heuristic coloring, and each child that
+        # its fixed classes color.
+        events: list[tuple] = []
+        real_node_lb, real_heuristic, real_branch = qcbp.bnp.node_lb, qcbp.bnp.primal_heuristic, qcbp.bnp.branch
+        real_run_hcg = qcbp.bnp.run_hcg
+
+        def recording_node_lb(depth, bound, lb):
+            events.append(("node_lb", depth, real_node_lb(depth, bound, lb)))
+            return events[-1][2]
+
+        def recording_heuristic(residual, columns, k):
+            coloring = real_heuristic(residual, columns, k)
+            events.append(("heuristic", k, coloring.colors_used))
+            return coloring
+
+        def recording_branch(*args):
+            children = real_branch(*args)
+            events.append(("branch", [c.depth for c in children if c.residual_root == 0]))
+            return children
+
+        def recording_run_hcg(*args):
+            events.append(("run_hcg",))
+            return real_run_hcg(*args)
+
+        monkeypatch.setattr(qcbp.bnp, "node_lb", recording_node_lb)
+        monkeypatch.setattr(qcbp.bnp, "primal_heuristic", recording_heuristic)
+        monkeypatch.setattr(qcbp.bnp, "branch", recording_branch)
+        monkeypatch.setattr(qcbp.bnp, "run_hcg", recording_run_hcg)
+
+        def check(g: Graph) -> list[int]:
+            events.clear()
+            res = solve_qcbp(g, engine=exact_engine())
+            ub, ks, lp = g.n + 1, [], None  # lp: (depth, bound) of a node whose LP was just solved
+            for i, event in enumerate(events):
+                if event[0] == "node_lb" and events[i - 1] == ("run_hcg",):
+                    lp = event[1:]
+                    continue
+                if event[0] == "heuristic":
+                    depth, lb = lp
+                    assert lb < ub and event[1] == lb - depth
+                    ks.append(event[1])
+                    ub = min(ub, depth + event[2])
+                elif lp is not None:
+                    assert lp[1] >= ub  # the node was closed without a call
+                if event[0] == "branch":
+                    ub = min([ub] + event[1])
+                lp = None
+            assert lp is None or lp[1] >= ub
+            assert ub == res.chi_hat and res.proven_optimal
+            return ks
+
+        # C5+C5: chromatic number 6 and root LP 5; the root's call finds a
+        # 6-coloring, and its two explored children reach 6 on their LP bound
+        assert check(join(cycle(5), cycle(5))) == [5]
+        assert events.count(("run_hcg",)) == 3
+        # calls below the root: 7 of 11 explored nodes, and 17 of 17 on
+        # myciel4, whose every node stays below the incumbent
+        assert len(check(join(cycle(5), cycle(5), cycle(5)))) == 7
+        assert len(check(myciel(4))) == 17
+        check(join(myciel(3), cycle(5)))
+
     def test_solves_sharing_an_engine_report_their_own_work(self, monkeypatch):
         # The engine's seed stream carries on across solves, but each solve's
         # shots and exact-pricer calls are its own. An exact call runs for
@@ -609,7 +678,7 @@ class TestWeakBoundSearch:
     def weak_bounds(self, monkeypatch):
         real_run_hcg = qcbp.bnp.run_hcg
         monkeypatch.setattr(qcbp.bnp, "run_hcg", lambda *args: replace(real_run_hcg(*args), lp_bound=0.0))
-        monkeypatch.setattr(qcbp.bnp, "spectral_lb", lambda g, keep: SpectralBounds(1.0, 1.0, 1.0, 1))
+        monkeypatch.setattr(qcbp.bnp, "spectral_lb", lambda g, keep: 1.0)
         depths: dict[int, set[int]] = {}
         real_branch = qcbp.bnp.branch
 

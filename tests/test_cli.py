@@ -137,6 +137,15 @@ class TestSolve:
         assert "error: CSV value 'c5,x' holds a comma or a line break" in captured.err
         assert captured.out == "" and not log.exists()
 
+    def test_pricing_log_in_a_missing_directory_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qcbp.cli, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
+        graph, log = tmp_path / "c5.dimacs", tmp_path / "nodir" / "log.csv"
+        graph.write_text(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]).to_dimacs())
+        assert main(["solve", str(graph), "--sampler", "exact_pricer", "--pricing-log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: no directory {log.parent} for the pricing log" in captured.err
+        assert captured.out == "" and not log.parent.exists()
+
     def test_chi_exact_above_the_oracle_cap_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(qcbp.cli, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
         graph = tmp_path / "e21.dimacs"

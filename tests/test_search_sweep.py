@@ -23,6 +23,17 @@ def test_myciel4_prints_one_proven_summary_line():
     assert set((ROOT / "src").rglob("*")) == before
 
 
+def test_joins_are_all_proven():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "search_sweep.py"), "--set", "joins"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(
+        r"joins: 8 graphs, explored \d+, generated \d+, exact calls \d+, proven 8, "
+        r"chi-hat sum 61, \d+\.\d s\n", run.stdout)
+
+
 def test_unknown_set_is_refused():
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "search_sweep.py"), "--set", "g40,g60"],
