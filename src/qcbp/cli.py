@@ -64,11 +64,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     g = parse_dimacs(Path(args.graph).read_text())
     # the output options fail here, not after the solve: the oracle's vertex
     # cap, a graph file stem (the log's instance name) that would split a row,
-    # and a log path in a missing directory
+    # and a log path that is a directory or lies in a missing one
     chi_exact = exact_chromatic_number(g) if args.chi_exact else None
     instance = _format(Path(args.graph).stem) if args.pricing_log else None
     if args.pricing_log and not Path(args.pricing_log).parent.is_dir():
         raise ValueError(f"no directory {Path(args.pricing_log).parent} for the pricing log")
+    if args.pricing_log and Path(args.pricing_log).is_dir():
+        raise ValueError(f"pricing log {args.pricing_log} is a directory")
     res = solve_qcbp(g, config)
     stats = res.stats
     print(f"instance: {args.graph}")

@@ -1,10 +1,10 @@
 """The run's configuration: one frozen dataclass that every layer reads.
 
-Its fields are the CLI flags and the config-file keys, and they are the only
-values a run may set; device limits, the pulse ramp, the layout's loss
-weights and descent schedule are module constants of the layers that use
-them. Every type and range is checked when the config is built, and each
-message names its field.
+Its fields are the CLI flags and the config-file keys, the only values a run
+may set. Device limits, the pulse ramp, the layout's loss weights, descent
+schedule, restart count and iteration cap, and column generation's round cap
+are module constants of the layers that use them. Every type and range is
+checked when the config is built, and each message names its field.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import dataclass, fields, replace
 # of sqrt(43.5) um corresponds to a 10.66 rad/us Rabi frequency.
 DEFAULT_C6 = 877_455.0
 MAX_STEPS = 100_000  # per pulse; evolve's per-step tables take ~32 B a step at any register size
-MAX_EMBED_RESTARTS = 1000  # the layout descent holds every restart at once, ~38 KB each at 20 atoms
 # Pricing registers are laid out against a tighter unit-disk radius than the
 # 10 um hardware maximum, so every target edge sits deep inside the blockade
 # (a 6 um edge has ~19 rad/us of interaction, above the final detuning).
 COMPACT_REGISTER_RADIUS_UM = 6.0
-MAX_ITERATIONS = 50  # pricing rounds per column-generation run before it stops uncertified
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,6 @@ class RunConfig:
     shots: int = 200
     seed: int = 0
     node_budget: int = 1000
-    hcg_max_iterations: int = MAX_ITERATIONS
     # us; 900 steps. Infidelity against RK4: <= 1.1e-6 (RK4 at 1e-4 us) on criterion
     # 5's registers (n <= 4, 6-12 um spread), up to 3.3e-5 (RK4 at 2e-5 us) on the
     # compact 6 um registers of random_ud_graph(6, seed, box=25). TVD <= 3.1e-3 vs 1e-3.
@@ -42,8 +39,6 @@ class RunConfig:
     delta_start: float = -15.0
     delta_end: float = 15.0
     register_radius: float = COMPACT_REGISTER_RADIUS_UM  # um, the layout's unit-disk radius
-    embed_iterations: int = 3000
-    embed_restarts: int = 5
 
     def __post_init__(self) -> None:
         if self.sampler not in ("emulated_qaa", "classical_stochastic", "exact_pricer"):
@@ -54,7 +49,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type][0])):
                 raise ValueError(f"{f.name} must be {kinds[f.type][1]}, got {value!r}")
-        for name in ("shots", "node_budget", "hcg_max_iterations", "embed_iterations", "embed_restarts"):
+        for name in ("shots", "node_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -71,9 +66,6 @@ class RunConfig:
         if steps > MAX_STEPS:
             raise ValueError(f"duration / dt is {steps} steps, above {MAX_STEPS}: evolve's per-step "
                              f"tables would take about {steps * 32 / 1e9:.2g} GB")
-        if self.embed_restarts > MAX_EMBED_RESTARTS:
-            raise ValueError(f"embed_restarts is {self.embed_restarts}, above {MAX_EMBED_RESTARTS}: the layout "
-                             f"descent would hold about {self.embed_restarts * 38e3 / 1e9:.2g} GB at 20 atoms")
 
     # The benchmark harness seeds each solve's engine through `sampler_config`
     # and passes `solver_config()` beside it, which differs only in its seed.

@@ -5,12 +5,12 @@ minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
 hardware minimum spacing, and points outside the register disk. The hardware
 limits, the loss weights, the descent schedule (first step, its decay,
-momentum) and the stall rule are module constants; `RunConfig` sets the
-unit-disk radius, the iteration budget and the restart count. The restarts
+momentum), the stall rule, the restart count and the iteration cap are module
+constants; `RunConfig` sets the unit-disk radius. The EMBED_RESTARTS restarts
 descend as one batch. It stops once a restart reaches zero loss (an exact
 layout), or once the batch's best loss has fallen by less than STALL_DROP over
 the last STALL_WINDOW iterations, so a graph with no exact layout stops when
-its descent stalls and the iteration budget is only a cap. The audit then
+its descent stalls and EMBED_ITERATIONS is only a cap. The audit then
 compares the unit-disk graph of the layout against the target graph and
 extracts the distance bounds that `build_adiabatic_pulse` needs.
 """
@@ -37,6 +37,7 @@ STEP_UM, STEP_DECAY, MOMENTUM = 0.5, 0.999, 0.9
 # sets of seeds 1-10 ask for, the rule cuts no exact layout (the slowest takes
 # 335 iterations), and it stops the 7 inexact ones after 200 to 400.
 STALL_WINDOW, STALL_DROP = 100, 0.05
+EMBED_RESTARTS, EMBED_ITERATIONS = 5, 3000  # restarts per layout; the descent's iteration cap
 
 
 class EmbeddingError(RuntimeError):
@@ -111,7 +112,7 @@ def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
     """All restarts as one (R, n, 2) batch; restart r starts from
     default_rng([seed, r]). Stops at the first iteration where some restart has
     zero loss, whose layout is then exact, at the first stalled check of the
-    batch's best loss (see STALL_WINDOW), or after `config.embed_iterations`."""
+    batch's best loss (see STALL_WINDOW), or after EMBED_ITERATIONS."""
     n = g.n
     edge_mask = g.adjacency_matrix() > 0
     nonedge_mask = ~edge_mask
@@ -119,12 +120,12 @@ def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
     eye = np.eye(n, dtype=bool)
 
     init_radius = max(6.0, 2.5 * math.sqrt(n))
-    rngs = [np.random.default_rng([seed, r]) for r in range(config.embed_restarts)]
+    rngs = [np.random.default_rng([seed, r]) for r in range(EMBED_RESTARTS)]
     pos = np.stack([rng.uniform(-init_radius, init_radius, size=(n, 2)) for rng in rngs])
     vel = np.zeros_like(pos)
     step = STEP_UM
     checked_loss = math.inf
-    for it in range(config.embed_iterations):
+    for it in range(EMBED_ITERATIONS):
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=3))
         # An atom is MIN_SPACING_UM from itself, so every hinge is 0 on the diagonal.
@@ -180,11 +181,10 @@ def _project(pos: np.ndarray) -> np.ndarray:
 
 
 def embed(g: Graph, config: RunConfig, seed: int = 0) -> Register:
-    """Best register over the configured restarts.
+    """Best register over the EMBED_RESTARTS restarts.
 
     The restarts descend as one batch that ends as soon as one of them reaches
-    zero loss or the batch's best loss stalls, so `config.embed_iterations`
-    is only a cap.
+    zero loss or the batch's best loss stalls, so EMBED_ITERATIONS is only a cap.
     Restarts are ranked by audited edge discrepancies: fewest missing+extra
     first, then fewest extra (extra edges only shrink the sampled family,
     which keeps pricing sound), then restart order.
@@ -202,6 +202,8 @@ def embed(g: Graph, config: RunConfig, seed: int = 0) -> Register:
         key = (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges), restart)
         if best is None or key < best[0]:
             best = (key, reg)
+        if rep.is_exact_ud:
+            break  # no later restart ranks before an exact layout
     if best is None:
-        raise EmbeddingError(f"all {config.embed_restarts} restarts infeasible: {last_error}")
+        raise EmbeddingError(f"all {EMBED_RESTARTS} restarts infeasible: {last_error}")
     return best[1]

@@ -9,8 +9,8 @@ than 1 + IMPROVE_EPS does the exact MWIS safeguard run, which certifies the
 round or supplies the heaviest set. Columns are only appended within a run,
 so each re-solve restarts from the last optimal basis.
 
-A run that has not certified after its engine's `hcg_max_iterations` pricing
-rounds stops capped. Every run reports Farley's bound: the clipped duals' sum
+A run that has not certified after MAX_ITERATIONS pricing rounds stops
+capped. Every run reports Farley's bound: the clipped duals' sum
 over an upper bound on the weight of every independent set under them. The
 master's objective is not a certified bound. A capped run's is an upper bound
 on the LP, and a certificate only shows that no set weighs more than
@@ -35,6 +35,7 @@ from .pricing import (DUAL_POS_EPS, IMPROVE_EPS, PricingEngine, PricingStats,
 from .rmp import ColumnPool, RmpModel, solve_rmp
 
 CLASSICAL_PRICING_MAX = 3  # dual-positive vertices the greedy prices alone: it lists every maximal set
+MAX_ITERATIONS = 50  # pricing rounds per run before it stops uncertified
 
 
 @dataclass
@@ -65,7 +66,7 @@ def run_hcg(
     engine: PricingEngine,
 ) -> HcgResult:
     """Column generation on the subproblem that `root` induces on `keep`,
-    until certified or after `engine.config.hcg_max_iterations` pricing rounds.
+    until certified or after MAX_ITERATIONS pricing rounds.
 
     Every column, pooled or new, is a root-graph mask; the master cuts each
     one down to `keep` and holds its own singletons, so it stays feasible.
@@ -84,8 +85,7 @@ def run_hcg(
     sol = solve_rmp(model)
     duals = sol.duals.tolist()
     prev_obj = sol.objective
-    # RunConfig guarantees at least one round, so `iteration` is always bound.
-    for iteration in range(1, engine.config.hcg_max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         positive = mask_of(v for v in iter_bits(keep) if duals[v] > DUAL_POS_EPS)
         found: list[int] = []
         if engine.config.sampler != "exact_pricer" and positive.bit_count() > CLASSICAL_PRICING_MAX:

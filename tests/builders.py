@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import qcbp.embedding
 from qcbp.graphs import Graph, iter_bits
 from qcbp.config import RunConfig
 from qcbp.pricing import PricingEngine
@@ -57,3 +58,10 @@ def exact_engine(**options) -> PricingEngine:
 
 def stochastic_engine(seed: int = 0) -> PricingEngine:
     return PricingEngine(RunConfig(sampler="classical_stochastic", shots=40, seed=seed))
+
+
+def quick_layout(monkeypatch, iterations: int = 800, restarts: int = 2) -> None:
+    """Shorten every layout descent of the calling test to `restarts`
+    restarts of at most `iterations` iterations."""
+    monkeypatch.setattr(qcbp.embedding, "EMBED_ITERATIONS", iterations)
+    monkeypatch.setattr(qcbp.embedding, "EMBED_RESTARTS", restarts)

@@ -234,8 +234,7 @@ def test_criterion_10_determinism(tmp_path):
     for _ in range(2):
         ticker = itertools.count()
         clock = lambda: float(next(ticker))  # noqa: E731
-        config = RunConfig(sampler="emulated_qaa", shots=60, seed=77,
-                           embed_iterations=600, embed_restarts=2, dt=2e-3)
+        config = RunConfig(sampler="emulated_qaa", shots=60, seed=77, dt=2e-3)
         records, pricing_rows = run_benchmark(dataset, config, clock=clock)
         outputs.append((records_to_csv(records, BenchRecord), records_to_csv(pricing_rows, PricingRow)))
     assert outputs[0] == outputs[1], "benchmark CSV not byte-identical across runs"

@@ -37,9 +37,9 @@ def read_positions(path) -> np.ndarray:
 
 # One out-of-range value per RunConfig field.
 BAD_VALUES = {
-    "sampler": "hardware", "shots": 0, "seed": -1, "node_budget": 0, "hcg_max_iterations": 0,
+    "sampler": "hardware", "shots": 0, "seed": -1, "node_budget": 0,
     "dt": 0.0, "c6": math.nan, "duration": -1.0, "delta_start": math.inf, "delta_end": math.nan,
-    "register_radius": 0.0, "embed_iterations": 0, "embed_restarts": -1,
+    "register_radius": 0.0,
 }
 
 
@@ -66,8 +66,7 @@ class TestRunConfig:
             assert str(err.value) == "seed must be >= 0, got -1"
 
     @pytest.mark.parametrize("name, value", [
-        ("shots", 2.5), ("embed_restarts", 2.5), ("hcg_max_iterations", 2.5), ("seed", 1.5),
-        ("node_budget", 1.5), ("embed_iterations", "300"), ("shots", True), ("seed", np.float64(2.0)),
+        ("shots", 2.5), ("seed", 1.5), ("node_budget", 1.5), ("shots", True), ("seed", np.float64(2.0)),
         ("dt", "0.1"), ("c6", True), ("duration", None), ("delta_start", 1j), ("register_radius", "6"),
     ])
     def test_wrong_type_names_its_field(self, name, value):
@@ -105,7 +104,7 @@ class TestRunConfig:
         for name in ("embed", "audit", "build_adiabatic_pulse", "evolve"):
             monkeypatch.setattr(qcbp.pricing, name, recording(name, getattr(qcbp.pricing, name)))
         cfg = RunConfig(shots=7, seed=3, dt=2e-3, c6=5e5, duration=2.0, delta_start=-10.0,
-                        delta_end=12.0, register_radius=7.0, embed_iterations=300, embed_restarts=2)
+                        delta_end=12.0, register_radius=7.0)
         _, stats = PricingEngine(cfg).sample_columns(cycle(5), 0b11111, [0.5] * 5, {})
         assert stats.shots == 7
         for name in ("embed", "build_adiabatic_pulse", "evolve"):
@@ -147,8 +146,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"config key '{key}': .*{value}"):
             make_run_config({key: value})
 
-    @pytest.mark.parametrize(
-        "key", ["node_budget", "hcg_max_iterations", "shots", "embed_iterations", "embed_restarts"])
+    @pytest.mark.parametrize("key", ["node_budget", "shots"])
     def test_counts_below_one_rejected(self, key):
         with pytest.raises(ValueError, match=">= 1"):
             make_run_config({key: "0"})

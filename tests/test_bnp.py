@@ -23,10 +23,11 @@ from qcbp.bounds import spectral_lb
 from qcbp.chromatic import exact_chromatic_number
 from qcbp.config import RunConfig
 from qcbp.graphs import Graph, expand_mask, flip_random_pairs, iter_bits, mask_of, random_ud_graph, restrict_mask
-from qcbp.hcg import HcgResult, run_hcg
+from qcbp.hcg import HcgResult
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 
-from builders import complete, cycle, exact_engine, join, myciel, path3, random_graph, stochastic_engine
+from builders import (complete, cycle, exact_engine, join, myciel, path3, quick_layout, random_graph,
+                      stochastic_engine)
 from oracles import is_maximal_independent
 
 
@@ -337,26 +338,26 @@ class TestSolve:
                 assert res.chi_hat == exact_chromatic_number(g)
 
     @pytest.mark.parametrize("cap", [1, 2])
-    def test_capped_column_generation_keeps_the_root_bound_sound(self, cap):
+    def test_capped_column_generation_keeps_the_root_bound_sound(self, cap, monkeypatch):
+        monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", cap)
         rng = np.random.default_rng(87)
         for k in range(30):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k,
-                                             hcg_max_iterations=cap))
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
             # a root bound above chi would raise here: the heuristic beats it
             res = solve_qcbp(g, engine=engine)
             assert res.root_lb <= exact_chromatic_number(g)
 
     @pytest.mark.parametrize("cap", [1, 2])
-    def test_proof_means_optimal_when_the_sampler_misses_optimal_classes(self, cap):
+    def test_proof_means_optimal_when_the_sampler_misses_optimal_classes(self, cap, monkeypatch):
         # Branching only on pooled maximal sets gave 5 wrong proofs here, e.g.
         # instance 40 at cap 1 (n = 7, chi 2, "proven" at 3): its pool held no
         # optimal class, so every child was pruned.
+        monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", cap)
         rng = np.random.default_rng(2)
         for k in range(150):
             g = random_graph(int(rng.integers(5, 11)), rng.uniform(0.2, 0.7), rng)
-            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k,
-                                             hcg_max_iterations=cap))
+            engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=k))
             res = solve_qcbp(g, engine=engine)
             res.coloring.validate(g, g.full_mask)
             if res.proven_optimal:
@@ -407,9 +408,10 @@ class TestSolve:
         assert res.chi_hat == exact_chromatic_number(g)
         assert res.stats.uncertified_nodes == 0
 
-    def test_capped_runs_are_counted_uncertified(self):
+    def test_capped_runs_are_counted_uncertified(self, monkeypatch):
+        monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", 1)
         g = random_graph(9, 0.4, np.random.default_rng(88))
-        res = solve_qcbp(g, engine=exact_engine(hcg_max_iterations=1))
+        res = solve_qcbp(g, engine=exact_engine())
         assert 0 < res.stats.uncertified_nodes <= res.stats.nodes_explored
 
     def test_pool_is_a_packed_array_of_distinct_masks(self):
@@ -601,20 +603,10 @@ class TestSolve:
         engine = PricingEngine(RunConfig(sampler="classical_stochastic", shots=5, seed=2))
         assert res.pool == solve_qcbp(g, engine=engine).pool
 
-    def test_search_and_column_generation_read_the_engines_config(self, monkeypatch):
+    def test_search_and_column_generation_read_the_engines_config(self):
         # myciel4 needs 118 nodes to prove; the engine's budget stops it at 2
         res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=2))
         assert res.stats.nodes_generated == 2 and res.stats.unproven_reason == "budget"
-        runs = []
-
-        def recording(*args):
-            runs.append(run_hcg(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(qcbp.bnp, "run_hcg", recording)
-        res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=5, hcg_max_iterations=1))
-        assert runs and all(run.iterations == 1 for run in runs)
-        assert res.stats.uncertified_nodes > 0
 
     def test_config_beside_an_engine_must_match_it_but_for_the_seed(self):
         with pytest.raises(ValueError, match=r"in sampler$"):
@@ -626,12 +618,10 @@ class TestSolve:
         res = solve_qcbp(cycle(5), RunConfig(sampler="exact_pricer"), engine=exact_engine(seed=9))
         assert res.proven_optimal and res.chi_hat == 3
 
-    def test_emulated_sampler_end_to_end(self):
+    def test_emulated_sampler_end_to_end(self, monkeypatch):
+        quick_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = RunConfig(
-            sampler="emulated_qaa", shots=120, seed=6,
-            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
-        )
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, register_radius=10.0, dt=2e-3)
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         res.coloring.validate(g, g.full_mask)
         assert res.chi_hat == exact_chromatic_number(g)
@@ -648,11 +638,9 @@ class TestSolve:
             return real_greedy(root, positive, duals)
 
         monkeypatch.setattr(qcbp.hcg, "greedy_columns", recording)
+        quick_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = RunConfig(
-            sampler="emulated_qaa", shots=120, seed=6,
-            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
-        )
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, register_radius=10.0, dt=2e-3)
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         assert min(sizes) <= qcbp.hcg.CLASSICAL_PRICING_MAX == 3
         assert res.pricing_log and all(row.n_sub > 3 for row in res.pricing_log)

@@ -95,14 +95,8 @@ class TestSolve:
     def test_count_below_one_errors(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
-        assert main(["solve", str(graph), "--hcg-max-iterations", "0"]) == 2
-        assert "error: hcg_max_iterations must be >= 1" in capsys.readouterr().err
-
-    def test_zero_embed_restarts_errors(self, tmp_path, capsys):
-        graph = tmp_path / "p3.dimacs"
-        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
-        assert main(["solve", str(graph), "--embed-restarts", "0"]) == 2
-        assert "error: embed_restarts must be >= 1" in capsys.readouterr().err
+        assert main(["solve", str(graph), "--shots", "0"]) == 2
+        assert "error: shots must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
     def test_bad_register_radius_errors(self, tmp_path, capsys, value):
@@ -146,6 +140,16 @@ class TestSolve:
         assert f"error: no directory {log.parent} for the pricing log" in captured.err
         assert captured.out == "" and not log.parent.exists()
 
+    def test_pricing_log_that_is_a_directory_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qcbp.cli, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
+        graph, log = tmp_path / "c5.dimacs", tmp_path / "adir"
+        graph.write_text(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]).to_dimacs())
+        log.mkdir()
+        assert main(["solve", str(graph), "--sampler", "exact_pricer", "--pricing-log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: pricing log {log} is a directory" in captured.err
+        assert captured.out == "" and not any(log.iterdir())
+
     def test_chi_exact_above_the_oracle_cap_errors_before_the_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(qcbp.cli, "solve_qcbp", lambda *args, **kwargs: pytest.fail("solved"))
         graph = tmp_path / "e21.dimacs"
@@ -168,6 +172,16 @@ class TestSolve:
         conf.write_text("shots = 5\nshots = 7\n")
         assert main(["solve", str(graph), "--config", str(conf)]) == 2
         assert "config line 2: key 'shots' repeats line 1" in capsys.readouterr().err
+
+    def test_config_key_of_a_module_constant_errors(self, tmp_path, capsys):
+        # the layout's restart count is a constant of qcbp.embedding, not a setting
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        conf = tmp_path / "run.conf"
+        conf.write_text("sampler = exact_pricer\nembed_restarts = 2\n")
+        assert main(["solve", str(graph), "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown config key 'embed_restarts'" in captured.err and captured.out == ""
 
     def test_non_integer_edge_endpoint_names_its_line(self, tmp_path, capsys):
         graph = tmp_path / "bad.dimacs"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcbp.embedding
-from qcbp.config import MAX_EMBED_RESTARTS, RunConfig
+from qcbp.config import RunConfig
 from qcbp.embedding import (
     EmbeddingError,
     Register,
@@ -15,10 +15,14 @@ from qcbp.embedding import (
 )
 from qcbp.graphs import Graph, pairwise_distances, random_ud_graph
 
-from builders import complete
+from builders import complete, quick_layout
 
 
-FAST = RunConfig(register_radius=10.0, embed_iterations=600, embed_restarts=2)
+@pytest.fixture
+def fast(monkeypatch) -> RunConfig:
+    """A 10 um layout of 2 restarts of at most 600 iterations."""
+    quick_layout(monkeypatch, iterations=600, restarts=2)
+    return RunConfig(register_radius=10.0)
 
 
 def register_from(pos) -> Register:
@@ -131,17 +135,17 @@ class TestAudit:
 
 
 class TestEmbed:
-    def test_single_vertex(self):
-        reg = embed(Graph.from_edges(1, []), FAST, seed=0)
+    def test_single_vertex(self, fast):
+        reg = embed(Graph.from_edges(1, []), fast, seed=0)
         assert reg.n == 1
 
-    def test_k2_edge_length_window(self):
-        reg = embed(complete(2), FAST, seed=0)
+    def test_k2_edge_length_window(self, fast):
+        reg = embed(complete(2), fast, seed=0)
         d = float(np.hypot(*(np.subtract(reg.positions[0], reg.positions[1]))))
         assert 4.0 - 1e-9 <= d <= 10.0 + 1e-6
 
-    def test_k5_audit_consistent_with_distances(self):
-        reg = embed(complete(5), FAST, seed=1)
+    def test_k5_audit_consistent_with_distances(self, fast):
+        reg = embed(complete(5), fast, seed=1)
         rep = audit(complete(5), reg, ud_radius=10)
         dist = pairwise_distances(reg.as_array())
         all_within = all(
@@ -149,28 +153,29 @@ class TestEmbed:
         )
         assert rep.is_exact_ud == all_within
 
-    def test_deterministic(self):
+    def test_deterministic(self, fast):
         g, _ = random_ud_graph(7, seed=2, radius=10, box=25)
-        assert embed(g, FAST, seed=5) == embed(g, FAST, seed=5)
+        assert embed(g, fast, seed=5) == embed(g, fast, seed=5)
 
-    def test_hard_constraints_hold(self):
+    def test_hard_constraints_hold(self, fast):
         rng = np.random.default_rng(41)
         for _ in range(6):
             n = int(rng.integers(2, 10))
             g, _ = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=30)
-            reg = embed(g, FAST, seed=int(rng.integers(1e6)))
+            reg = embed(g, fast, seed=int(rng.integers(1e6)))
             dist = pairwise_distances(reg.as_array())
             np.fill_diagonal(dist, np.inf)
             assert dist.min() >= 4.0 - 1e-9
             centroid = reg.as_array().mean(axis=0)
             assert np.sqrt(((reg.as_array() - centroid) ** 2).sum(axis=1)).max() <= 50 + 1e-9
 
-    def test_ud_instances_embed_exactly(self):
+    def test_ud_instances_embed_exactly(self, monkeypatch):
         # Unit-disk graphs at desk scale should come back with no discrepancies.
+        quick_layout(monkeypatch, iterations=1500, restarts=3)
         hits = 0
         for seed in range(4):
             g, _ = random_ud_graph(6, seed=seed, radius=10, box=22)
-            reg = embed(g, RunConfig(register_radius=10.0, embed_iterations=1500, embed_restarts=3), seed=seed)
+            reg = embed(g, RunConfig(register_radius=10.0), seed=seed)
             if audit(g, reg, 10.0).is_exact_ud:
                 hits += 1
         assert hits >= 3
@@ -200,35 +205,43 @@ class TestEmbed:
         assert (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)) == min(keys)
         assert min(keys)[0] > 0
 
-    def test_stalled_descent_stops_before_the_cap(self):
+    def test_ranking_stops_at_the_first_exact_restart(self, monkeypatch):
+        # No later restart ranks before one with no missing or extra edge, so
+        # an exact restart 0 is the only one projected and audited.
+        g, _ = random_ud_graph(6, seed=1, radius=6, box=15)
+        config = RunConfig()
+        first = register_from(_project(_descend(g, config, 1)[0]))
+        assert audit(g, first, config.register_radius).is_exact_ud
+        audits = []
+        real_audit = qcbp.embedding.audit
+        monkeypatch.setattr(qcbp.embedding, "audit", lambda *args: audits.append(args) or real_audit(*args))
+        assert embed(g, config, seed=1) == first
+        assert len(audits) == 1
+
+    def test_stalled_descent_stops_before_the_cap(self, monkeypatch):
         # A hub of 7 leaves has no exact layout at 6 um: its leaves would need
         # pairwise distances over 6 um within 6 um of the hub. The best loss
         # stalls long before 3000 iterations, so a larger cap changes nothing.
         star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
-        capped = RunConfig(embed_iterations=3000)
-        loose = RunConfig(embed_iterations=20000)
-        reg = embed(star, capped, seed=3)
-        assert not audit(star, reg, capped.register_radius).is_exact_ud
-        assert reg == embed(star, loose, seed=3)
+        config = RunConfig()
+        assert qcbp.embedding.EMBED_ITERATIONS == 3000
+        reg = embed(star, config, seed=3)
+        assert not audit(star, reg, config.register_radius).is_exact_ud
+        monkeypatch.setattr(qcbp.embedding, "EMBED_ITERATIONS", 20000)
+        assert reg == embed(star, config, seed=3)
 
-    def test_every_restart_infeasible(self, monkeypatch):
+    def test_every_restart_infeasible(self, monkeypatch, fast):
         def infeasible(pos):
             raise EmbeddingError("coincident atoms cannot be separated by rescaling")
 
         monkeypatch.setattr(qcbp.embedding, "_project", infeasible)
         with pytest.raises(EmbeddingError, match="all 2 restarts infeasible: coincident atoms"):
-            embed(complete(3), FAST, seed=0)
+            embed(complete(3), fast, seed=0)
 
 
 class TestEmbedParams:
-    """The layout's settings in `RunConfig`: `embed_iterations`,
-    `embed_restarts` and `register_radius`."""
-
-    @pytest.mark.parametrize("name", ["iterations", "restarts"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_count_below_one_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"embed_{name} must be >= 1"):
-            RunConfig(**{f"embed_{name}": value})
+    """The layout's setting in `RunConfig`, `register_radius`, at the
+    descent's least budget."""
 
     @pytest.mark.parametrize("value, reason", [
         (0.0, "positive"), (-5.0, "positive"), (math.nan, "finite"), (math.inf, "finite")])
@@ -236,14 +249,9 @@ class TestEmbedParams:
         with pytest.raises(ValueError, match=f"register_radius must be {reason}"):
             RunConfig(register_radius=value)
 
-    def test_restarts_above_bound_rejected(self):
-        # Only the config is built: no descent runs.
-        with pytest.raises(ValueError, match=f"embed_restarts is {MAX_EMBED_RESTARTS + 1}, above"):
-            RunConfig(embed_restarts=MAX_EMBED_RESTARTS + 1)
-
-    def test_range_edges_accepted(self):
+    def test_range_edges_accepted(self, monkeypatch):
         # One restart of one iteration still lays out a register that
         # `Register` accepts, at any positive radius.
+        quick_layout(monkeypatch, iterations=1, restarts=1)
         for radius in (1e-3, 1e3):
-            config = RunConfig(register_radius=radius, embed_iterations=1, embed_restarts=1)
-            assert embed(complete(4), config).n == 4
+            assert embed(complete(4), RunConfig(register_radius=radius)).n == 4

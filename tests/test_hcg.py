@@ -10,7 +10,7 @@ from qcbp.hcg import run_hcg
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 from qcbp.rmp import ColumnPool
 
-from builders import complete, cycle, exact_engine, random_graph, stochastic_engine
+from builders import complete, cycle, exact_engine, quick_layout, random_graph, stochastic_engine
 from oracles import all_independent_sets, lp_oracle
 
 
@@ -223,22 +223,24 @@ class TestAccounting:
         assert covers["tight"] + covers["loose"] == res.iterations - greedy_answers[0]
         assert res.exact_calls == covers["loose"]
 
-    def test_iteration_cap_flags_uncertified(self):
+    def test_iteration_cap_flags_uncertified(self, monkeypatch):
+        monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", 1)
         g = random_graph(9, 0.35, np.random.default_rng(75))
         pool = ColumnPool()
-        res = run_hcg(g, g.full_mask, pool, exact_engine(hcg_max_iterations=1))
+        res = run_hcg(g, g.full_mask, pool, exact_engine())
         assert not res.certified or res.iterations <= 1
 
-    def test_capped_bound_stays_below_the_lp(self, greedy_answers):
+    def test_capped_bound_stays_below_the_lp(self, greedy_answers, monkeypatch):
         # An unfinished master's objective is an upper bound on the LP; the
         # capped run must report a lower one (Farley's).
         rng = np.random.default_rng(76)
         capped = 0
         for cap in (1, 2):
+            monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", cap)
             for _ in range(8):
                 g = random_graph(int(rng.integers(5, 10)), rng.uniform(0.2, 0.7), rng)
                 greedy_answers[0] = 0
-                res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine(hcg_max_iterations=cap))
+                res = run_hcg(g, g.full_mask, ColumnPool(), exact_engine())
                 assert res.lp_bound <= lp_oracle(g, all_independent_sets(g)) + 1e-9
                 if not res.certified:
                     capped += 1
@@ -246,19 +248,16 @@ class TestAccounting:
                     assert res.exact_calls == res.iterations - greedy_answers[0] + 1
         assert capped > 0
 
-    def test_greedy_answers_the_first_round(self):
+    def test_greedy_answers_the_first_round(self, monkeypatch):
         # Round 1 prices the singleton basis (every dual 1). The greedy grows
         # the full set from every vertex, so it enters once and no exact call
         # runs but the capped run's bound call.
+        monkeypatch.setattr(qcbp.hcg, "MAX_ITERATIONS", 1)
         g = Graph.from_edges(4, [])
         pool = ColumnPool()
-        res = run_hcg(g, g.full_mask, pool, exact_engine(hcg_max_iterations=1))
+        res = run_hcg(g, g.full_mask, pool, exact_engine())
         assert res.iterations == 1 and res.exact_calls == 1
         assert pool.columns == [0b1111]
-
-    def test_caps_below_one_rejected(self):
-        with pytest.raises(ValueError, match="hcg_max_iterations must be >= 1"):
-            RunConfig(hcg_max_iterations=0)
 
 
 class TestSubproblemIndexing:
@@ -293,12 +292,10 @@ class TestSubproblemIndexing:
 
 
 class TestEmulatedEndToEnd:
-    def test_ud_instance_certifies(self, covers):
+    def test_ud_instance_certifies(self, covers, monkeypatch):
+        quick_layout(monkeypatch)
         g, _ = random_ud_graph(6, seed=12, radius=10, box=22)
-        cfg = RunConfig(
-            sampler="emulated_qaa", shots=120, seed=4,
-            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
-        )
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=4, register_radius=10.0, dt=2e-3)
         res = run_root(g, PricingEngine(cfg))
         assert res.certified
         assert res.lp_bound == pytest.approx(lp_oracle(g, all_independent_sets(g)), abs=1e-6)

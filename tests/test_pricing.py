@@ -20,7 +20,7 @@ from qcbp.pricing import (
 )
 from qcbp.rmp import ColumnPool
 
-from builders import complete, cycle, path3, random_graph
+from builders import complete, cycle, path3, quick_layout, random_graph
 from oracles import brute_mwis, is_maximal_independent
 
 
@@ -224,12 +224,10 @@ class TestClassicalSampler:
 
 
 class TestEmulatedSampler:
-    FAST = RunConfig(
-        sampler="emulated_qaa", shots=100, seed=1,
-        register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
-    )
+    FAST = RunConfig(sampler="emulated_qaa", shots=100, seed=1, register_radius=10.0, dt=2e-3)
 
-    def test_soundness_and_translation(self):
+    def test_soundness_and_translation(self, monkeypatch):
+        quick_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
         sub_mask = mask_of([0, 2, 3, 4, 6])
         sub = g.induced_subgraph(sub_mask)
@@ -245,14 +243,12 @@ class TestEmulatedSampler:
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
             assert mask not in pool.columns
 
-    def test_extend_to_maximal_flag(self):
+    def test_extend_to_maximal_flag(self, monkeypatch):
         # Extension to a maximal set is no longer optional: on the full graph
         # every emulated column is a maximal independent set.
+        quick_layout(monkeypatch)
         g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
-        cfg = RunConfig(
-            sampler="emulated_qaa", shots=80, seed=2,
-            register_radius=10.0, embed_iterations=800, embed_restarts=2, dt=2e-3,
-        )
+        cfg = RunConfig(sampler="emulated_qaa", shots=80, seed=2, register_radius=10.0, dt=2e-3)
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), {})
         assert cols and all(is_maximal_independent(g, mask) for mask in cols)
@@ -488,15 +484,6 @@ class TestEmulationCap:
 
 
 class TestConfig:
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="sampler"):
-            RunConfig(sampler="quantum_hardware")
-
-    def test_negative_seed_rejected(self):
-        # numpy's seed streams take no negative entry, so it is refused here
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            RunConfig(seed=-1)
-
     @pytest.mark.parametrize("name", ["sampler", "seed", "shots"], ids=["kind", "seed", "shots"])
     def test_fields_cannot_be_assigned(self, name):
         # the engine's sampler kind, seed and shot count are fixed once it is built
