@@ -4,15 +4,16 @@ A register is found by momentum gradient descent directly on the 2n coordinates,
 minimizing squared hinge penalties for: adjacent pairs farther than the
 unit-disk radius, non-adjacent pairs closer than it, any pair closer than the
 hardware minimum spacing, and points outside the register disk. The hardware
-limits, the loss weights, the descent schedule (first step, its decay,
-momentum), the stall rule, the restart count and the iteration cap are module
-constants; `RunConfig` sets the unit-disk radius. The EMBED_RESTARTS restarts
-descend as one batch. It stops once a restart reaches zero loss (an exact
-layout), or once the batch's best loss has fallen by less than STALL_DROP over
-the last STALL_WINDOW iterations, so a graph with no exact layout stops when
-its descent stalls and EMBED_ITERATIONS is only a cap. The audit then
-compares the unit-disk graph of the layout against the target graph and
-extracts the distance bounds that `build_adiabatic_pulse` needs.
+limits, the unit-disk radius UD_RADIUS_UM, the loss weights, the descent
+schedule (first step, its decay, momentum), the stall rule, the restart count
+and the iteration cap are module constants, read at each call; no `RunConfig`
+field reaches the layout. The EMBED_RESTARTS restarts descend as one batch.
+It stops once a restart reaches zero loss (an exact layout), or once the
+batch's best loss has fallen by less than STALL_DROP over the last
+STALL_WINDOW iterations, so a graph with no exact layout stops when its
+descent stalls and EMBED_ITERATIONS is only a cap. The audit then compares
+the unit-disk graph of the layout against the target graph and extracts the
+distance bounds that `build_adiabatic_pulse` needs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .graphs import MIN_SPACING_UM, Graph, pairwise_distances
 
 REGISTER_RADIUS_UM = 50.0
+# The unit-disk radius of the layout and its audit: below the 10 um hardware radius, every
+# target edge sits deep in the blockade (a 6 um edge has ~19 rad/us, above the final detuning).
+UD_RADIUS_UM = 6.0
 # Loss weights of the edge, non-edge, spacing and register-disk hinges.
 W_EDGE, W_NONEDGE, W_SPACING, W_RADIUS = 1.0, 1.0, 4.0, 1.0
 # Descent schedule: the first move per atom (um), its decay per iteration, and
@@ -108,7 +111,7 @@ def audit(g: Graph, reg: Register, ud_radius: float) -> EmbeddingReport:
     )
 
 
-def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
+def _descend(g: Graph, seed: int) -> np.ndarray:
     """All restarts as one (R, n, 2) batch; restart r starts from
     default_rng([seed, r]). Stops at the first iteration where some restart has
     zero loss, whose layout is then exact, at the first stalled check of the
@@ -130,8 +133,8 @@ def _descend(g: Graph, config: RunConfig, seed: int) -> np.ndarray:
         dist = np.sqrt((diff * diff).sum(axis=3))
         # An atom is MIN_SPACING_UM from itself, so every hinge is 0 on the diagonal.
         dist[:, eye] = MIN_SPACING_UM
-        too_far = np.maximum(dist - config.register_radius, 0.0) * edge_mask
-        too_near = np.maximum(config.register_radius - dist, 0.0) * nonedge_mask
+        too_far = np.maximum(dist - UD_RADIUS_UM, 0.0) * edge_mask
+        too_near = np.maximum(UD_RADIUS_UM - dist, 0.0) * nonedge_mask
         pair_close = np.maximum(MIN_SPACING_UM - dist, 0.0)
         # k[r, i, j] scales the unit vector (p_i - p_j)/d in the loss gradient.
         k = 2.0 * (W_EDGE * too_far - W_NONEDGE * too_near - W_SPACING * pair_close)
@@ -180,7 +183,7 @@ def _project(pos: np.ndarray) -> np.ndarray:
     return pos * scale
 
 
-def embed(g: Graph, config: RunConfig, seed: int = 0) -> Register:
+def embed(g: Graph, seed: int = 0) -> Register:
     """Best register over the EMBED_RESTARTS restarts.
 
     The restarts descend as one batch that ends as soon as one of them reaches
@@ -191,14 +194,14 @@ def embed(g: Graph, config: RunConfig, seed: int = 0) -> Register:
     """
     best: tuple[tuple[int, int, int], Register] | None = None
     last_error: EmbeddingError | None = None
-    for restart, raw in enumerate(_descend(g, config, seed)):
+    for restart, raw in enumerate(_descend(g, seed)):
         try:
             pos = _project(raw)
             reg = Register(positions=tuple((float(x), float(y)) for x, y in pos))
         except EmbeddingError as exc:
             last_error = exc
             continue
-        rep = audit(g, reg, config.register_radius)
+        rep = audit(g, reg, UD_RADIUS_UM)
         key = (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges), restart)
         if best is None or key < best[0]:
             best = (key, reg)

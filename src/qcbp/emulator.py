@@ -19,10 +19,10 @@ broadcast multiply. Every factor is unitary, so the norm is conserved to
 rounding. `evolve` returns the final amplitudes as a plain array, and
 `sample` draws from them.
 
-The device limits (the Rabi cap OMEGA_MAX, the register cap MAX_QUBITS) and
-the pulse's RAMP_FRACTION are constants. The run's `RunConfig` sets C6, the
-time step, the pulse duration and the detuning sweep's ends, and it caps
-the pulse at MAX_STEPS steps.
+The device (OMEGA_MAX, MAX_QUBITS, the interaction coefficient C6) and the
+pulse (RAMP_FRACTION, the detuning sweep DELTA_START to DELTA_END, and
+PULSE_DURATION_US in `qcbp.config`) are module constants. The run's
+`RunConfig` sets only the time step, capped at MAX_STEPS steps a pulse.
 """
 
 from __future__ import annotations
@@ -33,13 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import PULSE_DURATION_US, RunConfig
 from .embedding import EmbeddingReport, Register
 from .graphs import pairwise_distances
 
 OMEGA_MAX = 4.0 * math.pi  # rad/us; the peak Rabi frequency never exceeds it
 MAX_QUBITS = 20  # largest register `evolve` accepts: 2^20 amplitudes, 16 MB
 RAMP_FRACTION = 0.15  # share of the duration over which Omega rises, and again falls
+DELTA_START, DELTA_END = -15.0, 15.0  # rad/us; the detuning's linear sweep over the pulse
+C6 = 877_455.0  # rad * um^6 / us: a blockade radius of sqrt(43.5) um meets a 10.66 rad/us peak
 # Widest atom block of evolve's real step matrices. At 8-12 atoms 3 is 0-12%
 # faster than 4, whose lowest block's 32 x 32 matrices cost more to build than
 # they save; at 16-18 atoms 4 is 3-7% faster.
@@ -91,24 +93,24 @@ def blockade_radius(report: EmbeddingReport) -> float:
     raise ValueError("report covers no atom pair; cannot size the pulse")
 
 
-def build_adiabatic_pulse(report: EmbeddingReport, cfg: RunConfig) -> PulseSchedule:
+def build_adiabatic_pulse(report: EmbeddingReport) -> PulseSchedule:
     """Trapezoidal Rabi drive capped by the blockade condition, linear detuning sweep.
 
     The peak Rabi frequency is min(C6 / r_b^6, OMEGA_MAX) for blockade radius
-    r_b; the drive rises over the first RAMP_FRACTION of the duration and
-    falls over the last. The detuning ramps linearly from delta_start to
-    delta_end across the full duration.
+    r_b; the drive rises over the first RAMP_FRACTION of PULSE_DURATION_US and
+    falls over the last. The detuning ramps linearly from DELTA_START to
+    DELTA_END across the full duration.
     """
     r_b = blockade_radius(report)
-    peak = min(cfg.c6 / r_b**6, OMEGA_MAX)
-    t_end = cfg.duration
+    peak = min(C6 / r_b**6, OMEGA_MAX)
+    t_end = PULSE_DURATION_US
     omega = (
         (0.0, 0.0),
         (RAMP_FRACTION * t_end, peak),
         ((1.0 - RAMP_FRACTION) * t_end, peak),
         (t_end, 0.0),
     )
-    delta = ((0.0, cfg.delta_start), (t_end, cfg.delta_end))
+    delta = ((0.0, DELTA_START), (t_end, DELTA_END))
     return PulseSchedule(duration=t_end, omega=omega, delta=delta)
 
 
@@ -197,7 +199,7 @@ def evolve(reg: Register, pulse: PulseSchedule, cfg: RunConfig) -> np.ndarray:
     chunk = min(STEP_CHUNK, max(1, (STEP_CHUNK << 9) >> (n - low)))
 
     size = 1 << n
-    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
+    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), C6))
     inter_full = inter_half * inter_half
     thetas, deltas = pulse.at_midpoints(steps)
     thetas *= h

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import embedding  # its UD_RADIUS_UM is read at each draw, as the layout reads it
 from .config import RunConfig
 from .embedding import audit, embed
 from .emulator import MAX_QUBITS, build_adiabatic_pulse, evolve, sample
@@ -154,10 +155,9 @@ class PricingEngine:
     def _draw_bitstrings(self, sub: Graph, key: int, weights: list[float]) -> list[int]:
         """The distinct bitstrings of one draw on `sub`, in increasing order."""
         if self.config.sampler == "emulated_qaa":
-            reg = embed(sub, self.config, seed=int(np.random.default_rng(
+            reg = embed(sub, seed=int(np.random.default_rng(
                 [self.config.seed, key & 0xFFFFFFFF, key >> 32]).integers(1 << 31)))
-            report = audit(sub, reg, self.config.register_radius)
-            pulse = build_adiabatic_pulse(report, self.config)
+            pulse = build_adiabatic_pulse(audit(sub, reg, embedding.UD_RADIUS_UM))
             amplitudes = evolve(reg, pulse, self.config)
             seed = int(np.random.default_rng(self._next_seed()).integers(1 << 31))
             return list(sample(amplitudes, self.config.shots, seed))

@@ -65,3 +65,9 @@ def quick_layout(monkeypatch, iterations: int = 800, restarts: int = 2) -> None:
     restarts of at most `iterations` iterations."""
     monkeypatch.setattr(qcbp.embedding, "EMBED_ITERATIONS", iterations)
     monkeypatch.setattr(qcbp.embedding, "EMBED_RESTARTS", restarts)
+
+
+def wide_layout(monkeypatch, radius: float = 10.0) -> None:
+    """Lay out and audit every register of the calling test against a unit
+    disk of `radius` um, the hardware radius, instead of UD_RADIUS_UM."""
+    monkeypatch.setattr(qcbp.embedding, "UD_RADIUS_UM", radius)

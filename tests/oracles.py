@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from qcbp.embedding import Register
 from qcbp.config import RunConfig
-from qcbp.emulator import PulseSchedule, interaction_diagonal
+from qcbp.emulator import C6, PulseSchedule, interaction_diagonal
 from qcbp.graphs import iter_bits
 
 
@@ -26,19 +26,17 @@ def dense_x_operator(n: int) -> np.ndarray:
 RK4_STEP = 1e-4  # us; fixed, so a coarser emulator dt never coarsens its reference
 
 
-def rk4_final_state(reg: Register, pulse: PulseSchedule, cfg: RunConfig, step: float = RK4_STEP) -> np.ndarray:
+def rk4_final_state(reg: Register, pulse: PulseSchedule, step: float = RK4_STEP) -> np.ndarray:
     """Classic fixed-step RK4 integration of the Schrodinger equation.
 
-    Steps at `step` (rounded to divide the duration), not at cfg.dt; cfg
-    gives only c6. The state is normalized at the end to remove the
-    integrator's tiny norm drift before fidelity comparisons.
+    Steps at `step` (rounded to divide the duration), not at a run's dt. The
+    state is normalized at the end to remove the integrator's tiny norm
+    drift before fidelity comparisons.
     """
-    return rk4_final_states([reg], [pulse], cfg, step)[0]
+    return rk4_final_states([reg], [pulse], step)[0]
 
 
-def rk4_final_states(
-    regs: list[Register], pulses: list[PulseSchedule], cfg: RunConfig, step: float = RK4_STEP,
-) -> np.ndarray:
+def rk4_final_states(regs: list[Register], pulses: list[PulseSchedule], step: float = RK4_STEP) -> np.ndarray:
     """`rk4_final_state` for registers of one size whose pulses share a
     duration, integrated side by side: row b is register b's final state."""
     n, duration = regs[0].n, pulses[0].duration
@@ -47,7 +45,7 @@ def rk4_final_states(
     steps = max(1, round(duration / step))
     h = duration / steps
     x_op = dense_x_operator(n)  # symmetric, so psi @ x_op applies it to every row
-    inter = np.stack([interaction_diagonal(reg.as_array(), cfg.c6) for reg in regs])
+    inter = np.stack([interaction_diagonal(reg.as_array(), C6) for reg in regs])
     size = 1 << n
     occ = np.zeros(size)
     for i in range(n):
@@ -87,7 +85,7 @@ def strang_pairs_final_state(reg: Register, pulse: PulseSchedule, cfg: RunConfig
     h = pulse.duration / steps
     size = 1 << n
     occupation = np.bitwise_count(np.arange(size))
-    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), cfg.c6))
+    inter_half = np.exp(-0.5j * h * interaction_diagonal(reg.as_array(), C6))
     inter_full = inter_half * inter_half
     counts = np.arange(n + 1)
 

@@ -104,23 +104,21 @@ def test_criterion_5_emulator_fidelity():
         g = Graph.from_edges(n, edges)
         if n == 1:
             pulse = build_adiabatic_pulse(
-                audit(Graph.from_edges(2, [(0, 1)]), Register(positions=((0.0, 0.0), (6.0, 0.0))), 10.0),
-                cfg,
-            )
+                audit(Graph.from_edges(2, [(0, 1)]), Register(positions=((0.0, 0.0), (6.0, 0.0))), 10.0))
         else:
-            pulse = build_adiabatic_pulse(audit(g, reg, 10.0), cfg)
+            pulse = build_adiabatic_pulse(audit(g, reg, 10.0))
         by_size.setdefault(n, []).append((case, reg, pulse))
     worst = 1.0
     for batch in by_size.values():
         cases, regs, pulses = zip(*batch)
-        refs = rk4_final_states(list(regs), list(pulses), cfg, step=1e-4)
+        refs = rk4_final_states(list(regs), list(pulses), step=1e-4)
         for case, reg, pulse, ref in zip(cases, regs, pulses, refs):
             f = fidelity(evolve(reg, pulse, cfg), ref)
             worst = min(worst, f)
             assert f >= 1 - 1e-4, f"case {case}: fidelity {f}"
     drift_rng = np.random.default_rng(501)
     reg12 = random_register(drift_rng, 12, spread=18.0)
-    pulse12 = build_adiabatic_pulse(audit(Graph.from_edges(12, []), reg12, 10.0), cfg)
+    pulse12 = build_adiabatic_pulse(audit(Graph.from_edges(12, []), reg12, 10.0))
     drift = abs(np.linalg.norm(evolve(reg12, pulse12, cfg)) - 1.0)
     assert drift < 1e-6, f"norm drift {drift}"
     report(f"ACCEPTANCE 5 PASS: 50 registers, worst fidelity {worst:.8f}; n=12 norm drift {drift:.1e}")
@@ -131,7 +129,7 @@ def test_criterion_6_blockade():
     g = Graph.from_edges(3, [(0, 1)])
     y = math.sqrt(8.7**2 - 2.5**2)
     rep = audit(g, Register(positions=((0.0, 0.0), (5.0, 0.0), (2.5, y))), 10.0)
-    pulse = build_adiabatic_pulse(rep, cfg)
+    pulse = build_adiabatic_pulse(rep)
     r_b = math.sqrt(rep.r_min_gap * rep.r_max)
     worst = 0.0
     for frac in (0.61, 0.65, 0.7):

@@ -22,6 +22,7 @@ from qcbp.bench import (
     run_benchmark,
     summarize,
 )
+from qcbp.config import MAX_STEPS, PULSE_DURATION_US
 from qcbp.graphs import parse_dimacs, pairwise_distances
 from qcbp.pricing import PricingEngine, PricingStats
 
@@ -36,11 +37,7 @@ def read_positions(path) -> np.ndarray:
 
 
 # One out-of-range value per RunConfig field.
-BAD_VALUES = {
-    "sampler": "hardware", "shots": 0, "seed": -1, "node_budget": 0,
-    "dt": 0.0, "c6": math.nan, "duration": -1.0, "delta_start": math.inf, "delta_end": math.nan,
-    "register_radius": 0.0,
-}
+BAD_VALUES = {"sampler": "hardware", "shots": 0, "seed": -1, "node_budget": 0, "dt": 0.0}
 
 
 def counter_clock():
@@ -52,8 +49,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.sampler == "emulated_qaa"
-        assert cfg.shots == 200 and cfg.duration == 3.0
-        assert cfg.delta_start == -15.0 and cfg.delta_end == 15.0
+        assert (cfg.shots, cfg.seed, cfg.node_budget, cfg.dt) == (200, 0, 1000, 1 / 300)
 
     def test_every_field_has_a_checked_range(self):
         assert BAD_VALUES.keys() == {f.name for f in fields(RunConfig)}
@@ -67,20 +63,20 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("shots", 2.5), ("seed", 1.5), ("node_budget", 1.5), ("shots", True), ("seed", np.float64(2.0)),
-        ("dt", "0.1"), ("c6", True), ("duration", None), ("delta_start", 1j), ("register_radius", "6"),
+        ("dt", "0.1"),
     ])
     def test_wrong_type_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|real number), got "):
             RunConfig(**{name: value})
 
-    @pytest.mark.parametrize("name, value", [("dt", 10**400), ("c6", 10**400), ("delta_start", -10**400)])
+    @pytest.mark.parametrize("name, value", [("dt", 10**400)])
     def test_int_beyond_float_range_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got an integer of 1329 bits$"):
             RunConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("shots", np.int64(7)), ("seed", np.uint8(3)), ("node_budget", np.int32(5)),
-        ("dt", 1), ("c6", np.float32(9e5)), ("delta_end", np.int64(12)), ("register_radius", 7),
+        ("dt", 1),
     ])
     def test_numpy_integers_and_ints_for_float_fields_accepted(self, name, value):
         assert getattr(RunConfig(**{name: value}), name) == value
@@ -91,25 +87,24 @@ class TestRunConfig:
         assert cfg.sampler_config(seed=5) == replace(cfg, seed=5)
 
     def test_every_layer_reads_the_engines_config(self, monkeypatch):
-        # A layer that fell back to RunConfig() would lay out, pulse or evolve
-        # at settings the run did not ask for.
+        # The layout and the pulse take no config; a draw that fell back to
+        # RunConfig() would evolve at a time step or sample a shot count the
+        # run did not ask for.
         received: dict[str, list] = {}
 
         def recording(name, real):
-            def record(*args, **kwargs):
-                received.setdefault(name, []).extend([*args, *kwargs.values()])
-                return real(*args, **kwargs)
+            def record(*args):
+                received.setdefault(name, []).append(args)
+                return real(*args)
             return record
 
-        for name in ("embed", "audit", "build_adiabatic_pulse", "evolve"):
+        for name in ("evolve", "sample"):
             monkeypatch.setattr(qcbp.pricing, name, recording(name, getattr(qcbp.pricing, name)))
-        cfg = RunConfig(shots=7, seed=3, dt=2e-3, c6=5e5, duration=2.0, delta_start=-10.0,
-                        delta_end=12.0, register_radius=7.0)
+        cfg = RunConfig(shots=7, seed=3, dt=2e-3)
         _, stats = PricingEngine(cfg).sample_columns(cycle(5), 0b11111, [0.5] * 5, {})
         assert stats.shots == 7
-        for name in ("embed", "build_adiabatic_pulse", "evolve"):
-            assert any(arg is cfg for arg in received[name]), name
-        assert 7.0 in received["audit"]
+        assert len(received["evolve"]) == 1 and received["evolve"][0][2] is cfg
+        assert [args[1] for args in received["sample"]] == [7]
 
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
     def test_fields_cannot_be_assigned(self, name):
@@ -151,18 +146,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=">= 1"):
             make_run_config({key: "0"})
 
-    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
-    def test_nonpositive_duration_rejected(self, value):
-        with pytest.raises(ValueError, match="duration"):
-            make_run_config({"duration": value})
-
-    @pytest.mark.parametrize("key, value", [
-        ("dt", "nan"), ("dt", "inf"), ("duration", "inf"), ("c6", "nan"),
-        ("delta_start", "nan"), ("delta_end", "-inf"),
-    ])
+    @pytest.mark.parametrize("key, value", [("dt", "nan"), ("dt", "inf")])
     def test_nonfinite_emulator_knobs_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             make_run_config({key: value})
+
+    @pytest.mark.parametrize("dt, reason", [
+        (0.0, "dt must be positive"),
+        (-1e-3, "dt must be positive"),
+        (math.nan, "dt must be finite"),
+        (math.inf, "dt must be finite"),
+        (1e-9, f"^dt makes 3000000000 steps of the 3.0 us pulse, above {MAX_STEPS}: evolve's per-step"),
+        (PULSE_DURATION_US / (MAX_STEPS + 1), f"^dt makes 100001 steps of the 3.0 us pulse, above {MAX_STEPS}"),
+        (5e-324, f"^dt makes inf steps of the 3.0 us pulse, above {MAX_STEPS}"),  # its step count overflows
+    ], ids=["zero", "negative", "nan", "inf", "1e-9", "one-step-over", "subnormal"])
+    def test_dt_out_of_range_rejected(self, dt, reason):
+        with pytest.raises(ValueError, match=reason):
+            RunConfig(dt=dt)
+
+    def test_dt_of_max_steps_accepted(self):
+        # A pulse of MAX_STEPS steps is in range (built, never evolved here).
+        RunConfig(dt=PULSE_DURATION_US / MAX_STEPS)
 
 
 class TestDataset:

@@ -27,7 +27,7 @@ from qcbp.hcg import HcgResult
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 
 from builders import (complete, cycle, exact_engine, join, myciel, path3, quick_layout, random_graph,
-                      stochastic_engine)
+                      stochastic_engine, wide_layout)
 from oracles import is_maximal_independent
 
 
@@ -592,10 +592,6 @@ class TestSolve:
             assert len(set(columns)) == len(columns)
             assert set(columns) >= {1 << v for v in iter_bits(residual)}
 
-    def test_node_budget_below_one_rejected(self):
-        with pytest.raises(ValueError, match="node_budget"):
-            RunConfig(node_budget=0)
-
     def test_engine_defaults_to_one_built_from_the_config(self):
         g = myciel(3)
         res = solve_qcbp(g, RunConfig(sampler="classical_stochastic", shots=5, seed=2))
@@ -607,6 +603,11 @@ class TestSolve:
         # myciel4 needs 118 nodes to prove; the engine's budget stops it at 2
         res = solve_qcbp(myciel(4), engine=exact_engine(node_budget=2))
         assert res.stats.nodes_generated == 2 and res.stats.unproven_reason == "budget"
+        # column generation prices with the engine's sampler and draws its
+        # shots; the exact pricer draws nothing and logs no sampler row
+        res = solve_qcbp(myciel(3), engine=PricingEngine(RunConfig(sampler="classical_stochastic", shots=5)))
+        assert 5 in {row.shots for row in res.pricing_log}
+        assert solve_qcbp(myciel(3), engine=exact_engine(shots=5)).pricing_log == []
 
     def test_config_beside_an_engine_must_match_it_but_for_the_seed(self):
         with pytest.raises(ValueError, match=r"in sampler$"):
@@ -620,8 +621,9 @@ class TestSolve:
 
     def test_emulated_sampler_end_to_end(self, monkeypatch):
         quick_layout(monkeypatch)
+        wide_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, register_radius=10.0, dt=2e-3)
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, dt=2e-3)
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         res.coloring.validate(g, g.full_mask)
         assert res.chi_hat == exact_chromatic_number(g)
@@ -639,8 +641,9 @@ class TestSolve:
 
         monkeypatch.setattr(qcbp.hcg, "greedy_columns", recording)
         quick_layout(monkeypatch)
+        wide_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=13, radius=10, box=25)
-        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, register_radius=10.0, dt=2e-3)
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=6, dt=2e-3)
         res = solve_qcbp(g, engine=PricingEngine(cfg))
         assert min(sizes) <= qcbp.hcg.CLASSICAL_PRICING_MAX == 3
         assert res.pricing_log and all(row.n_sub > 3 for row in res.pricing_log)

@@ -98,13 +98,6 @@ class TestSolve:
         assert main(["solve", str(graph), "--shots", "0"]) == 2
         assert "error: shots must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
-    def test_bad_register_radius_errors(self, tmp_path, capsys, value):
-        graph = tmp_path / "p3.dimacs"
-        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
-        assert main(["solve", str(graph), "--register-radius", value]) == 2
-        assert "error: register_radius must be" in capsys.readouterr().err
-
     def test_negative_seed_errors(self, tmp_path, capsys):
         graph = tmp_path / "p3.dimacs"
         graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
@@ -182,6 +175,21 @@ class TestSolve:
         assert main(["solve", str(graph), "--config", str(conf)]) == 2
         captured = capsys.readouterr()
         assert "error: unknown config key 'embed_restarts'" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key", ["c6", "duration", "delta_start", "delta_end", "register_radius"])
+    def test_flag_or_key_of_a_module_constant_errors(self, tmp_path, capsys, key):
+        # C6, the pulse's duration and sweep and the layout radius are constants
+        graph = tmp_path / "p3.dimacs"
+        graph.write_text(Graph.from_edges(3, [(0, 1), (1, 2)]).to_dimacs())
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(graph), flag, "1"])
+        assert exc.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"sampler = exact_pricer\n{key} = 1\n")
+        assert main(["solve", str(graph), "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: unknown config key '{key}'" in captured.err and captured.out == ""
 
     def test_non_integer_edge_endpoint_names_its_line(self, tmp_path, capsys):
         graph = tmp_path / "bad.dimacs"

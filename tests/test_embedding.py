@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import qcbp.embedding
-from qcbp.config import RunConfig
 from qcbp.embedding import (
+    UD_RADIUS_UM,
     EmbeddingError,
     Register,
     _descend,
@@ -15,14 +15,14 @@ from qcbp.embedding import (
 )
 from qcbp.graphs import Graph, pairwise_distances, random_ud_graph
 
-from builders import complete, quick_layout
+from builders import complete, quick_layout, wide_layout
 
 
 @pytest.fixture
-def fast(monkeypatch) -> RunConfig:
+def fast(monkeypatch) -> None:
     """A 10 um layout of 2 restarts of at most 600 iterations."""
     quick_layout(monkeypatch, iterations=600, restarts=2)
-    return RunConfig(register_radius=10.0)
+    wide_layout(monkeypatch)
 
 
 def register_from(pos) -> Register:
@@ -136,16 +136,16 @@ class TestAudit:
 
 class TestEmbed:
     def test_single_vertex(self, fast):
-        reg = embed(Graph.from_edges(1, []), fast, seed=0)
+        reg = embed(Graph.from_edges(1, []), seed=0)
         assert reg.n == 1
 
     def test_k2_edge_length_window(self, fast):
-        reg = embed(complete(2), fast, seed=0)
+        reg = embed(complete(2), seed=0)
         d = float(np.hypot(*(np.subtract(reg.positions[0], reg.positions[1]))))
         assert 4.0 - 1e-9 <= d <= 10.0 + 1e-6
 
     def test_k5_audit_consistent_with_distances(self, fast):
-        reg = embed(complete(5), fast, seed=1)
+        reg = embed(complete(5), seed=1)
         rep = audit(complete(5), reg, ud_radius=10)
         dist = pairwise_distances(reg.as_array())
         all_within = all(
@@ -155,14 +155,14 @@ class TestEmbed:
 
     def test_deterministic(self, fast):
         g, _ = random_ud_graph(7, seed=2, radius=10, box=25)
-        assert embed(g, fast, seed=5) == embed(g, fast, seed=5)
+        assert embed(g, seed=5) == embed(g, seed=5)
 
     def test_hard_constraints_hold(self, fast):
         rng = np.random.default_rng(41)
         for _ in range(6):
             n = int(rng.integers(2, 10))
             g, _ = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=30)
-            reg = embed(g, fast, seed=int(rng.integers(1e6)))
+            reg = embed(g, seed=int(rng.integers(1e6)))
             dist = pairwise_distances(reg.as_array())
             np.fill_diagonal(dist, np.inf)
             assert dist.min() >= 4.0 - 1e-9
@@ -172,36 +172,37 @@ class TestEmbed:
     def test_ud_instances_embed_exactly(self, monkeypatch):
         # Unit-disk graphs at desk scale should come back with no discrepancies.
         quick_layout(monkeypatch, iterations=1500, restarts=3)
+        wide_layout(monkeypatch)
         hits = 0
         for seed in range(4):
             g, _ = random_ud_graph(6, seed=seed, radius=10, box=22)
-            reg = embed(g, RunConfig(register_radius=10.0), seed=seed)
+            reg = embed(g, seed=seed)
             if audit(g, reg, 10.0).is_exact_ud:
                 hits += 1
         assert hits >= 3
 
-    def test_default_params_exact_on_random_ud_graphs(self):
+    def test_default_params_exact_on_random_ud_graphs(self, monkeypatch):
         # The batch stops at the first zero-loss restart, whose layout is exact.
         # Radius and box are `generate_dataset`'s defaults.
+        wide_layout(monkeypatch)
         rng = np.random.default_rng(42)
         for i in range(28):
             n = 6 + i % 7
             g, _ = random_ud_graph(n, seed=int(rng.integers(1e6)), radius=10, box=40)
-            reg = embed(g, RunConfig(register_radius=10.0), seed=int(rng.integers(1e6)))
+            reg = embed(g, seed=int(rng.integers(1e6)))
             assert audit(g, reg, 10.0).is_exact_ud, (n, i)
 
     def test_star_gets_fewest_discrepancies_among_restarts(self):
         # K_{1,7} is no unit-disk graph: at most five points within the radius
         # of a hub can be pairwise farther apart than the radius.
         star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
-        config = RunConfig()
-        reg = embed(star, config, seed=3)
-        assert reg == embed(star, config, seed=3)
+        reg = embed(star, seed=3)
+        assert reg == embed(star, seed=3)
         keys = []
-        for raw in _descend(star, config, 3):
-            rep = audit(star, register_from(_project(raw)), config.register_radius)
+        for raw in _descend(star, 3):
+            rep = audit(star, register_from(_project(raw)), UD_RADIUS_UM)
             keys.append((len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)))
-        rep = audit(star, reg, config.register_radius)
+        rep = audit(star, reg, UD_RADIUS_UM)
         assert (len(rep.missing_edges) + len(rep.extra_edges), len(rep.extra_edges)) == min(keys)
         assert min(keys)[0] > 0
 
@@ -209,13 +210,12 @@ class TestEmbed:
         # No later restart ranks before one with no missing or extra edge, so
         # an exact restart 0 is the only one projected and audited.
         g, _ = random_ud_graph(6, seed=1, radius=6, box=15)
-        config = RunConfig()
-        first = register_from(_project(_descend(g, config, 1)[0]))
-        assert audit(g, first, config.register_radius).is_exact_ud
+        first = register_from(_project(_descend(g, 1)[0]))
+        assert audit(g, first, UD_RADIUS_UM).is_exact_ud
         audits = []
         real_audit = qcbp.embedding.audit
         monkeypatch.setattr(qcbp.embedding, "audit", lambda *args: audits.append(args) or real_audit(*args))
-        assert embed(g, config, seed=1) == first
+        assert embed(g, seed=1) == first
         assert len(audits) == 1
 
     def test_stalled_descent_stops_before_the_cap(self, monkeypatch):
@@ -223,12 +223,11 @@ class TestEmbed:
         # pairwise distances over 6 um within 6 um of the hub. The best loss
         # stalls long before 3000 iterations, so a larger cap changes nothing.
         star = Graph.from_edges(8, [(0, v) for v in range(1, 8)])
-        config = RunConfig()
         assert qcbp.embedding.EMBED_ITERATIONS == 3000
-        reg = embed(star, config, seed=3)
-        assert not audit(star, reg, config.register_radius).is_exact_ud
+        reg = embed(star, seed=3)
+        assert not audit(star, reg, UD_RADIUS_UM).is_exact_ud
         monkeypatch.setattr(qcbp.embedding, "EMBED_ITERATIONS", 20000)
-        assert reg == embed(star, config, seed=3)
+        assert reg == embed(star, seed=3)
 
     def test_every_restart_infeasible(self, monkeypatch, fast):
         def infeasible(pos):
@@ -236,22 +235,5 @@ class TestEmbed:
 
         monkeypatch.setattr(qcbp.embedding, "_project", infeasible)
         with pytest.raises(EmbeddingError, match="all 2 restarts infeasible: coincident atoms"):
-            embed(complete(3), fast, seed=0)
+            embed(complete(3), seed=0)
 
-
-class TestEmbedParams:
-    """The layout's setting in `RunConfig`, `register_radius`, at the
-    descent's least budget."""
-
-    @pytest.mark.parametrize("value, reason", [
-        (0.0, "positive"), (-5.0, "positive"), (math.nan, "finite"), (math.inf, "finite")])
-    def test_radius_must_be_positive_and_finite(self, value, reason):
-        with pytest.raises(ValueError, match=f"register_radius must be {reason}"):
-            RunConfig(register_radius=value)
-
-    def test_range_edges_accepted(self, monkeypatch):
-        # One restart of one iteration still lays out a register that
-        # `Register` accepts, at any positive radius.
-        quick_layout(monkeypatch, iterations=1, restarts=1)
-        for radius in (1e-3, 1e3):
-            assert embed(complete(4), RunConfig(register_radius=radius)).n == 4

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcbp.config import DEFAULT_C6, MAX_STEPS, RunConfig
+from qcbp.config import PULSE_DURATION_US, RunConfig
 from qcbp.embedding import Register, audit
 from qcbp.emulator import (
+    C6,
     MAX_QUBITS,
     OMEGA_MAX,
     RAMP_FRACTION,
@@ -30,6 +31,13 @@ def at(points, t):
     return float(np.interp(t, *zip(*points)))
 
 
+def stretched(pulse, duration):
+    """`pulse` with every breakpoint's time scaled to last `duration`."""
+    scale = duration / pulse.duration
+    return PulseSchedule(duration, *(tuple((scale * t, v) for t, v in points)
+                                     for points in (pulse.omega, pulse.delta)))
+
+
 def worked_report():
     """Target graph with one edge at 5.0 um and both non-edges at 8.7 um."""
     g = Graph.from_edges(3, [(0, 1)])
@@ -40,11 +48,11 @@ def worked_report():
 
 class TestPulse:
     def test_peak_from_worked_bounds(self):
-        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
+        pulse = build_adiabatic_pulse(worked_report())
         assert at(pulse.omega, 1.5) == pytest.approx(10.66, abs=1e-2)
 
     def test_detuning_endpoints(self):
-        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
+        pulse = build_adiabatic_pulse(worked_report())
         assert at(pulse.delta, 0.0) == -15.0
         assert at(pulse.delta, 3.0) == 15.0
 
@@ -52,22 +60,22 @@ class TestPulse:
         # Two atoms at 5 um: c6/r_b^6 = 56 rad/us, far above the cap.
         g = Graph.from_edges(2, [(0, 1)])
         rep = audit(g, Register(positions=((0.0, 0.0), (5.0, 0.0))), 10.0)
-        pulse = build_adiabatic_pulse(rep, RunConfig())
+        pulse = build_adiabatic_pulse(rep)
         assert at(pulse.omega, 1.5) == pytest.approx(OMEGA_MAX)
 
     def test_omega_zero_at_ends(self):
-        pulse = build_adiabatic_pulse(worked_report(), RunConfig())
+        pulse = build_adiabatic_pulse(worked_report())
         assert at(pulse.omega, 0.0) == 0.0
         assert at(pulse.omega, pulse.duration) == 0.0
 
     def test_duration_default_3us(self):
-        assert build_adiabatic_pulse(worked_report(), RunConfig()).duration == 3.0
+        assert build_adiabatic_pulse(worked_report()).duration == 3.0
 
     def test_edgeless_uses_min_gap(self):
         g = Graph.from_edges(2, [])
         rep = audit(g, Register(positions=((0.0, 0.0), (11.0, 0.0))), 10.0)
-        pulse = build_adiabatic_pulse(rep, RunConfig())
-        assert at(pulse.omega, 1.5) == pytest.approx(min(877455.0 / 11.0**6, OMEGA_MAX))
+        pulse = build_adiabatic_pulse(rep)
+        assert at(pulse.omega, 1.5) == pytest.approx(min(C6 / 11.0**6, OMEGA_MAX))
 
     def test_breakpoints_validated(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -81,49 +89,12 @@ class TestPulse:
 
     @pytest.mark.parametrize("duration, dt", [(3.0, 1e-3), (3.0, 2e-3), (1.7, 7e-4)])
     def test_midpoint_schedule_matches_scalar_lookups(self, duration, dt):
-        cfg = RunConfig(duration=duration, dt=dt)
-        pulse = build_adiabatic_pulse(worked_report(), cfg)
-        steps = round(pulse.duration / cfg.dt)
+        pulse = stretched(build_adiabatic_pulse(worked_report()), duration)
+        steps = round(pulse.duration / dt)
         h = pulse.duration / steps
         omegas, deltas = pulse.at_midpoints(steps)
         assert omegas.tolist() == [at(pulse.omega, (k + 0.5) * h) for k in range(steps)]
         assert deltas.tolist() == [at(pulse.delta, (k + 0.5) * h) for k in range(steps)]
-
-
-class TestConfigRanges:
-    @pytest.mark.parametrize("kwargs, reason", [
-        ({"duration": 0.0}, "duration"),
-        ({"duration": -3.0}, "duration"),
-        ({"dt": 0.0}, "dt must be positive"),
-        ({"dt": -1e-3}, "dt must be positive"),
-        ({"c6": 0.0}, "c6 must be positive"),
-        ({"delta_start": math.inf}, "delta_start must be finite"),
-        ({"delta_end": math.nan}, "delta_end must be finite"),
-        ({"dt": math.nan}, "dt must be finite"),
-        ({"dt": math.inf}, "dt must be finite"),
-        ({"duration": math.inf}, "duration must be finite"),
-        ({"c6": math.nan}, "c6 must be finite"),
-        ({"c6": -1.0}, "c6 must be positive"),
-        ({"delta_start": math.nan}, "delta_start must be finite"),
-        ({"delta_end": -math.inf}, "delta_end must be finite"),
-        ({"dt": 1e-9}, f"3000000000 steps, above {MAX_STEPS}: evolve's per-step tables"),
-        ({"duration": 3e3}, f"steps, above {MAX_STEPS}"),
-        ({"dt": 3.0 / (MAX_STEPS + 1)}, f"steps, above {MAX_STEPS}"),
-    ])
-    def test_out_of_range_rejected(self, kwargs, reason):
-        with pytest.raises(ValueError, match=reason):
-            RunConfig(**kwargs)
-
-    def test_edge_of_range_builds_a_pulse(self):
-        # A pulse of MAX_STEPS steps is in range (built, never evolved here).
-        RunConfig(dt=3.0 / MAX_STEPS)
-        # A short duration and a zero detuning are in range: the one-step
-        # pulse still ramps up before it ramps down, and evolves.
-        cfg = RunConfig(duration=1e-3, dt=1e-3, delta_start=0.0, delta_end=0.0)
-        pulse = build_adiabatic_pulse(worked_report(), cfg)
-        assert pulse.omega[1][0] < pulse.omega[2][0]
-        reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
-        assert np.linalg.norm(evolve(reg, pulse, cfg)) == pytest.approx(1.0, abs=1e-12)
 
 
 def unit_disk_register(seed, n, radius=10.0):
@@ -185,15 +156,15 @@ class TestInteractionDiagonal:
         expected = np.zeros(1 << 10)
         for i in range(10):
             for j in range(i + 1, 10):
-                expected += (DEFAULT_C6 / dist[i, j] ** 6) * (((states >> i) & 1) & ((states >> j) & 1))
-        assert np.array_equal(interaction_diagonal(positions, DEFAULT_C6), expected)
+                expected += (C6 / dist[i, j] ** 6) * (((states >> i) & 1) & ((states >> j) & 1))
+        assert np.array_equal(interaction_diagonal(positions, C6), expected)
 
     def test_peak_memory_is_a_few_states(self):
         n = 16
         positions = np.array([(5.0 * (q % 4), 5.0 * (q // 4)) for q in range(n)])
         tracemalloc.start()
         try:
-            interaction_diagonal(positions, DEFAULT_C6)
+            interaction_diagonal(positions, C6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -211,7 +182,7 @@ class TestAgainstPairReference:
     def test_amplitudes_and_samples(self, n, half_rabi):
         cfg = RunConfig()
         reg, report = unit_disk_register(70 + n, n)
-        pulse = build_adiabatic_pulse(report, cfg)
+        pulse = build_adiabatic_pulse(report)
         if half_rabi:  # a second rotation angle per step: the same pulse at Omega/2
             pulse = replace(pulse, omega=tuple((t, 0.5 * w) for t, w in pulse.omega))
         self.assert_matches(reg, pulse, cfg)
@@ -220,9 +191,10 @@ class TestAgainstPairReference:
     def test_step_counts_across_chunks(self, steps):
         """A one-step pulse, and step counts that leave a partial chunk."""
         reg, report = unit_disk_register(81, 9)
-        cfg = RunConfig(dt=3.0 / steps)
-        assert round(cfg.duration / cfg.dt) == steps
-        self.assert_matches(reg, build_adiabatic_pulse(report, cfg), cfg)
+        cfg = RunConfig(dt=PULSE_DURATION_US / steps)
+        pulse = build_adiabatic_pulse(report)
+        assert round(pulse.duration / cfg.dt) == steps
+        self.assert_matches(reg, pulse, cfg)
 
     @staticmethod
     def assert_matches(reg, pulse, cfg):
@@ -237,9 +209,9 @@ class TestEvolve:
     def test_tables_take_about_32_bytes_a_step(self):
         """The per-step tables MAX_STEPS is sized by: a 2-atom evolve of a
         long pulse peaks at about 32 B a step."""
-        cfg = RunConfig(dt=3.0 / 20_000)
+        cfg = RunConfig(dt=PULSE_DURATION_US / 20_000)
         reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
-        pulse = build_adiabatic_pulse(audit(Graph.from_edges(2, [(0, 1)]), reg, 10.0), cfg)
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(2, [(0, 1)]), reg, 10.0))
         tracemalloc.start()
         try:
             evolve(reg, pulse, cfg)
@@ -258,15 +230,15 @@ class TestEvolve:
         for n in (2, 5, 12):
             reg = random_register(rng, n, spread=16.0)
             rep = audit(Graph.from_edges(n, []), reg, 10.0)
-            psi = evolve(reg, build_adiabatic_pulse(rep, RunConfig()), RunConfig())
+            psi = evolve(reg, build_adiabatic_pulse(rep), RunConfig())
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-6
 
     def test_two_atoms_match_dense_reference(self):
         g = Graph.from_edges(2, [(0, 1)])
         reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
-        pulse = build_adiabatic_pulse(audit(g, reg, 10.0), RunConfig())
+        pulse = build_adiabatic_pulse(audit(g, reg, 10.0))
         psi = evolve(reg, pulse, RunConfig())
-        ref = rk4_final_state(reg, pulse, RunConfig())
+        ref = rk4_final_state(reg, pulse)
         assert fidelity(psi, ref) >= 1 - 1e-4
 
     @pytest.mark.parametrize("n", [8, 10, 12])
@@ -275,22 +247,21 @@ class TestEvolve:
         measurement distribution moves by TVD <= 1e-2 at dt / 10."""
         cfg = RunConfig()
         reg, report = unit_disk_register(90 + n, n)
-        pulse = build_adiabatic_pulse(report, cfg)
+        pulse = build_adiabatic_pulse(report)
         p = np.abs(evolve(reg, pulse, cfg)) ** 2
         q = np.abs(evolve(reg, pulse, RunConfig(dt=cfg.dt / 10))) ** 2
         assert 0.5 * np.abs(p - q).sum() <= 1e-2
 
     def test_default_grid_puts_ramp_corners_on_step_boundaries(self):
         """The midpoint rule never straddles a kink of the default pulse."""
-        cfg = RunConfig()
-        steps = round(cfg.duration / cfg.dt)
+        steps = round(PULSE_DURATION_US / RunConfig().dt)
         for corner in (RAMP_FRACTION * steps, (1.0 - RAMP_FRACTION) * steps):
             assert corner == pytest.approx(round(corner), abs=1e-9)
 
     def test_halving_dt_changes_little(self):
         rng = np.random.default_rng(51)
         reg = random_register(rng, 3, spread=8.0)
-        pulse = build_adiabatic_pulse(audit(Graph.from_edges(3, [(0, 1)]), reg, 10.0), RunConfig())
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(3, [(0, 1)]), reg, 10.0))
         a = evolve(reg, pulse, RunConfig())
         b = evolve(reg, pulse, RunConfig(dt=RunConfig().dt / 2))
         assert fidelity(a, b) >= 1 - 1e-5
@@ -298,7 +269,7 @@ class TestEvolve:
     def test_blockade_suppresses_double_excitation(self):
         cfg = RunConfig()
         rep = worked_report()
-        pulse = build_adiabatic_pulse(rep, cfg)
+        pulse = build_adiabatic_pulse(rep)
         r_b = math.sqrt(rep.r_min_gap * rep.r_max)
         for frac in (0.62, 0.7):
             pair = Register(positions=((0.0, 0.0), (frac * r_b, 0.0)))
@@ -310,16 +281,16 @@ class TestEvolve:
         reg = Register(positions=((0.0, 0.0), (5.5, 0.0), (11.0, 0.0)))
         rep = audit(g, reg, 10.0)
         assert rep.is_exact_ud
-        pulse = build_adiabatic_pulse(rep, RunConfig())
+        pulse = build_adiabatic_pulse(rep)
         psi = evolve(reg, pulse, RunConfig())
         assert int(np.argmax(np.abs(psi) ** 2)) == 0b101
-        ref = rk4_final_state(reg, pulse, RunConfig())
+        ref = rk4_final_state(reg, pulse)
         assert int(np.argmax(np.abs(ref) ** 2)) == 0b101
 
     def test_qubit_cap(self):
         n = MAX_QUBITS + 1
         reg = Register(positions=tuple((5.0 * (q % 5), 5.0 * (q // 5)) for q in range(n)))
-        pulse = build_adiabatic_pulse(audit(Graph.from_edges(n, []), reg, 10.0), RunConfig())
+        pulse = build_adiabatic_pulse(audit(Graph.from_edges(n, []), reg, 10.0))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"cap of {MAX_QUBITS}"):

@@ -10,7 +10,7 @@ from qcbp.hcg import run_hcg
 from qcbp.pricing import IMPROVE_EPS, PricingEngine
 from qcbp.rmp import ColumnPool
 
-from builders import complete, cycle, exact_engine, quick_layout, random_graph, stochastic_engine
+from builders import complete, cycle, exact_engine, quick_layout, random_graph, stochastic_engine, wide_layout
 from oracles import all_independent_sets, lp_oracle
 
 
@@ -294,8 +294,9 @@ class TestSubproblemIndexing:
 class TestEmulatedEndToEnd:
     def test_ud_instance_certifies(self, covers, monkeypatch):
         quick_layout(monkeypatch)
+        wide_layout(monkeypatch)
         g, _ = random_ud_graph(6, seed=12, radius=10, box=22)
-        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=4, register_radius=10.0, dt=2e-3)
+        cfg = RunConfig(sampler="emulated_qaa", shots=120, seed=4, dt=2e-3)
         res = run_root(g, PricingEngine(cfg))
         assert res.certified
         assert res.lp_bound == pytest.approx(lp_oracle(g, all_independent_sets(g)), abs=1e-6)

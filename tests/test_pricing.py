@@ -20,8 +20,16 @@ from qcbp.pricing import (
 )
 from qcbp.rmp import ColumnPool
 
-from builders import complete, cycle, path3, quick_layout, random_graph
+from builders import complete, cycle, path3, quick_layout, random_graph, wide_layout
 from oracles import brute_mwis, is_maximal_independent
+
+
+@pytest.fixture
+def fast(monkeypatch) -> RunConfig:
+    """An emulated sampler of 100 shots at a 2e-3 us step, laid out against a
+    10 um unit disk."""
+    wide_layout(monkeypatch)
+    return RunConfig(sampler="emulated_qaa", shots=100, seed=1, dt=2e-3)
 
 
 class TestReducedCost:
@@ -224,16 +232,14 @@ class TestClassicalSampler:
 
 
 class TestEmulatedSampler:
-    FAST = RunConfig(sampler="emulated_qaa", shots=100, seed=1, register_radius=10.0, dt=2e-3)
-
-    def test_soundness_and_translation(self, monkeypatch):
+    def test_soundness_and_translation(self, monkeypatch, fast):
         quick_layout(monkeypatch)
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
         sub_mask = mask_of([0, 2, 3, 4, 6])
         sub = g.induced_subgraph(sub_mask)
         duals = np.full(g.n, 0.9)
         pool = ColumnPool()
-        engine = PricingEngine(self.FAST)
+        engine = PricingEngine(fast)
         cols, stats = engine.sample_columns(g, sub_mask, duals, pool.samples)
         assert stats.shots == 100
         assert cols and stats.maximal <= stats.improving == len(cols)
@@ -247,15 +253,25 @@ class TestEmulatedSampler:
         # Extension to a maximal set is no longer optional: on the full graph
         # every emulated column is a maximal independent set.
         quick_layout(monkeypatch)
+        wide_layout(monkeypatch)
         g, _ = random_ud_graph(6, seed=10, radius=10, box=22)
-        cfg = RunConfig(sampler="emulated_qaa", shots=80, seed=2, register_radius=10.0, dt=2e-3)
+        cfg = RunConfig(sampler="emulated_qaa", shots=80, seed=2, dt=2e-3)
         engine = PricingEngine(cfg)
         cols, _ = engine.sample_columns(g, g.full_mask, np.full(6, 0.9), {})
         assert cols and all(is_maximal_independent(g, mask) for mask in cols)
 
+    def test_draw_reads_the_layout_radius_at_call_time(self, monkeypatch, fast):
+        # `wide_layout` patches qcbp.embedding alone; the draw's audit sees it
+        radii = []
+        real_audit = qcbp.pricing.audit
+        monkeypatch.setattr(qcbp.pricing, "audit", lambda g, reg, r: radii.append(r) or real_audit(g, reg, r))
+        quick_layout(monkeypatch)
+        PricingEngine(fast).sample_columns(cycle(5), 0b11111, [0.5] * 5, {})
+        assert radii == [10.0]
+
 
 class TestSampleMemory:
-    def test_recalled_columns_are_sound_and_draw_nothing(self, monkeypatch):
+    def test_recalled_columns_are_sound_and_draw_nothing(self, monkeypatch, fast):
         evolved = []
         real_evolve = qcbp.pricing.evolve
 
@@ -266,7 +282,7 @@ class TestSampleMemory:
         monkeypatch.setattr(qcbp.pricing, "evolve", counting)
         g, _ = random_ud_graph(7, seed=8, radius=10, box=25)
         samples: dict[int, None] = {}
-        engine = PricingEngine(TestEmulatedSampler.FAST)
+        engine = PricingEngine(fast)
         # At duals of 0.45 only sets of 3 or more improve; the drawn pairs are
         # remembered all the same.
         cols, first = engine.sample_columns(g, g.full_mask, np.full(g.n, 0.45), samples)
@@ -290,7 +306,7 @@ class TestSampleMemory:
             assert reduced_cost(mask, duals) < -IMPROVE_EPS
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_maximal_count_does_not_depend_on_candidate_order(self, order):
+    def test_maximal_count_does_not_depend_on_candidate_order(self, order, fast):
         # Without vertex 0, the remembered {0, 4} is recalled as {4}, which
         # extends to {2, 4}; the remembered {2, 4} is that column as drawn.
         # Either order logs one column, and it counts as maximal.
@@ -299,7 +315,7 @@ class TestSampleMemory:
         samples = {remembered[i]: None for i in order}
         positive = mask_of([1, 2, 3, 4, 5, 6])
         duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.9, 0.0)
-        cols, stats = PricingEngine(TestEmulatedSampler.FAST).sample_columns(g, positive, duals, samples)
+        cols, stats = PricingEngine(fast).sample_columns(g, positive, duals, samples)
         assert cols == [mask_of([2, 4])]
         assert (stats.shots, stats.improving, stats.maximal) == (0, 1, 1)
 
@@ -354,7 +370,7 @@ class TestUnlinkedVertices:
     """A dual-positive vertex with no dual-positive neighbour is in every
     maximal set within the mask: it gets no atom, and every draw holds it."""
 
-    def test_register_holds_the_linked_vertices(self, monkeypatch):
+    def test_register_holds_the_linked_vertices(self, monkeypatch, fast):
         graphs, registers = [], []
         real_embed, real_evolve = qcbp.pricing.embed, qcbp.pricing.evolve
 
@@ -373,7 +389,7 @@ class TestUnlinkedVertices:
         g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (6, 7)])
         positive = mask_of(range(7))
         duals = np.where([(positive >> v) & 1 for v in range(g.n)], 0.3, 0.0)
-        cols, stats = PricingEngine(TestEmulatedSampler.FAST).sample_columns(g, positive, duals, {})
+        cols, stats = PricingEngine(fast).sample_columns(g, positive, duals, {})
         assert g.linked(positive) == mask_of(range(4))
         assert graphs == [g.induced_subgraph(mask_of(range(4)))] and len(registers[0].positions) == 4
         assert (stats.n_sub, stats.shots) == (7, 100)
@@ -382,9 +398,9 @@ class TestUnlinkedVertices:
         assert sorted(cols) == [mask_of([0, 2, 4, 5, 6]), mask_of([1, 3, 4, 5, 6])]
 
     @pytest.mark.parametrize("sampler", ["classical_stochastic", "emulated_qaa"])
-    def test_every_draw_holds_the_unlinked_vertices(self, sampler):
+    def test_every_draw_holds_the_unlinked_vertices(self, sampler, fast):
         rng = np.random.default_rng(70)
-        cfg = replace(TestEmulatedSampler.FAST, sampler=sampler, shots=30)
+        cfg = replace(fast, sampler=sampler, shots=30)
         unlinked_draws = 0
         for _ in range(12):
             n = int(rng.integers(5, 9))
