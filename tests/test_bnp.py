@@ -592,6 +592,10 @@ class TestSolve:
             assert len(set(columns)) == len(columns)
             assert set(columns) >= {1 << v for v in iter_bits(residual)}
 
+    def test_node_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="node_budget"):
+            RunConfig(node_budget=0)
+
     def test_engine_defaults_to_one_built_from_the_config(self):
         g = myciel(3)
         res = solve_qcbp(g, RunConfig(sampler="classical_stochastic", shots=5, seed=2))

@@ -237,3 +237,14 @@ class TestEmbed:
         with pytest.raises(EmbeddingError, match="all 2 restarts infeasible: coincident atoms"):
             embed(complete(3), seed=0)
 
+
+class TestEmbedParams:
+    """The layout at the descent's least budget."""
+
+    def test_range_edges_accepted(self, monkeypatch):
+        # One restart of one iteration still lays out a register that
+        # `Register` accepts, at any positive radius.
+        quick_layout(monkeypatch, iterations=1, restarts=1)
+        for radius in (1e-3, 1e3):
+            wide_layout(monkeypatch, radius)
+            assert embed(complete(4)).n == 4

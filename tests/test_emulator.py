@@ -97,6 +97,20 @@ class TestPulse:
         assert deltas.tolist() == [at(pulse.delta, (k + 0.5) * h) for k in range(steps)]
 
 
+class TestConfigRanges:
+    """Pulses at the edge of what `evolve` takes. `RunConfig`'s own ranges,
+    `dt`'s and `MAX_STEPS`', are checked in test_bench.py::TestRunConfig."""
+
+    def test_edge_of_range_builds_a_pulse(self):
+        # A short duration and a zero detuning are in range: the one-step
+        # pulse still ramps up before it ramps down, and evolves.
+        pulse = stretched(build_adiabatic_pulse(worked_report()), 1e-3)
+        pulse = replace(pulse, delta=tuple((t, 0.0) for t, _ in pulse.delta))
+        assert pulse.omega[1][0] < pulse.omega[2][0]
+        reg = Register(positions=((0.0, 0.0), (5.0, 0.0)))
+        assert np.linalg.norm(evolve(reg, pulse, RunConfig(dt=1e-3))) == pytest.approx(1.0, abs=1e-12)
+
+
 def unit_disk_register(seed, n, radius=10.0):
     """A random register and the audit of its own unit-disk graph."""
     reg = random_register(np.random.default_rng(seed), n, spread=16.0)
